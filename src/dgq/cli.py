@@ -170,25 +170,27 @@ def cmd_wha_build(args, out: Output) -> int:
     out.put("hopf", wha.is_hopf(w))
     out.put("involutory", wha.check_involutory(w))
     if not w.is_twisted():
-        bs = wha.block_structure(w)
-        out.put("algebra_blocks",
-                [{"base": b, "group_order": o, "matrix_size": n}
-                 for b, o, n in bs.algebra_blocks])
-        out.put("coalgebra_blocks",
-                [{"base": b, "group_order": o, "matrix_size": n}
-                 for b, o, n in bs.coalgebra_blocks])
+        _put_blocks(out, w)
     out.put("unit_object_simple", wha.unit_object_simple(t))
     return 0
+
+
+def _put_blocks(out: Output, w) -> None:
+    bs = wha.block_structure(w)
+    for key, blocks in (("algebra_blocks", bs.algebra_blocks),
+                        ("coalgebra_blocks", bs.coalgebra_blocks)):
+        out.put(key, [{"base": b, "group_order": o, "matrix_size": n}
+                      for b, o, n in blocks])
 
 
 def cmd_wha_verify(args, out: Output) -> int:
     t, w = _build_wha(args)
     rep = wha.verify_axioms(w)
+    involutory = wha.check_involutory(w)
     out.put("dimension", w.dim)
-    out.put("involutory", wha.check_involutory(w))
+    out.put("involutory", involutory)
     _report_failures(out, rep)
-    ok = rep.ok and wha.check_involutory(w)
-    return 0 if ok else MATH_FAILURE
+    return 0 if rep.ok and involutory else MATH_FAILURE
 
 
 def cmd_cocycles_enumerate(args, out: Output) -> int:
@@ -245,14 +247,8 @@ def cmd_kac(args, out: Output) -> int:
 def cmd_blocks(args, out: Output) -> int:
     t = _as_double(dio.load_path(args.path))
     w = wha.build(t)
-    bs = wha.block_structure(w)
     out.put("dimension", w.dim)
-    out.put("algebra_blocks",
-            [{"base": b, "group_order": o, "matrix_size": n}
-             for b, o, n in bs.algebra_blocks])
-    out.put("coalgebra_blocks",
-            [{"base": b, "group_order": o, "matrix_size": n}
-             for b, o, n in bs.coalgebra_blocks])
+    _put_blocks(out, w)
     return 0
 
 

@@ -16,7 +16,7 @@ from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
 from .fields import FieldSpec
-from .linalg import count_solutions_mod_m, solutions_mod_m
+from .linalg import count_solutions_mod_m, solutions_mod_m, sparse_row
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def is_gauge_equivalent(t: DoubleGroupoid, cp1: CocyclePair, cp2: CocyclePair,
 
 
 def _constraint_system(t: DoubleGroupoid, m: int):
-    """Linear system over Z/m for the free cocycle entries.
+    """Linear system over Z/m for the free cocycle entries, as sparse rows.
 
     Free variables are the sigma entries at pairs with no vertical-identity
     box and the tau entries at pairs with no horizontal-identity box; all
@@ -188,50 +188,36 @@ def _constraint_system(t: DoubleGroupoid, m: int):
     ncols = len(svars) + len(tvars)
     rows = []
 
-    def srow_add(row, a, b, coeff):
-        i = vindex[(a, b)]
-        if i in scol:
-            row[scol[i]] += coeff
+    def sv(a, b):
+        """Column of sigma(a, b), or None where normalization forces 0."""
+        return scol.get(vindex[(a, b)])
 
-    def trow_add(row, a, b, coeff):
-        j = hindex[(a, b)]
-        if j in tcol:
-            row[tcol[j]] += coeff
+    def tv(a, b):
+        return tcol.get(hindex[(a, b)])
+
+    def add_row(terms):
+        row = sparse_row((k, c) for k, c in terms if k is not None)
+        if row:
+            rows.append(row)
 
     for (a, b) in vp:
         ab = t.vcomp[a][b]
         for c in t.boxes():
             if t.bottom[b] != t.top[c]:
                 continue
-            row = [0] * ncols
-            srow_add(row, a, b, 1)
-            srow_add(row, ab, c, 1)
-            srow_add(row, b, c, -1)
-            srow_add(row, a, t.vcomp[b][c], -1)
-            if any(row):
-                rows.append(row)
+            add_row(((sv(a, b), 1), (sv(ab, c), 1), (sv(b, c), -1),
+                     (sv(a, t.vcomp[b][c]), -1)))
     for (a, b) in hp:
         ab = t.hcomp[a][b]
         for c in t.boxes():
             if t.right[b] != t.left[c]:
                 continue
-            row = [0] * ncols
-            trow_add(row, a, b, 1)
-            trow_add(row, ab, c, 1)
-            trow_add(row, b, c, -1)
-            trow_add(row, a, t.hcomp[b][c], -1)
-            if any(row):
-                rows.append(row)
+            add_row(((tv(a, b), 1), (tv(ab, c), 1), (tv(b, c), -1),
+                     (tv(a, t.hcomp[b][c]), -1)))
     for a, b, c, d in t.squares():
-        row = [0] * ncols
-        srow_add(row, t.hcomp[a][b], t.hcomp[c][d], 1)
-        trow_add(row, t.vcomp[a][c], t.vcomp[b][d], 1)
-        trow_add(row, a, b, -1)
-        trow_add(row, c, d, -1)
-        srow_add(row, a, c, -1)
-        srow_add(row, b, d, -1)
-        if any(row):
-            rows.append(row)
+        add_row(((sv(t.hcomp[a][b], t.hcomp[c][d]), 1),
+                 (tv(t.vcomp[a][c], t.vcomp[b][d]), 1),
+                 (tv(a, b), -1), (tv(c, d), -1), (sv(a, c), -1), (sv(b, d), -1)))
     return rows, ncols, svars, tvars
 
 

@@ -1,125 +1,189 @@
 """Exact linear algebra: prime fields and integer Smith normal form.
 
-Matrices are lists of rows; rows are lists of ints.  Differentials of bar
-complexes are very sparse, so the rank routine works on dict-backed rows;
-everything that needs explicit bases (nullspaces, solving, subquotients) is
-dense and only ever runs on small matrices.
+A matrix is a list of rows.  A row, and likewise a vector, is a
+``{column: value}`` dict of ints that never stores a zero; where the number
+of columns matters it is passed alongside.  Differentials of bar complexes
+are very sparse, and every routine here keeps them so, with one exception:
+the integer Smith form densifies its input once on entry.
+
+Over F_p there is one eliminator, :class:`_Echelon`.  Rank, nullity,
+nullspaces and subquotients all go through it.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import StructureError
 
 
-def rank_fp(rows, p: int) -> int:
-    """Rank over F_p by elimination on sparse rows."""
-    work = []
-    for row in rows:
-        if isinstance(row, dict):
-            d = {c: v % p for c, v in row.items() if v % p}
+def sparse_row(entries) -> dict[int, int]:
+    """The row summing ``(column, value)`` entries, with zeros dropped."""
+    row: dict[int, int] = {}
+    for c, v in entries:
+        row[c] = row.get(c, 0) + v
+    return {c: v for c, v in row.items() if v}
+
+
+def transpose(rows, ncols: int) -> list[dict[int, int]]:
+    """The columns of a matrix with ``ncols`` columns, as rows."""
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def matmul(a, b):
+    """Integer product of two sparse matrices; ``b`` has one row per column
+    of ``a``."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            if k >= len(b):
+                raise StructureError("matmul shape mismatch")
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def is_zero_matrix(a) -> bool:
+    return not any(a)
+
+
+# -- the F_p eliminator ------------------------------------------------------
+
+
+def _mod(row, p: int) -> dict[int, int]:
+    return {c: v % p for c, v in row.items() if v % p}
+
+
+def _eliminate(row, f: int, piv, p: int) -> None:
+    """row -= f * piv over F_p, in place, storing no zero."""
+    for c, v in piv.items():
+        nv = (row.get(c, 0) - f * v) % p
+        if nv:
+            row[c] = nv
         else:
-            d = {c: v % p for c, v in enumerate(row) if v % p}
-        if d:
-            work.append(d)
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in work:
+            del row[c]
+
+
+class _Echelon:
+    """Rows over F_p in echelon form, each stored under its leftmost column
+    and scaled so that its entry there is 1.
+
+    A row that enters is reduced by the stored rows, leftmost column first,
+    until that column has no stored row.  Where a ``combo`` is passed it
+    follows the row through every step: it records which combination of
+    tracked inputs the row equals (see :class:`SubquotientFp`)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, dict[int, int]] = {}
+        self.combos: dict[int, dict[int, int]] = {}
+
+    def reduce(self, row, combo=None):
+        """Reduce ``row`` in place; return its new leftmost column, or None
+        once it is zero."""
+        rows, p = self.rows, self.p
         while row:
             c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                factor = (row[c] * pow(piv[c], p - 2, p)) % p
-                for cc, vv in piv.items():
-                    nv = (row.get(cc, 0) - factor * vv) % p
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                pivots[c] = row
-                rank += 1
-                break
-    return rank
+            piv = rows.get(c)
+            if piv is None:
+                return c
+            f = row[c]
+            _eliminate(row, f, piv, p)
+            if combo is not None:
+                _eliminate(combo, f, self.combos[c], p)
+        return None
+
+    def add(self, row, combo=None) -> bool:
+        """Reduce ``row`` and store what is left; False if nothing is."""
+        c = self.reduce(row, combo)
+        if c is None:
+            return False
+        p = self.p
+        inv = pow(row[c], p - 2, p)
+        for vec in (row, combo or {}):
+            for k, v in vec.items():
+                vec[k] = v * inv % p
+        self.rows[c] = row
+        if combo is not None:
+            self.combos[c] = combo
+        return True
+
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """The stored rows in reduced echelon form (combos are not kept up).
+
+        Rows are cleared right to left, so each row subtracted is already
+        zero at every other stored column and adds none back."""
+        rows, p = self.rows, self.p
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            for k in [k for k in row if k != c and k in rows]:
+                _eliminate(row, row[k], rows[k], p)
+        return rows
+
+
+def rank_fp(rows, p: int) -> int:
+    """Rank over F_p."""
+    echelon = _Echelon(p)
+    return sum(echelon.add(_mod(row, p)) for row in rows)
 
 
 def nullity_fp(rows, ncols: int, p: int) -> int:
     return ncols - rank_fp(rows, p)
 
 
-def rref_fp(rows, ncols: int, p: int):
-    """Dense reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[v % p for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
+    """Basis of {x : A x = 0} over F_p, one vector per free column of the
+    reduced echelon form, in increasing order of that column."""
+    echelon = _Echelon(p)
+    for row in rows:
+        echelon.add(_mod(row, p))
+    basis = {f: {f: 1} for f in range(ncols) if f not in echelon.rows}
+    for c, row in echelon.reduced().items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v % p
+    return list(basis.values())
 
 
-def nullspace_fp(rows, ncols: int, p: int) -> list[list[int]]:
-    """Basis of {x : A x = 0} over F_p, one vector per free column."""
-    m, pivots = rref_fp(rows, ncols, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-m[r][free]) % p
-        basis.append(vec)
-    return basis
+class SubquotientFp:
+    """A subquotient H = span(Z) / span(B) of F_p^n with explicit
+    representatives and class coordinates.
 
+    The representatives are the Z vectors, reduced mod p, that are
+    independent of span(B) and of the representatives before them.
+    ``coords(v)`` expresses the class of v in that basis, as a sparse vector
+    over representative indices; v must lie in span(B) + span(reps)."""
 
-def solve_fp(rows, b, ncols: int, p: int):
-    """One solution of A x = b over F_p, or None."""
-    aug = [list(row) + [bv] for row, bv in zip(rows, b)]
-    m, pivots = rref_fp(aug, ncols + 1, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
-    return x
+    def __init__(self, ambient_dim: int, z_vectors, b_vectors, p: int):
+        self.n = ambient_dim
+        self.p = p
+        # every stored row carries its coordinates over the representatives;
+        # B rows have none, since span(B) is quotiented out
+        self._echelon = _Echelon(p)
+        for v in b_vectors:
+            self._echelon.add(_mod(v, p), {})
+        self.reps = []
+        for v in z_vectors:
+            rep = _mod(v, p)
+            if self._echelon.add(dict(rep), {len(self.reps): 1}):
+                self.reps.append(rep)
 
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
 
-def matmul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise StructureError("matmul shape mismatch")
-    if not b:
-        return [[] for _ in a]
-    nb = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * nb
-        for k, v in enumerate(row):
-            if v:
-                brow = b[k]
-                for j in range(nb):
-                    if brow[j]:
-                        acc[j] += v * brow[j]
-        out.append(acc)
-    return out
-
-
-def is_zero_matrix(a) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
+    def coords(self, v) -> dict[int, int]:
+        combo: dict[int, int] = {}
+        if self._echelon.reduce(_mod(v, self.p), combo) is not None:
+            raise StructureError("vector does not lie in the subquotient span")
+        # v minus the stored rows it took is zero, so v is minus their combo
+        return {k: -x % self.p for k, x in combo.items()}
 
 
 # -- integer Smith normal form ------------------------------------------
@@ -142,13 +206,17 @@ def smith_with_transform(rows, ncols: int):
 
     Returns (diagonal entries, T) where T is the accumulated column transform,
     so that x = T y turns A x = 0 into D y = 0.  Divisibility of the diagonal
-    is not enforced here; see :func:`elementary_divisors`.
+    is not enforced here; see :func:`elementary_divisors`.  The sparse input
+    is made dense once, here.
     """
-    d = [list(row) for row in rows]
+    d = [[0] * ncols for _ in rows]
+    for drow, row in zip(d, rows):
+        for j, v in row.items():
+            if not 0 <= j < ncols:
+                raise StructureError(
+                    f"column {j} outside a matrix of {ncols} columns")
+            drow[j] = v
     m, n = len(d), ncols
-    for row in d:
-        if len(row) != n:
-            raise StructureError("ragged matrix")
     t = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i1, i2, j):
@@ -227,7 +295,7 @@ def elementary_divisors(rows, ncols: int) -> list[int]:
         for i in range(len(ds) - 1):
             a, b = ds[i], ds[i + 1]
             if b % a != 0:
-                _, _, g = _xgcd(a, b)
+                g = gcd(a, b)
                 ds[i], ds[i + 1] = g, a * b // g
                 changed = True
         ds.sort()
@@ -238,16 +306,6 @@ def rank_z(rows, ncols: int) -> int:
     return len(elementary_divisors(rows, ncols))
 
 
-def kernel_z(rows, ncols: int) -> list[list[int]]:
-    """Basis of the integer kernel, from the tracked column transform."""
-    diag, t = smith_with_transform(rows, ncols)
-    basis = []
-    for j in range(ncols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([t[i][j] for i in range(ncols)])
-    return basis
-
-
 def solutions_mod_m(rows, ncols: int, m: int):
     """All solutions of A x = 0 over Z/m, as an iterator of tuples.
 
@@ -255,11 +313,6 @@ def solutions_mod_m(rows, ncols: int, m: int):
     solutions are x = T y where each y_k runs over the multiples of
     m // gcd(d_k, m)."""
     diag, t = smith_with_transform(rows, ncols)
-
-    def gcd(a, b):
-        while b:
-            a, b = b, a % b
-        return a
 
     steps = []
     for k in range(ncols):
@@ -290,74 +343,8 @@ def solutions_mod_m(rows, ncols: int, m: int):
 
 def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
     diag, _ = smith_with_transform(rows, ncols)
-
-    def gcd(a, b):
-        while b:
-            a, b = b, a % b
-        return a
-
     total = 1
     for k in range(ncols):
         dk = diag[k] if k < len(diag) else 0
         total *= gcd(dk % m, m)
     return total
-
-
-class SubquotientFp:
-    """A subquotient H = span(Z) / span(B) of F_p^n with explicit
-    representatives and class coordinates.
-
-    ``coords(v)`` expresses the class of v in the chosen representative
-    basis; v must lie in span(B) + span(reps)."""
-
-    def __init__(self, ambient_dim: int, z_vectors, b_vectors, p: int):
-        self.n = ambient_dim
-        self.p = p
-        self.b_basis = _independent_subset(b_vectors, ambient_dim, p)
-        reps = []
-        current = list(self.b_basis)
-        for v in z_vectors:
-            cand = _independent_subset(current + [v], ambient_dim, p)
-            if len(cand) > len(current):
-                reps.append([x % p for x in v])
-                current.append([x % p for x in v])
-        self.reps = reps
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def coords(self, v) -> list[int]:
-        cols = self.b_basis + self.reps
-        if not cols:
-            if any(x % self.p for x in v):
-                raise StructureError("vector not in the trivial subquotient")
-            return []
-        a = [[col[i] for col in cols] for i in range(self.n)]
-        sol = solve_fp(a, [x % self.p for x in v], len(cols), self.p)
-        if sol is None:
-            raise StructureError("vector does not lie in the subquotient span")
-        return sol[len(self.b_basis):]
-
-
-def _independent_subset(vectors, n: int, p: int):
-    kept = []
-    pivots: dict[int, list[int]] = {}
-    for v in vectors:
-        row = {c: x % p for c, x in enumerate(v) if x % p}
-        while row:
-            c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                f = (row[c] * pow(piv[c], p - 2, p)) % p
-                for cc, vv in piv.items():
-                    nv = (row.get(cc, 0) - f * vv) % p
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                pivots[c] = dict(row)
-                kept.append([x % p for x in v])
-                break
-    return kept

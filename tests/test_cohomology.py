@@ -95,7 +95,10 @@ def test_differentials_square_to_zero_on_corpus_groupoids():
 def test_library_matrices_match_oracle_construction():
     for g in (one_object_group(cyclic_table(2)), coarse_groupoid(3)):
         for n in range(3):
-            assert differential_matrix(g, n) == oracle_cochain_matrix(g, n)
+            ncols = len(nerve(g, n))
+            dense = [[row.get(j, 0) for j in range(ncols)]
+                     for row in differential_matrix(g, n)]
+            assert dense == oracle_cochain_matrix(g, n)
 
 
 @pytest.mark.parametrize("p,expected", [(2, [1, 1, 1]), (3, [1, 0, 0]),

@@ -1,0 +1,85 @@
+"""Byte-for-byte ``--format machine`` outputs of CLI commands over the corpus.
+
+Each command's stdout is stored in ``tests/golden/<name>.out`` and its exit
+code in ``tests/golden/exit.json``.  A refactor that must not change results
+leaves every file unchanged.  Re-record (only on purpose, from the code whose
+output is to be pinned) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Left out for time: ``kac`` on product_s3_x21 and ``cocycles classes`` on x23
+and product_s3_x21.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from dgq.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GROUPOIDS = ("coarse3_group", "s3_group", "z2_group")
+DOUBLES = ("commuting_squares_z2", "product_s3_x21", "s3_double",
+           "s3_matched_pair", "union_x22_s3", "x11", "x22", "x23")
+
+
+def _commands():
+    """(name, argv) for every pinned command; paths are relative to ROOT."""
+    out = []
+    for stem in sorted(GROUPOIDS + DOUBLES):
+        out.append((f"validate-{stem}", ["validate", f"corpus/{stem}.json"]))
+    for stem in DOUBLES:
+        path = f"corpus/{stem}.json"
+        out.append((f"vacant-{stem}", ["vacant", path]))
+        out.append((f"blocks-{stem}", ["blocks", path]))
+        out.append((f"wha-build-{stem}", ["wha", "build", path]))
+        if stem != "product_s3_x21":
+            for p in ("2", "3"):
+                out.append((f"kac-p{p}-{stem}", ["kac", path, "--p", p]))
+        if stem not in ("product_s3_x21", "x23"):
+            out.append((f"classes-m2-{stem}",
+                        ["cocycles", "classes", path, "--m", "2"]))
+    for stem in GROUPOIDS:
+        path = f"corpus/{stem}.json"
+        for flag in (["--p", "2"], ["--p", "3"], ["--integral"]):
+            tag = flag[-1] if flag[0] == "--p" else "z"
+            out.append((f"cohomology-{tag}-{stem}",
+                        ["cohomology", path, *flag, "--degree", "3"]))
+    return out
+
+
+COMMANDS = _commands()
+
+
+def _run(argv):
+    buf = io.StringIO()
+    args = ["--format", "machine"] + [str(ROOT / a) if a.startswith("corpus/")
+                                      else a for a in argv]
+    with redirect_stdout(buf):
+        code = run(args)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", COMMANDS, ids=[n for n, _ in COMMANDS])
+def test_machine_output_matches_golden(name, argv):
+    exits = json.loads((GOLDEN / "exit.json").read_text())
+    code, stdout = _run(argv)
+    assert code == exits[name]
+    assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    for name, argv in COMMANDS:
+        code, stdout = _run(argv)
+        exits[name] = code
+        (GOLDEN / f"{name}.out").write_bytes(stdout.encode())
+        print(f"{name}: exit {code}", file=sys.stderr)
+    (GOLDEN / "exit.json").write_text(json.dumps(exits, indent=1,
+                                                 sort_keys=True) + "\n")

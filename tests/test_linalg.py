@@ -1,0 +1,197 @@
+"""Property tests of ``dgq.linalg`` on small random sparse matrices.
+
+Each F_p routine is checked against a dense row reduction written here, and
+the integer Smith form against ``sympy``, so the library and its oracles
+share no code."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
+
+from dgq.cohomology import (build_double_complex, differential_matrix,
+                            nerve, total_dim, total_matrix)
+from dgq.double import build_Xrs
+from dgq.errors import StructureError
+from dgq.groupoids import coarse_groupoid, one_object_group
+from dgq.linalg import (SubquotientFp, elementary_divisors, matmul,
+                        nullity_fp, nullspace_fp, rank_fp,
+                        smith_with_transform)
+from dgq.samples import cyclic_table, s3_double, symmetric_table
+
+PRIMES = (2, 3, 5)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# -- dense oracle ------------------------------------------------------------
+
+
+def dense_rref(rows, ncols, p):
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivots)."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][col], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def dense_rank(rows, ncols, p):
+    return len(dense_rref(rows, ncols, p)[1])
+
+
+def to_sparse(dense):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def to_dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+@st.composite
+def dense_matrices(draw, max_rows=6, max_cols=6, min_size=0):
+    nrows = draw(st.integers(min_size, max_rows))
+    ncols = draw(st.integers(min_size, max_cols))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows)), ncols
+
+
+# -- F_p ---------------------------------------------------------------------
+
+
+@SETTINGS
+@given(dense_matrices(), st.sampled_from(PRIMES))
+def test_rank_and_nullity_match_dense_oracle(mat, p):
+    dense, ncols = mat
+    rank = dense_rank(dense, ncols, p)
+    assert rank_fp(to_sparse(dense), p) == rank
+    assert nullity_fp(to_sparse(dense), ncols, p) == ncols - rank
+
+
+@SETTINGS
+@given(dense_matrices(), st.sampled_from(PRIMES))
+def test_nullspace_is_the_rref_basis(mat, p):
+    dense, ncols = mat
+    basis = nullspace_fp(to_sparse(dense), ncols, p)
+    for x in basis:
+        assert all(v % p for v in x.values())
+        for row in dense:
+            assert sum(a * x.get(j, 0) for j, a in enumerate(row)) % p == 0
+    rref, pivots = dense_rref(dense, ncols, p)
+    assert len(basis) == ncols - len(pivots)
+    expected = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -rref[r][free] % p
+        expected.append(vec)
+    assert to_dense(basis, ncols) == expected
+
+
+@SETTINGS
+@given(dense_matrices(max_rows=5), dense_matrices(max_rows=5),
+       st.sampled_from(PRIMES), st.data())
+def test_subquotient_dim_and_coords_round_trip(zmat, bmat, p, data):
+    z_dense, ncols = zmat
+    b_dense = [row[:ncols] + [0] * (ncols - len(row)) for row in bmat[0]]
+    h = SubquotientFp(ncols, to_sparse(z_dense), to_sparse(b_dense), p)
+    # representatives: the Z vectors that raise the rank, taken in order
+    kept, expected = list(b_dense), []
+    for v in z_dense:
+        if dense_rank(kept + [v], ncols, p) > dense_rank(kept, ncols, p):
+            kept.append(v)
+            expected.append([x % p for x in v])
+    assert h.dim == len(expected)
+    assert to_dense(h.reps, ncols) == expected
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=h.dim,
+                                max_size=h.dim))
+    noise = data.draw(st.lists(st.integers(0, p - 1), min_size=len(b_dense),
+                               max_size=len(b_dense)))
+    v = [0] * ncols
+    for c, rep in zip(coeffs, expected):
+        v = [a + c * x for a, x in zip(v, rep)]
+    for c, b in zip(noise, b_dense):
+        v = [a + c * x for a, x in zip(v, b)]
+    v = {j: x for j, x in enumerate(v) if x % p}
+    assert h.coords(v) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+def test_coords_rejects_a_vector_outside_the_span():
+    h = SubquotientFp(3, [{0: 1}], [{1: 2}], 3)
+    assert h.coords({0: 2, 1: 1}) == {0: 2}
+    with pytest.raises(StructureError):
+        h.coords({2: 1})
+
+
+# -- products and producers --------------------------------------------------
+
+
+@SETTINGS
+@given(dense_matrices(), st.integers(0, 5), st.data())
+def test_matmul_matches_naive_product(amat, ncols_b, data):
+    a, k = amat
+    entry = st.integers(-3, 3)
+    b = data.draw(st.lists(st.lists(entry, min_size=ncols_b, max_size=ncols_b),
+                           min_size=k, max_size=k))
+    naive = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(ncols_b)]
+             for i in range(len(a))]
+    assert matmul(to_sparse(a), to_sparse(b)) == to_sparse(naive)
+
+
+def test_matmul_rejects_a_shape_mismatch():
+    with pytest.raises(StructureError):
+        matmul([{2: 1}], [{0: 1}, {1: 1}])
+
+
+def _assert_sparse(rows, ncols):
+    for row in rows:
+        assert all(v != 0 for v in row.values())
+        assert all(0 <= j < ncols for j in row)
+
+
+def test_produced_matrices_store_no_zero():
+    for g in (one_object_group(cyclic_table(2)), coarse_groupoid(3),
+              one_object_group(symmetric_table(3)[0])):
+        for n in range(3):
+            rows = differential_matrix(g, n)
+            assert len(rows) == len(nerve(g, n + 1))
+            _assert_sparse(rows, len(nerve(g, n)))
+    for t in (s3_double(), build_Xrs(2, 2)):
+        for normalization in ("strict", "literal"):
+            spec = build_double_complex(t, 4, normalization)
+            for part in ("D", "A", "E"):
+                for n in range(4):
+                    rows = total_matrix(spec, part, n)
+                    assert len(rows) == total_dim(spec, part, n + 1)
+                    _assert_sparse(rows, total_dim(spec, part, n))
+
+
+# -- integers ----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_matrices(max_rows=5, max_cols=5, min_size=1))
+def test_elementary_divisors_match_sympy(mat):
+    dense, ncols = mat
+    snf = smith_normal_form(Matrix(dense))
+    expected = sorted(abs(snf[i, i]) for i in range(min(snf.shape))
+                      if snf[i, i] != 0)
+    assert elementary_divisors(to_sparse(dense), ncols) == expected
+
+
+def test_smith_rejects_a_column_outside_the_matrix():
+    with pytest.raises(StructureError):
+        smith_with_transform([{0: 1, 3: 2}], 3)
