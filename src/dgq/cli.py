@@ -29,23 +29,10 @@ BAD_INPUT = 2
 
 
 def _field_from_args(args) -> FieldSpec:
-    p = args.p
-    m = args.m
-    zeta = args.zeta
-    if zeta is None:
-        if p == 0:
-            zeta = -1 if m == 2 else 1
-        else:
-            zeta = _smallest_root(p, m)
-    from fractions import Fraction
-    return FieldSpec(p, m, Fraction(zeta) if p == 0 else zeta % p)
-
-
-def _smallest_root(p: int, m: int) -> int:
-    for z in range(1, p):
-        if pow(z, m, p) == 1 and all(pow(z, d, p) != 1 for d in range(1, m)):
-            return z
-    raise UnembeddableError(f"no element of order {m} in F_{p}")
+    p, zeta = args.p, args.zeta
+    if zeta is not None and p:
+        zeta %= p
+    return FieldSpec(p, args.m, zeta)
 
 
 def _as_double(doc: dio.Document) -> dbl.DoubleGroupoid:
@@ -66,6 +53,10 @@ class Output:
     def put(self, key, value, line=None):
         self.data[key] = value
         self.lines.append(line if line is not None else f"{key}: {value}")
+
+    def note(self, line: str) -> None:
+        """A line of text output only; machine output does not carry it."""
+        self.lines.append(line)
 
     def flush(self, command: str, ok: bool) -> None:
         if self.fmt == "machine":
@@ -189,6 +180,9 @@ def cmd_wha_verify(args, out: Output) -> int:
     involutory = wha.check_involutory(w)
     out.put("dimension", w.dim)
     out.put("involutory", involutory)
+    out.note("tuples checked:\n" + "\n".join(
+        f"  {rule}: {k}" + ("" if k else " (vacuous)")
+        for rule, k in rep.checked.items()))
     _report_failures(out, rep)
     return 0 if rep.ok and involutory else MATH_FAILURE
 

@@ -16,7 +16,9 @@ from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
 from .fields import FieldSpec
-from .linalg import count_solutions_mod_m, solutions_mod_m, sparse_row
+# count_solutions_mod_m is not called here but stays importable from this
+# module, next to solutions_mod_m, for code that counts without enumerating
+from .linalg import count_solutions_mod_m, solutions_mod_m, sparse_row  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -232,12 +234,12 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     require_vacant(t)
     vp, hp, _, _ = t.pair_domains()
     rows, ncols, svars, tvars = _constraint_system(t, m)
-    count = count_solutions_mod_m(rows, ncols, m)
+    count, solutions = solutions_mod_m(rows, ncols, m)
     if count > budget:
         raise ResourceBudgetError(
             f"{count} cocycle pairs exceed the budget {budget}")
     out = set()
-    for sol in solutions_mod_m(rows, ncols, m):
+    for sol in solutions:
         sigma = [0] * len(vp)
         tau = [0] * len(hp)
         for k, i in enumerate(svars):

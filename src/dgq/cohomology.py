@@ -137,9 +137,12 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     dims = [len(nerve(g, n)) for n in range(n_max + 1)]
     groups = []
     if coefficients == "Z":
+        # one Smith form per matrix: its length is the rank of d_n, and in
+        # the next degree it gives the rank and torsion of d_prev
+        divisors = [elementary_divisors(m, dim) for m, dim in zip(mats, dims)]
         for n in range(n_max + 1):
-            prev = elementary_divisors(mats[n - 1], dims[n - 1]) if n > 0 else []
-            null_n = dims[n] - rank_z(mats[n], dims[n])
+            prev = divisors[n - 1] if n > 0 else []
+            null_n = dims[n] - len(divisors[n])
             groups.append(ZGroup(null_n - len(prev),
                                  tuple(d for d in prev if d > 1)))
         return CohomologyReport("Z", groups)

@@ -58,10 +58,15 @@ class Failure:
 
 @dataclass
 class Report:
-    """Outcome of an exhaustive validation: empty failure list means pass."""
+    """Outcome of an exhaustive validation: empty failure list means pass.
+
+    ``checked`` counts the tuples examined per rule, so that a rule which
+    examined nothing (a vacuous pass) shows.
+    """
 
     subject: str
     failures: list[Failure] = field(default_factory=list)
+    checked: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -70,8 +75,13 @@ class Report:
     def add(self, rule: str, witness: tuple, message: str = "") -> None:
         self.failures.append(Failure(rule, witness, message))
 
+    def count(self, rule: str, tuples: int) -> None:
+        self.checked[rule] = self.checked.get(rule, 0) + tuples
+
     def merge(self, other: "Report") -> None:
         self.failures.extend(other.failures)
+        for rule, tuples in other.checked.items():
+            self.count(rule, tuples)
 
     def by_rule(self) -> dict[str, list[Failure]]:
         out: dict[str, list[Failure]] = {}

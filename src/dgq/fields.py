@@ -24,12 +24,35 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def smallest_root(p: int, m: int) -> int:
+    """The default zeta: the smallest element of exact order m in F_p, or
+    over Q (p = 0) the only one, -1 for m = 2 and 1 for m = 1."""
+    if p == 0:
+        if m > 2:
+            raise UnembeddableError(
+                f"the rationals have no element of order {m}")
+        return -1 if m == 2 else 1
+    for z in range(1, p):
+        if pow(z, m, p) == 1 and all(pow(z, d, p) != 1 for d in range(1, m)):
+            return z
+    raise UnembeddableError(f"no element of order {m} in F_{p}")
+
+
+def _rational(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """char 0 (rationals, scalars are Fractions) or char p (ints mod p).
+    """char 0 (the rationals) or char p (ints mod p).
 
-    ``modulus`` is the order of the designated root of unity ``zeta``;
-    untwisted constructions use modulus 1 with zeta = 1.
+    Over Q a scalar is a plain int whenever it is integral and a Fraction
+    only otherwise; int and Fraction arithmetic mix exactly, and
+    ``Fraction(1) == 1``.  ``modulus`` is the order of the designated root of
+    unity ``zeta``; untwisted constructions use modulus 1 with zeta = 1.
+    ``zeta`` defaults to :func:`smallest_root`.
     """
 
     characteristic: int
@@ -42,38 +65,27 @@ class FieldSpec:
             raise StructureError(f"characteristic {p} is neither 0 nor prime")
         if m < 1:
             raise StructureError("modulus must be >= 1")
-        zeta = self.zeta
-        if zeta is None:
-            zeta = Fraction(1) if p == 0 else 1 % p
-            object.__setattr__(self, "zeta", zeta)
+        if p and (p - 1) % m != 0:
+            raise UnembeddableError(
+                f"modulus {m} does not divide p - 1 = {p - 1}")
+        zeta = smallest_root(p, m) if self.zeta is None else self.zeta
         if p == 0:
-            zeta = Fraction(zeta)
-            object.__setattr__(self, "zeta", zeta)
-            if m > 2:
-                raise UnembeddableError(
-                    f"the rationals have no element of order {m}")
+            zeta = _rational(zeta)
             if zeta ** m != 1 or any(zeta ** d == 1 for d in range(1, m)):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} in Q")
         else:
             if not isinstance(zeta, int) or not 0 <= zeta < p:
                 raise StructureError("zeta must be a residue mod p")
-            if m > 1 and (p - 1) % m != 0:
-                raise UnembeddableError(
-                    f"modulus {m} does not divide p - 1 = {p - 1}")
             if pow(zeta, m, p) != 1 or any(pow(zeta, d, p) == 1 for d in range(1, m)):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} mod {p}")
+        object.__setattr__(self, "zeta", zeta)
 
     # -- arithmetic ------------------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         if self.characteristic == 0:
@@ -99,7 +111,7 @@ class FieldSpec:
         if a == self.zero:
             raise ZeroDivisionError("inverting zero")
         if self.characteristic == 0:
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         return pow(a, self.characteristic - 2, self.characteristic)
 
     def embed_exponent(self, k: int):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cocycles import CocyclePair
 from .double import DoubleGroupoid
@@ -313,7 +312,7 @@ def _field_from_obj(obj: dict, context: str) -> FieldSpec:
         raise FormatError(f"{context}: characteristic, modulus and zeta must "
                           "be integers")
     try:
-        return FieldSpec(p, m, z if p else Fraction(z))
+        return FieldSpec(p, m, z)
     except (StructureError, ValueError) as exc:
         raise FormatError(f"{context}: {exc}") from exc
 

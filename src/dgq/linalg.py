@@ -12,7 +12,8 @@ nullspaces and subquotients all go through it.
 
 from __future__ import annotations
 
-from math import gcd
+import itertools
+from math import gcd, prod
 
 from .errors import StructureError
 
@@ -307,13 +308,14 @@ def rank_z(rows, ncols: int) -> int:
 
 
 def solutions_mod_m(rows, ncols: int, m: int):
-    """All solutions of A x = 0 over Z/m, as an iterator of tuples.
+    """(count, iterator) of the solutions of A x = 0 over Z/m, both from one
+    Smith form with transform.
 
-    Parametrized through the Smith column transform: with SAT = D the
-    solutions are x = T y where each y_k runs over the multiples of
-    m // gcd(d_k, m)."""
+    With SAT = D the solutions are x = T y where each y_k runs over the
+    multiples of m // gcd(d_k, m); the iterator yields each solution once,
+    as a tuple.
+    """
     diag, t = smith_with_transform(rows, ncols)
-
     steps = []
     for k in range(ncols):
         dk = diag[k] if k < len(diag) else 0
@@ -321,30 +323,19 @@ def solutions_mod_m(rows, ncols: int, m: int):
         # y_k must satisfy d_k y_k = 0 mod m: g choices
         steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
 
-    def rec(k, acc):
-        if k == ncols:
-            yield tuple(acc)
-            return
-        for val in steps[k]:
-            acc.append(val)
-            yield from rec(k + 1, acc)
-            acc.pop()
+    def solutions():
+        for y in itertools.product(*steps):
+            x = [0] * ncols
+            for i in range(ncols):
+                s = 0
+                for k in range(ncols):
+                    if y[k]:
+                        s += t[i][k] * y[k]
+                x[i] = s % m
+            yield tuple(x)
 
-    for y in rec(0, []):
-        x = [0] * ncols
-        for i in range(ncols):
-            s = 0
-            for k in range(ncols):
-                if y[k]:
-                    s += t[i][k] * y[k]
-            x[i] = s % m
-        yield tuple(x)
+    return prod(len(c) for c in steps), solutions()
 
 
 def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
-    diag, _ = smith_with_transform(rows, ncols)
-    total = 1
-    for k in range(ncols):
-        dk = diag[k] if k < len(diag) else 0
-        total *= gcd(dk % m, m)
-    return total
+    return solutions_mod_m(rows, ncols, m)[0]

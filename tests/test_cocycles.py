@@ -187,3 +187,24 @@ def test_embed_modulus_mismatch_rejected():
         FieldSpec(3, 3, 1)       # 3 does not divide 3 - 1
     with pytest.raises(UnembeddableError):
         FieldSpec(0, 3)          # no rational root of unity of order 3
+
+
+def test_field_spec_picks_and_normalizes_zeta():
+    assert FieldSpec(3, 2).zeta == 2
+    assert FieldSpec(7, 3).zeta == 2
+    assert FieldSpec(7, 6).zeta == 3
+    assert FieldSpec(0, 2).zeta == -1
+    assert FieldSpec(0, 2, Fraction(-1)) == FieldSpec(0, 2)
+    assert type(FieldSpec(0, 2, Fraction(-1)).zeta) is int
+    with pytest.raises(UnembeddableError):
+        FieldSpec(0, 2, Fraction(1, 2))  # no order at all in Q
+
+
+def test_rational_scalars_are_ints_when_integral():
+    qq = FieldSpec(0, 2)
+    assert type(qq.zero) is int and type(qq.one) is int
+    assert [qq.embed_exponent(k) for k in range(3)] == [1, -1, 1]
+    assert all(type(qq.embed_exponent(k)) is int for k in range(3))
+    assert type(qq.inv(-1)) is int and qq.inv(-1) == -1
+    assert qq.inv(2) == Fraction(1, 2)
+    assert qq.mul(qq.inv(2), 2) == qq.one

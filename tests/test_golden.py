@@ -7,8 +7,9 @@ output is to be pinned) with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-Left out for time: ``kac`` on product_s3_x21 and ``cocycles classes`` on x23
-and product_s3_x21.
+``wha verify`` is pinned over Q on every double groupoid and matched pair of
+the corpus, and on x23 over F_3 (with modulus 1 and 2).  Left out for time:
+``kac`` on product_s3_x21 and ``cocycles classes`` on x23 and product_s3_x21.
 """
 
 import io
@@ -38,12 +39,16 @@ def _commands():
         out.append((f"vacant-{stem}", ["vacant", path]))
         out.append((f"blocks-{stem}", ["blocks", path]))
         out.append((f"wha-build-{stem}", ["wha", "build", path]))
+        out.append((f"wha-verify-{stem}", ["wha", "verify", path]))
         if stem != "product_s3_x21":
             for p in ("2", "3"):
                 out.append((f"kac-p{p}-{stem}", ["kac", path, "--p", p]))
         if stem not in ("product_s3_x21", "x23"):
             out.append((f"classes-m2-{stem}",
                         ["cocycles", "classes", path, "--m", "2"]))
+    for tag, flags in (("p3", ["--p", "3"]), ("p3-m2", ["--p", "3", "--m", "2"])):
+        out.append((f"wha-verify-{tag}-x23",
+                    ["wha", "verify", "corpus/x23.json", *flags]))
     for stem in GROUPOIDS:
         path = f"corpus/{stem}.json"
         for flag in (["--p", "2"], ["--p", "3"], ["--integral"]):

@@ -4,6 +4,8 @@ Each F_p routine is checked against a dense row reduction written here, and
 the integer Smith form against ``sympy``, so the library and its oracles
 share no code."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,9 @@ from dgq.cohomology import (build_double_complex, differential_matrix,
 from dgq.double import build_Xrs
 from dgq.errors import StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
-from dgq.linalg import (SubquotientFp, elementary_divisors, matmul,
-                        nullity_fp, nullspace_fp, rank_fp,
-                        smith_with_transform)
+from dgq.linalg import (SubquotientFp, count_solutions_mod_m,
+                        elementary_divisors, matmul, nullity_fp, nullspace_fp,
+                        rank_fp, smith_with_transform, solutions_mod_m)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
 
 PRIMES = (2, 3, 5)
@@ -195,3 +197,15 @@ def test_elementary_divisors_match_sympy(mat):
 def test_smith_rejects_a_column_outside_the_matrix():
     with pytest.raises(StructureError):
         smith_with_transform([{0: 1, 3: 2}], 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_matrices(max_rows=4, max_cols=4), st.sampled_from((1, 2, 4, 6)))
+def test_solutions_mod_m_match_brute_force(mat, m):
+    mat, ncols = mat
+    count, solutions = solutions_mod_m(to_sparse(mat), ncols, m)
+    found = list(solutions)
+    brute = [x for x in itertools.product(range(m), repeat=ncols)
+             if all(sum(a * v for a, v in zip(row, x)) % m == 0 for row in mat)]
+    assert sorted(found) == brute
+    assert count == len(found) == count_solutions_mod_m(to_sparse(mat), ncols, m)
