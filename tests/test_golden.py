@@ -8,7 +8,11 @@ output is to be pinned) with::
     PYTHONPATH=src python tests/test_golden.py
 
 ``wha verify`` is pinned over Q on every double groupoid and matched pair of
-the corpus, and on x23 over F_3 (with modulus 1 and 2).  Left out for time:
+the corpus, and on x23 over F_3 (with modulus 1 and 2).  ``kac`` with the
+literal normalization (``--strict-normalization off``) is pinned on x11,
+where it passes, and on x22 and x23, where d.d != 0 and it exits 2 with no
+stdout.  ``convert`` runs both ways, and ``cocycles enumerate --m 2`` on x22
+and s3_matched_pair.  Left out for time:
 ``kac`` on product_s3_x21 and ``cocycles classes`` on x23 and product_s3_x21.
 """
 
@@ -46,6 +50,18 @@ def _commands():
         if stem not in ("product_s3_x21", "x23"):
             out.append((f"classes-m2-{stem}",
                         ["cocycles", "classes", path, "--m", "2"]))
+    for stem in ("x11", "x22", "x23"):
+        out.append((f"kac-literal-p2-{stem}",
+                    ["kac", f"corpus/{stem}.json", "--p", "2",
+                     "--strict-normalization", "off"]))
+    out.append(("convert-double-s3_matched_pair",
+                ["convert", "corpus/s3_matched_pair.json",
+                 "--to", "double_groupoid"]))
+    out.append(("convert-matched-x22",
+                ["convert", "corpus/x22.json", "--to", "matched_pair"]))
+    for stem in ("x22", "s3_matched_pair"):
+        out.append((f"enumerate-m2-{stem}",
+                    ["cocycles", "enumerate", f"corpus/{stem}.json", "--m", "2"]))
     for tag, flags in (("p3", ["--p", "3"]), ("p3-m2", ["--p", "3", "--m", "2"])):
         out.append((f"wha-verify-{tag}-x23",
                     ["wha", "verify", "corpus/x23.json", *flags]))
