@@ -29,10 +29,12 @@ from math import gcd
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, ResourceBudgetError,
-                     StructureError, TruncationError, UnsupportedFeatureError)
+                     StructureError, TruncationError)
 from .fields import _is_prime
 from .groupoids import Groupoid
-from .linalg import (SubquotientFp, elementary_divisors, is_zero_matrix,
+# rank_z is not called here but stays importable from this module, next to
+# elementary_divisors, whose length it is
+from .linalg import (SubquotientFp, elementary_divisors, is_zero_matrix,  # noqa: F401
                      matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
                      sparse_row, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
@@ -100,9 +102,6 @@ def _coboundary_rows(src_index, tgt, faces):
 class FpGroup:
     dim: int
 
-    def size_log(self):
-        return self.dim
-
     def __str__(self):
         return f"dim {self.dim}"
 
@@ -123,37 +122,53 @@ class CohomologyReport:
     groups: list
 
 
+def _cohomology(mats, dims, coefficients) -> list:
+    """H^0..H^N of the cochain complex with differentials ``mats[n]``:
+    C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n.
+
+    Each matrix is reduced once: one nullity over F_p, or one Smith form
+    over Z, whose length is the rank of d_n and whose entries above 1 are
+    the torsion of H^(n+1)."""
+    if coefficients == "Z":
+        groups, prev = [], []
+        for m, dim in zip(mats, dims):
+            divisors = elementary_divisors(m, dim)
+            groups.append(ZGroup(dim - len(divisors) - len(prev),
+                                 tuple(d for d in prev if d > 1)))
+            prev = divisors
+        return groups
+    kind, p = coefficients
+    if kind != "Fp":
+        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
+    groups, rank_prev = [], 0
+    for m, dim in zip(mats, dims):
+        null = nullity_fp(m, dim, p)
+        groups.append(FpGroup(null - rank_prev))
+        rank_prev = dim - null
+    return groups
+
+
 def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
                         budget: int = 500000) -> CohomologyReport:
     """H^0..H^n_max with coefficients 'Z' or ('Fp', p).
 
     The tuple bases grow like (arrows)^n; a degree that would exceed the
-    budget raises a resource error instead of grinding."""
+    budget raises a resource error before its differential is built."""
+    mats, dims, basis = [], [], None
     for n in range(n_max + 2):
-        if len(nerve(g, n)) > budget:
+        nxt = nerve(g, n)
+        if len(nxt) > budget:
             raise ResourceBudgetError(
                 f"degree {n} basis exceeds the budget {budget}")
-    mats = [differential_matrix(g, n) for n in range(n_max + 1)]
-    dims = [len(nerve(g, n)) for n in range(n_max + 1)]
-    groups = []
-    if coefficients == "Z":
-        # one Smith form per matrix: its length is the rank of d_n, and in
-        # the next degree it gives the rank and torsion of d_prev
-        divisors = [elementary_divisors(m, dim) for m, dim in zip(mats, dims)]
-        for n in range(n_max + 1):
-            prev = divisors[n - 1] if n > 0 else []
-            null_n = dims[n] - len(divisors[n])
-            groups.append(ZGroup(null_n - len(prev),
-                                 tuple(d for d in prev if d > 1)))
-        return CohomologyReport("Z", groups)
-    kind, p = coefficients
-    if kind != "Fp":
-        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
-    nulls = [nullity_fp(m, dim, p) for m, dim in zip(mats, dims)]
-    for n in range(n_max + 1):
-        rank_prev = dims[n - 1] - nulls[n - 1] if n > 0 else 0
-        groups.append(FpGroup(nulls[n] - rank_prev))
-    return CohomologyReport(f"F{p}", groups)
+        if basis is not None:
+            dims.append(len(basis))
+            mats.append(_coboundary_rows({c: i for i, c in enumerate(basis)},
+                                         nxt, _groupoid_faces(g, n - 1)))
+        basis = nxt
+    del basis, nxt      # the top nerve, the largest, is not needed to reduce
+    groups = _cohomology(mats, dims, coefficients)
+    return CohomologyReport(
+        "Z" if coefficients == "Z" else f"F{coefficients[1]}", groups)
 
 
 # -- the double complex -----------------------------------------------------
@@ -174,18 +189,6 @@ class DoubleComplexSpec:
 
     def dim(self, r: int, s: int) -> int:
         return len(self.basis[(r, s)])
-
-
-def _edge_tuples(g: Groupoid, length: int, keep_identities: bool):
-    if length == 0:
-        return [()]
-    chains = [(f,) for f in g.arrows()
-              if keep_identities or not g.is_identity(f)]
-    for _ in range(length - 1):
-        chains = [c + (f,) for c in chains for f in g.arrows()
-                  if g.target[c[-1]] == g.source[f]
-                  and (keep_identities or not g.is_identity(f))]
-    return sorted(chains)
 
 
 def _grid_rows(t: DoubleGroupoid, s: int):
@@ -221,12 +224,13 @@ def build_double_complex(t: DoubleGroupoid, bound: int,
             s = total - r
             if r == 0 and s == 0:
                 basis = [(p,) for p in range(t.n_points)]
-            elif s == 0:
-                keep = normalization == "literal" and r == 1
-                basis = _edge_tuples(vt, r, keep)
-            elif r == 0:
-                keep = normalization == "literal" and s == 1
-                basis = _edge_tuples(hz, s, keep)
+            elif r == 0 or s == 0:
+                g, length = (vt, r) if s == 0 else (hz, s)
+                if normalization == "literal" and length == 1:
+                    # literal thresholds: edge identities are kept here
+                    basis = [(f,) for f in g.arrows()]
+                else:
+                    basis = nerve(g, length)
             else:
                 rows = _grid_rows(t, s)
                 by_top = {}
@@ -357,6 +361,19 @@ def total_matrix(spec: DoubleComplexSpec, part: str, degree: int):
     return out
 
 
+def _total_complex(spec: DoubleComplexSpec, part: str, top: int):
+    """The differentials of a total complex out of degrees 0..top-1, each
+    built once, with their term dimensions; d.d = 0 is checked here."""
+    mats = [total_matrix(spec, part, n) for n in range(top)]
+    for n in range(1, top):
+        if not is_zero_matrix(matmul(mats[n], mats[n - 1])):
+            raise StructureError(
+                f"d.d != 0 into total degree {n + 1} of part {part}; "
+                "the chosen normalization is not closed under the "
+                "differentials, so these groups do not exist")
+    return mats, [total_dim(spec, part, n) for n in range(top)]
+
+
 def total_cohomology(spec: DoubleComplexSpec, part: str, n: int,
                      coefficients) -> object:
     """H^n of the chosen total complex ('D', 'A' or 'E').
@@ -367,27 +384,8 @@ def total_cohomology(spec: DoubleComplexSpec, part: str, n: int,
     internal = n + 2 if part == "A" else n
     if internal < 0:
         raise StructureError("negative degree")
-    d_n = total_matrix(spec, part, internal)
-    dim_n = total_dim(spec, part, internal)
-    if internal > 0:
-        d_prev = total_matrix(spec, part, internal - 1)
-        if not is_zero_matrix(matmul(d_n, d_prev)):
-            raise StructureError(
-                f"d.d != 0 into total degree {internal + 1} of part {part}; "
-                "the chosen normalization is not closed under the "
-                "differentials, so these groups do not exist")
-    else:
-        d_prev = []
-    if coefficients == "Z":
-        prev = elementary_divisors(d_prev, total_dim(spec, part, internal - 1)) \
-            if internal > 0 else []
-        null_n = dim_n - rank_z(d_n, dim_n)
-        return ZGroup(null_n - len(prev), tuple(d for d in prev if d > 1))
-    kind, p = coefficients
-    if kind != "Fp":
-        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
-    rank_prev = rank_fp(d_prev, p) if internal > 0 else 0
-    return FpGroup(nullity_fp(d_n, dim_n, p) - rank_prev)
+    return _cohomology(*_total_complex(spec, part, internal + 1),
+                       coefficients)[internal]
 
 
 # -- Aut / Opext ------------------------------------------------------------
@@ -414,32 +412,28 @@ def aut_and_opext(t: DoubleGroupoid, m: int,
     """(H^0(Tot A, Z/m), H^1(Tot A, Z/m)) as abelian-group invariants.
 
     For prime m this is the field computation; m = 1 is trivial; composite m
-    goes through the integral route and universal coefficients, refused when
-    the relevant integral torsion is nonzero.
+    goes through the integral groups and universal coefficients,
+    H^n(Z/m) = H^n(Z) (x) Z/m + Tor(H^(n+1)(Z), Z/m), where each Z/d of
+    torsion gives Z/gcd(d, m) to either term.
     """
     from .double import require_vacant
     require_vacant(t)
     if m == 1:
         return AbelianInvariants(()), AbelianInvariants(())
+    # H^0 and H^1 of Tot A sit at internal degrees 2 and 3
     if _is_prime(m):
         spec = build_double_complex(t, 4, normalization)
-        h0 = total_cohomology(spec, "A", 0, ("Fp", m))
-        h1 = total_cohomology(spec, "A", 1, ("Fp", m))
-        return (AbelianInvariants((m,) * h0.dim),
-                AbelianInvariants((m,) * h1.dim))
-    # integral route: the universal-coefficient check looks one degree higher
+        h = _cohomology(*_total_complex(spec, "A", 4), ("Fp", m))
+        return (AbelianInvariants((m,) * h[2].dim),
+                AbelianInvariants((m,) * h[3].dim))
     spec = build_double_complex(t, 5, normalization)
+    h = _cohomology(*_total_complex(spec, "A", 5), "Z")
     out = []
-    for n in (0, 1):
-        hn = total_cohomology(spec, "A", n, "Z")
-        hn1 = total_cohomology(spec, "A", n + 1, "Z")
-        if hn1.torsion:
-            raise UnsupportedFeatureError(
-                f"composite modulus {m} with integral torsion {hn1.torsion} in "
-                "the next degree; universal coefficients would need a Tor term")
-        divisors = [m] * hn.rank
-        divisors += [gcd(d, m) for d in hn.torsion if gcd(d, m) > 1]
-        out.append(AbelianInvariants(tuple(sorted(divisors))))
+    for n in (2, 3):
+        divisors = [m] * h[n].rank + [gcd(d, m) for d in
+                                      h[n].torsion + h[n + 1].torsion]
+        out.append(AbelianInvariants(tuple(sorted(d for d in divisors
+                                                  if d > 1))))
     return out[0], out[1]
 
 
@@ -500,15 +494,14 @@ class _TotalH:
     """Cohomology spaces of one total complex with coordinates, plus the
     position layout needed to move vectors between D, A and E."""
 
-    def __init__(self, spec, part, p, degrees):
+    def __init__(self, spec, part, cx, p, degrees):
+        mats, dims = cx
         self.layout = {n: _offsets(spec, part, n) for n in range(spec.bound + 1)}
         self.h = {}
         for n in degrees:
-            dim_n = total_dim(spec, part, n)
-            z = nullspace_fp(total_matrix(spec, part, n), dim_n, p)
-            b = transpose(total_matrix(spec, part, n - 1),
-                          total_dim(spec, part, n - 1)) if n > 0 else []
-            self.h[n] = SubquotientFp(dim_n, z, b, p)
+            z = nullspace_fp(mats[n], dims[n], p)
+            b = transpose(mats[n - 1], dims[n - 1]) if n > 0 else []
+            self.h[n] = SubquotientFp(dims[n], z, b, p)
 
     def dim(self, n):
         return self.h[n].dim
@@ -547,32 +540,34 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
     require_vacant(t)
     if not _is_prime(p):
         raise StructureError("field coefficients need a prime characteristic")
+    # The total complexes come first: a grid that fails d.d = 0 (possible
+    # under the literal normalization) is refused before any groupoid
+    # cohomology runs, and no total matrix is left alive while the
+    # diagonal groupoid's nerve is reduced.
+    tot_d, tot_e, tot_a, nodes = _sequence(t, p, bound, normalization)
     coeff = ("Fp", p)
-    if normalization == "literal":
-        probe = build_double_complex(t, bound, normalization)
-        for n in range(bound - 1):
-            if not is_zero_matrix(matmul(total_matrix(probe, "D", n + 1),
-                                         total_matrix(probe, "D", n))):
-                raise StructureError(
-                    "the literal degeneracy thresholds do not close under the "
-                    f"differentials here (d.d != 0 out of total degree {n}); "
-                    "no long exact sequence exists for this grid")
-    mp = from_vacant_double(t)
-    diag = diagonal_groupoid(mp).groupoid
-    h_diag = [g.dim for g in groupoid_cohomology(diag, 3, coeff).groups]
-    h_horiz = [g.dim for g in groupoid_cohomology(t.horiz, 3, coeff).groups]
-    h_vert = [g.dim for g in groupoid_cohomology(t.vert, 3, coeff).groups]
-    spec = build_double_complex(t, bound, normalization)
-    tot_d = [total_cohomology(spec, "D", n, coeff).dim for n in range(4)]
-    tot_e = [total_cohomology(spec, "E", n, coeff).dim for n in range(4)]
-    aut = total_cohomology(spec, "A", 0, coeff).dim
-    opext = total_cohomology(spec, "A", 1, coeff).dim
+    diag = diagonal_groupoid(from_vacant_double(t)).groupoid
+    h_diag, h_horiz, h_vert = (
+        [grp.dim for grp in groupoid_cohomology(g, 3, coeff).groups]
+        for g in (diag, t.horiz, t.vert))
     kes_aux = {n: tot_d[n] == h_diag[n] for n in (1, 2, 3)}
     split = {n: tot_e[n] == h_horiz[n] + h_vert[n] for n in (1, 2, 3)}
+    return KacReport(p, h_diag, h_horiz, h_vert, tot_d, tot_e, tot_a[2],
+                     tot_a[3], kes_aux, split, nodes)
 
-    hd = _TotalH(spec, "D", p, range(0, bound))
-    he = _TotalH(spec, "E", p, range(0, bound))
-    ha = _TotalH(spec, "A", p, range(2, bound))     # internal degrees
+
+def _sequence(t: DoubleGroupoid, p: int, bound: int, normalization: str):
+    """dim H^n of Tot D, Tot E and Tot A (internal degrees) over F_p, and
+    the exactness checks of the long sequence at each node."""
+    spec = build_double_complex(t, bound, normalization)
+    # the sequence runs through H^3 of Tot D and Tot E and H^1 of Tot A
+    # (internal degree 3); the snake map out of H^3(Tot E) lands in degree 4
+    complexes = {part: _total_complex(spec, part, 4) for part in "DEA"}
+    tot = {part: [g.dim for g in _cohomology(*cx, ("Fp", p))]
+           for part, cx in complexes.items()}
+    hd = _TotalH(spec, "D", complexes["D"], p, range(4))
+    he = _TotalH(spec, "E", complexes["E"], p, range(4))
+    ha = _TotalH(spec, "A", complexes["A"], p, range(2, 4))   # internal
 
     # A map between cohomology spaces is kept as the images of the source
     # representatives in target coordinates, one sparse row each: the
@@ -589,9 +584,9 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
         interior part."""
         lifts = [_move(spec, rep, he.layout[n], hd.layout[n])
                  for rep in he.h[n].reps]
-        d_cols = transpose(total_matrix(spec, "D", n), total_dim(spec, "D", n))
+        d_mats, d_dims = complexes["D"]
         out = []
-        for image in matmul(lifts, d_cols):
+        for image in matmul(lifts, transpose(d_mats[n], d_dims[n])):
             edge_part = _move(spec, image, hd.layout[n + 1], he.layout[n + 1])
             if any(v % p for v in edge_part.values()):
                 raise InternalConsistencyError(
@@ -605,9 +600,9 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
     def connecting_rank_only(n):
         """Rank of H^n(E) -> H^(n+1)(A') without building H^(n+1)(A'): the
         number of images independent modulo the coboundaries of A'."""
-        b_cols = transpose(total_matrix(spec, "A", n), total_dim(spec, "A", n))
-        return SubquotientFp(total_dim(spec, "A", n + 1), snake_images(n),
-                             b_cols, p).dim
+        a_mats, a_dims = complexes["A"]
+        return SubquotientFp(len(a_mats[n]), snake_images(n),
+                             transpose(a_mats[n], a_dims[n]), p).dim
 
     maps = {
         "pi1": induced(hd, he, 1), "delta1": connecting(1),
@@ -640,14 +635,13 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
                   composite_zero(maps["pi3"], maps["iota3"])),
         NodeCheck("H3(Tot E)", he.dim(3), ranks["pi3"], ranks["delta3"], True),
     ]
-    if ha.dim(2) != aut or ha.dim(3) != opext:
+    if any(tot["A"][n] != ha.dim(n) for n in range(2, 4)):
         raise InternalConsistencyError("two routes to H(Tot A) disagree")
     for n in range(4):
-        if tot_d[n] != hd.dim(n) or tot_e[n] != he.dim(n):
+        if tot["D"][n] != hd.dim(n) or tot["E"][n] != he.dim(n):
             raise InternalConsistencyError(
                 f"two routes to H^{n}(Tot D) or H^{n}(Tot E) disagree")
-    return KacReport(p, h_diag, h_horiz, h_vert, tot_d, tot_e, aut, opext,
-                     kes_aux, split, nodes)
+    return tot["D"], tot["E"], tot["A"], nodes
 
 
 def commutation_defect(spec: DoubleComplexSpec):

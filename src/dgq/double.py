@@ -108,21 +108,6 @@ class DoubleGroupoid:
     def is_hid(self, a: int) -> bool:
         return self.hid[self.left[a]] == a
 
-    def is_theta(self, a: int) -> bool:
-        return self.is_vid(a) and self.is_hid(a)
-
-    def vmul(self, a: int, b: int) -> int:
-        c = self.vcomp[a][b]
-        if c == UNDEF:
-            raise StructureError(f"boxes {a}, {b} are not vertically composable")
-        return c
-
-    def hmul(self, a: int, b: int) -> int:
-        c = self.hcomp[a][b]
-        if c == UNDEF:
-            raise StructureError(f"boxes {a}, {b} are not horizontally composable")
-        return c
-
     def vpairs(self):
         for a in range(self.n_boxes):
             for b in range(self.n_boxes):

@@ -78,17 +78,6 @@ class Report:
     def count(self, rule: str, tuples: int) -> None:
         self.checked[rule] = self.checked.get(rule, 0) + tuples
 
-    def merge(self, other: "Report") -> None:
-        self.failures.extend(other.failures)
-        for rule, tuples in other.checked.items():
-            self.count(rule, tuples)
-
-    def by_rule(self) -> dict[str, list[Failure]]:
-        out: dict[str, list[Failure]] = {}
-        for f in self.failures:
-            out.setdefault(f.rule, []).append(f)
-        return out
-
     def raise_if_failed(self) -> None:
         if not self.ok:
             head = self.failures[0]

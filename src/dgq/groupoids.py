@@ -499,23 +499,26 @@ def wide_subgroupoid_from_data(data: WideSubgroupoidData, table) -> frozenset[in
                 arrows.add(ambient_arrow(grp, p, q, n))
     result = frozenset(arrows)
     ambient = group_times_coarse(table, n)
-    bad = _closure_defect(ambient, result, n)
+    bad = closure_defect(ambient, result)
     if bad is not None:
         raise InternalConsistencyError(f"constructed subgroupoid not closed at {bad}")
     return result
 
 
-def _closure_defect(ambient: Groupoid, arrows: frozenset[int], n: int):
-    for p in range(n):
-        if ambient.identity[p] not in arrows:
+def closure_defect(g: Groupoid, arrows) -> tuple | None:
+    """The first witness that an arrow set is not a wide subgroupoid of g:
+    ("identity", P), ("inverse", f) or ("compose", f, h); None if it is."""
+    arrows = frozenset(arrows)
+    for p in range(g.n_objects):
+        if g.identity[p] not in arrows:
             return ("identity", p)
     for f in arrows:
-        if ambient.inv(f) not in arrows:
+        if g.inv(f) not in arrows:
             return ("inverse", f)
-        for g in arrows:
-            c = ambient.compose[f][g]
+        for h in arrows:
+            c = g.compose[f][h]
             if c != UNDEF and c not in arrows:
-                return ("compose", f, g)
+                return ("compose", f, h)
     return None
 
 
@@ -524,7 +527,7 @@ def data_from_wide_subgroupoid(arrows: frozenset[int], table, n: int,
     """Read the data back off a wide subgroupoid: H_P = tau_P H(P) tau_P^-1,
     d_PQ from the least arrow of H(P,Q)."""
     ambient = group_times_coarse(table, n)
-    bad = _closure_defect(ambient, arrows, n)
+    bad = closure_defect(ambient, arrows)
     if bad is not None:
         raise StructureError(f"input arrow set is not a wide subgroupoid: {bad}")
     if transversal is None:

@@ -19,7 +19,7 @@ from .errors import (FactorizationError, InternalConsistencyError, Report,
                      StructureError)
 from .double import DoubleGroupoid, filler, require_vacant
 from .groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
-                        group_times_coarse, one_object_group,
+                        closure_defect, group_times_coarse, one_object_group,
                         validate_groupoid, validate_subgroupoid_data,
                         wide_subgroupoid_from_data)
 
@@ -201,11 +201,6 @@ def from_vacant_double(t: DoubleGroupoid) -> MatchedPair:
     return MatchedPair(vt, hz, act_left, act_right)
 
 
-def box_relabel(t: DoubleGroupoid) -> dict[int, tuple[int, int]]:
-    """The canonical relabeling box -> (top, right) used by the round trips."""
-    return {a: (t.top[a], t.right[a]) for a in t.boxes()}
-
-
 # -- diagonal groupoid -------------------------------------------------------
 
 
@@ -254,25 +249,10 @@ def diagonal_groupoid(mp: MatchedPair) -> DiagonalGroupoid:
 # -- exact factorizations ----------------------------------------------------
 
 
-def subgroupoid_closure_defect(d: Groupoid, arrows) -> tuple | None:
-    arrows = set(arrows)
-    for p in range(d.n_objects):
-        if d.identity[p] not in arrows:
-            return ("identity", p)
-    for f in arrows:
-        if d.inv(f) not in arrows:
-            return ("inverse", f)
-        for g in arrows:
-            c = d.compose[f][g]
-            if c != UNDEF and c not in arrows:
-                return ("compose", f, g)
-    return None
-
-
 def subgroupoid(d: Groupoid, arrows) -> tuple[Groupoid, list[int]]:
     """The wide subgroupoid on an arrow subset, rejected unless closed.
     Returns the reindexed groupoid and the sorted ambient arrow list."""
-    bad = subgroupoid_closure_defect(d, arrows)
+    bad = closure_defect(d, arrows)
     if bad is not None:
         raise StructureError(f"arrow set is not a wide subgroupoid: {bad}")
     order = sorted(arrows)

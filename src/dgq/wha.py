@@ -64,22 +64,6 @@ class QuantumGroupoid:
         return self.cocycle is not None and (
             any(self.cocycle.sigma) or any(self.cocycle.tau))
 
-    # -- structure constants ------------------------------------------
-
-    def product(self, a: int, b: int):
-        """(box, scalar) or None for basis product a.b."""
-        return self.product_table[a][b]
-
-    def coproduct(self, a: int):
-        """List of (b, c, scalar) terms of Delta(a)."""
-        return self.factorizations[a]
-
-    def counit_scalar(self, a: int):
-        return self.counit_table[a]
-
-    def antipode_basis(self, a: int):
-        return self.antipode_table[a]
-
     # -- distinguished elements ----------------------------------------
 
     def unit(self) -> Element:

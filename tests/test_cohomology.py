@@ -1,20 +1,32 @@
 """Cohomology tests.  The oracle here is an independently written dense
 row-reduction over F_p, fed with matrices rebuilt directly from the cochain
-formulas, so library and test share no linear-algebra code path."""
+formulas, so library and test share no linear-algebra code path.  Further
+down, the universal-coefficient test checks the library's Z and F_p
+reductions against each other, and call counts check that each matrix is
+built and reduced once."""
+
+import gc
+import weakref
+from pathlib import Path
 
 import pytest
 
-from dgq.cohomology import (ZGroup, aut_and_opext,
-                            build_double_complex, commutation_defect,
-                            differential_matrix, groupoid_cohomology,
-                            kac_report, nerve, total_cohomology, total_dim,
-                            total_matrix)
+from dgq import cohomology as coh
+from dgq.cli import run
+from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
+                            aut_and_opext, build_double_complex,
+                            commutation_defect, differential_matrix,
+                            groupoid_cohomology, kac_report, nerve,
+                            total_cohomology, total_dim, total_matrix)
 from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
-from dgq.errors import TruncationError, UnsupportedFeatureError
+from dgq.errors import TruncationError
 from dgq.groupoids import coarse_groupoid, one_object_group
 from dgq.linalg import is_zero_matrix, matmul
-from dgq.samples import cyclic_table, s3_double, symmetric_table
+from dgq.samples import (corpus_union, cyclic_table, s3_double,
+                         symmetric_table)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # -- oracle: dense reduced row echelon over F_p ------------------------------
@@ -268,9 +280,15 @@ def test_aut_opext_trivial_instance():
     assert aut.order() == 1 and opx.order() == 1
 
 
-@pytest.mark.parametrize("name,m", [("s3", 2), ("s3", 3), ("x22", 2), ("x22", 3)])
+# composite m goes through universal coefficients: s3 has Z/3 torsion one
+# degree up, which Z/4 does not see and Z/6 does (union_x22_s3 at m = 6 agrees
+# too, with 3 classes, but its gauge count takes seconds)
+@pytest.mark.parametrize("name,m", [("s3", 2), ("s3", 3), ("x22", 2), ("x22", 3),
+                                    ("s3", 4), ("s3", 6), ("union", 4),
+                                    ("x22", 4), ("x22", 6)])
 def test_opext_matches_gauge_classes(name, m):
-    t = s3_double() if name == "s3" else build_Xrs(2, 2)
+    t = {"s3": s3_double, "x22": lambda: build_Xrs(2, 2),
+         "union": corpus_union}[name]()
     _, opx = aut_and_opext(t, m)
     assert opx.order() == count_modulo_gauge(t, m)
 
@@ -281,10 +299,129 @@ def test_x22_opext_m3_trivial():
 
 
 def test_aut_opext_integral_path_m6(s3_T):
-    # composite modulus goes through the integral route; accept either a
-    # clean answer or the documented refusal when torsion blocks it
-    try:
-        aut, opx = aut_and_opext(s3_T, 6)
-    except UnsupportedFeatureError:
-        return
-    assert opx.order() == count_modulo_gauge(s3_T, 6)
+    # composite modulus goes through the integral route; the Z/3 torsion of
+    # H^2(Tot A; Z) enters H^1(Tot A; Z/6) as Tor(Z/3, Z/6) = Z/3
+    aut, opx = aut_and_opext(s3_T, 6)
+    assert aut.divisors == (3,) and opx.divisors == (3,)
+    assert opx.order() == count_modulo_gauge(s3_T, 6) == 3
+
+
+# -- universal coefficients: the Z and F_p reductions against each other ------
+
+
+@pytest.mark.parametrize("name", ["s3_matched_pair", "x11", "x22", "x23",
+                                  "union_x22_s3"])
+def test_universal_coefficients_over_fp(vacant_corpus, name):
+    """dim H^n(Tot; F_p) = rank H^n(Tot; Z) + #{d in torsion H^n : p | d}
+    + #{d in torsion H^(n+1) : p | d}, for parts D, E, A in degrees 0-2."""
+    spec = build_double_complex(vacant_corpus[name], 6)
+    for part in ("D", "E", "A"):
+        shift = 2 if part == "A" else 0
+        top = shift + 4                     # H^0..H^3 at internal degrees
+        cx = _total_complex(spec, part, top)
+        integral = _cohomology(*cx, "Z")[shift:]
+        for p in (2, 3):
+            mod_p = _cohomology(*cx, ("Fp", p))[shift:]
+            for n in range(3):
+                expected = (integral[n].rank
+                            + sum(1 for d in integral[n].torsion if d % p == 0)
+                            + sum(1 for d in integral[n + 1].torsion
+                                  if d % p == 0))
+                assert mod_p[n].dim == expected, (part, p, n)
+
+
+# -- one build and one reduction per matrix ----------------------------------
+
+
+def _count_calls(monkeypatch, names):
+    """Record the arguments of each call through the named bindings of
+    dgq.cohomology."""
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(coh, name)
+
+        def counted(*args, _fn=fn, _log=calls[name], **kwargs):
+            _log.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(coh, name, counted)
+    return calls
+
+
+def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
+                                                      vacant_corpus):
+    calls = _count_calls(monkeypatch, ["total_matrix", "nerve",
+                                       "groupoid_cohomology",
+                                       "build_double_complex"])
+    coh.kac_report(vacant_corpus["x23"], 2)
+    built = [(part, n) for _, part, n in calls["total_matrix"]]
+    assert sorted(built) == sorted((part, n) for part in "DEA"
+                                   for n in range(4))
+    # groupoid_cohomology(g, 3) needs nerve(g, 0..4) of the diagonal and
+    # the two edge groupoids; the double complex's edge bases need the
+    # edge groupoids' nerves in degrees 1..4
+    nerves = [(id(g), n) for g, n in calls["nerve"]]
+    cohomology_of = [id(g) for g, *_ in calls["groupoid_cohomology"]]
+    assert len(cohomology_of) == 3
+    expected = [(g, n) for g in cohomology_of for n in range(5)]
+    t = vacant_corpus["x23"]
+    expected += [(id(g), n) for g in (t.vert, t.horiz) for n in range(1, 5)]
+    assert sorted(nerves) == sorted(expected)
+    assert len(calls["build_double_complex"]) == 1
+
+
+def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
+                                                   vacant_corpus):
+    calls = _count_calls(monkeypatch, ["nullity_fp", "rank_fp"])
+    rep = coh.kac_report(vacant_corpus["x23"], 2)
+    # 4 groupoid differentials for each of 3 groupoids, 4 total
+    # differentials for each of 3 parts; rank_fp serves only the 7 maps
+    assert len(calls["nullity_fp"]) == 12 + 12
+    assert len(calls["rank_fp"]) == 7
+    assert rep.exact
+
+
+def test_composite_opext_one_smith_form_per_total_differential(
+        monkeypatch, vacant_corpus):
+    calls = _count_calls(monkeypatch, ["elementary_divisors", "rank_z",
+                                       "total_matrix"])
+    aut, opx = coh.aut_and_opext(vacant_corpus["x23"], 6)
+    assert aut.divisors == (6, 6) and opx.divisors == ()
+    assert [n for _, _, n in calls["total_matrix"]] == [0, 1, 2, 3, 4]
+    assert len(calls["elementary_divisors"]) == 5
+    assert calls["rank_z"] == []
+
+
+def test_literal_kac_fails_before_groupoid_cohomology(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("groupoid cohomology ran before d.d was checked")
+    monkeypatch.setattr(coh, "groupoid_cohomology", refuse)
+    for name in ("x22", "x23"):
+        code = run(["--format", "machine", "kac", str(CORPUS / f"{name}.json"),
+                    "--p", "2", "--strict-normalization", "off"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "d.d != 0 into total degree 3 of part D" in err
+
+
+class _Tracked(list):
+    """A list that can be weakly referenced."""
+
+
+def test_no_total_matrix_alive_during_groupoid_cohomology(monkeypatch,
+                                                          vacant_corpus):
+    refs, seen = [], []
+    total_matrix, groupoid_cohomology = coh.total_matrix, coh.groupoid_cohomology
+
+    def tracked(*args, **kwargs):
+        out = _Tracked(total_matrix(*args, **kwargs))
+        refs.append(weakref.ref(out))
+        return out
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        seen.append(sum(r() is not None for r in refs))
+        return groupoid_cohomology(*args, **kwargs)
+    monkeypatch.setattr(coh, "total_matrix", tracked)
+    monkeypatch.setattr(coh, "groupoid_cohomology", checked)
+    coh.kac_report(vacant_corpus["x23"], 2)
+    assert seen == [0, 0, 0]

@@ -2,13 +2,13 @@ import pytest
 
 from dgq.double import (diagonal_components, is_vacant, transpose,
                         validate_double_groupoid)
-from dgq.errors import FactorizationError
+from dgq.errors import FactorizationError, StructureError
 from dgq.groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
                            coarse_groupoid, one_object_group,
                            trivial_transversal)
 from dgq.matched import (ConnectedFactorizationData, MatchedPair,
                          diagonal_groupoid, from_exact_factorization,
-                         from_vacant_double, to_vacant_double,
+                         from_vacant_double, subgroupoid, to_vacant_double,
                          validate_matched_pair, verify_connected_factorization)
 from dgq.samples import (build_Xrs, cyclic_table, s3_factorization,
                          symmetric_table)
@@ -271,3 +271,29 @@ def test_nontrivial_intersection_fails_condition_b():
     table, v, h = s3_factorization()
     verdict = verify_connected_factorization(_one_point_data(table, v, v))
     assert any(f[0] == "b" for f in verdict.failures)
+
+
+def test_subgroupoid_rejects_non_closed_arrow_set_with_witness():
+    s3 = one_object_group(symmetric_table(3)[0])
+    e = s3.identity[0]
+    order2 = [f for f in s3.arrows() if f != e and s3.compose[f][f] == e]
+    order3 = [f for f in s3.arrows() if f != e and f not in order2]
+    t1, t2 = order2[:2]
+    c = order3[0]
+    cases = [({t1}, ("identity", 0)),
+             ({e, c}, ("inverse", c)),
+             ({e, t1, t2}, None)]
+    for arrows, witness in cases:
+        with pytest.raises(StructureError) as err:
+            subgroupoid(s3, arrows)
+        message = str(err.value)
+        assert "not a wide subgroupoid" in message
+        if witness is not None:
+            assert str(witness) in message
+        else:
+            # a product of the two transpositions is a 3-cycle outside the set
+            assert any(f"('compose', {f}, {h})" in message
+                       and s3.compose[f][h] not in arrows
+                       for f, h in ((t1, t2), (t2, t1)))
+    sub, order = subgroupoid(s3, {e, t1})
+    assert order == sorted({e, t1}) and sub.n_arrows == 2
