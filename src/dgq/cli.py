@@ -69,6 +69,15 @@ class Output:
             print("result: " + ("pass" if ok else "FAIL"))
 
 
+def _note_checked(out: Output, rep) -> None:
+    """The tuples examined per rule, in text output only; a rule that
+    examined none is flagged, since its pass is vacuous."""
+    if rep.checked:
+        out.note("tuples checked:\n" + "\n".join(
+            f"  {rule}: {k}" + ("" if k else " (vacuous)")
+            for rule, k in rep.checked.items()))
+
+
 def _report_failures(out: Output, rep) -> None:
     out.put("failures",
             [{"rule": f.rule, "witness": list(f.witness), "message": f.message}
@@ -93,6 +102,7 @@ def cmd_validate(args, out: Output) -> int:
         t = _as_double(dio.load_path(args.against))
         cp = dio.cocycle_pair_for(t, doc.payload)
         rep = ccy.validate_cocycle_pair(t, cp)
+        _note_checked(out, rep)
     else:
         out.put("note", "structurally well-formed; nothing further to check")
         return 0
@@ -180,9 +190,7 @@ def cmd_wha_verify(args, out: Output) -> int:
     involutory = wha.check_involutory(w)
     out.put("dimension", w.dim)
     out.put("involutory", involutory)
-    out.note("tuples checked:\n" + "\n".join(
-        f"  {rule}: {k}" + ("" if k else " (vacuous)")
-        for rule, k in rep.checked.items()))
+    _note_checked(out, rep)
     _report_failures(out, rep)
     return 0 if rep.ok and involutory else MATH_FAILURE
 
@@ -192,7 +200,7 @@ def cmd_cocycles_enumerate(args, out: Output) -> int:
     pairs = ccy.enumerate_cocycle_pairs(t, args.m, args.budget)
     out.put("modulus", args.m)
     out.put("count", len(pairs))
-    docs = [dio._cocycle_to_obj(dio.cocycle_document(t, cp)) for cp in pairs]
+    docs = [dio.cocycle_object(t, cp) for cp in pairs]
     out.put("pairs", docs, f"pairs: {len(docs)} (machine format lists them)")
     return 0
 

@@ -37,21 +37,10 @@ def zero_pair(t: DoubleGroupoid, m: int) -> CocyclePair:
     return CocyclePair(m, (0,) * len(vp), (0,) * len(hp))
 
 
-def _lookups(t: DoubleGroupoid, cp: CocyclePair):
-    vp, hp, vindex, hindex = t.pair_domains()
-
-    def sig(a, b):
-        return cp.sigma[vindex[(a, b)]]
-
-    def tau(a, b):
-        return cp.tau[hindex[(a, b)]]
-
-    return sig, tau
-
-
 def validate_cocycle_pair(t: DoubleGroupoid, cp: CocyclePair) -> Report:
     """Exhaustive check of both cocycle identities, both normalizations and
-    the square compatibility; every failing tuple is reported."""
+    the square compatibility; every failing tuple is reported, and
+    ``checked`` gives the tuples examined per rule."""
     rep = Report("cocycle pair")
     vp, hp, _, _ = t.pair_domains()
     m = cp.modulus
@@ -65,44 +54,34 @@ def validate_cocycle_pair(t: DoubleGroupoid, cp: CocyclePair) -> Report:
     if any(not 0 <= v < m for v in cp.sigma) or any(not 0 <= v < m for v in cp.tau):
         rep.add("domain", (), "values must be reduced mod m")
         return rep
-    sig, tau = _lookups(t, cp)
-    for (a, b) in vp:
-        if (t.is_vid(a) or t.is_vid(b)) and sig(a, b) != 0:
-            rep.add("sigma-normalization", (a, b))
-    for (a, b) in hp:
-        if (t.is_hid(a) or t.is_hid(b)) and tau(a, b) != 0:
-            rep.add("tau-normalization", (a, b))
-    for (a, b) in vp:
-        ab = t.vcomp[a][b]
-        for c in t.boxes():
-            if t.bottom[b] != t.top[c]:
-                continue
-            lhs = (sig(a, b) + sig(ab, c)) % m
-            rhs = (sig(b, c) + sig(a, t.vcomp[b][c])) % m
-            if lhs != rhs:
-                rep.add("sigma-cocycle", (a, b, c))
-    for (a, b) in hp:
-        ab = t.hcomp[a][b]
-        for c in t.boxes():
-            if t.right[b] != t.left[c]:
-                continue
-            lhs = (tau(a, b) + tau(ab, c)) % m
-            rhs = (tau(b, c) + tau(a, t.hcomp[b][c])) % m
-            if lhs != rhs:
-                rep.add("tau-cocycle", (a, b, c))
-    for a, b, c, d in t.squares():
-        lhs = (sig(t.hcomp[a][b], t.hcomp[c][d])
-               + tau(t.vcomp[a][c], t.vcomp[b][d])) % m
-        rhs = (tau(a, b) + tau(c, d) + sig(a, c) + sig(b, d)) % m
-        if lhs != rhs:
-            rep.add("compatibility", (a, b, c, d))
+    ids = t.cocycle_identities()
+    s, u = cp.sigma, cp.tau
+    failing = (
+        ("sigma-normalization", ids.sigma_normalization,
+         [w for i, w in ids.sigma_normalization if s[i]]),
+        ("tau-normalization", ids.tau_normalization,
+         [w for i, w in ids.tau_normalization if u[i]]),
+        ("sigma-cocycle", ids.sigma_cocycle,
+         [w for i, j, k, l, w in ids.sigma_cocycle
+          if (s[i] + s[j] - s[k] - s[l]) % m]),
+        ("tau-cocycle", ids.tau_cocycle,
+         [w for i, j, k, l, w in ids.tau_cocycle
+          if (u[i] + u[j] - u[k] - u[l]) % m]),
+        ("compatibility", ids.compatibility,
+         [w for i, j, k, l, p, q, w in ids.compatibility
+          if (s[i] + u[j] - u[k] - u[l] - s[p] - s[q]) % m]))
+    for rule, table, witnesses in failing:
+        rep.count(rule, len(table))
+        for w in witnesses:
+            rep.add(rule, w)
     if rep.ok:
         # consequences of the identities; a failure here is a validator bug
-        inv = t.inverses
-        for a in t.boxes():
-            if sig(a, inv.v_inv[a]) != sig(inv.v_inv[a], a):
+        rep.count("sigma-symmetry", len(ids.sigma_symmetry))
+        rep.count("tau-symmetry", len(ids.tau_symmetry))
+        for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
+            if s[i] != s[j]:
                 raise InternalConsistencyError(f"sigma symmetry broken at box {a}")
-            if tau(a, inv.h_inv[a]) != tau(inv.h_inv[a], a):
+            if u[k] != u[l]:
                 raise InternalConsistencyError(f"tau symmetry broken at box {a}")
     return rep
 
@@ -176,51 +155,37 @@ def is_gauge_equivalent(t: DoubleGroupoid, cp1: CocyclePair, cp2: CocyclePair,
 def _constraint_system(t: DoubleGroupoid, m: int):
     """Linear system over Z/m for the free cocycle entries, as sparse rows.
 
-    Free variables are the sigma entries at pairs with no vertical-identity
-    box and the tau entries at pairs with no horizontal-identity box; all
-    other entries are forced to zero by normalization.
+    Free variables are the sigma and tau entries that normalization does not
+    force to zero; each cocycle and compatibility identity gives one row
+    over them (none where every term is forced).
     """
-    vp, hp, vindex, hindex = t.pair_domains()
-    svars = [i for i, (a, b) in enumerate(vp)
-             if not (t.is_vid(a) or t.is_vid(b))]
-    tvars = [j for j, (a, b) in enumerate(hp)
-             if not (t.is_hid(a) or t.is_hid(b))]
-    scol = {i: k for k, i in enumerate(svars)}
-    tcol = {j: len(svars) + k for k, j in enumerate(tvars)}
-    ncols = len(svars) + len(tvars)
+    vp, hp, _, _ = t.pair_domains()
+    ids = t.cocycle_identities()
+    forced_s = {i for i, _ in ids.sigma_normalization}
+    forced_t = {j for j, _ in ids.tau_normalization}
+    svars = [i for i in range(len(vp)) if i not in forced_s]
+    tvars = [j for j in range(len(hp)) if j not in forced_t]
+    # column of each entry, None where normalization forces it to zero
+    scol = [None] * len(vp)
+    tcol = [None] * len(hp)
+    for k, i in enumerate(svars):
+        scol[i] = k
+    for k, j in enumerate(tvars, len(svars)):
+        tcol[j] = k
     rows = []
-
-    def sv(a, b):
-        """Column of sigma(a, b), or None where normalization forces 0."""
-        return scol.get(vindex[(a, b)])
-
-    def tv(a, b):
-        return tcol.get(hindex[(a, b)])
 
     def add_row(terms):
         row = sparse_row((k, c) for k, c in terms if k is not None)
         if row:
             rows.append(row)
 
-    for (a, b) in vp:
-        ab = t.vcomp[a][b]
-        for c in t.boxes():
-            if t.bottom[b] != t.top[c]:
-                continue
-            add_row(((sv(a, b), 1), (sv(ab, c), 1), (sv(b, c), -1),
-                     (sv(a, t.vcomp[b][c]), -1)))
-    for (a, b) in hp:
-        ab = t.hcomp[a][b]
-        for c in t.boxes():
-            if t.right[b] != t.left[c]:
-                continue
-            add_row(((tv(a, b), 1), (tv(ab, c), 1), (tv(b, c), -1),
-                     (tv(a, t.hcomp[b][c]), -1)))
-    for a, b, c, d in t.squares():
-        add_row(((sv(t.hcomp[a][b], t.hcomp[c][d]), 1),
-                 (tv(t.vcomp[a][c], t.vcomp[b][d]), 1),
-                 (tv(a, b), -1), (tv(c, d), -1), (sv(a, c), -1), (sv(b, d), -1)))
-    return rows, ncols, svars, tvars
+    for table, col in ((ids.sigma_cocycle, scol), (ids.tau_cocycle, tcol)):
+        for i, j, k, l, _ in table:
+            add_row(((col[i], 1), (col[j], 1), (col[k], -1), (col[l], -1)))
+    for i, j, k, l, p, q, _ in ids.compatibility:
+        add_row(((scol[i], 1), (tcol[j], 1), (tcol[k], -1), (tcol[l], -1),
+                 (scol[p], -1), (scol[q], -1)))
+    return rows, len(svars) + len(tvars), svars, tvars
 
 
 def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,

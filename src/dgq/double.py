@@ -33,7 +33,8 @@ class DoubleGroupoid:
 
     __slots__ = ("horiz", "vert", "n_points", "n_boxes",
                  "top", "bottom", "left", "right", "vid", "hid",
-                 "vcomp", "hcomp", "_inv", "_hash", "_pairs", "_squares")
+                 "vcomp", "hcomp", "_inv", "_hash", "_pairs", "_squares",
+                 "_identities")
 
     def __init__(self, horiz: Groupoid, vert: Groupoid, top, bottom, left, right,
                  vid, hid, vcomp, hcomp):
@@ -81,6 +82,7 @@ class DoubleGroupoid:
         self._hash = None
         self._pairs = None
         self._squares = None
+        self._identities = None
 
     # -- the two box groupoids, reusing all Groupoid machinery -----------
 
@@ -120,14 +122,19 @@ class DoubleGroupoid:
                 if self.right[a] == self.left[b]:
                     yield a, b
 
+    def _by_left_top(self):
+        """Boxes listed by left edge and by top edge, in increasing order."""
+        by_left: dict[int, list[int]] = {}
+        by_top: dict[int, list[int]] = {}
+        for a in range(self.n_boxes):
+            by_left.setdefault(self.left[a], []).append(a)
+            by_top.setdefault(self.top[a], []).append(a)
+        return by_left, by_top
+
     def squares(self):
         """All 2x2 composable arrangements (a, b, c, d):  a|b over c|d."""
         if self._squares is None:
-            by_left = {}
-            by_top = {}
-            for a in range(self.n_boxes):
-                by_left.setdefault(self.left[a], []).append(a)
-                by_top.setdefault(self.top[a], []).append(a)
+            by_left, by_top = self._by_left_top()
             out = []
             for a in range(self.n_boxes):
                 for b in by_left.get(self.right[a], ()):
@@ -167,9 +174,79 @@ class DoubleGroupoid:
                            {pq: i for i, pq in enumerate(hp)})
         return self._pairs
 
+    def cocycle_identities(self) -> "CocycleIdentities":
+        """The identities a cocycle pair must satisfy, over the indices of
+        :meth:`pair_domains`; built once and shared by the validator and the
+        Z/m constraint system of :mod:`dgq.cocycles`."""
+        if self._identities is None:
+            self._identities = _compile_identities(self)
+        return self._identities
+
     def __repr__(self):
         return (f"DoubleGroupoid(points={self.n_points}, hedges={self.horiz.n_arrows}, "
                 f"vedges={self.vert.n_arrows}, boxes={self.n_boxes})")
+
+
+@dataclass(frozen=True)
+class CocycleIdentities:
+    """Every identity on a pair (sigma, tau), written additively over Z/m.
+
+    ``s`` and ``u`` below stand for the sigma and tau tables, indexed like
+    the vertically and horizontally composable pairs of ``pair_domains``.
+    Each tuple ends with its witness, the boxes a failure is reported at.
+    Only composable triples and squares are listed.
+    """
+
+    # (i, (a, b)): s_i = 0, where a or b is a vertical identity
+    sigma_normalization: tuple
+    # (i, (a, b)): u_i = 0, where a or b is a horizontal identity
+    tau_normalization: tuple
+    # (i, j, k, l, (a, b, c)): s(a,b) + s(ab,c) = s(b,c) + s(a,bc)
+    sigma_cocycle: tuple
+    # (i, j, k, l, (a, b, c)): the same for u and horizontal pasting
+    tau_cocycle: tuple
+    # (i, j, k, l, p, q, (a, b, c, d)) for the square a|b over c|d:
+    # s(ab,cd) + u(ac,bd) = u(a,b) + u(c,d) + s(a,c) + s(b,d)
+    compatibility: tuple
+    # (a, i, j): s(a, a^v) = s(a^v, a), a consequence of the rules above
+    sigma_symmetry: tuple
+    # (a, i, j): u(a, a^h) = u(a^h, a)
+    tau_symmetry: tuple
+
+
+def _compile_identities(t: DoubleGroupoid) -> CocycleIdentities:
+    vp, hp, vindex, hindex = t.pair_domains()
+    vc, hc = t.vcomp, t.hcomp
+    by_left, by_top = t._by_left_top()
+    inv = t.inverses
+    return CocycleIdentities(
+        sigma_normalization=tuple(
+            (i, (a, b)) for i, (a, b) in enumerate(vp)
+            if t.is_vid(a) or t.is_vid(b)),
+        tau_normalization=tuple(
+            (i, (a, b)) for i, (a, b) in enumerate(hp)
+            if t.is_hid(a) or t.is_hid(b)),
+        sigma_cocycle=tuple(
+            (i, vindex[(vc[a][b], c)], vindex[(b, c)], vindex[(a, vc[b][c])],
+             (a, b, c))
+            for i, (a, b) in enumerate(vp)
+            for c in by_top.get(t.bottom[b], ())),
+        tau_cocycle=tuple(
+            (i, hindex[(hc[a][b], c)], hindex[(b, c)], hindex[(a, hc[b][c])],
+             (a, b, c))
+            for i, (a, b) in enumerate(hp)
+            for c in by_left.get(t.right[b], ())),
+        compatibility=tuple(
+            (vindex[(hc[a][b], hc[c][d])], hindex[(vc[a][c], vc[b][d])],
+             hindex[(a, b)], hindex[(c, d)], vindex[(a, c)], vindex[(b, d)],
+             (a, b, c, d))
+            for a, b, c, d in t.squares()),
+        sigma_symmetry=tuple(
+            (a, vindex[(a, inv.v_inv[a])], vindex[(inv.v_inv[a], a)])
+            for a in t.boxes()),
+        tau_symmetry=tuple(
+            (a, hindex[(a, inv.h_inv[a])], hindex[(inv.h_inv[a], a)])
+            for a in t.boxes()))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ class Document:
 @dataclass(frozen=True)
 class CocycleDocument:
     """A cocycle pair keyed by explicit box pairs; bind it to a double
-    groupoid with :func:`cocycle_pair_for`."""
+    groupoid with :func:`cocycle_pair_for`.  The (a, b, value) entries are
+    kept sorted."""
 
     modulus: int
     sigma: tuple[tuple[int, int, int], ...]
@@ -270,8 +271,8 @@ def _cocycle_from_obj(obj: dict, context: str) -> CocycleDocument:
 def _cocycle_to_obj(doc: CocycleDocument) -> dict:
     return {
         "modulus": doc.modulus,
-        "sigma": sorted(list(t) for t in doc.sigma),
-        "tau": sorted(list(t) for t in doc.tau),
+        "sigma": [list(e) for e in doc.sigma],
+        "tau": [list(e) for e in doc.tau],
     }
 
 
@@ -303,6 +304,12 @@ def cocycle_document(t: DoubleGroupoid, cp: CocyclePair) -> CocycleDocument:
     sigma = tuple(sorted((a, b, v) for (a, b), v in zip(vp, cp.sigma)))
     tau = tuple(sorted((a, b, v) for (a, b), v in zip(hp, cp.tau)))
     return CocycleDocument(cp.modulus, sigma, tau)
+
+
+def cocycle_object(t: DoubleGroupoid, cp: CocyclePair) -> dict:
+    """The JSON object of a pair bound to ``t``: the body that :func:`emit`
+    writes for its document, without ``kind`` and ``version``."""
+    return _cocycle_to_obj(cocycle_document(t, cp))
 
 
 def _field_from_obj(obj: dict, context: str) -> FieldSpec:

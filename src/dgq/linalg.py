@@ -313,7 +313,7 @@ def solutions_mod_m(rows, ncols: int, m: int):
 
     With SAT = D the solutions are x = T y where each y_k runs over the
     multiples of m // gcd(d_k, m); the iterator yields each solution once,
-    as a tuple.
+    as a tuple.  Only the columns of T whose y_k can be nonzero are read.
     """
     diag, t = smith_with_transform(rows, ncols)
     steps = []
@@ -322,17 +322,18 @@ def solutions_mod_m(rows, ncols: int, m: int):
         g = gcd(dk % m, m)        # gcd(0, m) = m: y_k free
         # y_k must satisfy d_k y_k = 0 mod m: g choices
         steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
+    free = [k for k in range(ncols) if len(steps[k]) > 1]
+    cols = [[(i, t[i][k] % m) for i in range(ncols) if t[i][k] % m]
+            for k in free]
 
     def solutions():
-        for y in itertools.product(*steps):
+        for y in itertools.product(*(steps[k] for k in free)):
             x = [0] * ncols
-            for i in range(ncols):
-                s = 0
-                for k in range(ncols):
-                    if y[k]:
-                        s += t[i][k] * y[k]
-                x[i] = s % m
-            yield tuple(x)
+            for col, yk in zip(cols, y):
+                if yk:
+                    for i, v in col:
+                        x[i] += v * yk
+            yield tuple(v % m for v in x)
 
     return prod(len(c) for c in steps), solutions()
 

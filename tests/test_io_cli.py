@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from dgq import io as dio
-from dgq.cli import run
-from dgq.cocycles import enumerate_cocycle_pairs
-from dgq.errors import FormatError
+from dgq.cli import Output, _note_checked, run
+from dgq.cocycles import enumerate_cocycle_pairs, validate_cocycle_pair
+from dgq.errors import FormatError, Report
 from dgq.samples import s3_double, s3_matched_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -114,6 +114,15 @@ def test_cocycle_document_binding():
     assert dio.cocycle_pair_for(t, parsed.payload) == cp
 
 
+def test_cocycle_object_is_the_emitted_body():
+    t = s3_double()
+    for cp in enumerate_cocycle_pairs(t, 3):
+        emitted = json.loads(dio.emit(
+            dio.Document("cocycle_pair", dio.cocycle_document(t, cp))))
+        del emitted["kind"], emitted["version"]
+        assert dio.cocycle_object(t, cp) == emitted
+
+
 def test_cocycle_domain_mismatch_rejected():
     t = s3_double()
     cp = enumerate_cocycle_pairs(t, 2)[0]
@@ -169,6 +178,38 @@ def test_cli_cocycles(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["count"] == 8
     assert run(["cocycles", "classes", str(CORPUS / "x22.json"), "--m", "2"]) == 0
+
+
+def test_cli_validate_cocycle_reports_tuples_checked(tmp_path, capsys):
+    t = dio.load_path(CORPUS / "x22.json").payload
+    cp = enumerate_cocycle_pairs(t, 2)[-1]
+    path = tmp_path / "pair.json"
+    dio.save_path(path, dio.Document("cocycle_pair", dio.cocycle_document(t, cp)))
+    argv = ["validate", str(path), "--against", str(CORPUS / "x22.json")]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    checked = validate_cocycle_pair(t, cp).checked
+    assert set(checked) == {"sigma-normalization", "tau-normalization",
+                            "sigma-cocycle", "tau-cocycle", "compatibility",
+                            "sigma-symmetry", "tau-symmetry"}
+    assert all(checked.values())
+    assert "tuples checked:\n" + "\n".join(
+        f"  {rule}: {k}" for rule, k in checked.items()) in out
+    assert run(["--format", "machine", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "validate", "failures": [], "kind": "cocycle_pair", "ok": True}
+
+
+def test_tuples_checked_flags_a_vacuous_rule():
+    out = Output("text")
+    rep = Report("r")
+    rep.count("busy", 3)
+    rep.count("idle", 0)
+    _note_checked(out, rep)
+    assert out.lines == ["tuples checked:\n  busy: 3\n  idle: 0 (vacuous)"]
+    out = Output("text")
+    _note_checked(out, Report("nothing counted"))
+    assert out.lines == []
 
 
 def test_cli_cohomology(capsys):
