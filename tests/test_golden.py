@@ -13,7 +13,8 @@ literal normalization (``--strict-normalization off``) is pinned on x11,
 where it passes, and on x22 and x23, where d.d != 0 and it exits 2 with no
 stdout.  ``convert`` runs both ways, ``cocycles enumerate --m 2`` on x22
 and s3_matched_pair, and ``cocycles classes --m 2`` on every double groupoid
-and matched pair.  Left out for time: ``kac`` on product_s3_x21.
+and matched pair, and with ``--m 3`` on x23 and product_s3_x21.  Left out for
+time: ``kac`` on product_s3_x21.
 """
 
 import io
@@ -49,6 +50,9 @@ def _commands():
                 out.append((f"kac-p{p}-{stem}", ["kac", path, "--p", p]))
         out.append((f"classes-m2-{stem}",
                     ["cocycles", "classes", path, "--m", "2"]))
+    for stem in ("x23", "product_s3_x21"):
+        out.append((f"classes-m3-{stem}",
+                    ["cocycles", "classes", f"corpus/{stem}.json", "--m", "3"]))
     for stem in ("x11", "x22", "x23"):
         out.append((f"kac-literal-p2-{stem}",
                     ["kac", f"corpus/{stem}.json", "--p", "2",
