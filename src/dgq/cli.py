@@ -208,7 +208,7 @@ def cmd_cocycles_enumerate(args, out: Output) -> int:
 def cmd_cocycles_classes(args, out: Output) -> int:
     t = _as_double(dio.load_path(args.path))
     out.put("modulus", args.m)
-    out.put("classes", ccy.count_modulo_gauge(t, args.m, args.budget))
+    out.put("classes", ccy.count_modulo_gauge(t, args.m))
     return 0
 
 
@@ -303,7 +303,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("path")
         p.add_argument("--m", type=int, required=True)
-        p.add_argument("--budget", type=int, default=10 ** 6)
+        if name == "enumerate":
+            p.add_argument("--budget", type=int, default=10 ** 6)
 
     p = add("cohomology", cmd_cohomology, help="groupoid cohomology")
     p.add_argument("path")

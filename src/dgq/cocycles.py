@@ -3,22 +3,23 @@
 A pair (sigma, tau) assigns sigma to vertically composable box pairs and tau
 to horizontally composable ones, written additively.  Validity means: each is
 a normalized groupoid 2-cocycle on its box groupoid, and the joint square
-compatibility holds.  Field realization (zeta ** value) is a separate
-explicit step, so enumeration and orbit counting stay integer problems.
+compatibility holds.  The valid pairs are the solutions Z of a linear system
+over Z/m, and the gauge classes are the cosets in Z of the image of the gauge
+map, counted from two Smith forms without listing pairs or gauges.  Field
+realization (zeta ** value) is a separate explicit step, so enumeration and
+counting stay integer problems.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
 from .fields import FieldSpec
-# count_solutions_mod_m is not called here but stays importable from this
-# module, next to solutions_mod_m, for code that counts without enumerating
-from .linalg import count_solutions_mod_m, solutions_mod_m, sparse_row  # noqa: F401
+from .linalg import (count_solutions_mod_m, is_zero_matrix, matmul,
+                     solutions_mod_m, sparse_row, transpose)
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,11 @@ def check_normalized_gauge(t: DoubleGroupoid, psi) -> None:
                 f"psi[{a}] = {psi[a]}")
 
 
-def gauge_delta(t: DoubleGroupoid, psi, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair (-d_v psi, +d_h psi) that gauge transformation adds."""
+def gauge_delta(t: DoubleGroupoid, psi) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (-d_v psi, +d_h psi) that gauge transformation adds, over Z."""
     vp, hp, _, _ = t.pair_domains()
-    dsig = tuple((-(psi[a] - psi[t.vcomp[a][b]] + psi[b])) % m for a, b in vp)
-    dtau = tuple((psi[a] - psi[t.hcomp[a][b]] + psi[b]) % m for a, b in hp)
+    dsig = tuple(psi[t.vcomp[a][b]] - psi[a] - psi[b] for a, b in vp)
+    dtau = tuple(psi[a] - psi[t.hcomp[a][b]] + psi[b] for a, b in hp)
     return dsig, dtau
 
 
@@ -120,40 +121,18 @@ def gauge_transform(t: DoubleGroupoid, cp: CocyclePair, psi) -> CocyclePair:
     of the twisted quantum groupoids."""
     check_normalized_gauge(t, psi)
     m = cp.modulus
-    dsig, dtau = gauge_delta(t, psi, m)
+    dsig, dtau = gauge_delta(t, psi)
     return CocyclePair(m,
                        tuple((a + b) % m for a, b in zip(cp.sigma, dsig)),
                        tuple((a + b) % m for a, b in zip(cp.tau, dtau)))
 
 
-def all_normalized_gauges(t: DoubleGroupoid, m: int, budget: int = 10 ** 6):
-    free = free_boxes(t)
-    if m ** len(free) > budget:
-        raise ResourceBudgetError(
-            f"{m ** len(free)} gauge functions exceed the budget {budget}")
-    for values in itertools.product(range(m), repeat=len(free)):
-        psi = [0] * t.n_boxes
-        for a, v in zip(free, values):
-            psi[a] = v
-        yield tuple(psi)
-
-
-def is_gauge_equivalent(t: DoubleGroupoid, cp1: CocyclePair, cp2: CocyclePair,
-                        budget: int = 10 ** 6):
-    """Search all normalized gauge functions; return a witness psi or None."""
-    if cp1.modulus != cp2.modulus:
-        raise StructureError("moduli differ")
-    for psi in all_normalized_gauges(t, cp1.modulus, budget):
-        if gauge_transform(t, cp1, psi) == cp2:
-            return psi
-    return None
-
-
 # -- enumeration ---------------------------------------------------------
 
 
-def _constraint_system(t: DoubleGroupoid, m: int):
-    """Linear system over Z/m for the free cocycle entries, as sparse rows.
+def _constraint_system(t: DoubleGroupoid):
+    """Integral rows of the linear system over Z/m on the free cocycle
+    entries, as sparse rows; the modulus enters only when it is solved.
 
     Free variables are the sigma and tau entries that normalization does not
     force to zero; each cocycle and compatibility identity gives one row
@@ -198,7 +177,7 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     from .double import require_vacant
     require_vacant(t)
     vp, hp, _, _ = t.pair_domains()
-    rows, ncols, svars, tvars = _constraint_system(t, m)
+    rows, ncols, svars, tvars = _constraint_system(t)
     count, solutions = solutions_mod_m(rows, ncols, m)
     if count > budget:
         raise ResourceBudgetError(
@@ -221,28 +200,46 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     return result
 
 
-def count_modulo_gauge(t: DoubleGroupoid, m: int, budget: int = 10 ** 6) -> int:
-    """Number of gauge orbits on the set of valid pairs, by explicit orbit
-    sweeping with the full normalized gauge group."""
-    pairs = enumerate_cocycle_pairs(t, m, budget)
-    deltas = {gauge_delta(t, psi, m) for psi in all_normalized_gauges(t, m, budget)}
-    index = {cp: k for k, cp in enumerate(pairs)}
-    seen = [False] * len(pairs)
-    orbits = 0
-    for k, cp in enumerate(pairs):
-        if seen[k]:
-            continue
-        orbits += 1
-        for dsig, dtau in deltas:
-            moved = CocyclePair(
-                m,
-                tuple((a + b) % m for a, b in zip(cp.sigma, dsig)),
-                tuple((a + b) % m for a, b in zip(cp.tau, dtau)))
-            j = index.get(moved)
-            if j is None:
-                raise InternalConsistencyError(
-                    "gauge transform left the set of valid pairs")
-            seen[j] = True
+def _gauge_matrix(t: DoubleGroupoid, svars, tvars):
+    """The gauge map G over Z, from the free boxes to the free cocycle
+    columns of :func:`_constraint_system`: one sparse row per column, one
+    column per free box, holding :func:`gauge_delta` of that box's unit
+    gauge.  A gauge that moves a normalized entry raises."""
+    ids = t.cocycle_identities()
+    cols = []
+    for a in free_boxes(t):
+        psi = [0] * t.n_boxes
+        psi[a] = 1
+        dsig, dtau = gauge_delta(t, psi)
+        if (any(dsig[i] for i, _ in ids.sigma_normalization)
+                or any(dtau[j] for j, _ in ids.tau_normalization)):
+            raise InternalConsistencyError(
+                f"the unit gauge on box {a} moves a normalized entry")
+        cols.append(sparse_row(enumerate([dsig[i] for i in svars]
+                                         + [dtau[j] for j in tvars])))
+    return transpose(cols, len(svars) + len(tvars))
+
+
+def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
+    """Number of gauge orbits on the set of valid pairs.
+
+    The valid pairs form the solution group Z of the constraint system, and
+    the orbits are the cosets in Z of B, the image of the gauge map G.  As
+    |B| = m**|free boxes| / |ker G|, the count is |Z| |ker G| / m**|free|,
+    both orders from a Smith form; nothing is enumerated.
+    """
+    from .double import require_vacant
+    require_vacant(t)
+    rows, ncols, svars, tvars = _constraint_system(t)
+    gauge = _gauge_matrix(t, svars, tvars)
+    if not is_zero_matrix(matmul(rows, gauge)):
+        raise InternalConsistencyError("a gauge coboundary fails the cocycle system")
+    nfree = len(free_boxes(t))
+    orbits, rest = divmod(count_solutions_mod_m(rows, ncols, m)
+                          * count_solutions_mod_m(gauge, nfree, m), m ** nfree)
+    if rest:
+        raise InternalConsistencyError(
+            f"m**{nfree} gauges do not split into orbits of equal size")
     return orbits
 
 

@@ -3,14 +3,14 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from dgq.cocycles import (CocyclePair, all_normalized_gauges, count_modulo_gauge,
-                          embed_in_field, enumerate_cocycle_pairs,
-                          gauge_transform, identity_boxes, is_gauge_equivalent,
-                          validate_cocycle_pair, zero_pair)
+from dgq.cocycles import (CocyclePair, count_modulo_gauge, embed_in_field,
+                          enumerate_cocycle_pairs, gauge_transform,
+                          identity_boxes, validate_cocycle_pair, zero_pair)
 from dgq.double import build_Xrs
 from dgq.errors import ResourceBudgetError, StructureError, UnembeddableError
 from dgq.fields import FieldSpec
 from dgq.samples import s3_double
+from test_cocycles_oracle import all_normalized_gauges, is_gauge_equivalent
 
 
 def brute_force_pairs(t, m):

@@ -1,4 +1,5 @@
-"""The compiled cocycle identities of ``dgq`` against loop-based oracles.
+"""The compiled cocycle identities and the gauge-class count of ``dgq``
+against loop-based oracles.
 
 ``validate_cocycle_pair`` and ``_constraint_system`` read the identities from
 ``DoubleGroupoid.cocycle_identities``, a table of pair indices built once per
@@ -9,28 +10,46 @@ up by its box pair, and rebuild each solution from the whole transform.  On
 enumerated pairs, on corrupted pairs and on drawn tables alike, both routes
 must report the same failures (rule, witness and order), raise the same
 ``InternalConsistencyError``, count the same tuples and emit the same rows.
+
+``count_modulo_gauge`` counts classes as |Z| |ker G| / m**|free| from two
+Smith forms.  Its oracle is the orbit sweep it replaced, which enumerates
+every pair and every normalized gauge; its second route is the double
+complex, whose H^1(Tot A) and H^0(Tot A) are the classes and ker G.
 """
 
 import itertools
 from dataclasses import replace
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgq.cocycles import (CocyclePair, _constraint_system,
-                          enumerate_cocycle_pairs, validate_cocycle_pair,
-                          zero_pair)
+from dgq import io as dio
+from dgq.cocycles import (CocyclePair, _constraint_system, count_modulo_gauge,
+                          enumerate_cocycle_pairs, free_boxes,
+                          gauge_transform, validate_cocycle_pair, zero_pair)
+from dgq.cohomology import aut_and_opext
 from dgq.double import build_Xrs
-from dgq.errors import InternalConsistencyError, Report
-from dgq.linalg import smith_with_transform, solutions_mod_m, sparse_row
+from dgq.errors import InternalConsistencyError, Report, StructureError
+from dgq.linalg import (smith_with_transform, solutions_mod_m, sparse_row,
+                        transpose)
+from dgq.matched import to_vacant_double
 from dgq.samples import vacant_corpus
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 INSTANCES = vacant_corpus()
 NAMES = sorted(INSTANCES)
 MODULI = (2, 3)
+# every vacant double groupoid of the corpus; s3_matched_pair.json is a
+# matched pair, swept through its vacant double groupoid
+CORPUS_DOUBLES = ("product_s3_x21", "s3_double", "s3_matched_pair",
+                  "union_x22_s3", "x11", "x22", "x23")
+# the orbit sweep walks m**|free| gauges: 3**10 and more is left out
+SWEPT = [(stem, m) for stem in CORPUS_DOUBLES for m in (2, 3, 4, 6)
+         if m == 2 or stem not in ("x23", "product_s3_x21")]
 # x23 and product_s3_x21 have 3^10 pairs at m = 3; the oracle compares every
 # pair up to this many and an evenly spaced selection beyond it
 COMPARED = 1024
@@ -113,7 +132,7 @@ def oracle_validate(t, cp) -> Report:
     return rep
 
 
-def oracle_constraint_system(t, m):
+def oracle_constraint_system(t):
     """The constraint rows by direct loops over the box tables."""
     vp, hp, vindex, hindex = t.pair_domains()
     svars = [i for i, (a, b) in enumerate(vp)
@@ -156,6 +175,49 @@ def oracle_constraint_system(t, m):
     return rows, len(svars) + len(tvars), svars, tvars
 
 
+def all_normalized_gauges(t, m):
+    """Every gauge function that vanishes on the identity boxes."""
+    free = free_boxes(t)
+    for values in itertools.product(range(m), repeat=len(free)):
+        psi = [0] * t.n_boxes
+        for a, v in zip(free, values):
+            psi[a] = v
+        yield tuple(psi)
+
+
+def is_gauge_equivalent(t, cp1, cp2):
+    """Search all normalized gauge functions; return a witness psi or None."""
+    if cp1.modulus != cp2.modulus:
+        raise StructureError("moduli differ")
+    for psi in all_normalized_gauges(t, cp1.modulus):
+        if gauge_transform(t, cp1, psi) == cp2:
+            return psi
+    return None
+
+
+def oracle_orbit_count(t, m):
+    """Number of gauge orbits on the enumerated pairs, by sweeping each
+    orbit with the full normalized gauge group."""
+    pairs = enumerate_cocycle_pairs(t, m)
+    zero = zero_pair(t, m)
+    deltas = {gauge_transform(t, zero, psi) for psi in all_normalized_gauges(t, m)}
+    index = {cp: k for k, cp in enumerate(pairs)}
+    seen = [False] * len(pairs)
+    orbits = 0
+    for k, cp in enumerate(pairs):
+        if seen[k]:
+            continue
+        orbits += 1
+        for delta in deltas:
+            moved = CocyclePair(
+                m,
+                tuple((a + b) % m for a, b in zip(cp.sigma, delta.sigma)),
+                tuple((a + b) % m for a, b in zip(cp.tau, delta.tau)))
+            assert moved in index, "gauge transform left the set of valid pairs"
+            seen[index[moved]] = True
+    return orbits
+
+
 def oracle_solutions(rows, ncols, m):
     """Every solution x = T y in turn, summed over the whole transform."""
     diag, t = smith_with_transform(rows, ncols)
@@ -192,7 +254,7 @@ def _pairs(name, m):
     """The compared pairs: every enumerated pair up to COMPARED of them, else
     an evenly spaced selection that keeps the first and the last."""
     t = INSTANCES[name]
-    rows, ncols, svars, tvars = _constraint_system(t, m)
+    rows, ncols, svars, tvars = _constraint_system(t)
     count, solutions = solutions_mod_m(rows, ncols, m)
     if count <= COMPARED:
         return tuple(enumerate_cocycle_pairs(t, m))
@@ -308,18 +370,86 @@ def test_symmetry_check_raises_on_a_broken_table(side):
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("name", NAMES)
 def test_constraint_system_matches_oracle(name, m):
+    """The rows are integral and serve every modulus; at each m they vanish
+    on the free entries of every unit gauge's coboundary."""
     t = INSTANCES[name]
-    got = _constraint_system(t, m)
-    want = oracle_constraint_system(t, m)
+    got = _constraint_system(t)
+    want = oracle_constraint_system(t)
     assert got == want
     assert [list(row) for row in got[0]] == [list(row) for row in want[0]]
+    rows, _, svars, tvars = got
+    for moved in _unit_gauge_moves(t, m):
+        x = [moved.sigma[i] for i in svars] + [moved.tau[j] for j in tvars]
+        assert all(sum(v * x[k] for k, v in row.items()) % m == 0 for row in rows)
 
 
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("name", NAMES)
 def test_solutions_match_oracle(name, m):
     """The first COMPARED solutions, in order."""
-    rows, ncols, _, _ = _constraint_system(INSTANCES[name], m)
+    rows, ncols, _, _ = _constraint_system(INSTANCES[name])
     _, solutions = solutions_mod_m(rows, ncols, m)
     assert (list(itertools.islice(solutions, COMPARED))
             == list(itertools.islice(oracle_solutions(rows, ncols, m), COMPARED)))
+
+
+# -- gauge classes ----------------------------------------------------------------
+
+
+def _corpus_double(stem):
+    doc = dio.load_path(CORPUS / f"{stem}.json")
+    return (to_vacant_double(doc.payload) if doc.kind == "matched_pair"
+            else doc.payload)
+
+
+def _unit_gauge_moves(t, m):
+    """For each free box, the pair its unit gauge adds, mod m."""
+    zero = zero_pair(t, m)
+    out = []
+    for a in free_boxes(t):
+        psi = [0] * t.n_boxes
+        psi[a] = 1
+        out.append(gauge_transform(t, zero, psi))
+    return out
+
+
+def _primary_parts(orders):
+    """The prime-power orders of the cyclic primary factors of the group
+    that is the sum of Z/d over ``orders``, sorted."""
+    parts = []
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+@pytest.mark.parametrize("stem,m", SWEPT)
+def test_count_modulo_gauge_matches_orbit_sweep(stem, m):
+    t = _corpus_double(stem)
+    assert count_modulo_gauge(t, m) == oracle_orbit_count(t, m)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+@pytest.mark.parametrize("name", NAMES)
+def test_gauge_kernel_is_aut_and_classes_are_opext(name, m):
+    """ker G is H^0(Tot A; Z/m) as a group, and the classes number
+    |H^1(Tot A; Z/m)|.  G is rebuilt here from ``gauge_transform`` on the
+    unit gauges; its kernel over Z/m is the sum of Z/gcd(d_k, m) over the
+    Smith diagonal, with d_k = 0 past the diagonal's end."""
+    t = INSTANCES[name]
+    vp, hp, _, _ = t.pair_domains()
+    columns = [sparse_row(enumerate(cp.sigma + cp.tau))
+               for cp in _unit_gauge_moves(t, m)]
+    nfree = len(columns)
+    diag, _ = smith_with_transform(transpose(columns, len(vp) + len(hp)), nfree)
+    diag += [0] * (nfree - len(diag))
+    aut, opext = aut_and_opext(t, m)
+    assert (_primary_parts(gcd(d, m) for d in diag)
+            == _primary_parts(aut.divisors))
+    assert count_modulo_gauge(t, m) == opext.order()

@@ -23,8 +23,8 @@ from dgq.double import build_Xrs, transpose
 from dgq.errors import TruncationError
 from dgq.groupoids import coarse_groupoid, one_object_group
 from dgq.linalg import is_zero_matrix, matmul
-from dgq.samples import (corpus_union, cyclic_table, s3_double,
-                         symmetric_table)
+from dgq.samples import (corpus_product, corpus_union, cyclic_table,
+                         s3_double, symmetric_table)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -281,14 +281,15 @@ def test_aut_opext_trivial_instance():
 
 
 # composite m goes through universal coefficients: s3 has Z/3 torsion one
-# degree up, which Z/4 does not see and Z/6 does (union_x22_s3 at m = 6 agrees
-# too, with 3 classes, but its gauge count takes seconds)
+# degree up, which Z/4 does not see and Z/6 does
 @pytest.mark.parametrize("name,m", [("s3", 2), ("s3", 3), ("x22", 2), ("x22", 3),
                                     ("s3", 4), ("s3", 6), ("union", 4),
-                                    ("x22", 4), ("x22", 6)])
+                                    ("union", 6), ("x22", 4), ("x22", 6),
+                                    ("x23", 3), ("product", 3), ("product", 6)])
 def test_opext_matches_gauge_classes(name, m):
     t = {"s3": s3_double, "x22": lambda: build_Xrs(2, 2),
-         "union": corpus_union}[name]()
+         "x23": lambda: build_Xrs(2, 3), "union": corpus_union,
+         "product": corpus_product}[name]()
     _, opx = aut_and_opext(t, m)
     assert opx.order() == count_modulo_gauge(t, m)
 

@@ -180,6 +180,13 @@ def test_cli_cocycles(capsys):
     assert run(["cocycles", "classes", str(CORPUS / "x22.json"), "--m", "2"]) == 0
 
 
+def test_cli_classes_counts_without_a_gauge_budget(capsys):
+    # product_s3_x21 has 6**10 normalized gauges; the count lists none of them
+    assert run(["--format", "machine", "cocycles", "classes",
+                str(CORPUS / "product_s3_x21.json"), "--m", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == 6
+
+
 def test_cli_validate_cocycle_reports_tuples_checked(tmp_path, capsys):
     t = dio.load_path(CORPUS / "x22.json").payload
     cp = enumerate_cocycle_pairs(t, 2)[-1]
