@@ -167,6 +167,12 @@ def _constraint_system(t: DoubleGroupoid):
     return rows, len(svars) + len(tvars), svars, tvars
 
 
+def _require_modulus(m: int) -> None:
+    """Refuse a twist modulus below 1 as malformed input."""
+    if m < 1:
+        raise StructureError("modulus must be >= 1")
+
+
 def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
                             budget: int = 10 ** 6) -> list[CocyclePair]:
     """All valid pairs, found by solving the (linear) identity system mod m.
@@ -175,6 +181,7 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     solution set raises instead of silently truncating.
     """
     from .double import require_vacant
+    _require_modulus(m)
     require_vacant(t)
     vp, hp, _, _ = t.pair_domains()
     rows, ncols, svars, tvars = _constraint_system(t)
@@ -229,6 +236,7 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     both orders from a Smith form; nothing is enumerated.
     """
     from .double import require_vacant
+    _require_modulus(m)
     require_vacant(t)
     rows, ncols, svars, tvars = _constraint_system(t)
     gauge = _gauge_matrix(t, svars, tvars)

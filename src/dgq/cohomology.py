@@ -31,12 +31,12 @@ from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, ResourceBudgetError,
                      StructureError, TruncationError)
 from .fields import _is_prime
-from .groupoids import Groupoid
+from .groupoids import Groupoid, connected_decomposition, one_object_group
 # rank_z is not called here but stays importable from this module, next to
 # elementary_divisors, whose length it is
-from .linalg import (SubquotientFp, elementary_divisors, is_zero_matrix,  # noqa: F401
-                     matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
-                     sparse_row, transpose)
+from .linalg import (SubquotientFp, elementary_divisors,  # noqa: F401
+                     invariant_factors, is_zero_matrix, matmul, nullity_fp,
+                     nullspace_fp, rank_fp, rank_z, sparse_row, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 
@@ -122,6 +122,18 @@ class CohomologyReport:
     groups: list
 
 
+def _field(coefficients):
+    """p for ('Fp', p) with p prime, None for 'Z'; anything else raises."""
+    if coefficients == "Z":
+        return None
+    kind, p = coefficients
+    if kind != "Fp":
+        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
+    if not _is_prime(p):
+        raise StructureError("field coefficients need a prime characteristic")
+    return p
+
+
 def _cohomology(mats, dims, coefficients) -> list:
     """H^0..H^N of the cochain complex with differentials ``mats[n]``:
     C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n.
@@ -129,7 +141,8 @@ def _cohomology(mats, dims, coefficients) -> list:
     Each matrix is reduced once: one nullity over F_p, or one Smith form
     over Z, whose length is the rank of d_n and whose entries above 1 are
     the torsion of H^(n+1)."""
-    if coefficients == "Z":
+    p = _field(coefficients)
+    if p is None:
         groups, prev = [], []
         for m, dim in zip(mats, dims):
             divisors = elementary_divisors(m, dim)
@@ -137,9 +150,6 @@ def _cohomology(mats, dims, coefficients) -> list:
                                  tuple(d for d in prev if d > 1)))
             prev = divisors
         return groups
-    kind, p = coefficients
-    if kind != "Fp":
-        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
     groups, rank_prev = [], 0
     for m, dim in zip(mats, dims):
         null = nullity_fp(m, dim, p)
@@ -150,10 +160,43 @@ def _cohomology(mats, dims, coefficients) -> list:
 
 def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
                         budget: int = 500000) -> CohomologyReport:
-    """H^0..H^n_max with coefficients 'Z' or ('Fp', p).
+    """H^0..H^n_max with coefficients 'Z' or ('Fp', p), p prime.
 
-    The tuple bases grow like (arrows)^n; a degree that would exceed the
-    budget raises a resource error before its differential is built."""
+    Cohomology with constant coefficients is invariant under equivalence,
+    and a groupoid is equivalent to the disjoint union of the vertex groups
+    of its components.  So H^n(g) is the direct sum over the components of
+    H^n of the vertex group, whose bar complex is reduced once per distinct
+    vertex table: F_p dimensions and Z ranks add, and Z torsion is merged
+    into invariant factors.  The vertex group's tuple bases grow like
+    (order - 1)^n; a degree that would exceed the budget raises a resource
+    error before its differential is built."""
+    p = _field(coefficients)
+    if n_max < 0:
+        raise StructureError("degree must be nonnegative")
+    by_table, parts = {}, []
+    for comp in connected_decomposition(g):
+        key = tuple(map(tuple, comp.vertex_table))
+        if key not in by_table:
+            by_table[key] = _bar_cohomology(one_object_group(comp.vertex_table),
+                                            n_max, coefficients, budget)
+        parts.append(by_table[key])
+    return CohomologyReport("Z" if p is None else f"F{p}",
+                            [_direct_sum(summands) for summands in zip(*parts)])
+
+
+def _direct_sum(summands):
+    """One cohomology group of a disjoint union from those of its parts."""
+    if isinstance(summands[0], FpGroup):
+        return FpGroup(sum(grp.dim for grp in summands))
+    torsion = invariant_factors(d for grp in summands for d in grp.torsion)
+    return ZGroup(sum(grp.rank for grp in summands),
+                  tuple(d for d in torsion if d > 1))
+
+
+def _bar_cohomology(g: Groupoid, n_max: int, coefficients,
+                    budget: int) -> list:
+    """H^0..H^n_max of g from its full normalized bar complex, built from
+    the nerve of every degree up to n_max + 1."""
     mats, dims, basis = [], [], None
     for n in range(n_max + 2):
         nxt = nerve(g, n)
@@ -166,9 +209,7 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
                                          nxt, _groupoid_faces(g, n - 1)))
         basis = nxt
     del basis, nxt      # the top nerve, the largest, is not needed to reduce
-    groups = _cohomology(mats, dims, coefficients)
-    return CohomologyReport(
-        "Z" if coefficients == "Z" else f"F{coefficients[1]}", groups)
+    return _cohomology(mats, dims, coefficients)
 
 
 # -- the double complex -----------------------------------------------------
@@ -538,8 +579,7 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
     """
     from .double import require_vacant
     require_vacant(t)
-    if not _is_prime(p):
-        raise StructureError("field coefficients need a prime characteristic")
+    _field(("Fp", p))
     # The total complexes come first: a grid that fails d.d = 0 (possible
     # under the literal normalization) is refused before any groupoid
     # cohomology runs, and no total matrix is left alive while the

@@ -162,6 +162,53 @@ def test_h0_counts_components():
     assert groupoid_cohomology(g2, 0, ("Fp", 7)).groups[0].dim == 2
 
 
+# -- the vertex-group route against the full nerve ----------------------------
+
+
+def _route_cases():
+    """Every corpus groupoid, and the diagonal and both edge groupoids of
+    each vacant corpus instance."""
+    from dgq import io as dio
+    from dgq.matched import diagonal_groupoid, from_vacant_double
+    from dgq.samples import vacant_corpus
+    cases = {path.stem: doc.payload for path in sorted(CORPUS.glob("*.json"))
+             if (doc := dio.load_path(path)).kind == "groupoid"}
+    for name, t in vacant_corpus().items():
+        cases[f"{name}.diagonal"] = diagonal_groupoid(
+            from_vacant_double(t)).groupoid
+        cases[f"{name}.horiz"] = t.horiz
+        cases[f"{name}.vert"] = t.vert
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+# Over Z the full nerve is reduced through degree 2: degree 3 needs the
+# Smith form of d_3 of product_s3_x21's diagonal, 29,282 x 2,662, which
+# densifies to 78 million entries; degree 2 stops at d_2, 2,662 x 242.
+Z_ORACLE_DEGREE = 2
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_vertex_groups_agree_with_the_full_nerve(name):
+    g = ROUTE_CASES[name]
+    for coefficients, top in ((("Fp", 2), 3), (("Fp", 3), 3),
+                              ("Z", Z_ORACLE_DEGREE)):
+        full = coh._bar_cohomology(g, top, coefficients, 10 ** 6)
+        assert groupoid_cohomology(g, top, coefficients).groups == full, (
+            coefficients)
+
+
+def test_integral_torsion_of_a_union_is_merged_into_invariant_factors():
+    from dgq.groupoids import disjoint_union
+    g = disjoint_union(one_object_group(cyclic_table(2)),
+                       one_object_group(cyclic_table(3)))
+    skeleton = groupoid_cohomology(g, 2, "Z").groups
+    assert skeleton == coh._bar_cohomology(g, 2, "Z", 10 ** 6)
+    # Z/2 + Z/3 is Z/6; listing the parts' torsion side by side gives (2, 3)
+    assert skeleton[2] == ZGroup(0, (6,))
+    assert skeleton[0] == ZGroup(2, ())
+
+
 # -- double complex -----------------------------------------------------------
 
 
@@ -353,20 +400,28 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
     calls = _count_calls(monkeypatch, ["total_matrix", "nerve",
                                        "groupoid_cohomology",
                                        "build_double_complex"])
-    coh.kac_report(vacant_corpus["x23"], 2)
+    t = vacant_corpus["x23"]
+    coh.kac_report(t, 2)
     built = [(part, n) for _, part, n in calls["total_matrix"]]
     assert sorted(built) == sorted((part, n) for part in "DEA"
                                    for n in range(4))
-    # groupoid_cohomology(g, 3) needs nerve(g, 0..4) of the diagonal and
-    # the two edge groupoids; the double complex's edge bases need the
-    # edge groupoids' nerves in degrees 1..4
-    nerves = [(id(g), n) for g, n in calls["nerve"]]
-    cohomology_of = [id(g) for g, *_ in calls["groupoid_cohomology"]]
+    # The double complex's edge bases are the edge groupoids' nerves in
+    # degrees 1..4.  groupoid_cohomology builds no nerve of the diagonal or
+    # edge groupoids, only those of their vertex groups in degrees 0..4:
+    # every component of x23's three groupoids has the trivial vertex group,
+    # so each call reduces one vertex table.
+    cohomology_of = {id(g) for g, *_ in calls["groupoid_cohomology"]}
     assert len(cohomology_of) == 3
-    expected = [(g, n) for g in cohomology_of for n in range(5)]
-    t = vacant_corpus["x23"]
-    expected += [(id(g), n) for g in (t.vert, t.horiz) for n in range(1, 5)]
-    assert sorted(nerves) == sorted(expected)
+    assert {id(t.horiz), id(t.vert)} <= cohomology_of
+    of_given = [(id(g), n) for g, n in calls["nerve"] if id(g) in cohomology_of]
+    assert sorted(of_given) == sorted((id(g), n) for g in (t.vert, t.horiz)
+                                      for n in range(1, 5))
+    vertex = [(g, n) for g, n in calls["nerve"] if id(g) not in cohomology_of]
+    groups = {id(g): g for g, _ in vertex}
+    assert len(groups) == 3
+    assert all(g.n_objects == 1 and g.n_arrows == 1 for g in groups.values())
+    assert sorted((id(g), n) for g, n in vertex) == sorted(
+        (k, n) for k in groups for n in range(5))
     assert len(calls["build_double_complex"]) == 1
 
 
@@ -374,8 +429,9 @@ def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
                                                    vacant_corpus):
     calls = _count_calls(monkeypatch, ["nullity_fp", "rank_fp"])
     rep = coh.kac_report(vacant_corpus["x23"], 2)
-    # 4 groupoid differentials for each of 3 groupoids, 4 total
-    # differentials for each of 3 parts; rank_fp serves only the 7 maps
+    # 4 vertex-group differentials for each of 3 groupoids (one vertex
+    # table each on x23), 4 total differentials for each of 3 parts;
+    # rank_fp serves only the 7 maps
     assert len(calls["nullity_fp"]) == 12 + 12
     assert len(calls["rank_fp"]) == 7
     assert rep.exact

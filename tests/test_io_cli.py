@@ -187,6 +187,16 @@ def test_cli_classes_counts_without_a_gauge_budget(capsys):
     assert json.loads(capsys.readouterr().out)["classes"] == 6
 
 
+@pytest.mark.parametrize("sub", ["classes", "enumerate"])
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_cli_cocycles_rejects_a_modulus_below_one(sub, m, capsys):
+    code = run(["--format", "machine", "cocycles", sub,
+                str(CORPUS / "x22.json"), "--m", m])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "modulus must be >= 1" in err
+
+
 def test_cli_validate_cocycle_reports_tuples_checked(tmp_path, capsys):
     t = dio.load_path(CORPUS / "x22.json").payload
     cp = enumerate_cocycle_pairs(t, 2)[-1]
@@ -226,6 +236,22 @@ def test_cli_cohomology(capsys):
     assert "H^1: dimension 1" in out
     assert run(["cohomology", str(CORPUS / "coarse3_group.json"), "--p", "5",
                 "--degree", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "4", "--degree", "1"], "prime characteristic"),
+    (["--p", "1", "--degree", "1"], "prime characteristic"),
+    (["--p", "3", "--degree", "-1"], "degree must be nonnegative"),
+    (["--integral", "--degree", "-1"], "degree must be nonnegative"),
+])
+def test_cli_cohomology_rejects_bad_coefficients_and_degrees(argv, message,
+                                                             capsys):
+    # a composite p once left the eliminator spinning: it inverts by Fermat
+    code = run(["--format", "machine", "cohomology",
+                str(CORPUS / "s3_group.json"), *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_cli_convert_round_trip(tmp_path, capsys):

@@ -83,22 +83,39 @@ def test_rank_and_nullity_match_dense_oracle(mat, p):
 
 
 @SETTINGS
+@given(dense_matrices(), st.sampled_from(PRIMES), st.randoms())
+def test_rank_is_invariant_under_row_and_column_permutations(mat, p, rnd):
+    dense, ncols = mat
+    rows = [list(row) for row in dense]
+    rnd.shuffle(rows)
+    perm = list(range(ncols))
+    rnd.shuffle(perm)
+    permuted = [[row[j] for j in perm] for row in rows]
+    assert rank_fp(to_sparse(permuted), p) == rank_fp(to_sparse(dense), p)
+
+
+@SETTINGS
 @given(dense_matrices(), st.sampled_from(PRIMES))
 def test_nullspace_is_the_rref_basis(mat, p):
+    """The basis is the reduced echelon one under rightmost pivots, which is
+    the dense oracle's (leftmost pivots) on the matrix with its columns
+    reversed, read back in the original column order."""
     dense, ncols = mat
     basis = nullspace_fp(to_sparse(dense), ncols, p)
     for x in basis:
         assert all(v % p for v in x.values())
         for row in dense:
             assert sum(a * x.get(j, 0) for j, a in enumerate(row)) % p == 0
-    rref, pivots = dense_rref(dense, ncols, p)
+    last = ncols - 1
+    rref, rev_pivots = dense_rref([row[::-1] for row in dense], ncols, p)
+    pivots = [last - c for c in rev_pivots]
     assert len(basis) == ncols - len(pivots)
     expected = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[free] = 1
         for r, c in enumerate(pivots):
-            vec[c] = -rref[r][free] % p
+            vec[c] = -rref[r][last - free] % p
         expected.append(vec)
     assert to_dense(basis, ncols) == expected
 
