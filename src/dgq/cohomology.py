@@ -39,6 +39,10 @@ from .linalg import (SubquotientFp, elementary_divisors,  # noqa: F401
                      nullspace_fp, rank_fp, rank_z, sparse_row, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
+# the largest tuple or grid basis a complex is built on; a larger one raises
+# a resource error before its differential is built
+BUDGET = 500000
+
 
 # -- single groupoid complex ---------------------------------------------
 
@@ -138,28 +142,28 @@ def _cohomology(mats, dims, coefficients) -> list:
     """H^0..H^N of the cochain complex with differentials ``mats[n]``:
     C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n.
 
-    Each matrix is reduced once: one nullity over F_p, or one Smith form
-    over Z, whose length is the rank of d_n and whose entries above 1 are
-    the torsion of H^(n+1)."""
+    Each matrix with rows is reduced once: one nullity over F_p, or one
+    Smith form over Z, whose length is the rank of d_n and whose entries
+    above 1 are the torsion of H^(n+1).  A matrix with no rows has rank 0."""
     p = _field(coefficients)
     if p is None:
         groups, prev = [], []
         for m, dim in zip(mats, dims):
-            divisors = elementary_divisors(m, dim)
+            divisors = elementary_divisors(m, dim) if m else []
             groups.append(ZGroup(dim - len(divisors) - len(prev),
                                  tuple(d for d in prev if d > 1)))
             prev = divisors
         return groups
     groups, rank_prev = [], 0
     for m, dim in zip(mats, dims):
-        null = nullity_fp(m, dim, p)
+        null = nullity_fp(m, dim, p) if m else dim
         groups.append(FpGroup(null - rank_prev))
         rank_prev = dim - null
     return groups
 
 
 def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
-                        budget: int = 500000) -> CohomologyReport:
+                        budget: int = BUDGET) -> CohomologyReport:
     """H^0..H^n_max with coefficients 'Z' or ('Fp', p), p prime.
 
     Cohomology with constant coefficients is invariant under equivalence,
@@ -252,9 +256,9 @@ def _grid_degenerate(t: DoubleGroupoid, grid, r: int, s: int, mode: str) -> bool
 
 
 def build_double_complex(t: DoubleGroupoid, bound: int,
-                         normalization: str = "strict",
-                         budget: int = 500000) -> DoubleComplexSpec:
-    """Bases and both differentials for all bidegrees with r + s <= bound."""
+                         normalization: str = "strict") -> DoubleComplexSpec:
+    """Bases and both differentials for all bidegrees with r + s <= bound; a
+    basis above :data:`BUDGET` raises a resource error."""
     if normalization not in ("strict", "literal"):
         raise StructureError("normalization must be 'strict' or 'literal'")
     spec = DoubleComplexSpec(t, bound, normalization)
@@ -285,7 +289,7 @@ def build_double_complex(t: DoubleGroupoid, bound: int,
                                  tuple(t.bottom[a] for a in g[-1]), [])]
                 basis = sorted(g for g in grids
                                if not _grid_degenerate(t, g, r, s, normalization))
-            if len(basis) > budget:
+            if len(basis) > BUDGET:
                 raise ResourceBudgetError(
                     f"basis at bidegree ({r},{s}) exceeds budget")
             spec.basis[(r, s)] = basis
@@ -448,8 +452,8 @@ class AbelianInvariants:
         return " + ".join(f"Z/{d}" for d in self.divisors) if self.divisors else "0"
 
 
-def aut_and_opext(t: DoubleGroupoid, m: int,
-                  normalization: str = "strict") -> tuple[AbelianInvariants, AbelianInvariants]:
+def aut_and_opext(t: DoubleGroupoid,
+                  m: int) -> tuple[AbelianInvariants, AbelianInvariants]:
     """(H^0(Tot A, Z/m), H^1(Tot A, Z/m)) as abelian-group invariants.
 
     For prime m this is the field computation; m = 1 is trivial; composite m
@@ -463,11 +467,11 @@ def aut_and_opext(t: DoubleGroupoid, m: int,
         return AbelianInvariants(()), AbelianInvariants(())
     # H^0 and H^1 of Tot A sit at internal degrees 2 and 3
     if _is_prime(m):
-        spec = build_double_complex(t, 4, normalization)
+        spec = build_double_complex(t, 4)
         h = _cohomology(*_total_complex(spec, "A", 4), ("Fp", m))
         return (AbelianInvariants((m,) * h[2].dim),
                 AbelianInvariants((m,) * h[3].dim))
-    spec = build_double_complex(t, 5, normalization)
+    spec = build_double_complex(t, 5)
     h = _cohomology(*_total_complex(spec, "A", 5), "Z")
     out = []
     for n in (2, 3):
@@ -558,7 +562,7 @@ def _move(spec, vec, layout_from, layout_to):
             for lo, hi, shift in shifts if lo <= i < hi}
 
 
-def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
+def kac_report(t: DoubleGroupoid, p: int,
                normalization: str = "strict") -> KacReport:
     """Everything the long exact sequence says at desk scale, over F_p.
 
@@ -584,7 +588,7 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
     # under the literal normalization) is refused before any groupoid
     # cohomology runs, and no total matrix is left alive while the
     # diagonal groupoid's nerve is reduced.
-    tot_d, tot_e, tot_a, nodes = _sequence(t, p, bound, normalization)
+    tot_d, tot_e, tot_a, nodes = _sequence(t, p, normalization)
     coeff = ("Fp", p)
     diag = diagonal_groupoid(from_vacant_double(t)).groupoid
     h_diag, h_horiz, h_vert = (
@@ -596,10 +600,10 @@ def kac_report(t: DoubleGroupoid, p: int, bound: int = 4,
                      tot_a[3], kes_aux, split, nodes)
 
 
-def _sequence(t: DoubleGroupoid, p: int, bound: int, normalization: str):
+def _sequence(t: DoubleGroupoid, p: int, normalization: str):
     """dim H^n of Tot D, Tot E and Tot A (internal degrees) over F_p, and
     the exactness checks of the long sequence at each node."""
-    spec = build_double_complex(t, bound, normalization)
+    spec = build_double_complex(t, 4, normalization)
     # the sequence runs through H^3 of Tot D and Tot E and H^1 of Tot A
     # (internal degree 3); the snake map out of H^3(Tot E) lands in degree 4
     complexes = {part: _total_complex(spec, part, 4) for part in "DEA"}

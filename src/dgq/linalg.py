@@ -1,16 +1,17 @@
-"""Exact linear algebra: prime fields and integer Smith normal form.
+"""Exact linear algebra over prime fields and over the integers.
 
 A matrix is a list of rows.  A row, and likewise a vector, is a
 ``{column: value}`` dict of ints that never stores a zero; where the number
 of columns matters it is passed alongside.  Differentials of bar complexes
-are very sparse, and every routine here keeps them so, with one exception:
-the integer Smith form densifies its input once on entry.
+are very sparse, and every routine here keeps them so.
 
-Over F_p there is one eliminator, :class:`_Echelon`, which pivots each row
-on its rightmost column.  Rank, nullity, nullspaces and subquotients all go
-through it.  Over Z, :func:`invariant_factors` is the one normalisation of
-a list of cyclic orders to d1 | d2 | ...; Smith forms and direct sums of
-torsion both end in it.
+There is one eliminator, :class:`_Echelon`, over F_p and, with p = 0, over
+Z; it pivots each row on its rightmost column.  Over F_p rank, nullity,
+nullspaces and subquotients go through it; over Z the Smith form does, by
+echelon passes on the columns and on the rows in turn.
+:func:`invariant_factors` is the one normalisation of a list of cyclic
+orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
+in it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def is_zero_matrix(a) -> bool:
     return not any(a)
 
 
-# -- the F_p eliminator ------------------------------------------------------
+# -- the eliminator ----------------------------------------------------------
 
 
 def _mod(row, p: int) -> dict[int, int]:
@@ -65,23 +66,39 @@ def _mod(row, p: int) -> dict[int, int]:
 
 
 def _eliminate(row, f: int, piv, p: int) -> None:
-    """row -= f * piv over F_p, in place, storing no zero."""
-    for c, v in piv.items():
-        nv = (row.get(c, 0) - f * v) % p
-        if nv:
-            row[c] = nv
-        else:
-            del row[c]
+    """row -= f * piv in place, over F_p, or over Z when p is 0; no zero is
+    stored."""
+    if p:
+        for c, v in piv.items():
+            nv = (row.get(c, 0) - f * v) % p
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+    else:
+        for c, v in piv.items():
+            nv = row.get(c, 0) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
 
 
 class _Echelon:
-    """Rows over F_p in echelon form, each stored under its rightmost
-    (largest) column and scaled so that its entry there is 1.
+    """Rows over F_p, or over Z when p is 0, in echelon form: each is stored
+    under its rightmost (largest) column, its pivot, which no other stored
+    row shares.
 
     A row that enters is reduced by the stored rows, rightmost column first,
-    until that column has no stored row.  Where a ``combo`` is passed it
-    follows the row through every step: it records which combination of
-    tracked inputs the row equals (see :class:`SubquotientFp`).
+    until that column has no stored row.  An entry that is a multiple of the
+    stored pivot is cleared by that multiple of the stored row; over F_p
+    every pivot is 1, so no other step runs.  Over Z, any other entry first
+    takes a gcd step, Euclid's algorithm on the two rows: the stored row
+    ends as a combination of the two whose entry there is their gcd, and
+    the entering row as one whose entry there is 0.  All steps are
+    unimodular.  Where a ``combo`` is passed it follows the row through
+    every step: it records which combination of tracked inputs the row
+    equals (see :class:`SubquotientFp` and :func:`smith_with_transform`).
 
     On the bar differentials of this package rightmost pivots meet much less
     fill-in than leftmost ones: the F_2 rank of S3's d_4 (3125 x 625) runs
@@ -95,43 +112,73 @@ class _Echelon:
     def reduce(self, row, combo=None):
         """Reduce ``row`` in place; return its new rightmost column, or None
         once it is zero."""
-        rows, p = self.rows, self.p
+        rows, combos, p = self.rows, self.combos, self.p
         while row:
             c = max(row)
             piv = rows.get(c)
             if piv is None:
                 return c
             f = row[c]
+            if not p:
+                # over Z, Euclid's algorithm on the two rows: each step
+                # stores the remainder row and carries on with the other
+                while f % piv[c]:
+                    q = f // piv[c]
+                    for store, vec in ((rows, row), (combos, combo)):
+                        if vec is not None:
+                            _eliminate(vec, q, store[c], 0)
+                            store[c], held = dict(vec), store[c]
+                            vec.clear()
+                            vec.update(held)
+                    piv, f = rows[c], row[c]
+                f //= piv[c]
             _eliminate(row, f, piv, p)
             if combo is not None:
-                _eliminate(combo, f, self.combos[c], p)
+                _eliminate(combo, f, combos[c], p)
         return None
 
     def add(self, row, combo=None) -> bool:
-        """Reduce ``row`` and store what is left; False if nothing is."""
+        """Reduce ``row`` and store what is left; False if nothing is.  Over
+        F_p the stored row, and its combo, are scaled to a pivot of 1."""
         c = self.reduce(row, combo)
         if c is None:
             return False
         p = self.p
-        inv = pow(row[c], p - 2, p)
-        for vec in (row, combo or {}):
-            for k, v in vec.items():
-                vec[k] = v * inv % p
+        if p:
+            inv = pow(row[c], p - 2, p)
+            for vec in (row, combo or {}):
+                for k, v in vec.items():
+                    vec[k] = v * inv % p
         self.rows[c] = row
         if combo is not None:
             self.combos[c] = combo
         return True
 
     def reduced(self) -> dict[int, dict[int, int]]:
-        """The stored rows in reduced echelon form (combos are not kept up).
+        """The stored rows in reduced echelon form, their combos following:
+        each entry at another row's pivot column is cleared over F_p, and
+        over Z brought below that pivot, to its remainder by floor division.
 
-        Rows are cleared left to right, so each row subtracted is already
-        zero at every other stored column and adds none back."""
-        rows, p = self.rows, self.p
+        Rows are reduced left to right, each at its pivot columns right to
+        left: a row subtracted changes only columns still to come.  Over F_p,
+        being reduced already, it adds no pivot column; over Z the ones it
+        adds join the queue."""
+        rows, combos, p = self.rows, self.combos, self.p
         for c in sorted(rows):
             row = rows[c]
-            for k in [k for k in row if k != c and k in rows]:
-                _eliminate(row, row[k], rows[k], p)
+            todo = sorted(k for k in row if k != c and k in rows)
+            while todo:
+                k = todo.pop()
+                piv = rows[k]
+                f = row.get(k, 0) // piv[k]
+                if f:
+                    new = [j for j in piv if j in rows and j not in row]
+                    _eliminate(row, f, piv, p)
+                    if combos:
+                        _eliminate(combos[c], f, combos[k], p)
+                    if new:
+                        todo += new
+                        todo.sort()
         return rows
 
 
@@ -200,99 +247,47 @@ class SubquotientFp:
 # -- integer Smith normal form ------------------------------------------
 
 
-def _xgcd(a: int, b: int):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def smith_with_transform(rows, ncols: int):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Returns (diagonal entries, T) where T is the accumulated column transform,
-    so that x = T y turns A x = 0 into D y = 0.  Divisibility of the diagonal
-    is not enforced here; see :func:`elementary_divisors`.  The sparse input
-    is made dense once, here.
-    """
-    d = [[0] * ncols for _ in rows]
-    for drow, row in zip(d, rows):
-        for j, v in row.items():
-            if not 0 <= j < ncols:
-                raise StructureError(
-                    f"column {j} outside a matrix of {ncols} columns")
-            drow[j] = v
-    m, n = len(d), ncols
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    Returns (diagonal, T), the diagonal positive and T a list of ``ncols``
+    sparse columns over the columns of A with |det T| = 1: the first go with
+    the diagonal entries, and the rest span ker A.  So x = T y turns A x = 0
+    into d_k y_k = 0, with d_k = 0 past the diagonal.  Divisibility along the
+    diagonal is not enforced here; see :func:`elementary_divisors`.
 
-    def row_op(i1, i2, j):
-        # keep the pivot row fixed whenever plain elimination works, so the
-        # pivot strictly improves and the sweep terminates
-        a, b = d[i1][j], d[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            d[i1], d[i2] = d[i2], d[i1]
-            return
-        if b % a == 0:
-            q = b // a
-            r1, r2 = d[i1], d[i2]
-            for jj in range(n):
-                r2[jj] -= q * r1[jj]
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        r1, r2 = d[i1], d[i2]
-        for jj in range(n):
-            u, v = r1[jj], r2[jj]
-            r1[jj] = x * u + y * v
-            r2[jj] = -bg * u + ag * v
-
-    def col_op(j1, j2, i):
-        a, b = d[i][j1], d[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for r in d:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in t:
-                r[j1], r[j2] = r[j2], r[j1]
-            return
-        if b % a == 0:
-            q = b // a
-            for r in d:
-                r[j2] -= q * r[j1]
-            for r in t:
-                r[j2] -= q * r[j1]
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for r in d:
-            u, v = r[j1], r[j2]
-            r[j1] = x * u + y * v
-            r[j2] = -bg * u + ag * v
-        for r in t:
-            u, v = r[j1], r[j2]
-            r[j1] = x * u + y * v
-            r[j2] = -bg * u + ag * v
-
-    for k in range(min(m, n)):
-        while True:
-            for i in range(k + 1, m):
-                row_op(k, i, k)
-            if all(d[k][j] == 0 for j in range(k + 1, n)):
-                break
-            for j in range(k + 1, n):
-                col_op(k, j, k)
-            if all(d[i][k] == 0 for i in range(k + 1, m)):
-                break
-    diag = [abs(d[k][k]) for k in range(min(m, n))]
-    return diag, t
+    Echelon passes over Z on the rows and on the columns alternate, each
+    ended by :meth:`_Echelon.reduced`, until every column has one entry.  A
+    pass on the columns carries T as combos; one on the rows carries
+    nothing, since row operations do not change the solutions.  Each pass
+    lists its lines in the order of their pivots, so its trailing pivot is
+    alone in its line, and the next pass replaces it by the gcd of the line
+    across, which includes it.  The trailing pivot thus at least halves, or
+    divides that line, which the reduction then clears for good.  So the
+    trailing pivots descend lexicographically, the classical argument for
+    alternating Hermite forms (Kannan and Bachem, SIAM J. Comput. 8, 1979),
+    and the loop ends."""
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise StructureError(f"a column outside a matrix of {ncols} columns")
+    lines = (dict(row) for row in rows)
+    combos, kernel = [{j: 1} for j in range(ncols)], []
+    while True:
+        echelon = _Echelon(0)
+        for row in lines:
+            echelon.add(row)
+        pivots = sorted(echelon.reduced())
+        lines = transpose([echelon.rows[c] for c in pivots], len(combos))
+        echelon = _Echelon(0)
+        for col, combo in zip(lines, combos):
+            if not echelon.add(col, combo):
+                kernel.append(combo)
+        pivots = sorted(echelon.reduced())
+        lines = [echelon.rows[c] for c in pivots]
+        combos = [echelon.combos[c] for c in pivots]
+        if all(len(col) == 1 for col in lines):
+            diag = [abs(v) for col in lines for v in col.values()]
+            return diag, combos + kernel
+        lines = transpose(lines, len(pivots))
 
 
 def invariant_factors(orders) -> list[int]:
@@ -315,8 +310,7 @@ def invariant_factors(orders) -> list[int]:
 
 def elementary_divisors(rows, ncols: int) -> list[int]:
     """Nonzero diagonal of the true Smith form, with d1 | d2 | ... enforced."""
-    diag, _ = smith_with_transform(rows, ncols)
-    return invariant_factors(abs(v) for v in diag if v != 0)
+    return invariant_factors(smith_with_transform(rows, ncols)[0])
 
 
 def rank_z(rows, ncols: int) -> int:
@@ -327,20 +321,18 @@ def solutions_mod_m(rows, ncols: int, m: int):
     """(count, iterator) of the solutions of A x = 0 over Z/m, both from one
     Smith form with transform.
 
-    With SAT = D the solutions are x = T y where each y_k runs over the
-    multiples of m // gcd(d_k, m); the iterator yields each solution once,
-    as a tuple.  Only the columns of T whose y_k can be nonzero are read.
+    With x = T y, each y_k runs over the multiples of m // gcd(d_k, m), where
+    d_k = 0 past the diagonal; the iterator yields each solution once, as a
+    tuple.  Only the columns of T whose y_k can be nonzero are read.
     """
     diag, t = smith_with_transform(rows, ncols)
     steps = []
-    for k in range(ncols):
-        dk = diag[k] if k < len(diag) else 0
+    for dk in diag + [0] * (ncols - len(diag)):
         g = gcd(dk % m, m)        # gcd(0, m) = m: y_k free
         # y_k must satisfy d_k y_k = 0 mod m: g choices
         steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
     free = [k for k in range(ncols) if len(steps[k]) > 1]
-    cols = [[(i, t[i][k] % m) for i in range(ncols) if t[i][k] % m]
-            for k in free]
+    cols = [[(i, v % m) for i, v in t[k].items() if v % m] for k in free]
 
     def solutions():
         for y in itertools.product(*(steps[k] for k in free)):

@@ -219,14 +219,15 @@ def oracle_orbit_count(t, m):
 
 
 def oracle_solutions(rows, ncols, m):
-    """Every solution x = T y in turn, summed over the whole transform."""
+    """Every solution x = T y in turn, summed over the whole transform (its
+    ``ncols`` sparse columns, each read at every row)."""
     diag, t = smith_with_transform(rows, ncols)
     steps = []
     for k in range(ncols):
         g = gcd((diag[k] if k < len(diag) else 0) % m, m)
         steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
     for y in itertools.product(*steps):
-        yield tuple(sum(t[i][k] * y[k] for k in range(ncols)) % m
+        yield tuple(sum(t[k].get(i, 0) * y[k] for k in range(ncols)) % m
                     for i in range(ncols))
 
 

@@ -62,10 +62,10 @@ def to_dense(rows, ncols):
 
 
 @st.composite
-def dense_matrices(draw, max_rows=6, max_cols=6, min_size=0):
+def dense_matrices(draw, max_rows=6, max_cols=6, min_size=0,
+                   entry=st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4))):
     nrows = draw(st.integers(min_size, max_rows))
     ncols = draw(st.integers(min_size, max_cols))
-    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4))
     return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows)), ncols
 
@@ -201,14 +201,48 @@ def test_produced_matrices_store_no_zero():
 # -- integers ----------------------------------------------------------------
 
 
+def sympy_divisors(dense):
+    snf = smith_normal_form(Matrix(dense))
+    return sorted(abs(snf[i, i]) for i in range(min(snf.shape))
+                  if snf[i, i] != 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dense_matrices(max_rows=5, max_cols=5, min_size=1))
 def test_elementary_divisors_match_sympy(mat):
     dense, ncols = mat
-    snf = smith_normal_form(Matrix(dense))
-    expected = sorted(abs(snf[i, i]) for i in range(min(snf.shape))
-                      if snf[i, i] != 0)
-    assert elementary_divisors(to_sparse(dense), ncols) == expected
+    assert elementary_divisors(to_sparse(dense), ncols) == sympy_divisors(dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_matrices(max_rows=8, max_cols=8, min_size=1,
+                      entry=st.one_of(st.just(0), st.integers(-35, 35))))
+def test_smith_transform_is_unimodular_and_ends_in_the_kernel(mat):
+    dense, ncols = mat
+    assert elementary_divisors(to_sparse(dense), ncols) == sympy_divisors(dense)
+    diag, t = smith_with_transform(to_sparse(dense), ncols)
+    assert len(t) == ncols and all(d > 0 for d in diag)
+    assert abs(Matrix(to_dense(t, ncols)).det()) == 1
+    for col in t[len(diag):]:
+        for row in dense:
+            assert sum(a * col.get(j, 0) for j, a in enumerate(row)) == 0
+
+
+# With the reduction step of the echelon passes switched off, the alternating
+# passes never end on this matrix: they cycle, one state repeating every 12
+# passes.  With it they end after one pass on the rows and one on the columns.
+PINNED = [[0, 0, 3, 2, -4], [0, -4, 0, -1, 3], [0, 0, 1, 0, 1],
+          [1, 3, 2, 2, -4], [-1, 0, 3, 0, 1]]
+
+
+@pytest.mark.parametrize("m", (2, 6, 11))
+def test_smith_ends_on_a_matrix_whose_passes_need_the_reduction(m):
+    assert elementary_divisors(to_sparse(PINNED), 5) == sympy_divisors(PINNED)
+    count, solutions = solutions_mod_m(to_sparse(PINNED), 5, m)
+    brute = [x for x in itertools.product(range(m), repeat=5)
+             if all(sum(a * v for a, v in zip(row, x)) % m == 0
+                    for row in PINNED)]
+    assert sorted(solutions) == brute and count == len(brute)
 
 
 def test_smith_rejects_a_column_outside_the_matrix():
