@@ -8,7 +8,7 @@ are very sparse, and every routine here keeps them so.
 There is one eliminator, :class:`_Echelon`, over F_p and, with p = 0, over
 Z; it pivots each row on its rightmost column.  Over F_p rank, nullity,
 nullspaces and subquotients go through it; over Z the Smith form does, by
-echelon passes on the columns and on the rows in turn.
+echelon passes on the rows and on the columns in turn.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.

@@ -17,7 +17,7 @@ from dgq.cohomology import (build_double_complex, differential_matrix,
 from dgq.double import build_Xrs
 from dgq.errors import StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
-from dgq.linalg import (SubquotientFp, count_solutions_mod_m,
+from dgq.linalg import (SubquotientFp, _Echelon, count_solutions_mod_m,
                         elementary_divisors, matmul, nullity_fp, nullspace_fp,
                         rank_fp, smith_with_transform, solutions_mod_m)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
@@ -214,18 +214,47 @@ def test_elementary_divisors_match_sympy(mat):
     assert elementary_divisors(to_sparse(dense), ncols) == sympy_divisors(dense)
 
 
+INTEGER_MATRICES = dense_matrices(
+    max_rows=8, max_cols=8, min_size=1,
+    entry=st.one_of(st.just(0), st.integers(-35, 35)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(dense_matrices(max_rows=8, max_cols=8, min_size=1,
-                      entry=st.one_of(st.just(0), st.integers(-35, 35))))
+@given(INTEGER_MATRICES)
 def test_smith_transform_is_unimodular_and_ends_in_the_kernel(mat):
+    """U A T = D for some unimodular U: the columns of A T past the diagonal
+    are zero, and dividing column k by d_k leaves a matrix whose elementary
+    divisors are all 1, so it extends to the unimodular U^-1."""
     dense, ncols = mat
     assert elementary_divisors(to_sparse(dense), ncols) == sympy_divisors(dense)
     diag, t = smith_with_transform(to_sparse(dense), ncols)
     assert len(t) == ncols and all(d > 0 for d in diag)
-    assert abs(Matrix(to_dense(t, ncols)).det()) == 1
-    for col in t[len(diag):]:
-        for row in dense:
-            assert sum(a * col.get(j, 0) for j, a in enumerate(row)) == 0
+    tm = Matrix(to_dense(t, ncols)).T
+    assert abs(tm.det()) == 1
+    at = Matrix(dense) * tm
+    assert at[:, len(diag):].is_zero_matrix
+    for k, d in enumerate(diag):
+        assert all(v % d == 0 for v in at[:, k])
+        at[:, k] = at[:, k] / d
+    assert sympy_divisors(at[:, :len(diag)].tolist()) == [1] * len(diag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(INTEGER_MATRICES)
+def test_reduced_z_echelon_keeps_its_combos_and_bounds_its_entries(mat):
+    """Over Z each stored row, after the reduction, still equals the
+    combination of the inputs its combo records, and each of its entries at
+    another row's pivot column lies below that pivot."""
+    dense, ncols = mat
+    echelon = _Echelon(0)
+    for i, row in enumerate(to_sparse(dense)):
+        echelon.add(row, {i: 1})
+    rows = echelon.reduced()
+    for c, row in rows.items():
+        combo = echelon.combos[c]
+        assert to_dense([row], ncols)[0] == [
+            sum(x * dense[i][j] for i, x in combo.items()) for j in range(ncols)]
+        assert all(row[k] // rows[k][k] == 0 for k in row if k != c and k in rows)
 
 
 # With the reduction step of the echelon passes switched off, the alternating
