@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 the mathematics failed (axiom violated, not vacant,
 sequence not exact, ...), 2 malformed input or unsupported configuration.
 Reports are deterministic; ``--format machine`` emits a single JSON object
-with sorted keys and no timestamps.
+with sorted keys and no timestamps, written key by key (the pairs of
+``cocycles enumerate`` one at a time).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 
 from . import cocycles as ccy
 from . import cohomology as coh
@@ -59,14 +61,31 @@ class Output:
         self.lines.append(line)
 
     def flush(self, command: str, ok: bool) -> None:
-        if self.fmt == "machine":
-            self.data["command"] = command
-            self.data["ok"] = ok
-            print(json.dumps(self.data, sort_keys=True))
-        else:
+        """Print the text lines, or the machine object key by key in sorted
+        order: the bytes of ``json.dumps(data, sort_keys=True)``.  A value
+        given as an iterator of JSON texts is written as the array of those
+        texts, one text at a time, so that it is never held whole."""
+        if self.fmt != "machine":
             for line in self.lines:
                 print(line)
             print("result: " + ("pass" if ok else "FAIL"))
+            return
+        self.data["command"] = command
+        self.data["ok"] = ok
+        write = sys.stdout.write
+        sep = "{"
+        for key in sorted(self.data):
+            write(f"{sep}{json.dumps(key)}: ")
+            sep = ", "
+            value = self.data[key]
+            if isinstance(value, Iterator):
+                write("[")
+                for i, text in enumerate(value):
+                    write(", " + text if i else text)
+                write("]")
+            else:
+                write(json.dumps(value, sort_keys=True))
+        write("}\n")
 
 
 def _note_checked(out: Output, rep) -> None:
@@ -200,8 +219,8 @@ def cmd_cocycles_enumerate(args, out: Output) -> int:
     pairs = ccy.enumerate_cocycle_pairs(t, args.m, args.budget)
     out.put("modulus", args.m)
     out.put("count", len(pairs))
-    docs = [dio.cocycle_object(t, cp) for cp in pairs]
-    out.put("pairs", docs, f"pairs: {len(docs)} (machine format lists them)")
+    out.put("pairs", dio.cocycle_texts(t, pairs),
+            f"pairs: {len(pairs)} (machine format lists them)")
     return 0
 
 

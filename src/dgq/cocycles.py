@@ -177,8 +177,10 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
                             budget: int = 10 ** 6) -> list[CocyclePair]:
     """All valid pairs, found by solving the (linear) identity system mod m.
 
-    The list is exhaustive, duplicate-free and sorted.  An over-budget
-    solution set raises instead of silently truncating.
+    The list is exhaustive, duplicate-free and sorted, and every pair has
+    passed :func:`validate_cocycle_pair`.  A solver that gives other than
+    its count of distinct pairs raises, as does an over-budget solution set,
+    instead of silently shrinking or truncating the list.
     """
     from .double import require_vacant
     _require_modulus(m)
@@ -189,7 +191,7 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     if count > budget:
         raise ResourceBudgetError(
             f"{count} cocycle pairs exceed the budget {budget}")
-    out = set()
+    out = []
     for sol in solutions:
         sigma = [0] * len(vp)
         tau = [0] * len(hp)
@@ -197,8 +199,12 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
             sigma[i] = sol[k]
         for k, j in enumerate(tvars):
             tau[j] = sol[len(svars) + k]
-        out.add(CocyclePair(m, tuple(sigma), tuple(tau)))
+        out.append(CocyclePair(m, tuple(sigma), tuple(tau)))
     result = sorted(out, key=lambda c: (c.sigma, c.tau))
+    if len(result) != count or any(a == b for a, b in zip(result, result[1:])):
+        raise InternalConsistencyError(
+            f"the solver gave {len(result)} pairs with repeats or gaps for "
+            f"{count} solutions")
     for cp in result:
         bad = validate_cocycle_pair(t, cp)
         if not bad.ok:

@@ -306,10 +306,28 @@ def cocycle_document(t: DoubleGroupoid, cp: CocyclePair) -> CocycleDocument:
     return CocycleDocument(cp.modulus, sigma, tau)
 
 
-def cocycle_object(t: DoubleGroupoid, cp: CocyclePair) -> dict:
-    """The JSON object of a pair bound to ``t``: the body that :func:`emit`
-    writes for its document, without ``kind`` and ``version``."""
-    return _cocycle_to_obj(cocycle_document(t, cp))
+def cocycle_texts(t: DoubleGroupoid, pairs):
+    """The JSON text of each pair bound to ``t``, one pair at a time: what
+    ``json.dumps(body, sort_keys=True)`` writes for the body that :func:`emit`
+    writes for its document, without ``kind`` and ``version``.
+
+    The pairs of ``t.pair_domains()`` are sorted, so each table's entries
+    come out in the document's order; the ``[a, b, `` prefix of each entry
+    is built once.
+    """
+    vp, hp, _, _ = t.pair_domains()
+    sigma_prefixes = [f"[{a}, {b}, " for a, b in vp]
+    tau_prefixes = [f"[{a}, {b}, " for a, b in hp]
+
+    entry = "{}{}]".format
+
+    def table(prefixes, values):
+        return "[" + ", ".join(map(entry, prefixes, values)) + "]"
+
+    for cp in pairs:
+        yield (f'{{"modulus": {cp.modulus}, "sigma": '
+               f'{table(sigma_prefixes, cp.sigma)}, "tau": '
+               f'{table(tau_prefixes, cp.tau)}}}')
 
 
 def _field_from_obj(obj: dict, context: str) -> FieldSpec:

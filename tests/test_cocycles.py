@@ -7,7 +7,9 @@ from dgq.cocycles import (CocyclePair, count_modulo_gauge, embed_in_field,
                           enumerate_cocycle_pairs, gauge_transform,
                           identity_boxes, validate_cocycle_pair, zero_pair)
 from dgq.double import build_Xrs
-from dgq.errors import ResourceBudgetError, StructureError, UnembeddableError
+from dgq import cocycles
+from dgq.errors import (InternalConsistencyError, ResourceBudgetError,
+                        StructureError, UnembeddableError)
 from dgq.fields import FieldSpec
 from dgq.samples import s3_double
 from test_cocycles_oracle import all_normalized_gauges, is_gauge_equivalent
@@ -135,6 +137,21 @@ def test_budget_guard():
     t = build_Xrs(2, 3)
     with pytest.raises(ResourceBudgetError):
         enumerate_cocycle_pairs(t, 2, budget=1)
+
+
+def test_repeated_solutions_raise(monkeypatch):
+    # a solver that repeats a solution must not shrink the list silently
+    real = cocycles.solutions_mod_m
+
+    def repeating(rows, ncols, m):
+        count, solutions = real(rows, ncols, m)
+        solutions = list(solutions)
+        solutions[-1] = solutions[0]
+        return count, iter(solutions)
+
+    monkeypatch.setattr(cocycles, "solutions_mod_m", repeating)
+    with pytest.raises(InternalConsistencyError, match="repeats"):
+        enumerate_cocycle_pairs(build_Xrs(2, 2), 2)
 
 
 # -- field embedding -------------------------------------------------------------

@@ -1,14 +1,19 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgq import io as dio
 from dgq.cli import Output, _note_checked, run
 from dgq.cocycles import enumerate_cocycle_pairs, validate_cocycle_pair
-from dgq.errors import FormatError, Report
+from dgq.errors import FormatError, Report, ResourceBudgetError
 from dgq.samples import s3_double, s3_matched_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -114,13 +119,25 @@ def test_cocycle_document_binding():
     assert dio.cocycle_pair_for(t, parsed.payload) == cp
 
 
-def test_cocycle_object_is_the_emitted_body():
-    t = s3_double()
-    for cp in enumerate_cocycle_pairs(t, 3):
-        emitted = json.loads(dio.emit(
-            dio.Document("cocycle_pair", dio.cocycle_document(t, cp))))
-        del emitted["kind"], emitted["version"]
-        assert dio.cocycle_object(t, cp) == emitted
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
+    # oracle: the object route, the body emit writes without kind and version
+    for name, t in vacant_corpus.items():
+        try:
+            pairs = enumerate_cocycle_pairs(t, m, budget=2000)
+        except ResourceBudgetError:
+            continue
+        texts = list(dio.cocycle_texts(t, pairs))
+        assert len(texts) == len(pairs), name
+        for cp, text in zip(pairs, texts):
+            body = json.loads(dio.emit(
+                dio.Document("cocycle_pair", dio.cocycle_document(t, cp))))
+            del body["kind"], body["version"]
+            assert text == json.dumps(body, sort_keys=True), name
+            doc = dio.parse(json.dumps({"kind": "cocycle_pair",
+                                        "version": dio.FORMAT_VERSION,
+                                        **json.loads(text)}))
+            assert dio.cocycle_pair_for(t, doc.payload) == cp, name
 
 
 def test_cocycle_domain_mismatch_rejected():
@@ -278,6 +295,60 @@ def test_machine_format_deterministic(capsys):
     third = capsys.readouterr().out
     assert third == first
     assert "time" not in first
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6), st.text(),
+       st.booleans())
+def test_machine_flush_is_json_dumps(data, command, ok):
+    out = Output("machine")
+    for key, value in data.items():
+        out.put(key, value)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        out.flush(command, ok)
+    expected = json.dumps({**data, "command": command, "ok": ok},
+                          sort_keys=True)
+    assert buf.getvalue() == expected + "\n"
+
+
+class _CountingSink:
+    """A stdout that counts the bytes written to it and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_cli_enumerate_streams_its_pairs():
+    # the 1,024 pairs of x23 at m = 2 print 2,330,710 bytes; written one pair
+    # at a time they are never held whole (holding them took 22 MB)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = run(["--format", "machine", "cocycles", "enumerate",
+                        str(CORPUS / "x23.json"), "--m", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.bytes == 2_330_710
+    assert peak < 6 * 2 ** 20
 
 
 def test_every_corpus_file_validates_and_verifies(capsys):
