@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 the mathematics failed (axiom violated, not vacant,
-sequence not exact, ...), 2 malformed input or unsupported configuration.
+sequence not exact, ...), 2 malformed input, unsupported configuration or
+output that cannot be written (a closed pipe, a full disk).
 Reports are deterministic; ``--format machine`` emits a single JSON object
 with sorted keys and no timestamps, written key by key (the pairs of
 ``cocycles enumerate`` one at a time).
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 
@@ -366,7 +368,16 @@ def run(argv=None) -> int:
         # whose grid is not closed under the differentials
         print(f"failed: {exc}", file=sys.stderr)
         return MATH_FAILURE
-    out.flush(_command_name(args), code == 0)
+    try:
+        out.flush(_command_name(args), code == 0)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is still buffered would fail again at exit, so it goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return BAD_INPUT
     return code
 
 

@@ -12,8 +12,6 @@ counting stay integer problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
@@ -22,15 +20,27 @@ from .linalg import (count_solutions_mod_m, is_zero_matrix, matmul,
                      solutions_mod_m, sparse_row, transpose)
 
 
-@dataclass(frozen=True)
 class CocyclePair:
     """Values aligned with ``t.pair_domains()``: ``sigma[i]`` belongs to the
     i-th sorted vertically composable pair, ``tau[j]`` to the j-th sorted
-    horizontally composable pair."""
+    horizontally composable pair.  Instances are immutable by convention."""
 
-    modulus: int
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
+    __slots__ = ("modulus", "sigma", "tau")
+
+    def __init__(self, modulus: int, sigma: tuple[int, ...], tau: tuple[int, ...]):
+        self.modulus = modulus
+        self.sigma = sigma
+        self.tau = tau
+
+    def __eq__(self, other):
+        return (isinstance(other, CocyclePair) and (self.modulus, self.sigma, self.tau)
+                == (other.modulus, other.sigma, other.tau))
+
+    def __hash__(self):
+        return hash((self.modulus, self.sigma, self.tau))
+
+    def __repr__(self):
+        return f"CocyclePair({self.modulus}, {self.sigma}, {self.tau})"
 
 
 def zero_pair(t: DoubleGroupoid, m: int) -> CocyclePair:

@@ -24,7 +24,6 @@ bidegree (r, s) carries (-1)**s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .double import DoubleGroupoid
@@ -102,28 +101,47 @@ def _coboundary_rows(src_index, tgt, faces):
             for chain in tgt]
 
 
-@dataclass(frozen=True)
 class FpGroup:
-    dim: int
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def __eq__(self, other):
+        return isinstance(other, FpGroup) and self.dim == other.dim
+
+    def __hash__(self):
+        return hash(self.dim)
+
+    def __repr__(self):
+        return f"FpGroup({self.dim})"
 
     def __str__(self):
         return f"dim {self.dim}"
 
 
-@dataclass(frozen=True)
 class ZGroup:
-    rank: int
-    torsion: tuple[int, ...]
+    def __init__(self, rank: int, torsion: tuple[int, ...]):
+        self.rank = rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        return (isinstance(other, ZGroup) and (self.rank, self.torsion)
+                == (other.rank, other.torsion))
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion))
+
+    def __repr__(self):
+        return f"ZGroup({self.rank}, {self.torsion})"
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass
 class CohomologyReport:
-    coefficients: str
-    groups: list
+    def __init__(self, coefficients: str, groups: list):
+        self.coefficients = coefficients
+        self.groups = groups
 
 
 def _field(coefficients):
@@ -219,15 +237,15 @@ def _bar_cohomology(g: Groupoid, n_max: int, coefficients,
 # -- the double complex -----------------------------------------------------
 
 
-@dataclass
 class DoubleComplexSpec:
-    t: DoubleGroupoid
-    bound: int
-    normalization: str
-    basis: dict = field(default_factory=dict)     # (r, s) -> list of grids
-    index: dict = field(default_factory=dict)
-    d_h: dict = field(default_factory=dict)       # (r, s) -> matrix to (r, s+1)
-    d_v: dict = field(default_factory=dict)       # (r, s) -> matrix to (r+1, s)
+    def __init__(self, t: DoubleGroupoid, bound: int, normalization: str):
+        self.t = t
+        self.bound = bound
+        self.normalization = normalization
+        self.basis: dict = {}     # (r, s) -> list of grids
+        self.index: dict = {}
+        self.d_h: dict = {}       # (r, s) -> matrix to (r, s+1)
+        self.d_v: dict = {}       # (r, s) -> matrix to (r+1, s)
 
     def positions(self, degree: int):
         return [(r, degree - r) for r in range(degree + 1)]
@@ -436,11 +454,14 @@ def total_cohomology(spec: DoubleComplexSpec, part: str, n: int,
 # -- Aut / Opext ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
     """Elementary divisors of a finite abelian group (empty = trivial)."""
 
-    divisors: tuple[int, ...]
+    def __init__(self, divisors: tuple[int, ...]):
+        self.divisors = divisors
+
+    def __repr__(self):
+        return f"AbelianInvariants({self.divisors})"
 
     def order(self) -> int:
         out = 1
@@ -485,32 +506,36 @@ def aut_and_opext(t: DoubleGroupoid,
 # -- the long exact sequence --------------------------------------------------
 
 
-@dataclass
 class NodeCheck:
-    label: str
-    dim: int
-    rank_in: int
-    rank_out: int
-    composite_zero: bool
+    def __init__(self, label: str, dim: int, rank_in: int, rank_out: int,
+                 composite_zero: bool):
+        self.label = label
+        self.dim = dim
+        self.rank_in = rank_in
+        self.rank_out = rank_out
+        self.composite_zero = composite_zero
 
     @property
     def exact(self) -> bool:
         return self.composite_zero and self.rank_in + self.rank_out == self.dim
 
 
-@dataclass
 class KacReport:
-    p: int
-    h_diag: list[int]          # dim H^n(D_groupoid), n = 0..3
-    h_horiz: list[int]
-    h_vert: list[int]
-    tot_d: list[int]           # dim H^n(Tot D), n = 0..3
-    tot_e: list[int]
-    aut_dim: int               # dim H^0(Tot A)
-    opext_dim: int             # dim H^1(Tot A)
-    kes_aux: dict[int, bool]
-    tot_e_split: dict[int, bool]
-    nodes: list[NodeCheck]
+    def __init__(self, p: int, h_diag: list[int], h_horiz: list[int],
+                 h_vert: list[int], tot_d: list[int], tot_e: list[int],
+                 aut_dim: int, opext_dim: int, kes_aux: dict[int, bool],
+                 tot_e_split: dict[int, bool], nodes: list[NodeCheck]):
+        self.p = p
+        self.h_diag = h_diag          # dim H^n(D_groupoid), n = 0..3
+        self.h_horiz = h_horiz
+        self.h_vert = h_vert
+        self.tot_d = tot_d            # dim H^n(Tot D), n = 0..3
+        self.tot_e = tot_e
+        self.aut_dim = aut_dim        # dim H^0(Tot A)
+        self.opext_dim = opext_dim    # dim H^1(Tot A)
+        self.kes_aux = kes_aux
+        self.tot_e_split = tot_e_split
+        self.nodes = nodes
 
     @property
     def exact(self) -> bool:

@@ -16,8 +16,6 @@ horizontal pasting on g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (InternalConsistencyError, Report, StructureError,
                      VacancyError)
 from .groupoids import UNDEF, Groupoid, validate_groupoid
@@ -187,7 +185,6 @@ class DoubleGroupoid:
                 f"vedges={self.vert.n_arrows}, boxes={self.n_boxes})")
 
 
-@dataclass(frozen=True)
 class CocycleIdentities:
     """Every identity on a pair (sigma, tau), written additively over Z/m.
 
@@ -197,21 +194,24 @@ class CocycleIdentities:
     Only composable triples and squares are listed.
     """
 
-    # (i, (a, b)): s_i = 0, where a or b is a vertical identity
-    sigma_normalization: tuple
-    # (i, (a, b)): u_i = 0, where a or b is a horizontal identity
-    tau_normalization: tuple
-    # (i, j, k, l, (a, b, c)): s(a,b) + s(ab,c) = s(b,c) + s(a,bc)
-    sigma_cocycle: tuple
-    # (i, j, k, l, (a, b, c)): the same for u and horizontal pasting
-    tau_cocycle: tuple
-    # (i, j, k, l, p, q, (a, b, c, d)) for the square a|b over c|d:
-    # s(ab,cd) + u(ac,bd) = u(a,b) + u(c,d) + s(a,c) + s(b,d)
-    compatibility: tuple
-    # (a, i, j): s(a, a^v) = s(a^v, a), a consequence of the rules above
-    sigma_symmetry: tuple
-    # (a, i, j): u(a, a^h) = u(a^h, a)
-    tau_symmetry: tuple
+    def __init__(self, sigma_normalization: tuple, tau_normalization: tuple,
+                 sigma_cocycle: tuple, tau_cocycle: tuple, compatibility: tuple,
+                 sigma_symmetry: tuple, tau_symmetry: tuple):
+        # (i, (a, b)): s_i = 0, where a or b is a vertical identity
+        self.sigma_normalization = sigma_normalization
+        # (i, (a, b)): u_i = 0, where a or b is a horizontal identity
+        self.tau_normalization = tau_normalization
+        # (i, j, k, l, (a, b, c)): s(a,b) + s(ab,c) = s(b,c) + s(a,bc)
+        self.sigma_cocycle = sigma_cocycle
+        # (i, j, k, l, (a, b, c)): the same for u and horizontal pasting
+        self.tau_cocycle = tau_cocycle
+        # (i, j, k, l, p, q, (a, b, c, d)) for the square a|b over c|d:
+        # s(ab,cd) + u(ac,bd) = u(a,b) + u(c,d) + s(a,c) + s(b,d)
+        self.compatibility = compatibility
+        # (a, i, j): s(a, a^v) = s(a^v, a), a consequence of the rules above
+        self.sigma_symmetry = sigma_symmetry
+        # (a, i, j): u(a, a^h) = u(a^h, a)
+        self.tau_symmetry = tau_symmetry
 
 
 def _compile_identities(t: DoubleGroupoid) -> CocycleIdentities:
@@ -249,13 +249,14 @@ def _compile_identities(t: DoubleGroupoid) -> CocycleIdentities:
             for a in t.boxes()))
 
 
-@dataclass(frozen=True)
 class BoxInverseTable:
     """Horizontal, vertical and full inverses of every box."""
 
-    h_inv: tuple[int, ...]
-    v_inv: tuple[int, ...]
-    full_inv: tuple[int, ...]
+    def __init__(self, h_inv: tuple[int, ...], v_inv: tuple[int, ...],
+                 full_inv: tuple[int, ...]):
+        self.h_inv = h_inv
+        self.v_inv = v_inv
+        self.full_inv = full_inv
 
 
 def validate_double_groupoid(t: DoubleGroupoid) -> Report:
@@ -359,10 +360,10 @@ def compute_inverses(t: DoubleGroupoid) -> BoxInverseTable:
 # -- vacancy ----------------------------------------------------------------
 
 
-@dataclass
 class VacancyReport:
-    vacant: bool
-    witness: tuple | None   # (condition, edge pair, filler list) when non-vacant
+    def __init__(self, vacant: bool, witness: tuple | None):
+        self.vacant = vacant
+        self.witness = witness  # (condition, edge pair, filler list) when non-vacant
 
     def __bool__(self):
         return self.vacant
@@ -434,22 +435,21 @@ def transpose(t: DoubleGroupoid) -> DoubleGroupoid:
                           t.hid, t.vid, t.hcomp, t.vcomp)
 
 
-@dataclass(frozen=True)
 class DoubleRelation:
     """Two equivalence relations on a common finite base, given as class
     labels (label = least member of the class)."""
 
-    n_points: int
-    rel_h: tuple[int, ...]
-    rel_v: tuple[int, ...]
-
-    def __post_init__(self):
-        for name, rel in (("rel_h", self.rel_h), ("rel_v", self.rel_v)):
-            if len(rel) != self.n_points:
+    def __init__(self, n_points: int, rel_h: tuple[int, ...],
+                 rel_v: tuple[int, ...]):
+        for name, rel in (("rel_h", rel_h), ("rel_v", rel_v)):
+            if len(rel) != n_points:
                 raise StructureError(f"{name} must label every point")
             for p, c in enumerate(rel):
-                if not 0 <= c < self.n_points or rel[c] != c or c > p:
+                if not 0 <= c < n_points or rel[c] != c or c > p:
                     raise StructureError(f"{name} labels are not canonical at {p}")
+        self.n_points = n_points
+        self.rel_h = rel_h
+        self.rel_v = rel_v
 
 
 def equivalence_from_pairs(n: int, pairs) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
-"""Exception types and validation-report containers shared across the package."""
+"""Exception types and validation-report containers shared across the package.
+
+The records of this package are plain classes, not dataclasses: each command
+line call is a fresh interpreter, and importing ``dataclasses`` and generating
+the methods of its records took about a quarter of a ``verify`` command.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class StructureError(ValueError):
@@ -43,20 +46,29 @@ class InternalConsistencyError(AssertionError):
     """Two routes that must agree by a theorem disagreed.  Always a bug."""
 
 
-@dataclass(frozen=True)
 class Failure:
     """One violated rule together with a minimal witness tuple."""
 
-    rule: str
-    witness: tuple
-    message: str = ""
+    def __init__(self, rule: str, witness: tuple, message: str = ""):
+        self.rule = rule
+        self.witness = witness
+        self.message = message
+
+    def __eq__(self, other):
+        return (isinstance(other, Failure) and (self.rule, self.witness, self.message)
+                == (other.rule, other.witness, other.message))
+
+    def __hash__(self):
+        return hash((self.rule, self.witness, self.message))
+
+    def __repr__(self):
+        return f"Failure({self.rule!r}, {self.witness!r}, {self.message!r})"
 
     def __str__(self) -> str:
         msg = f": {self.message}" if self.message else ""
         return f"{self.rule} at {self.witness}{msg}"
 
 
-@dataclass
 class Report:
     """Outcome of an exhaustive validation: empty failure list means pass.
 
@@ -64,9 +76,10 @@ class Report:
     examined nothing (a vacuous pass) shows.
     """
 
-    subject: str
-    failures: list[Failure] = field(default_factory=list)
-    checked: dict[str, int] = field(default_factory=dict)
+    def __init__(self, subject: str):
+        self.subject = subject
+        self.failures: list[Failure] = []
+        self.checked: dict[str, int] = {}
 
     @property
     def ok(self) -> bool:

@@ -7,7 +7,6 @@ values k in Z/m embed as zeta**k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StructureError, UnembeddableError
@@ -44,7 +43,6 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """char 0 (the rationals) or char p (ints mod p).
 
@@ -52,15 +50,12 @@ class FieldSpec:
     only otherwise; int and Fraction arithmetic mix exactly, and
     ``Fraction(1) == 1``.  ``modulus`` is the order of the designated root of
     unity ``zeta``; untwisted constructions use modulus 1 with zeta = 1.
-    ``zeta`` defaults to :func:`smallest_root`.
+    ``zeta`` defaults to :func:`smallest_root`.  Instances are immutable by
+    convention.
     """
 
-    characteristic: int
-    modulus: int = 1
-    zeta: object = None
-
-    def __post_init__(self):
-        p, m = self.characteristic, self.modulus
+    def __init__(self, characteristic: int, modulus: int = 1, zeta=None):
+        p, m = characteristic, modulus
         if p != 0 and not _is_prime(p):
             raise StructureError(f"characteristic {p} is neither 0 nor prime")
         if m < 1:
@@ -68,7 +63,7 @@ class FieldSpec:
         if p and (p - 1) % m != 0:
             raise UnembeddableError(
                 f"modulus {m} does not divide p - 1 = {p - 1}")
-        zeta = smallest_root(p, m) if self.zeta is None else self.zeta
+        zeta = smallest_root(p, m) if zeta is None else zeta
         if p == 0:
             zeta = _rational(zeta)
             if zeta ** m != 1 or any(zeta ** d == 1 for d in range(1, m)):
@@ -80,7 +75,21 @@ class FieldSpec:
             if pow(zeta, m, p) != 1 or any(pow(zeta, d, p) == 1 for d in range(1, m)):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} mod {p}")
-        object.__setattr__(self, "zeta", zeta)
+        self.characteristic = p
+        self.modulus = m
+        self.zeta = zeta
+
+    def _key(self):
+        return self.characteristic, self.modulus, self.zeta
+
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"FieldSpec({self.characteristic}, {self.modulus}, {self.zeta!r})"
 
     # -- arithmetic ------------------------------------------------------
 

@@ -12,7 +12,6 @@ exhaustive axiom checks are plain scans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, Report, StructureError
 
@@ -299,7 +298,6 @@ def direct_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
 # -- structure decomposition ---------------------------------------------
 
 
-@dataclass
 class Component:
     """One connected component with its group-times-coarse decomposition.
 
@@ -308,14 +306,18 @@ class Component:
     ``vertex_group x coarse(len(objects))``); it is a verified isomorphism.
     """
 
-    objects: list[int]
-    base: int
-    vertex_arrows: list[int]
-    vertex_order: int
-    vertex_table: list[list[int]]
-    transversal: dict[int, int]
-    product: Groupoid
-    iso: dict[int, int]
+    def __init__(self, objects: list[int], base: int, vertex_arrows: list[int],
+                 vertex_order: int, vertex_table: list[list[int]],
+                 transversal: dict[int, int], product: Groupoid,
+                 iso: dict[int, int]):
+        self.objects = objects
+        self.base = base
+        self.vertex_arrows = vertex_arrows
+        self.vertex_order = vertex_order
+        self.vertex_table = vertex_table
+        self.transversal = transversal
+        self.product = product
+        self.iso = iso
 
 
 def connected_decomposition(g: Groupoid) -> list[Component]:
@@ -406,7 +408,6 @@ def ambient_parts(f: int, n: int) -> tuple[int, int, int]:
     return d, p, q
 
 
-@dataclass(frozen=True)
 class WideSubgroupoidData:
     """Group-theoretic data carving a wide subgroupoid out of D(O) x P^2.
 
@@ -418,11 +419,15 @@ class WideSubgroupoidData:
       fixed origin 0 to P.
     """
 
-    n_objects: int
-    relation: tuple[int, ...]
-    vertex_groups: tuple[frozenset[int], ...]
-    coset_reps: dict[tuple[int, int], int]
-    transversal: tuple[int, ...]
+    def __init__(self, n_objects: int, relation: tuple[int, ...],
+                 vertex_groups: tuple[frozenset[int], ...],
+                 coset_reps: dict[tuple[int, int], int],
+                 transversal: tuple[int, ...]):
+        self.n_objects = n_objects
+        self.relation = relation
+        self.vertex_groups = vertex_groups
+        self.coset_reps = coset_reps
+        self.transversal = transversal
 
     def related(self, p: int, q: int) -> bool:
         return self.relation[p] == self.relation[q]

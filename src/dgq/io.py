@@ -15,7 +15,6 @@ Canonical emission sorts every index list ascending and is idempotent:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .cocycles import CocyclePair
 from .double import DoubleGroupoid
@@ -29,21 +28,22 @@ KINDS = ("groupoid", "double_groupoid", "matched_pair", "cocycle_pair",
          "field_spec")
 
 
-@dataclass
 class Document:
-    kind: str
-    payload: object
+    def __init__(self, kind: str, payload: object):
+        self.kind = kind
+        self.payload = payload
 
 
-@dataclass(frozen=True)
 class CocycleDocument:
     """A cocycle pair keyed by explicit box pairs; bind it to a double
     groupoid with :func:`cocycle_pair_for`.  The (a, b, value) entries are
     kept sorted."""
 
-    modulus: int
-    sigma: tuple[tuple[int, int, int], ...]
-    tau: tuple[tuple[int, int, int], ...]
+    def __init__(self, modulus: int, sigma: tuple[tuple[int, int, int], ...],
+                 tau: tuple[tuple[int, int, int], ...]):
+        self.modulus = modulus
+        self.sigma = sigma
+        self.tau = tau
 
 
 def _no_duplicates(pairs):

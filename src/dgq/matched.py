@@ -13,8 +13,6 @@ right g of the corresponding vacant double groupoid is::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (FactorizationError, InternalConsistencyError, Report,
                      StructureError)
 from .double import DoubleGroupoid, filler, require_vacant
@@ -204,15 +202,16 @@ def from_vacant_double(t: DoubleGroupoid) -> MatchedPair:
 # -- diagonal groupoid -------------------------------------------------------
 
 
-@dataclass
 class DiagonalGroupoid:
     """The groupoid V |><| H with arrows (f, y), b(f) = l(y), together with
     the embeddings of V and H realizing the exact factorization."""
 
-    groupoid: Groupoid
-    pairs: list[tuple[int, int]]
-    v_embed: tuple[int, ...]
-    h_embed: tuple[int, ...]
+    def __init__(self, groupoid: Groupoid, pairs: list[tuple[int, int]],
+                 v_embed: tuple[int, ...], h_embed: tuple[int, ...]):
+        self.groupoid = groupoid
+        self.pairs = pairs
+        self.v_embed = v_embed
+        self.h_embed = h_embed
 
 
 def diagonal_groupoid(mp: MatchedPair) -> DiagonalGroupoid:
@@ -310,22 +309,24 @@ def from_exact_factorization(d: Groupoid, v_arrows, h_arrows):
 # -- connected-case group data ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConnectedFactorizationData:
     """Two wide-subgroupoid data sets over the same group, points and
     transversal, describing candidate V and H inside D(O) x P^2."""
 
-    table: tuple[tuple[int, ...], ...]
-    n_points: int
-    v_data: WideSubgroupoidData      # relation ~V, subgroups V_P, reps e_PQ
-    h_data: WideSubgroupoidData      # relation ~H, subgroups H_P, reps d_PQ
+    def __init__(self, table: tuple[tuple[int, ...], ...], n_points: int,
+                 v_data: WideSubgroupoidData, h_data: WideSubgroupoidData):
+        self.table = table
+        self.n_points = n_points
+        self.v_data = v_data      # relation ~V, subgroups V_P, reps e_PQ
+        self.h_data = h_data      # relation ~H, subgroups H_P, reps d_PQ
 
 
-@dataclass
 class FactorizationVerdict:
-    exact: bool
-    failures: list[tuple]            # ("a", (P, Q), element, count) / ("b", P, elem)
-    partition_sizes: dict[tuple[int, int], list[int]]
+    def __init__(self, exact: bool, failures: list[tuple],
+                 partition_sizes: dict[tuple[int, int], list[int]]):
+        self.exact = exact
+        self.failures = failures  # ("a", (P, Q), element, count) / ("b", P, elem)
+        self.partition_sizes = partition_sizes
 
 
 def verify_connected_factorization(data: ConnectedFactorizationData) -> FactorizationVerdict:

@@ -25,8 +25,6 @@ tuples examined per rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cocycles import CocyclePair, embed_in_field, zero_pair
 from .double import (DoubleGroupoid, double_direct_product,
                      double_disjoint_union, require_vacant,
@@ -452,13 +450,14 @@ def check_involutory(w: QuantumGroupoid) -> bool:
     return True
 
 
-@dataclass
 class BlockStructure:
     """Matrix-algebra blocks of the untwisted algebra and coalgebra:
     (component representative object, vertex group order, component size)."""
 
-    algebra_blocks: list[tuple[int, int, int]]
-    coalgebra_blocks: list[tuple[int, int, int]]
+    def __init__(self, algebra_blocks: list[tuple[int, int, int]],
+                 coalgebra_blocks: list[tuple[int, int, int]]):
+        self.algebra_blocks = algebra_blocks
+        self.coalgebra_blocks = coalgebra_blocks
 
 
 def block_structure(w: QuantumGroupoid) -> BlockStructure:

@@ -18,7 +18,6 @@ complex, whose H^1(Tot A) and H^0(Tot A) are the classes and ker G.
 """
 
 import itertools
-from dataclasses import replace
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -32,7 +31,7 @@ from dgq.cocycles import (CocyclePair, _constraint_system, count_modulo_gauge,
                           enumerate_cocycle_pairs, free_boxes,
                           gauge_transform, validate_cocycle_pair, zero_pair)
 from dgq.cohomology import aut_and_opext
-from dgq.double import build_Xrs
+from dgq.double import CocycleIdentities, build_Xrs
 from dgq.errors import InternalConsistencyError, Report, StructureError
 from dgq.linalg import (smith_with_transform, solutions_mod_m, sparse_row,
                         transpose)
@@ -303,7 +302,8 @@ def test_single_entry_corruptions_match_oracle(name, m):
                 for shift in range(1, m):
                     moved = list(table)
                     moved[i] = (moved[i] + shift) % m
-                    bad = replace(cp, **{side: tuple(moved)})
+                    bad = CocyclePair(cp.modulus, **{"sigma": cp.sigma, "tau": cp.tau,
+                                                     side: tuple(moved)})
                     failures, _ = _assert_same(t, bad)
                     failing += bool(failures)
     assert failing
@@ -358,9 +358,10 @@ def test_symmetry_check_raises_on_a_broken_table(side):
     cp = zero_pair(t, 2)
     table = list(getattr(cp, side))
     table[i] = 1
-    cp = replace(cp, **{side: tuple(table)})
-    t._identities = replace(ids, **{f"{side}_normalization": (),
-                                    f"{side}_cocycle": (), "compatibility": ()})
+    cp = CocyclePair(cp.modulus, **{"sigma": cp.sigma, "tau": cp.tau,
+                                    side: tuple(table)})
+    t._identities = CocycleIdentities(**{**vars(ids), f"{side}_normalization": (),
+                                         f"{side}_cocycle": (), "compatibility": ()})
     with pytest.raises(InternalConsistencyError, match=f"{side} symmetry"):
         validate_cocycle_pair(t, cp)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from dgq.errors import FormatError, Report, ResourceBudgetError
 from dgq.samples import s3_double, s3_matched_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
 
 
 def corpus_files():
@@ -376,3 +378,44 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "matrix_size" in proc.stdout
+
+
+def _assert_one_error_line(stderr):
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_cli_closed_pipe_is_an_output_error():
+    """A reader that closes stdout early gets exit 2 and one error line, and
+    the output still buffered is not written again at exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dgq.cli", "--format", "machine", "cocycles",
+         "enumerate", str(CORPUS / "x23.json"), "--m", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.read(20) == '{"command": "cocycle'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 2
+    _assert_one_error_line(stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_full_disk_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgq.cli", "blocks", str(CORPUS / "x22.json")],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Each command is a fresh interpreter, and importing ``dataclasses``
+    (which loads ``inspect``) and generating record methods took about a
+    quarter of a ``verify`` command.  ``-S`` keeps site-wide imports out."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import dgq.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
