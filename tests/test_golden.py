@@ -11,10 +11,11 @@ output is to be pinned) with::
 the corpus, and on x23 over F_3 (with modulus 1 and 2).  ``kac`` with the
 literal normalization (``--strict-normalization off``) is pinned on x11,
 where it passes, and on x22 and x23, where d.d != 0 and it exits 2 with no
-stdout.  ``convert`` runs both ways, ``cocycles enumerate --m 2`` on x22
-and s3_matched_pair, and ``cocycles classes --m 2`` on every double groupoid
-and matched pair, and with ``--m 3`` on x23 and product_s3_x21.  Left out for
-time: ``kac`` on product_s3_x21.
+stdout.  ``convert`` runs both ways.  ``cocycles enumerate`` runs with
+``--m`` 2, 3, 4 and 6 on x22 and s3_matched_pair; the composite moduli pin
+the order in which non-unit pivots yield their pairs.  ``cocycles classes
+--m 2`` runs on every double groupoid and matched pair, and with ``--m 3``
+on x23 and product_s3_x21.  Left out for time: ``kac`` on product_s3_x21.
 """
 
 import io
@@ -62,9 +63,11 @@ def _commands():
                  "--to", "double_groupoid"]))
     out.append(("convert-matched-x22",
                 ["convert", "corpus/x22.json", "--to", "matched_pair"]))
-    for stem in ("x22", "s3_matched_pair"):
-        out.append((f"enumerate-m2-{stem}",
-                    ["cocycles", "enumerate", f"corpus/{stem}.json", "--m", "2"]))
+    for m in ("2", "3", "4", "6"):
+        for stem in ("x22", "s3_matched_pair"):
+            out.append((f"enumerate-m{m}-{stem}",
+                        ["cocycles", "enumerate", f"corpus/{stem}.json",
+                         "--m", m]))
     for tag, flags in (("p3", ["--p", "3"]), ("p3-m2", ["--p", "3", "--m", "2"])):
         out.append((f"wha-verify-{tag}-x23",
                     ["wha", "verify", "corpus/x23.json", *flags]))
