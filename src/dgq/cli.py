@@ -325,7 +325,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("path")
         p.add_argument("--m", type=int, required=True)
         if name == "enumerate":
-            p.add_argument("--budget", type=int, default=10 ** 6)
+            p.add_argument("--budget", type=int, default=10 ** 6,
+                           help="most pairs to write; the pairs are walked "
+                                "one at a time, so it bounds the output, "
+                                "not memory")
 
     p = add("cohomology", cmd_cohomology, help="groupoid cohomology")
     p.add_argument("path")

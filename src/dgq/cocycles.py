@@ -12,6 +12,8 @@ counting stay integer problems.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
@@ -184,43 +186,84 @@ def _require_modulus(m: int) -> None:
 
 
 def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
-                            budget: int = 10 ** 6) -> list[CocyclePair]:
+                            budget: int = 10 ** 6) -> CocyclePairs:
     """All valid pairs, found by solving the (linear) identity system mod m.
 
-    The list is exhaustive, duplicate-free and sorted, and every pair has
-    passed :func:`validate_cocycle_pair`.  A solver that gives other than
-    its count of distinct pairs raises, as does an over-budget solution set,
-    instead of silently shrinking or truncating the list.
+    The count of solutions is checked against ``budget``, the most pairs
+    to write, before any pair is built; a negative budget is bad input.
+    Then one walk of the solutions builds each pair, checks that the pairs
+    strictly increase (so none repeats), validates it with
+    :func:`validate_cocycle_pair` and counts it.  A solver that breaks the
+    order or misses its count raises.  The pairs come back as a
+    :class:`CocyclePairs` view, which walks them afresh, in the same order,
+    each time it is iterated, so memory does not grow with their number.
     """
     from .double import require_vacant
     _require_modulus(m)
+    if budget < 0:
+        raise StructureError("budget must be >= 0")
     require_vacant(t)
-    vp, hp, _, _ = t.pair_domains()
-    rows, ncols, svars, tvars = _constraint_system(t)
+    system = _constraint_system(t)
+    rows, ncols, _, _ = system
     count, solutions = solutions_mod_m(rows, ncols, m)
     if count > budget:
         raise ResourceBudgetError(
-            f"{count} cocycle pairs exceed the budget {budget}")
-    out = []
-    for sol in solutions:
-        sigma = [0] * len(vp)
-        tau = [0] * len(hp)
-        for k, i in enumerate(svars):
-            sigma[i] = sol[k]
-        for k, j in enumerate(tvars):
-            tau[j] = sol[len(svars) + k]
-        out.append(CocyclePair(m, tuple(sigma), tuple(tau)))
-    result = sorted(out, key=lambda c: (c.sigma, c.tau))
-    if len(result) != count or any(a == b for a, b in zip(result, result[1:])):
-        raise InternalConsistencyError(
-            f"the solver gave {len(result)} pairs with repeats or gaps for "
-            f"{count} solutions")
-    for cp in result:
+            f"{count} cocycle pairs exceed the budget of {budget} pairs to "
+            f"write")
+    n, last = 0, None
+    for cp in _pairs(t, m, system, solutions):
+        key = (cp.sigma, cp.tau)
+        if last is not None and key <= last:
+            raise InternalConsistencyError(
+                f"the solver's pair {n} repeats or precedes the one before it")
         bad = validate_cocycle_pair(t, cp)
         if not bad.ok:
             raise InternalConsistencyError(
                 f"solver produced an invalid pair: {bad.failures[0]}")
-    return result
+        n, last = n + 1, key
+    if n != count:
+        raise InternalConsistencyError(
+            f"the solver gave {n} pairs for {count} solutions")
+    return CocyclePairs(t, m, system, count)
+
+
+def _pairs(t: DoubleGroupoid, m: int, system, solutions):
+    """The pair of each solution of the constraint system, in turn."""
+    vp, hp, _, _ = t.pair_domains()
+    nv, nh = len(vp), len(hp)
+    _, ncols, svars, tvars = system
+    # where each sigma entry, then each tau entry, sits in the solution
+    # extended by a 0 at ncols for the entries that normalization forces;
+    # two more picks of that 0 make itemgetter return a tuple at any size
+    where = [ncols] * (nv + nh + 2)
+    for k, i in enumerate(svars + [nv + j for j in tvars]):
+        where[i] = k
+    pick = itemgetter(*where)
+    for sol in solutions:
+        entries = pick(sol + (0,))
+        yield CocyclePair(m, entries[:nv], entries[nv:nv + nh])
+
+
+class CocyclePairs:
+    """The valid pairs of a double groupoid mod m, sorted by (sigma, tau),
+    as a sized, re-iterable view: each iteration solves the constraint
+    system afresh and builds one pair at a time."""
+
+    __slots__ = ("t", "modulus", "system", "count")
+
+    def __init__(self, t: DoubleGroupoid, m: int, system, count: int):
+        self.t = t
+        self.modulus = m
+        self.system = system
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        rows, ncols, _, _ = self.system
+        solutions = solutions_mod_m(rows, ncols, self.modulus)[1]
+        return _pairs(self.t, self.modulus, self.system, solutions)
 
 
 def _gauge_matrix(t: DoubleGroupoid, svars, tvars):

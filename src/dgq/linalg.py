@@ -1,14 +1,16 @@
-"""Exact linear algebra over prime fields and over the integers.
+"""Exact linear algebra over prime fields, over Z/m and over the integers.
 
 A matrix is a list of rows.  A row, and likewise a vector, is a
 ``{column: value}`` dict of ints that never stores a zero; where the number
 of columns matters it is passed alongside.  Differentials of bar complexes
 are very sparse, and every routine here keeps them so.
 
-There is one eliminator, :class:`_Echelon`, over F_p and, with p = 0, over
-Z; it pivots each row on its rightmost column.  Over F_p rank, nullity,
-nullspaces and subquotients go through it; over Z the Smith form does, by
-echelon passes on the rows and on the columns in turn.
+There is one eliminator, :class:`_Echelon`, over F_p, over Z/m and, with
+p = 0, over Z; it pivots each row on its rightmost column.  Over F_p rank,
+nullity, nullspaces and subquotients go through it; over Z/m the Howell
+form, whose depth-first walk lists the solutions of a linear system in
+order; over Z the Smith form, by echelon passes on the rows and on the
+columns in turn.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
@@ -16,10 +18,9 @@ in it.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd, prod
 
-from .errors import StructureError
+from .errors import InternalConsistencyError, StructureError
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -84,68 +85,109 @@ def _eliminate(row, f: int, piv, p: int) -> None:
                 row.pop(c, None)
 
 
+def _eliminate_mod(row, f: int, piv, m: int) -> None:
+    """row -= f * piv in place over Z/m; as a product can vanish mod m, an
+    entry that ``row`` lacks may stay absent."""
+    for c, v in piv.items():
+        nv = (row.get(c, 0) - f * v) % m
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+
+
 class _Echelon:
-    """Rows over F_p, or over Z when p is 0, in echelon form: each is stored
-    under its rightmost (largest) column, its pivot, which no other stored
-    row shares.
+    """Rows over F_p, over Z when p is 0, or over Z/p for any p >= 1 when
+    ``ring`` is set, in echelon form: each is stored under its rightmost
+    (largest) column, its pivot, which no other stored row shares.
 
     A row that enters is reduced by the stored rows, rightmost column first,
     until that column has no stored row.  An entry that is a multiple of the
     stored pivot is cleared by that multiple of the stored row; over F_p
-    every pivot is 1, so no other step runs.  Over Z, any other entry first
-    takes a gcd step, Euclid's algorithm on the two rows: the stored row
-    ends as a combination of the two whose entry there is their gcd, and
-    the entering row as one whose entry there is 0.  All steps are
+    every pivot is 1, so no other step runs.  Over Z and Z/m, any other
+    entry first takes a gcd step, Euclid's algorithm on the two rows: the
+    stored row ends as a combination of the two whose entry there is their
+    gcd, and the entering row as one whose entry there is 0.  All steps are
     unimodular.  Where a ``combo`` is passed it follows the row through
     every step: it records which combination of tracked inputs the row
     equals (see :class:`SubquotientFp` and :func:`smith_with_transform`).
+
+    Over Z/m the stored rows end as a Howell form (Howell, "Spans in the
+    module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for
+    linear algebra modulo N", ESA 1998).  Each stored row is scaled by a
+    unit so that its pivot is a divisor g of m.  Then :meth:`close` feeds
+    back in its closure row (m/g) r, which vanishes at the pivot, and that
+    of every row a gcd step replaces, until none is left.  So every vector
+    of the span that vanishes past a column is a combination of the stored
+    rows pivoted at or before it, and :func:`solutions_mod_m` walks the
+    columns without a dead end.  For prime m every pivot is 1, no closure
+    row survives, and the rows are those of F_m.
 
     On the bar differentials of this package rightmost pivots meet much less
     fill-in than leftmost ones: the F_2 rank of S3's d_4 (3125 x 625) runs
     about five times faster."""
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, ring: bool = False):
         self.p = p
+        self.ring = ring
+        self.euclid = ring or not p
+        self.eliminate = _eliminate_mod if ring else _eliminate
         self.rows: dict[int, dict[int, int]] = {}
         self.combos: dict[int, dict[int, int]] = {}
+        # over Z/m, the pivots whose closure rows are still to be fed in
+        self.unclosed: list[int] = []
 
     def reduce(self, row, combo=None):
         """Reduce ``row`` in place; return its new rightmost column, or None
         once it is zero."""
-        rows, combos, p = self.rows, self.combos, self.p
+        rows, combos, p, euclid = self.rows, self.combos, self.p, self.euclid
+        eliminate = self.eliminate
         while row:
             c = max(row)
             piv = rows.get(c)
             if piv is None:
                 return c
             f = row[c]
-            if not p:
-                # over Z, Euclid's algorithm on the two rows: each step
-                # stores the remainder row and carries on with the other
+            if euclid:
+                # over Z and Z/m, Euclid's algorithm on the two rows: each
+                # step stores the remainder row and carries on with the other
                 while f % piv[c]:
                     q = f // piv[c]
                     for store, vec in ((rows, row), (combos, combo)):
                         if vec is not None:
-                            _eliminate(vec, q, store[c], 0)
+                            eliminate(vec, q, store[c], p)
                             store[c], held = dict(vec), store[c]
                             vec.clear()
                             vec.update(held)
                     piv, f = rows[c], row[c]
+                    if p:
+                        self.unclosed.append(c)
                 f //= piv[c]
-            _eliminate(row, f, piv, p)
+            eliminate(row, f, piv, p)
             if combo is not None:
-                _eliminate(combo, f, combos[c], p)
+                eliminate(combo, f, combos[c], p)
         return None
 
     def add(self, row, combo=None) -> bool:
         """Reduce ``row`` and store what is left; False if nothing is.  Over
-        F_p the stored row, and its combo, are scaled to a pivot of 1."""
+        F_p the stored row, and its combo, are scaled to a pivot of 1, and
+        over Z/m to a pivot dividing m (call :meth:`close` after the last
+        row)."""
         c = self.reduce(row, combo)
         if c is None:
             return False
         p = self.p
         if p:
-            inv = pow(row[c], p - 2, p)
+            if self.ring:
+                # a unit u with row[c] u = g mod m: the inverse of row[c] / g
+                # mod m / g, moved by multiples of m / g until prime to m
+                g = gcd(row[c], p)
+                inv = pow(row[c] // g, -1, p // g)
+                while gcd(inv, p) > 1:
+                    inv += p // g
+                self.unclosed.append(c)
+            else:
+                inv = pow(row[c], p - 2, p)
             for vec in (row, combo or {}):
                 for k, v in vec.items():
                     vec[k] = v * inv % p
@@ -153,6 +195,21 @@ class _Echelon:
         if combo is not None:
             self.combos[c] = combo
         return True
+
+    def close(self) -> None:
+        """Over Z/m, feed in the closure row (m/g) r of each row r stored or
+        replaced since the last call, and of each row that this stores or
+        replaces in turn, until none is left: the rows are then a Howell
+        form.  Each closure row only adds to the span of the rows pivoted
+        before its row, and that span never shrinks, so each row's check
+        stays true once made."""
+        rows, m, unclosed = self.rows, self.p, self.unclosed
+        while unclosed:
+            c = unclosed.pop()
+            piv = rows[c]
+            if piv[c] > 1:
+                f = m // piv[c]
+                self.add({k: v * f % m for k, v in piv.items() if v * f % m})
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows in reduced echelon form, their combos following:
@@ -163,7 +220,7 @@ class _Echelon:
         left: a row subtracted changes only columns still to come.  Over F_p,
         being reduced already, it adds no pivot column; over Z the ones it
         adds join the queue."""
-        rows, combos, p = self.rows, self.combos, self.p
+        rows, combos, p, eliminate = self.rows, self.combos, self.p, self.eliminate
         for c in sorted(rows):
             row = rows[c]
             todo = sorted(k for k in row if k != c and k in rows)
@@ -173,9 +230,9 @@ class _Echelon:
                 f = row.get(k, 0) // piv[k]
                 if f:
                     new = [j for j in piv if j in rows and j not in row]
-                    _eliminate(row, f, piv, p)
+                    eliminate(row, f, piv, p)
                     if combos:
-                        _eliminate(combos[c], f, combos[k], p)
+                        eliminate(combos[c], f, combos[k], p)
                     if new:
                         todo += new
                         todo.sort()
@@ -318,32 +375,92 @@ def rank_z(rows, ncols: int) -> int:
 
 
 def solutions_mod_m(rows, ncols: int, m: int):
-    """(count, iterator) of the solutions of A x = 0 over Z/m, both from one
-    Smith form with transform.
+    """(count, iterator) of the solutions of A x = 0 over Z/m, both from the
+    Howell form of A over Z/m (see :class:`_Echelon`).
 
-    With x = T y, each y_k runs over the multiples of m // gcd(d_k, m), where
-    d_k = 0 past the diagonal; the iterator yields each solution once, as a
-    tuple.  Only the columns of T whose y_k can be nonzero are read.
+    A column that pivots no row is free and takes m values; one that pivots
+    a row with pivot g takes the g values that solve that row, given the
+    columns before it.  The count, m per free column times g per pivot
+    column, must equal the one that the Smith diagonal d_k gives,
+    m**(ncols - len(d)) times the product of gcd(d_k, m).
+
+    The iterator walks the columns depth first, in increasing order, each
+    through its values in increasing order, so it yields each solution
+    once, as a tuple, in increasing lexicographic order, and holds only the
+    current one.  The Howell form leaves no prefix without a value; a dead
+    end raises all the same.
     """
-    diag, t = smith_with_transform(rows, ncols)
-    steps = []
-    for dk in diag + [0] * (ncols - len(diag)):
-        g = gcd(dk % m, m)        # gcd(0, m) = m: y_k free
-        # y_k must satisfy d_k y_k = 0 mod m: g choices
-        steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
-    free = [k for k in range(ncols) if len(steps[k]) > 1]
-    cols = [[(i, v % m) for i, v in t[k].items() if v % m] for k in free]
+    echelon = _Echelon(m, ring=True)
+    for row in rows:
+        echelon.add(_mod(row, m))
+    echelon.close()
+    diag = smith_with_transform(rows, ncols)[0]
+    count = m ** (ncols - len(echelon.rows)) * prod(
+        row[c] for c, row in echelon.rows.items())
+    smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
+    if count != smith:
+        raise InternalConsistencyError(
+            f"the Howell form counts {count} solutions mod {m}, the Smith "
+            f"form {smith}")
+    return count, _walk(echelon, ncols)
 
-    def solutions():
-        for y in itertools.product(*(steps[k] for k in free)):
-            x = [0] * ncols
-            for col, yk in zip(cols, y):
-                if yk:
-                    for i, v in col:
-                        x[i] += v * yk
-            yield tuple(v % m for v in x)
 
-    return prod(len(c) for c in steps), solutions()
+def _walk(echelon: _Echelon, ncols: int):
+    """The solutions of the rows of a Howell form over Z/m, in increasing
+    lexicographic order; see :func:`solutions_mod_m`.
+
+    Once reduced, a row whose pivot is 1 is 0 at every other such pivot, so
+    its column is a fixed combination of the branching columns: the free
+    ones and those pivoting with g > 1.  The walk steps the branching
+    columns alone, depth first, and moves each fixed column by the change.
+    """
+    m = echelon.p
+    rows = echelon.reduced()
+    branching = [b for b in range(ncols) if b not in rows or rows[b][b] > 1]
+    fixed = {b: [] for b in branching}
+    for c, row in rows.items():
+        if row[c] == 1:
+            for b, v in row.items():
+                if b != c:
+                    fixed[b].append((c, -v % m))
+    levels = []
+    for b in branching:
+        row = rows.get(b)
+        solve = None if row is None else (
+            row[b], [(j, -v) for j, v in row.items() if j != b])
+        levels.append((b, m // row[b] if row else 1, solve, fixed[b]))
+    x = [0] * ncols
+    i = 0
+    while True:
+        # the levels from i on take their least values
+        for b, _, solve, moves in levels[i:]:
+            if solve is None:
+                least = 0
+            else:
+                g, terms = solve
+                s = sum(v * x[j] for j, v in terms) % m
+                if s % g:
+                    raise InternalConsistencyError(
+                        f"column {b} has no value mod {m} for "
+                        f"{tuple(x[:b])}")
+                least = s // g
+            d = least - x[b]
+            if d:
+                x[b] = least
+                for c, w in moves:
+                    x[c] = (x[c] + w * d) % m
+        yield tuple(x)
+        # step the last level that has a next value
+        i = len(levels) - 1
+        while i >= 0 and x[levels[i][0]] + levels[i][1] >= m:
+            i -= 1
+        if i < 0:
+            return
+        b, d, _, moves = levels[i]
+        x[b] += d
+        for c, w in moves:
+            x[c] = (x[c] + w * d) % m
+        i += 1
 
 
 def count_solutions_mod_m(rows, ncols: int, m: int) -> int:

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from dgq import io as dio
 from dgq.cli import Output, _note_checked, run
-from dgq.cocycles import enumerate_cocycle_pairs, validate_cocycle_pair
+from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
+                          validate_cocycle_pair)
 from dgq.errors import FormatError, Report, ResourceBudgetError
+from dgq.linalg import solutions_mod_m
 from dgq.samples import s3_double, s3_matched_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -114,7 +116,7 @@ def test_tampered_inverse_table_rejected():
 
 def test_cocycle_document_binding():
     t = s3_double()
-    cp = enumerate_cocycle_pairs(t, 2)[-1]
+    cp = list(enumerate_cocycle_pairs(t, 2))[-1]
     doc = dio.Document("cocycle_pair", dio.cocycle_document(t, cp))
     text = dio.emit(doc)
     parsed = dio.parse(text)
@@ -144,7 +146,7 @@ def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
 
 def test_cocycle_domain_mismatch_rejected():
     t = s3_double()
-    cp = enumerate_cocycle_pairs(t, 2)[0]
+    cp = list(enumerate_cocycle_pairs(t, 2))[0]
     doc = dio.cocycle_document(t, cp)
     bad = dio.CocycleDocument(doc.modulus, doc.sigma[1:], doc.tau)
     with pytest.raises(FormatError, match="cover"):
@@ -216,9 +218,29 @@ def test_cli_cocycles_rejects_a_modulus_below_one(sub, m, capsys):
     assert "modulus must be >= 1" in err
 
 
+@pytest.mark.parametrize("stem", ["x22", "commuting_squares_z2"])
+def test_cli_enumerate_rejects_a_negative_budget(stem, capsys):
+    # bad input before the vacancy check: commuting_squares_z2 is not vacant
+    code = run(["--format", "machine", "cocycles", "enumerate",
+                str(CORPUS / f"{stem}.json"), "--m", "2", "--budget", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "budget must be >= 0" in err
+
+
+def test_cli_enumerate_budget_bounds_the_pairs_written(capsys):
+    code = run(["--format", "machine", "cocycles", "enumerate",
+                str(CORPUS / "x22.json"), "--m", "2", "--budget", "7"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "8 cocycle pairs exceed the budget of 7 pairs to write" in err
+    assert run(["--format", "machine", "cocycles", "enumerate",
+                str(CORPUS / "x22.json"), "--m", "2", "--budget", "8"]) == 0
+
+
 def test_cli_validate_cocycle_reports_tuples_checked(tmp_path, capsys):
     t = dio.load_path(CORPUS / "x22.json").payload
-    cp = enumerate_cocycle_pairs(t, 2)[-1]
+    cp = list(enumerate_cocycle_pairs(t, 2))[-1]
     path = tmp_path / "pair.json"
     dio.save_path(path, dio.Document("cocycle_pair", dio.cocycle_document(t, cp)))
     argv = ["validate", str(path), "--against", str(CORPUS / "x22.json")]
@@ -337,9 +359,10 @@ class _CountingSink:
 
 
 def test_cli_enumerate_streams_its_pairs():
-    # the 1,024 pairs of x23 at m = 2 print 2,330,710 bytes; written one pair
-    # at a time they are never held whole.  The peak is about 2 MB; holding
-    # the texts whole reads 4.6 MB, and the dict-and-list route read 22 MB.
+    # the 1,024 pairs of x23 at m = 2 print 2,330,710 bytes; walked and
+    # written one pair at a time they are never held whole.  The peak is
+    # about 0.5 MB; holding the pair list read 2.0 MB, holding the texts
+    # whole 4.6 MB, and the dict-and-list route 22 MB.
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -351,7 +374,25 @@ def test_cli_enumerate_streams_its_pairs():
         tracemalloc.stop()
     assert code == 0
     assert sink.bytes == 2_330_710
-    assert peak < 3 * 2 ** 20
+    assert peak < 2 ** 20
+
+
+def test_solutions_mod_m_hold_one_solution_at_a_time():
+    # x23's constraint system has 1,024 solutions mod 2 and 59,049 mod 3;
+    # held whole, those mod 3 would take tens of megabytes
+    t = dio.load_path(CORPUS / "x23.json").payload
+    rows, ncols, _, _ = _constraint_system(t)
+    peaks = {}
+    for m, count in ((2, 1024), (3, 59049)):
+        tracemalloc.start()
+        try:
+            total, solutions = solutions_mod_m(rows, ncols, m)
+            walked = sum(1 for _ in solutions)
+            _, peaks[m] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == walked == count
+    assert peaks[3] < 1.5 * peaks[2]
 
 
 def test_every_corpus_file_validates_and_verifies(capsys):

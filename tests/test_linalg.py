@@ -5,6 +5,7 @@ the integer Smith form against ``sympy``, so the library and its oracles
 share no code."""
 
 import itertools
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from sympy.matrices.normalforms import smith_normal_form
 from dgq.cohomology import (build_double_complex, differential_matrix,
                             nerve, total_dim, total_matrix)
 from dgq.double import build_Xrs
-from dgq.errors import StructureError
+from dgq.errors import InternalConsistencyError, StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
-from dgq.linalg import (SubquotientFp, _Echelon, count_solutions_mod_m,
+from dgq.linalg import (SubquotientFp, _Echelon, _walk, count_solutions_mod_m,
                         elementary_divisors, matmul, nullity_fp, nullspace_fp,
                         rank_fp, smith_with_transform, solutions_mod_m)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
@@ -271,7 +272,7 @@ def test_smith_ends_on_a_matrix_whose_passes_need_the_reduction(m):
     brute = [x for x in itertools.product(range(m), repeat=5)
              if all(sum(a * v for a, v in zip(row, x)) % m == 0
                     for row in PINNED)]
-    assert sorted(solutions) == brute and count == len(brute)
+    assert list(solutions) == brute and count == len(brute)
 
 
 def test_smith_rejects_a_column_outside_the_matrix():
@@ -280,12 +281,50 @@ def test_smith_rejects_a_column_outside_the_matrix():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dense_matrices(max_rows=4, max_cols=4), st.sampled_from((1, 2, 4, 6)))
+@given(dense_matrices(max_rows=4, max_cols=4),
+       st.sampled_from((1, 2, 4, 6, 8, 9, 12)))
 def test_solutions_mod_m_match_brute_force(mat, m):
+    """Every solution once, in increasing lexicographic order."""
     mat, ncols = mat
     count, solutions = solutions_mod_m(to_sparse(mat), ncols, m)
     found = list(solutions)
     brute = [x for x in itertools.product(range(m), repeat=ncols)
              if all(sum(a * v for a, v in zip(row, x)) % m == 0 for row in mat)]
-    assert sorted(found) == brute
+    assert found == brute
     assert count == len(found) == count_solutions_mod_m(to_sparse(mat), ncols, m)
+
+
+def test_the_walk_needs_the_howell_closure_row():
+    """x0 + 2 x1 = 0 mod 4 pivots on x1 with g = 2, which has a value only
+    for even x0; the closure row 2 (1, 2) = (2, 0) says so."""
+    echelon = _Echelon(4, ring=True)
+    echelon.add({0: 1, 1: 2})
+    assert echelon.rows == {1: {0: 1, 1: 2}}
+    with pytest.raises(InternalConsistencyError, match="no value"):
+        list(_walk(echelon, 2))
+    echelon.close()
+    assert echelon.rows == {1: {0: 1, 1: 2}, 0: {0: 2}}
+    count, solutions = solutions_mod_m([{0: 1, 1: 2}], 2, 4)
+    assert count == 4
+    assert list(solutions) == [(0, 0), (0, 2), (2, 1), (2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices(max_rows=5, max_cols=5, min_size=1,
+                      entry=st.integers(-12, 12)),
+       st.sampled_from((2, 4, 6, 8, 9, 12, 36)))
+def test_howell_count_is_the_smith_count(mat, m):
+    """m per free column times g per pivot column of the Howell form equals
+    m**(ncols - r) times the product of gcd(d_k, m) over the r divisors
+    that sympy finds; every pivot divides m."""
+    dense, ncols = mat
+    echelon = _Echelon(m, ring=True)
+    for row in to_sparse(dense):
+        echelon.add({j: v % m for j, v in row.items() if v % m})
+    echelon.close()
+    assert all(m % row[c] == 0 for c, row in echelon.rows.items())
+    howell = m ** (ncols - len(echelon.rows)) * prod(
+        row[c] for c, row in echelon.rows.items())
+    divisors = sympy_divisors(dense)
+    assert howell == m ** (ncols - len(divisors)) * prod(
+        gcd(d, m) for d in divisors)

@@ -136,7 +136,7 @@ def test_twisted_axioms_across_corpus(vacant_corpus):
     # sets are covered by a deterministic stride (the grid and product
     # instances have 1024 valid pairs each at modulus two)
     for name, t in vacant_corpus.items():
-        pairs = enumerate_cocycle_pairs(t, 2, budget=10 ** 7)
+        pairs = list(enumerate_cocycle_pairs(t, 2, budget=10 ** 7))
         if len(pairs) > 64:
             step = len(pairs) // 16
             pairs = pairs[::step] + [pairs[-1]]
@@ -249,7 +249,7 @@ def test_gauge_identity_isomorphism(s3_T):
 
 def test_gauge_transported_pair_isomorphic():
     t = build_Xrs(2, 2)
-    pairs = enumerate_cocycle_pairs(t, 2)
+    pairs = list(enumerate_cocycle_pairs(t, 2))
     cp1 = pairs[-1]
     psi_add = [0] * t.n_boxes
     free = [a for a in t.boxes() if not (t.is_vid(a) or t.is_hid(a))]

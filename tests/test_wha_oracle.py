@@ -43,7 +43,7 @@ NAMES = sorted(INSTANCES)
 @lru_cache(maxsize=None)
 def _twists(name):
     """A middle and the last of the instance's cocycle pairs at modulus two."""
-    pairs = enumerate_cocycle_pairs(INSTANCES[name], 2, budget=10 ** 7)
+    pairs = list(enumerate_cocycle_pairs(INSTANCES[name], 2, budget=10 ** 7))
     return [pairs[k] for k in sorted({len(pairs) // 2, len(pairs) - 1})]
 
 
@@ -358,7 +358,7 @@ def test_duality_and_gauge_catch_mutations(name, mutation):
 
 def test_gauge_matches_dense_on_transported_pairs():
     t = build_Xrs(2, 2)
-    pairs = enumerate_cocycle_pairs(t, 2)
+    pairs = list(enumerate_cocycle_pairs(t, 2))
     free = [a for a in t.boxes() if not (t.is_vid(a) or t.is_hid(a))]
     for cp in (pairs[0], pairs[-1]):
         for k in free[:3]:
