@@ -4,8 +4,9 @@ A pair (sigma, tau) assigns sigma to vertically composable box pairs and tau
 to horizontally composable ones, written additively.  Validity means: each is
 a normalized groupoid 2-cocycle on its box groupoid, and the joint square
 compatibility holds.  The valid pairs are the solutions Z of a linear system
-over Z/m, and the gauge classes are the cosets in Z of the image of the gauge
-map, counted from two Smith forms without listing pairs or gauges.  Field
+over Z/m, walked in order through its Howell form, and the gauge classes are
+the cosets in Z of the image of the gauge map, counted from two Howell forms
+without listing pairs or gauges.  Field
 realization (zeta ** value) is a separate explicit step, so enumeration and
 counting stay integer problems.
 """
@@ -292,7 +293,8 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     The valid pairs form the solution group Z of the constraint system, and
     the orbits are the cosets in Z of B, the image of the gauge map G.  As
     |B| = m**|free boxes| / |ker G|, the count is |Z| |ker G| / m**|free|,
-    both orders from a Smith form; nothing is enumerated.
+    both orders from a Howell form (checked against a Smith form); nothing
+    is enumerated.
     """
     from .double import require_vacant
     _require_modulus(m)
