@@ -116,12 +116,12 @@ class _Echelon:
     module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for
     linear algebra modulo N", ESA 1998).  Each stored row is scaled by a
     unit so that its pivot is a divisor g of m.  Then :meth:`close` feeds
-    back in its closure row (m/g) r, which vanishes at the pivot, and that
-    of every row a gcd step replaces, until none is left.  So every vector
-    of the span that vanishes past a column is a combination of the stored
-    rows pivoted at or before it, and :func:`solutions_mod_m` walks the
-    columns without a dead end.  For prime m every pivot is 1, no closure
-    row survives, and the rows are those of F_m.
+    back in its closure row (m/g) r, which vanishes at the pivot, until
+    none is left.  So every vector of the span that vanishes past a column
+    is a combination of the stored rows pivoted at or before it, and
+    :func:`solutions_mod_m` walks the columns without a dead end.  For
+    prime m every pivot is 1, no closure row survives, and the rows are
+    those of F_m.
 
     On the bar differentials of this package rightmost pivots meet much less
     fill-in than leftmost ones: the F_2 rank of S3's d_4 (3125 x 625) runs
@@ -160,8 +160,6 @@ class _Echelon:
                             vec.clear()
                             vec.update(held)
                     piv, f = rows[c], row[c]
-                    if p:
-                        self.unclosed.append(c)
                 f //= piv[c]
             eliminate(row, f, piv, p)
             if combo is not None:
@@ -197,12 +195,17 @@ class _Echelon:
         return True
 
     def close(self) -> None:
-        """Over Z/m, feed in the closure row (m/g) r of each row r stored or
-        replaced since the last call, and of each row that this stores or
-        replaces in turn, until none is left: the rows are then a Howell
-        form.  Each closure row only adds to the span of the rows pivoted
-        before its row, and that span never shrinks, so each row's check
-        stays true once made."""
+        """Over Z/m, feed in the closure row (m/g) r of each row r stored
+        since the last call, and of each row that this stores in turn,
+        until none is left: the rows are then a Howell form.
+
+        Each step only adds to the span of the rows pivoted before a column,
+        so a row's check stays true once made.  A row r' that a gcd step
+        puts in place of r at column c is not queued again.  While c is
+        queued, the row checked is the one stored then.  Once the closure
+        row of r is in, r = (g/g') r' + q e, for an integer q and the
+        remainder row e, makes (m/g') r' = (m/g) r - (m/g) q e, which lies
+        in the span pivoted before c."""
         rows, m, unclosed = self.rows, self.p, self.unclosed
         while unclosed:
             c = unclosed.pop()

@@ -1,8 +1,8 @@
 """Property tests of ``dgq.linalg`` on small random sparse matrices.
 
-Each F_p routine is checked against a dense row reduction written here, and
-the integer Smith form against ``sympy``, so the library and its oracles
-share no code."""
+Each F_p routine is checked against a dense row reduction written here, the
+integer Smith form against ``sympy``, and the solutions over Z/m against a
+brute-force sweep, so the library and its oracles share no code."""
 
 import itertools
 from math import gcd, prod
