@@ -13,7 +13,8 @@ counting stay integer problems.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
@@ -143,6 +144,22 @@ def gauge_transform(t: DoubleGroupoid, cp: CocyclePair, psi) -> CocyclePair:
 # -- enumeration ---------------------------------------------------------
 
 
+def _identity_forms(t: DoubleGroupoid):
+    """Each cocycle and compatibility identity of ``t.cocycle_identities()``,
+    in the table's order, as the linear form that vanishes when it holds:
+    (entry, coefficient) terms over the sigma entries followed by the tau
+    entries."""
+    nv = len(t.pair_domains()[0])
+    ids = t.cocycle_identities()
+    for i, j, k, l, _ in ids.sigma_cocycle:
+        yield (i, 1), (j, 1), (k, -1), (l, -1)
+    for i, j, k, l, _ in ids.tau_cocycle:
+        yield (nv + i, 1), (nv + j, 1), (nv + k, -1), (nv + l, -1)
+    for i, j, k, l, p, q, _ in ids.compatibility:
+        yield ((i, 1), (nv + j, 1), (nv + k, -1), (nv + l, -1), (p, -1),
+               (q, -1))
+
+
 def _constraint_system(t: DoubleGroupoid):
     """Integral rows of the linear system over Z/m on the free cocycle
     entries, as sparse rows; the modulus enters only when it is solved.
@@ -157,26 +174,16 @@ def _constraint_system(t: DoubleGroupoid):
     forced_t = {j for j, _ in ids.tau_normalization}
     svars = [i for i in range(len(vp)) if i not in forced_s]
     tvars = [j for j in range(len(hp)) if j not in forced_t]
-    # column of each entry, None where normalization forces it to zero
-    scol = [None] * len(vp)
-    tcol = [None] * len(hp)
-    for k, i in enumerate(svars):
-        scol[i] = k
-    for k, j in enumerate(tvars, len(svars)):
-        tcol[j] = k
+    # column of each sigma entry, then of each tau entry; None where
+    # normalization forces the entry to zero
+    col = [None] * (len(vp) + len(hp))
+    for k, e in enumerate(svars + [len(vp) + j for j in tvars]):
+        col[e] = k
     rows = []
-
-    def add_row(terms):
-        row = sparse_row((k, c) for k, c in terms if k is not None)
+    for form in _identity_forms(t):
+        row = sparse_row((col[e], c) for e, c in form if col[e] is not None)
         if row:
             rows.append(row)
-
-    for table, col in ((ids.sigma_cocycle, scol), (ids.tau_cocycle, tcol)):
-        for i, j, k, l, _ in table:
-            add_row(((col[i], 1), (col[j], 1), (col[k], -1), (col[l], -1)))
-    for i, j, k, l, p, q, _ in ids.compatibility:
-        add_row(((scol[i], 1), (tcol[j], 1), (tcol[k], -1), (tcol[l], -1),
-                 (scol[p], -1), (scol[q], -1)))
     return rows, len(svars) + len(tvars), svars, tvars
 
 
@@ -193,9 +200,11 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     The count of solutions is checked against ``budget``, the most pairs
     to write, before any pair is built; a negative budget is bad input.
     Then one walk of the solutions builds each pair, checks that the pairs
-    strictly increase (so none repeats), validates it with
-    :func:`validate_cocycle_pair` and counts it.  A solver that breaks the
-    order or misses its count raises.  The pairs come back as a
+    strictly increase (so none repeats), decides every identity on it with
+    a :class:`_ResidualSweep` and counts it.  A pair the sweep fails is
+    reported through :func:`validate_cocycle_pair`; a solver that breaks
+    the order or misses its count raises, and so does a sweep that
+    disagrees with the validator.  The pairs come back as a
     :class:`CocyclePairs` view, which walks them afresh, in the same order,
     each time it is iterated, so memory does not grow with their number.
     """
@@ -211,21 +220,108 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
         raise ResourceBudgetError(
             f"{count} cocycle pairs exceed the budget of {budget} pairs to "
             f"write")
+    sweep = _ResidualSweep(t, m)
     n, last = 0, None
     for cp in _pairs(t, m, system, solutions):
         key = (cp.sigma, cp.tau)
         if last is not None and key <= last:
             raise InternalConsistencyError(
                 f"the solver's pair {n} repeats or precedes the one before it")
-        bad = validate_cocycle_pair(t, cp)
-        if not bad.ok:
+        if not sweep.holds(cp):
+            bad = validate_cocycle_pair(t, cp)
+            if not bad.ok:
+                raise InternalConsistencyError(
+                    f"solver produced an invalid pair: {bad.failures[0]}")
             raise InternalConsistencyError(
-                f"solver produced an invalid pair: {bad.failures[0]}")
+                f"the residual sweep fails pair {n}, which "
+                f"validate_cocycle_pair passes")
         n, last = n + 1, key
     if n != count:
         raise InternalConsistencyError(
             f"the solver gave {n} pairs for {count} solutions")
     return CocyclePairs(t, m, system, count)
+
+
+class _ResidualSweep:
+    """Every identity of ``t.cocycle_identities()`` mod m, decided along a
+    sequence of pairs by residuals that are updated, not recomputed.
+
+    Each rule row (normalization, cocycle, compatibility) and each symmetry
+    row keeps its residual, the value of its linear form on the current
+    pair, with a count of the nonzero ones.  :meth:`holds` diffs a pair
+    against the one before it (the first against the zero pair, on which
+    every row vanishes) and updates only the rows of the entries that
+    changed, so every identity is still decided for every pair: the pair
+    holds exactly when the count is 0.  The symmetry rows are consequences
+    of the rules and are kept apart, as the validator keeps them: nonzero
+    symmetry rows under rules that all vanish raise.
+    """
+
+    __slots__ = ("modulus", "sizes", "touch", "rules", "symmetry_errors",
+                 "residue", "nonzero", "entries")
+
+    def __init__(self, t: DoubleGroupoid, m: int):
+        vp, hp, _, _ = t.pair_domains()
+        ids = t.cocycle_identities()
+        nv = len(vp)
+        rules = chain((((i, 1),) for i, _ in ids.sigma_normalization),
+                      (((nv + j, 1),) for j, _ in ids.tau_normalization),
+                      _identity_forms(t))
+        # the symmetry rows, consequences of the rules, follow the rule rows
+        # in the validator's order and with its messages
+        self.symmetry_errors = []
+        symmetry = []
+        for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
+            symmetry += [((i, 1), (j, -1)), ((nv + k, 1), (nv + l, -1))]
+            self.symmetry_errors += [f"sigma symmetry broken at box {a}",
+                              f"tau symmetry broken at box {a}"]
+        # for each entry, the rows it enters, grouped by its coefficient there
+        by_coefficient = [{} for _ in range(nv + len(hp))]
+        nrows = 0
+        for form in chain(rules, symmetry):
+            for e, c in sparse_row(form).items():
+                by_coefficient[e].setdefault(c, []).append(nrows)
+            nrows += 1
+        self.touch = [tuple((c, tuple(rows)) for c, rows in groups.items())
+                      for groups in by_coefficient]
+        self.rules = nrows - len(symmetry)
+        self.modulus = m
+        self.sizes = (nv, len(hp))
+        self.residue = [0] * nrows
+        self.nonzero = 0
+        self.entries = (0,) * (nv + len(hp))
+
+    def holds(self, cp: CocyclePair) -> bool:
+        """Whether ``cp``, a pair of the right size with values reduced mod
+        m, satisfies every rule; one that does but breaks a symmetry raises,
+        as :func:`validate_cocycle_pair` does.  A pair of the wrong size or
+        range fails and leaves the residuals as they were."""
+        m = self.modulus
+        entries = cp.sigma + cp.tau
+        if ((len(cp.sigma), len(cp.tau)) != self.sizes
+                or entries and (min(entries) < 0 or max(entries) >= m)):
+            return False
+        prev, residue, touch = self.entries, self.residue, self.touch
+        nonzero = self.nonzero
+        for e in compress(range(len(entries)), map(ne, entries, prev)):
+            d = entries[e] - prev[e]
+            for c, rows in touch[e]:
+                step = c * d
+                for r in rows:
+                    old = residue[r]
+                    new = residue[r] = (old + step) % m
+                    if old:
+                        if not new:
+                            nonzero -= 1
+                    elif new:
+                        nonzero += 1
+        self.entries, self.nonzero = entries, nonzero
+        if not nonzero:
+            return True
+        broken = [k for k, v in enumerate(residue[self.rules:]) if v]
+        if len(broken) < nonzero:
+            return False
+        raise InternalConsistencyError(self.symmetry_errors[broken[0]])
 
 
 def _pairs(t: DoubleGroupoid, m: int, system, solutions):

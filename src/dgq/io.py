@@ -15,6 +15,7 @@ Canonical emission sorts every index list ascending and is idempotent:
 from __future__ import annotations
 
 import json
+from operator import getitem
 
 from .cocycles import CocyclePair
 from .double import DoubleGroupoid
@@ -66,9 +67,22 @@ def _expect_keys(obj: dict, required: tuple, context: str) -> None:
         raise FormatError(f"{context}: unknown keys {unknown}")
 
 
+def _is_int(v) -> bool:
+    """Whether a loaded JSON value is an integer; ``true`` and ``false``
+    load as bool, a subclass of int, and are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int(obj, key, context):
+    val = obj[key]
+    if not _is_int(val):
+        raise FormatError(f"{context}: {key} must be an integer")
+    return val
+
+
 def _int_list(obj, key, context):
     val = obj[key]
-    if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
+    if not isinstance(val, list) or not all(map(_is_int, val)):
         raise FormatError(f"{context}: {key} must be a list of integers")
     return val
 
@@ -81,8 +95,8 @@ def _triples(obj, key, context):
     seen = set()
     for item in val:
         if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(v, int) for v in item)):
-            raise FormatError(f"{context}: entry {item!r} is not an int triple")
+                or not all(map(_is_int, item))):
+            raise FormatError(f"{context}: entry {item!r} is not a triple of integers")
         if (item[0], item[1]) in seen:
             raise FormatError(f"{context}: duplicate entry for {item[:2]}")
         seen.add((item[0], item[1]))
@@ -111,9 +125,7 @@ def _compose_to_triples(g: Groupoid):
 def _groupoid_from_obj(obj: dict, context: str) -> Groupoid:
     _expect_keys(obj, ("n_objects", "source", "target", "identity", "inverse",
                        "compose"), context)
-    n_objects = obj["n_objects"]
-    if not isinstance(n_objects, int):
-        raise FormatError(f"{context}: n_objects must be an integer")
+    n_objects = _int(obj, "n_objects", context)
     source = _int_list(obj, "source", context)
     target = _int_list(obj, "target", context)
     identity = _int_list(obj, "identity", context)
@@ -172,7 +184,7 @@ def _double_from_obj(obj: dict, context: str) -> DoubleGroupoid:
                        "box_inverse_h", "box_inverse_v"), context)
     horiz = _groupoid_from_obj(obj["horiz"], context + ".horiz")
     vert = _groupoid_from_obj(obj["vert"], context + ".vert")
-    if obj["n_points"] != horiz.n_objects:
+    if _int(obj, "n_points", context) != horiz.n_objects:
         raise FormatError(f"{context}: n_points disagrees with the edge groupoids")
     top = _int_list(obj, "top", context)
     n = len(top)
@@ -227,7 +239,7 @@ def _matched_from_obj(obj: dict, context: str) -> MatchedPair:
                  context)
     vert = _groupoid_from_obj(obj["vert"], context + ".vert")
     horiz = _groupoid_from_obj(obj["horiz"], context + ".horiz")
-    if obj["n_points"] != vert.n_objects:
+    if _int(obj, "n_points", context) != vert.n_objects:
         raise FormatError(f"{context}: n_points disagrees with the groupoids")
     act_left = [[UNDEF] * vert.n_arrows for _ in range(horiz.n_arrows)]
     act_right = [[UNDEF] * vert.n_arrows for _ in range(horiz.n_arrows)]
@@ -258,7 +270,7 @@ def _matched_to_obj(mp: MatchedPair) -> dict:
 def _cocycle_from_obj(obj: dict, context: str) -> CocycleDocument:
     _expect_keys(obj, ("modulus", "sigma", "tau"), context)
     m = obj["modulus"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise FormatError(f"{context}: modulus must be a positive integer")
     sigma = _triples(obj, "sigma", context)
     tau = _triples(obj, "tau", context)
@@ -306,34 +318,44 @@ def cocycle_document(t: DoubleGroupoid, cp: CocyclePair) -> CocycleDocument:
     return CocycleDocument(cp.modulus, sigma, tau)
 
 
+class _EntryTexts(dict):
+    """The text ``[a, b, v]`` of one table entry, keyed by its value v and
+    built the first time v is asked for."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, a: int, b: int):
+        super().__init__()
+        self.prefix = f"[{a}, {b}, "
+
+    def __missing__(self, v):
+        text = self[v] = f"{self.prefix}{v}]"
+        return text
+
+
 def cocycle_texts(t: DoubleGroupoid, pairs):
     """The JSON text of each pair bound to ``t``, one pair at a time: what
     ``json.dumps(body, sort_keys=True)`` writes for the body that :func:`emit`
     writes for its document, without ``kind`` and ``version``.
 
     The pairs of ``t.pair_domains()`` are sorted, so each table's entries
-    come out in the document's order; the ``[a, b, `` prefix of each entry
-    is built once.
+    come out in the document's order.  Each entry's text is built once per
+    value it takes, so a pair is two joins of looked-up strings; at most m
+    strings are built per entry, and only the values that occur.
     """
     vp, hp, _, _ = t.pair_domains()
-    sigma_prefixes = [f"[{a}, {b}, " for a, b in vp]
-    tau_prefixes = [f"[{a}, {b}, " for a, b in hp]
-
-    entry = "{}{}]".format
-
-    def table(prefixes, values):
-        return "[" + ", ".join(map(entry, prefixes, values)) + "]"
-
+    sigma_texts = [_EntryTexts(a, b) for a, b in vp]
+    tau_texts = [_EntryTexts(a, b) for a, b in hp]
     for cp in pairs:
         yield (f'{{"modulus": {cp.modulus}, "sigma": '
-               f'{table(sigma_prefixes, cp.sigma)}, "tau": '
-               f'{table(tau_prefixes, cp.tau)}}}')
+               f'[{", ".join(map(getitem, sigma_texts, cp.sigma))}], "tau": '
+               f'[{", ".join(map(getitem, tau_texts, cp.tau))}]}}')
 
 
 def _field_from_obj(obj: dict, context: str) -> FieldSpec:
     _expect_keys(obj, ("characteristic", "modulus", "zeta"), context)
     p, m, z = obj["characteristic"], obj["modulus"], obj["zeta"]
-    if not all(isinstance(v, int) for v in (p, m, z)):
+    if not all(map(_is_int, (p, m, z))):
         raise FormatError(f"{context}: characteristic, modulus and zeta must "
                           "be integers")
     try:

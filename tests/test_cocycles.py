@@ -139,18 +139,71 @@ def test_budget_guard():
         enumerate_cocycle_pairs(t, 2, budget=1)
 
 
-def test_repeated_solutions_raise(monkeypatch):
-    # a solver that repeats a solution must not shrink the list silently
+def _solver_that(change):
+    """``solutions_mod_m`` with its solutions, as a list, passed through
+    ``change``; the count it gives is the true one."""
     real = cocycles.solutions_mod_m
 
-    def repeating(rows, ncols, m):
+    def solver(rows, ncols, m):
         count, solutions = real(rows, ncols, m)
-        solutions = list(solutions)
-        solutions[-1] = solutions[0]
-        return count, iter(solutions)
+        return count, iter(change(list(solutions)))
+    return solver
 
-    monkeypatch.setattr(cocycles, "solutions_mod_m", repeating)
+
+def test_repeated_solutions_raise(monkeypatch):
+    # a solver that repeats a solution must not shrink the list silently
+    def repeat(solutions):
+        solutions[-1] = solutions[0]
+        return solutions
+
+    monkeypatch.setattr(cocycles, "solutions_mod_m", _solver_that(repeat))
     with pytest.raises(InternalConsistencyError, match="repeats"):
+        enumerate_cocycle_pairs(build_Xrs(2, 2), 2)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_an_invalid_solution_in_order_raises(monkeypatch, where):
+    # solution tuples and their pairs sort alike, so a solution moved in one
+    # value to another tuple strictly between its neighbours keeps the order
+    t, m = build_Xrs(2, 2), 3
+    system = cocycles._constraint_system(t)
+    rows, ncols, _, _ = system
+    solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
+    n = {"first": 0, "middle": len(solutions) // 2,
+         "last": len(solutions) - 1}[where]
+    low = solutions[n - 1] if n else ()
+    high = solutions[n + 1] if n + 1 < len(solutions) else (m,)
+    moved = (solutions[n][:k] + (v,) + solutions[n][k + 1:]
+             for k in range(ncols) for v in range(m))
+    bad = next(x for x in moved if low < x < high and not validate_cocycle_pair(
+        t, next(cocycles._pairs(t, m, system, [x]))).ok)
+
+    def corrupt(solutions):
+        solutions[n] = bad
+        return solutions
+
+    monkeypatch.setattr(cocycles, "solutions_mod_m", _solver_that(corrupt))
+    with pytest.raises(InternalConsistencyError,
+                       match="solver produced an invalid pair"):
+        enumerate_cocycle_pairs(t, m)
+
+
+def test_a_dropped_solution_raises(monkeypatch):
+    def drop(solutions):
+        del solutions[len(solutions) // 2]
+        return solutions
+
+    monkeypatch.setattr(cocycles, "solutions_mod_m", _solver_that(drop))
+    with pytest.raises(InternalConsistencyError,
+                       match="the solver gave 26 pairs for 27 solutions"):
+        enumerate_cocycle_pairs(build_Xrs(2, 2), 3)
+
+
+def test_a_sweep_that_disagrees_with_the_validator_raises(monkeypatch):
+    monkeypatch.setattr(cocycles._ResidualSweep, "holds", lambda self, cp: False)
+    with pytest.raises(InternalConsistencyError,
+                       match="the residual sweep fails pair 0, which "
+                             "validate_cocycle_pair passes"):
         enumerate_cocycle_pairs(build_Xrs(2, 2), 2)
 
 

@@ -28,9 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgq import io as dio
-from dgq.cocycles import (CocyclePair, _constraint_system, count_modulo_gauge,
-                          enumerate_cocycle_pairs, free_boxes,
-                          gauge_transform, validate_cocycle_pair, zero_pair)
+from dgq.cocycles import (CocyclePair, _constraint_system, _ResidualSweep,
+                          count_modulo_gauge, enumerate_cocycle_pairs,
+                          free_boxes, gauge_transform, validate_cocycle_pair,
+                          zero_pair)
 from dgq.cohomology import aut_and_opext
 from dgq.double import CocycleIdentities, build_Xrs
 from dgq.errors import InternalConsistencyError, Report, StructureError
@@ -288,6 +289,20 @@ def test_enumerated_pairs_match_oracle(name, m):
         assert failures == []
 
 
+def _single_entry_corruptions(cp):
+    """cp with one entry moved by a nonzero shift mod m, for every entry and
+    every shift."""
+    m = cp.modulus
+    for side in ("sigma", "tau"):
+        table = getattr(cp, side)
+        for i in range(len(table)):
+            for shift in range(1, m):
+                moved = list(table)
+                moved[i] = (moved[i] + shift) % m
+                yield CocyclePair(m, **{"sigma": cp.sigma, "tau": cp.tau,
+                                        side: tuple(moved)})
+
+
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("name", NAMES)
 def test_single_entry_corruptions_match_oracle(name, m):
@@ -297,16 +312,34 @@ def test_single_entry_corruptions_match_oracle(name, m):
     pairs = _pairs(name, m)
     failing = 0
     for cp in dict.fromkeys((pairs[0], pairs[-1])):
-        for side in ("sigma", "tau"):
-            table = getattr(cp, side)
-            for i in range(len(table)):
-                for shift in range(1, m):
-                    moved = list(table)
-                    moved[i] = (moved[i] + shift) % m
-                    bad = CocyclePair(cp.modulus, **{"sigma": cp.sigma, "tau": cp.tau,
-                                                     side: tuple(moved)})
-                    failures, _ = _assert_same(t, bad)
-                    failing += bool(failures)
+        for bad in _single_entry_corruptions(cp):
+            failures, _ = _assert_same(t, bad)
+            failing += bool(failures)
+    assert failing
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("name", NAMES)
+def test_residual_sweep_flags_exactly_the_failing_pair(name, m):
+    """Three compared pairs in a row, one of them corrupted in one entry: the
+    sweep flags that pair, and only it, exactly when the validator fails it.
+    The first pair is diffed against the zero pair and the second against
+    the first; the pair after the corrupted one checks that the residuals
+    follow it back.  Each sequence ends on the zero pair, which brings the
+    sweep back to its start."""
+    t = INSTANCES[name]
+    pairs = _pairs(name, m)
+    zero = zero_pair(t, m)
+    sequence = (pairs[0], pairs[-1], pairs[len(pairs) // 2], zero)
+    sweep = _ResidualSweep(t, m)
+    failing = 0
+    for n in (0, 1):
+        for bad in _single_entry_corruptions(sequence[n]):
+            fails = not validate_cocycle_pair(t, bad).ok
+            corrupted = sequence[:n] + (bad,) + sequence[n + 1:]
+            assert [k for k, cp in enumerate(corrupted)
+                    if not sweep.holds(cp)] == ([n] if fails else [])
+            failing += fails
     assert failing
 
 
@@ -314,6 +347,7 @@ def test_single_entry_corruptions_match_oracle(name, m):
 def test_domain_failures_match_oracle(name):
     t = INSTANCES[name]
     cp = _pairs(name, 2)[-1]
+    sweep = _ResidualSweep(t, 2)
     for bad in (CocyclePair(0, cp.sigma, cp.tau),
                 CocyclePair(2, cp.sigma[1:], cp.tau),
                 CocyclePair(2, cp.sigma, cp.tau + (0,)),
@@ -321,6 +355,10 @@ def test_domain_failures_match_oracle(name):
                 CocyclePair(2, cp.sigma, (-1,) + cp.tau[1:])):
         failures, checked = _assert_same(t, bad)
         assert [f.rule for f in failures] == ["domain"] and checked == {}
+        # the sweep mod 2 fails wrong sizes and ranges, and they leave its
+        # residuals as they were
+        assert bad.modulus != 2 or not sweep.holds(bad)
+    assert sweep.holds(cp)
 
 
 @st.composite
@@ -351,8 +389,8 @@ def test_drawn_sparse_tables_match_oracle(drawn):
 @pytest.mark.parametrize("side", ("sigma", "tau"))
 def test_symmetry_check_raises_on_a_broken_table(side):
     """The symmetry consequences stay checked: with one side's identities
-    emptied from the table, a pair breaking its symmetry passes them and the
-    validator raises."""
+    emptied from the table, a pair breaking its symmetry passes them, and
+    the validator and the residual sweep raise the same error."""
     t = build_Xrs(2, 2)
     ids = t.cocycle_identities()
     _, i, _ = next(s for s in getattr(ids, f"{side}_symmetry") if s[1] != s[2])
@@ -363,8 +401,11 @@ def test_symmetry_check_raises_on_a_broken_table(side):
                                     side: tuple(table)})
     t._identities = CocycleIdentities(**{**vars(ids), f"{side}_normalization": (),
                                          f"{side}_cocycle": (), "compatibility": ()})
-    with pytest.raises(InternalConsistencyError, match=f"{side} symmetry"):
+    with pytest.raises(InternalConsistencyError,
+                       match=f"{side} symmetry") as raised:
         validate_cocycle_pair(t, cp)
+    with pytest.raises(InternalConsistencyError, match=str(raised.value)):
+        _ResidualSweep(t, 2).holds(cp)
 
 
 # -- constraint rows and solutions ------------------------------------------------

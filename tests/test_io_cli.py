@@ -123,7 +123,7 @@ def test_cocycle_document_binding():
     assert dio.cocycle_pair_for(t, parsed.payload) == cp
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
     # oracle: the object route, the body emit writes without kind and version
     for name, t in vacant_corpus.items():
@@ -174,6 +174,62 @@ def test_cli_kac_s3(capsys):
     out = capsys.readouterr().out
     assert "exact" in out
     assert "H1(diagonal)" in out
+
+
+def _falsify(table):
+    """The table with its 0s and 1s written as JSON false and true."""
+    return [_falsify(v) if isinstance(v, list) else bool(v) if v in (0, 1) else v
+            for v in table]
+
+
+def _corpus_doc(stem, **changes):
+    return {**json.loads((CORPUS / f"{stem}.json").read_text()), **changes}
+
+
+def _x22_zero_pair(modulus, value):
+    t = dio.load_path(CORPUS / "x22.json").payload
+    vp, hp, _, _ = t.pair_domains()
+    return {"kind": "cocycle_pair", "version": dio.FORMAT_VERSION,
+            "modulus": modulus, "sigma": [[a, b, value] for a, b in vp],
+            "tau": [[a, b, value] for a, b in hp]}
+
+
+def _field(**changes):
+    return {"kind": "field_spec", "version": dio.FORMAT_VERSION,
+            "characteristic": 3, "modulus": 1, "zeta": 1, **changes}
+
+
+# per document kind, a document and the same one with integers that equal
+# 0 or 1 written as JSON booleans; json.loads gives bool, a subclass of int
+BOOLEAN_INTEGERS = {
+    "groupoid-n_objects": (_corpus_doc("z2_group"),
+                           _corpus_doc("z2_group", n_objects=True)),
+    "groupoid-compose": (_corpus_doc("z2_group"),
+                         _corpus_doc("z2_group", compose=_falsify(
+                             _corpus_doc("z2_group")["compose"]))),
+    "double_groupoid-n_points": (_corpus_doc("x11"),
+                                 _corpus_doc("x11", n_points=True)),
+    "double_groupoid-top": (_corpus_doc("x11"),
+                            _corpus_doc("x11", top=_falsify(
+                                _corpus_doc("x11")["top"]))),
+    "matched_pair-n_points": (_corpus_doc("s3_matched_pair"),
+                              _corpus_doc("s3_matched_pair", n_points=True)),
+    "cocycle_pair": (_x22_zero_pair(1, 0), _x22_zero_pair(True, False)),
+    "field_spec": (_field(), _field(modulus=True, zeta=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_INTEGERS))
+def test_cli_validate_rejects_booleans_for_integers(case, tmp_path, capsys):
+    argv = ["--against", str(CORPUS / "x22.json")] if case == "cocycle_pair" else []
+    codes = []
+    for name, doc in zip(("good", "bad"), BOOLEAN_INTEGERS[case]):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        codes.append(run(["validate", str(path), *argv]))
+    out, err = capsys.readouterr()
+    assert codes == [0, 2]
+    assert "integer" in err.splitlines()[-1]
 
 
 def test_cli_malformed_file_exit2(tmp_path, capsys):
