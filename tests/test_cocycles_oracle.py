@@ -322,24 +322,26 @@ def test_single_entry_corruptions_match_oracle(name, m):
 @pytest.mark.parametrize("name", NAMES)
 def test_residual_sweep_flags_exactly_the_failing_pair(name, m):
     """Three compared pairs in a row, one of them corrupted in one entry: the
-    sweep flags that pair, and only it, exactly when the validator fails it.
+    sweep flags that pair, and only it, exactly when the validator fails it,
+    and its nonzero rule rows are as many as the validator's failing tuples.
     The first pair is diffed against the zero pair and the second against
     the first; the pair after the corrupted one checks that the residuals
     follow it back.  Each sequence ends on the zero pair, which brings the
     sweep back to its start."""
     t = INSTANCES[name]
     pairs = _pairs(name, m)
-    zero = zero_pair(t, m)
-    sequence = (pairs[0], pairs[-1], pairs[len(pairs) // 2], zero)
+    sequence = (pairs[0], pairs[-1], pairs[len(pairs) // 2], zero_pair(t, m))
     sweep = _ResidualSweep(t, m)
     failing = 0
     for n in (0, 1):
         for bad in _single_entry_corruptions(sequence[n]):
-            fails = not validate_cocycle_pair(t, bad).ok
             corrupted = sequence[:n] + (bad,) + sequence[n + 1:]
-            assert [k for k, cp in enumerate(corrupted)
-                    if not sweep.holds(cp)] == ([n] if fails else [])
-            failing += fails
+            for k, cp in enumerate(corrupted):
+                failures = validate_cocycle_pair(t, cp).failures
+                assert sweep.holds(cp) == (not failures)
+                assert not failures or k == n
+                assert sum(map(bool, sweep.residue[:sweep.rules])) == len(failures)
+                failing += bool(failures)
     assert failing
 
 
