@@ -274,7 +274,7 @@ class _ResidualSweep:
         for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
             symmetry += [((i, 1), (j, -1)), ((nv + k, 1), (nv + l, -1))]
             self.symmetry_errors += [f"sigma symmetry broken at box {a}",
-                              f"tau symmetry broken at box {a}"]
+                                     f"tau symmetry broken at box {a}"]
         # for each entry, the rows it enters, grouped by its coefficient there
         by_coefficient = [{} for _ in range(nv + len(hp))]
         nrows = 0

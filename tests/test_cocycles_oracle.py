@@ -10,7 +10,9 @@ from the whole transform of a Smith form.  On enumerated pairs, on corrupted
 pairs and on drawn tables alike, both routes must report the same failures
 (rule, witness and order), raise the same ``InternalConsistencyError``,
 count the same tuples and emit the same rows; the solvers must give the
-same solutions.
+same solutions.  The residual sweep that checks each enumerated pair must
+flag exactly the pairs the validator fails, with one nonzero row per
+failing tuple.
 
 ``count_modulo_gauge`` counts classes as |Z| |ker G| / m**|free| from two
 Smith forms.  Its oracle is the orbit sweep it replaced, which enumerates
