@@ -239,7 +239,7 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     if n != count:
         raise InternalConsistencyError(
             f"the solver gave {n} pairs for {count} solutions")
-    return CocyclePairs(t, m, system, count)
+    return CocyclePairs(t, m, system, count, solutions)
 
 
 class _ResidualSweep:
@@ -343,24 +343,25 @@ def _pairs(t: DoubleGroupoid, m: int, system, solutions):
 
 class CocyclePairs:
     """The valid pairs of a double groupoid mod m, sorted by (sigma, tau),
-    as a sized, re-iterable view: each iteration solves the constraint
-    system afresh and builds one pair at a time."""
+    as a sized, re-iterable view: it keeps the solutions of the constraint
+    system, which hold its closed Howell form, and each iteration walks them
+    afresh and builds one pair at a time."""
 
-    __slots__ = ("t", "modulus", "system", "count")
+    __slots__ = ("t", "modulus", "system", "count", "solutions")
 
-    def __init__(self, t: DoubleGroupoid, m: int, system, count: int):
+    def __init__(self, t: DoubleGroupoid, m: int, system, count: int,
+                 solutions):
         self.t = t
         self.modulus = m
         self.system = system
         self.count = count
+        self.solutions = solutions
 
     def __len__(self):
         return self.count
 
     def __iter__(self):
-        rows, ncols, _, _ = self.system
-        solutions = solutions_mod_m(rows, ncols, self.modulus)[1]
-        return _pairs(self.t, self.modulus, self.system, solutions)
+        return _pairs(self.t, self.modulus, self.system, self.solutions)
 
 
 def _gauge_matrix(t: DoubleGroupoid, svars, tvars):

@@ -3,13 +3,18 @@
 A matrix is a list of rows.  A row, and likewise a vector, is a
 ``{column: value}`` dict of ints that never stores a zero; where the number
 of columns matters it is passed alongside.  Differentials of bar complexes
-are very sparse, and every routine here keeps them so.
+are very sparse, and every routine here takes and returns them so.
 
-There is one eliminator, :class:`_Echelon`, over F_p, over Z/m and, with
-p = 0, over Z; it pivots each row on its rightmost column.  Over F_p rank,
-nullity, nullspaces and subquotients go through it; over Z/m the Howell
-form, whose depth-first walk lists the solutions of a linear system in
-order; over Z the Smith form, by echelon passes on the rows and on the
+Rows are eliminated with rightmost pivots.  Over F_2 and F_3 rank,
+nullity, nullspaces and subquotients run on bit-plane rows,
+:class:`_Planes`, where each step is a few word operations on Python
+ints.  A plane row is dense up to its pivot, so the planes of a matrix with
+``ncols`` columns can take ``planes * ncols**2 / 16`` bytes; past
+:data:`_PLANE_STORE` (64 MB) those routines take dict rows instead.
+:class:`_Echelon` is the eliminator on dict rows: over F_p for p >= 5 and
+wherever the planes would not fit; over Z/m the Howell form, whose
+depth-first walk lists the solutions of a linear system in order; and, with
+p = 0, over Z the Smith form, by echelon passes on the rows and on the
 columns in turn.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
@@ -97,9 +102,13 @@ def _eliminate_mod(row, f: int, piv, m: int) -> None:
 
 
 class _Echelon:
-    """Rows over F_p, over Z when p is 0, or over Z/p for any p >= 1 when
-    ``ring`` is set, in echelon form: each is stored under its rightmost
-    (largest) column, its pivot, which no other stored row shares.
+    """Dict rows over F_p, over Z when p is 0, or over Z/p for any p >= 1
+    when ``ring`` is set, in echelon form: each is stored under its
+    rightmost (largest) column, its pivot, which no other stored row shares.
+    Over F_2 and F_3 the same form is kept on bit-plane rows by
+    :class:`_Planes` whenever they fit in :data:`_PLANE_STORE`, so this
+    class serves F_p for p >= 5, larger eliminations over F_2 and F_3, Z/m
+    and Z.
 
     A row that enters is reduced by the stored rows, rightmost column first,
     until that column has no stored row.  An entry that is a multiple of the
@@ -242,14 +251,149 @@ class _Echelon:
         return rows
 
 
+# -- bit-plane rows over F_2 and F_3 ------------------------------------------
+
+# Bytes that the plane rows of one elimination may take.  A stored plane row
+# is dense up to its pivot, so an elimination on ``ncols`` columns stores at
+# most ``planes * ncols**2 / 16`` bytes; past this bound it takes dict rows.
+# 64 MB keeps S3's bar differentials on planes up to degree 6 at p = 3.
+_PLANE_STORE = 1 << 26
+
+
+def _on_planes(p: int, ncols: int, extra: int = 0) -> bool:
+    """Whether an elimination over F_p on ``ncols`` columns, with ``extra``
+    combo columns below them, fits its plane rows in :data:`_PLANE_STORE`."""
+    return p in (2, 3) and (
+        (p - 1) * ncols * (ncols + 2 * extra) <= 16 * _PLANE_STORE)
+
+
+def _to_planes(row, p: int, shift: int = 0) -> tuple[int, int]:
+    """The planes (ones, twos) of a dict row mod p, its columns moved up by
+    ``shift``."""
+    ones = twos = 0
+    for c, v in row.items():
+        v %= p
+        if v == 1:
+            ones |= 1 << c + shift
+        elif v:
+            twos |= 1 << c + shift
+    return ones, twos
+
+
+def _columns(x: int):
+    """The set bits of ``x``, in increasing order."""
+    digits = bin(x)[:1:-1]
+    c = digits.find("1")
+    while c >= 0:
+        yield c
+        c = digits.find("1", c + 1)
+
+
+def _from_planes(ones: int, twos: int) -> dict[int, int]:
+    row = dict.fromkeys(_columns(ones), 1)
+    row.update(dict.fromkeys(_columns(twos), 2))
+    return row
+
+
+class _Planes:
+    """Rows over F_2 or F_3 in the echelon form of :class:`_Echelon`, each
+    stored under its rightmost column, with a 1 there.
+
+    A row is a pair of ints (ones, twos): bit c of ``ones`` is set where
+    column c holds 1, and of ``twos`` where it holds 2, so the pivot is
+    ``(ones | twos).bit_length() - 1``.  Over F_2 ``twos`` stays 0 and
+    subtracting a row is an XOR.  Over F_3 negating a row swaps its planes,
+    and a + b is ``t = (a1 | b2) ^ (a2 | b1)``, ``ones = (a2 | b2) ^ t``,
+    ``twos = (a1 | b1) ^ t`` (Boothby and Bradshaw, "Bitslicing and the
+    Method of Four Russians over larger finite fields", arXiv:0901.1413).
+    Each step is then a few word operations done in C, on rows as dense as
+    the fill-in makes them (machine-word rows as in M4RI: Albrecht, Bard and
+    Hart, "Algorithm 898", ACM TOMS 37, 2010).
+
+    Columns below ``low`` are carried but never pivot: :class:`SubquotientFp`
+    keeps each row's combo there."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, tuple[int, int]] = {}
+
+    def reduce(self, ones: int, twos: int) -> tuple[int, int]:
+        """The row reduced by the stored rows, rightmost column first, until
+        that column has no stored row."""
+        rows = self.rows
+        if self.p == 2:
+            while True:
+                piv = rows.get(ones.bit_length() - 1)
+                if piv is None:
+                    return ones, 0
+                ones ^= piv[0]
+        while True:
+            c = (ones | twos).bit_length() - 1
+            piv = rows.get(c)
+            if piv is None:
+                return ones, twos
+            b1, b2 = piv
+            if ones.bit_length() > c:
+                # a 1 there: add minus the stored row; a 2: add the row
+                b1, b2 = b2, b1
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+
+    def add(self, ones: int, twos: int = 0, low: int = 0) -> bool:
+        """Reduce the row and store what is left, scaled to a pivot of 1;
+        False if nothing is left at or above column ``low``.  Every stored
+        pivot is then at or above ``low``, so a reduction stops there."""
+        ones, twos = self.reduce(ones, twos)
+        c = (ones | twos).bit_length() - 1
+        if c < low:
+            return False
+        self.rows[c] = (twos, ones) if twos.bit_length() > c else (ones, twos)
+        return True
+
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """The stored rows in reduced echelon form, as dict rows under their
+        pivots, in the order they were stored.  Rows are reduced left to
+        right; a reduced row is 0 at every other pivot column, so
+        subtracting it clears one column and adds no pivot column."""
+        rows, p = self.rows, self.p
+        pivots = sum(1 << c for c in rows)
+        for c in sorted(rows):
+            ones, twos = rows[c]
+            for k in _columns((ones | twos) & pivots ^ 1 << c):
+                b1, b2 = rows[k]
+                if p == 2:
+                    ones ^= b1
+                    continue
+                if ones >> k & 1:
+                    b1, b2 = b2, b1
+                t = (ones | b2) ^ (twos | b1)
+                ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+            rows[c] = ones, twos
+        return {c: _from_planes(*row) for c, row in rows.items()}
+
+
+def _echelon_fp(rows, ncols: int, p: int):
+    """The echelon form of ``rows`` over F_p: on plane rows where
+    :func:`_on_planes` allows, else on dict rows."""
+    if _on_planes(p, ncols):
+        echelon = _Planes(p)
+        for row in rows:
+            echelon.add(*_to_planes(row, p))
+    else:
+        echelon = _Echelon(p)
+        for row in rows:
+            echelon.add(_mod(row, p))
+    return echelon
+
+
 def rank_fp(rows, p: int) -> int:
     """Rank over F_p."""
-    echelon = _Echelon(p)
-    return sum(echelon.add(_mod(row, p)) for row in rows)
+    ncols = 1 + max((max(row) for row in rows if row), default=-1)
+    return len(_echelon_fp(rows, ncols, p).rows)
 
 
 def nullity_fp(rows, ncols: int, p: int) -> int:
-    return ncols - rank_fp(rows, p)
+    return ncols - len(_echelon_fp(rows, ncols, p).rows)
 
 
 def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
@@ -258,9 +402,7 @@ def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
     column: the vector is 1 at its free column, zero at every other free
     column, and solves for the pivot columns.  (This is the reduced echelon
     basis of the matrix read with its columns in reverse order.)"""
-    echelon = _Echelon(p)
-    for row in rows:
-        echelon.add(_mod(row, p))
+    echelon = _echelon_fp(rows, ncols, p)
     basis = {f: {f: 1} for f in range(ncols) if f not in echelon.rows}
     for c, row in echelon.reduced().items():
         for f, v in row.items():
@@ -281,12 +423,26 @@ class SubquotientFp:
     def __init__(self, ambient_dim: int, z_vectors, b_vectors, p: int):
         self.n = ambient_dim
         self.p = p
+        self.reps = []
         # every stored row carries its coordinates over the representatives;
-        # B rows have none, since span(B) is quotiented out
+        # B rows have none, since span(B) is quotiented out.  Plane rows
+        # carry them in their low bits, one column per Z vector, so
+        # ``_shift`` is the number of Z vectors; dict rows in a combo.
+        z_vectors = list(z_vectors)
+        if _on_planes(p, ambient_dim, len(z_vectors)):
+            self._shift = shift = len(z_vectors)
+            self._echelon = _Planes(p)
+            for v in b_vectors:
+                self._echelon.add(*_to_planes(v, p, shift), shift)
+            for v in z_vectors:
+                ones, twos = _to_planes(v, p, shift)
+                if self._echelon.add(ones | 1 << len(self.reps), twos, shift):
+                    self.reps.append(_mod(v, p))
+            return
+        self._shift = None
         self._echelon = _Echelon(p)
         for v in b_vectors:
             self._echelon.add(_mod(v, p), {})
-        self.reps = []
         for v in z_vectors:
             rep = _mod(v, p)
             if self._echelon.add(dict(rep), {len(self.reps): 1}):
@@ -297,11 +453,18 @@ class SubquotientFp:
         return len(self.reps)
 
     def coords(self, v) -> dict[int, int]:
-        combo: dict[int, int] = {}
-        if self._echelon.reduce(_mod(v, self.p), combo) is not None:
+        p, shift = self.p, self._shift
+        if shift is None:
+            combo: dict[int, int] = {}
+            left = self._echelon.reduce(_mod(v, p), combo)
+        else:
+            ones, twos = self._echelon.reduce(*_to_planes(v, p, shift))
+            left = None if (ones | twos).bit_length() <= shift else shift
+            combo = _from_planes(ones, twos)
+        if left is not None:
             raise StructureError("vector does not lie in the subquotient span")
         # v minus the stored rows it took is zero, so v is minus their combo
-        return {k: -x % self.p for k, x in combo.items()}
+        return {k: -x % p for k, x in combo.items()}
 
 
 # -- integer Smith normal form ------------------------------------------
@@ -378,8 +541,8 @@ def rank_z(rows, ncols: int) -> int:
 
 
 def solutions_mod_m(rows, ncols: int, m: int):
-    """(count, iterator) of the solutions of A x = 0 over Z/m, both from the
-    Howell form of A over Z/m (see :class:`_Echelon`).
+    """(count, solutions) of A x = 0 over Z/m, both from the Howell form of
+    A over Z/m (see :class:`_Echelon`).
 
     A column that pivots no row is free and takes m values; one that pivots
     a row with pivot g takes the g values that solve that row, given the
@@ -387,8 +550,9 @@ def solutions_mod_m(rows, ncols: int, m: int):
     column, must equal the one that the Smith diagonal d_k gives,
     m**(ncols - len(d)) times the product of gcd(d_k, m).
 
-    The iterator walks the columns depth first, in increasing order, each
-    through its values in increasing order, so it yields each solution
+    The solutions keep the closed Howell form, and each iteration walks it
+    afresh with :func:`_walk`: the columns depth first, in increasing order,
+    each through its values in increasing order, so it yields each solution
     once, as a tuple, in increasing lexicographic order, and holds only the
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
@@ -405,7 +569,21 @@ def solutions_mod_m(rows, ncols: int, m: int):
         raise InternalConsistencyError(
             f"the Howell form counts {count} solutions mod {m}, the Smith "
             f"form {smith}")
-    return count, _walk(echelon, ncols)
+    return count, _Solutions(echelon, ncols)
+
+
+class _Solutions:
+    """The solutions of a closed Howell form over Z/m, walked afresh each
+    time they are iterated."""
+
+    __slots__ = ("echelon", "ncols")
+
+    def __init__(self, echelon: _Echelon, ncols: int):
+        self.echelon = echelon
+        self.ncols = ncols
+
+    def __iter__(self):
+        return _walk(self.echelon, self.ncols)
 
 
 def _walk(echelon: _Echelon, ncols: int):

@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from dgq import linalg
 from dgq.cohomology import (build_double_complex, differential_matrix,
-                            nerve, total_dim, total_matrix)
+                            groupoid_cohomology, nerve, total_dim,
+                            total_matrix)
 from dgq.double import build_Xrs
 from dgq.errors import InternalConsistencyError, StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
-from dgq.linalg import (SubquotientFp, _Echelon, _walk, count_solutions_mod_m,
+from dgq.linalg import (SubquotientFp, _Echelon, _from_planes, _mod, _on_planes,
+                        _Planes, _to_planes, _walk, count_solutions_mod_m,
                         elementary_divisors, matmul, nullity_fp, nullspace_fp,
-                        rank_fp, smith_with_transform, solutions_mod_m)
+                        rank_fp, smith_with_transform, solutions_mod_m,
+                        transpose)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
 
 PRIMES = (2, 3, 5)
@@ -62,25 +66,59 @@ def to_dense(rows, ncols):
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
+ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4))
+
+
 @st.composite
-def dense_matrices(draw, max_rows=6, max_cols=6, min_size=0,
-                   entry=st.sampled_from((0, 0, 0, 1, -1, 2, 3, -4))):
+def dense_matrices(draw, max_rows=6, max_cols=6, min_size=0, entry=ENTRY):
     nrows = draw(st.integers(min_size, max_rows))
     ncols = draw(st.integers(min_size, max_cols))
     return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows)), ncols
 
 
+@st.composite
+def wide_rows(draw, ncols, max_rows=8):
+    """Up to ``max_rows`` dense rows of ``ncols`` entries, each with a few
+    nonzero ones, so that a plane row spans several machine words."""
+    nrows = draw(st.integers(0, max_rows))
+    entries = st.dictionaries(st.integers(0, max(ncols - 1, 0)), ENTRY,
+                              max_size=12 if ncols else 0)
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for c, v in draw(entries).items():
+            row[c] = v
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def wide_matrices(draw, max_rows=8, max_cols=200):
+    ncols = draw(st.integers(0, max_cols))
+    return draw(wide_rows(ncols, max_rows)), ncols
+
+
 # -- F_p ---------------------------------------------------------------------
+
+
+def check_rank_and_nullity(mat, p):
+    dense, ncols = mat
+    rank = dense_rank(dense, ncols, p)
+    assert rank_fp(to_sparse(dense), p) == rank
+    assert nullity_fp(to_sparse(dense), ncols, p) == ncols - rank
 
 
 @SETTINGS
 @given(dense_matrices(), st.sampled_from(PRIMES))
 def test_rank_and_nullity_match_dense_oracle(mat, p):
-    dense, ncols = mat
-    rank = dense_rank(dense, ncols, p)
-    assert rank_fp(to_sparse(dense), p) == rank
-    assert nullity_fp(to_sparse(dense), ncols, p) == ncols - rank
+    check_rank_and_nullity(mat, p)
+
+
+@SETTINGS
+@given(wide_matrices(), st.sampled_from(PRIMES))
+def test_rank_and_nullity_of_wide_rows_match_dense_oracle(mat, p):
+    check_rank_and_nullity(mat, p)
 
 
 @SETTINGS
@@ -101,6 +139,16 @@ def test_nullspace_is_the_rref_basis(mat, p):
     """The basis is the reduced echelon one under rightmost pivots, which is
     the dense oracle's (leftmost pivots) on the matrix with its columns
     reversed, read back in the original column order."""
+    check_nullspace(mat, p)
+
+
+@SETTINGS
+@given(wide_matrices(), st.sampled_from(PRIMES))
+def test_nullspace_of_wide_rows_is_the_rref_basis(mat, p):
+    check_nullspace(mat, p)
+
+
+def check_nullspace(mat, p):
     dense, ncols = mat
     basis = nullspace_fp(to_sparse(dense), ncols, p)
     for x in basis:
@@ -127,6 +175,17 @@ def test_nullspace_is_the_rref_basis(mat, p):
 def test_subquotient_dim_and_coords_round_trip(zmat, bmat, p, data):
     z_dense, ncols = zmat
     b_dense = [row[:ncols] + [0] * (ncols - len(row)) for row in bmat[0]]
+    check_subquotient(z_dense, b_dense, ncols, p, data)
+
+
+@SETTINGS
+@given(wide_matrices(), st.sampled_from(PRIMES), st.data())
+def test_subquotient_of_wide_rows_round_trips(zmat, p, data):
+    z_dense, ncols = zmat
+    check_subquotient(z_dense, data.draw(wide_rows(ncols)), ncols, p, data)
+
+
+def check_subquotient(z_dense, b_dense, ncols, p, data):
     h = SubquotientFp(ncols, to_sparse(z_dense), to_sparse(b_dense), p)
     # representatives: the Z vectors that raise the rank, taken in order
     kept, expected = list(b_dense), []
@@ -154,6 +213,70 @@ def test_coords_rejects_a_vector_outside_the_span():
     assert h.coords({0: 2, 1: 1}) == {0: 2}
     with pytest.raises(StructureError):
         h.coords({2: 1})
+
+
+@pytest.mark.parametrize("x", (1, 2))
+@pytest.mark.parametrize("s", (1, 2))
+def test_f3_planes_add_and_negate_every_pair_of_values(x, s):
+    """A stored row s (b, 1), scaled to (b, 1), meets a row (a, x): the
+    reduction leaves a - x b, which adds the negated b for x = 1 and adds b
+    for x = 2.  Each of the 9 pairs (a, b) sits in a column of its own."""
+    pairs = list(itertools.product(range(3), repeat=2))
+    top = len(pairs)
+    planes = _Planes(3)
+    assert planes.add(*_to_planes(
+        {top: s, **{k: s * b for k, (_, b) in enumerate(pairs)}}, 3))
+    assert planes.rows[top] == _to_planes(
+        {top: 1, **{k: b for k, (_, b) in enumerate(pairs)}}, 3)
+    left = planes.reduce(*_to_planes(
+        {top: x, **{k: a for k, (a, _) in enumerate(pairs)}}, 3))
+    assert _from_planes(*left) == {
+        k: (a - x * b) % 3 for k, (a, b) in enumerate(pairs) if (a - x * b) % 3}
+
+
+# -- plane rows against dict rows ----------------------------------------------
+
+
+S3 = one_object_group(symmetric_table(3)[0])
+
+
+def _both_routes(monkeypatch, compute):
+    """``compute()`` on plane rows, then with the plane store at 0, which
+    sends every elimination on a nonempty matrix to dict rows."""
+    planes = compute()
+    monkeypatch.setattr(linalg, "_PLANE_STORE", 0)
+    return planes, compute()
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("n", (3, 4))
+def test_plane_and_dict_rows_agree_on_s3_bar_differentials(monkeypatch, n, p):
+    """Rank, nullspace basis and the subquotient H^n = ker d_n / im d_(n-1)
+    with its reps and coords, on plane rows and through ``_Echelon(p)``."""
+    d_n, d_prev = differential_matrix(S3, n), differential_matrix(S3, n - 1)
+    ncols = len(nerve(S3, n))
+    assert _on_planes(p, ncols, ncols)
+    echelon = _Echelon(p)
+    rank = sum(echelon.add(_mod(row, p)) for row in d_n)
+    assert rank_fp(d_n, p) == rank == ncols - nullity_fp(d_n, ncols, p)
+
+    def compute():
+        z = nullspace_fp(d_n, ncols, p)
+        h = SubquotientFp(ncols, z, transpose(d_prev, len(nerve(S3, n - 1))),
+                          p)
+        return z, h.reps, [h.coords(v) for v in z]
+
+    planes, dicts = _both_routes(monkeypatch, compute)
+    assert len(planes[0]) == ncols - rank
+    assert planes == dicts
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_groupoid_cohomology_through_dict_rows(monkeypatch, p):
+    planes, dicts = _both_routes(
+        monkeypatch, lambda: groupoid_cohomology(S3, 4, ("Fp", p)).groups)
+    assert [g.dim for g in planes] == [g.dim for g in dicts] == (
+        [1] * 5 if p == 2 else [1, 0, 0, 1, 1])
 
 
 # -- products and producers --------------------------------------------------
