@@ -367,8 +367,8 @@ def run(argv=None) -> int:
         print(f"failed: {exc}", file=sys.stderr)
         return MATH_FAILURE
     except InternalConsistencyError as exc:
-        # reachable only through the experimental literal normalization,
-        # whose grid is not closed under the differentials
+        # two internal routes to one result disagree: a fault of this
+        # program, not of the input, so it exits 1
         print(f"failed: {exc}", file=sys.stderr)
         return MATH_FAILURE
     try:

@@ -48,12 +48,10 @@ class CocycleDocument:
 
 
 def _no_duplicates(pairs):
-    seen = set()
     out = {}
     for k, v in pairs:
-        if k in seen:
+        if k in out:
             raise FormatError(f"duplicate key {k!r}")
-        seen.add(k)
         out[k] = v
     return out
 

@@ -11,11 +11,12 @@ nullity, nullspaces and subquotients run on bit-plane rows,
 ints.  A plane row is dense up to its pivot, so the planes of a matrix with
 ``ncols`` columns can take ``planes * ncols**2 / 16`` bytes; past
 :data:`_PLANE_STORE` (64 MB) those routines take dict rows instead.
-:class:`_Echelon` is the eliminator on dict rows: over F_p for p >= 5 and
-wherever the planes would not fit; over Z/m the Howell form, whose
-depth-first walk lists the solutions of a linear system in order; and, with
-p = 0, over Z the Smith form, by echelon passes on the rows and on the
-columns in turn.
+:class:`_Echelon` is the one eliminator on dict rows: over Z/m for every
+m >= 1, and over Z at m = 0.  At a prime m that is F_m, where every pivot
+is 1: it serves F_p for p >= 5, and F_2 and F_3 wherever the planes would
+not fit.  At a composite m it keeps the Howell form, whose depth-first walk
+lists the solutions of a linear system in order; over Z it gives the Smith
+form, by echelon passes on the rows and on the columns in turn.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
@@ -71,16 +72,17 @@ def _mod(row, p: int) -> dict[int, int]:
     return {c: v % p for c, v in row.items() if v % p}
 
 
-def _eliminate(row, f: int, piv, p: int) -> None:
-    """row -= f * piv in place, over F_p, or over Z when p is 0; no zero is
-    stored."""
-    if p:
+def _eliminate(row, f: int, piv, m: int) -> None:
+    """row -= f * piv in place, over Z/m, or over Z when m is 0; no zero is
+    stored, and as a product can vanish mod m, an entry that ``row`` lacks
+    may stay absent."""
+    if m:
         for c, v in piv.items():
-            nv = (row.get(c, 0) - f * v) % p
+            nv = (row.get(c, 0) - f * v) % m
             if nv:
                 row[c] = nv
             else:
-                del row[c]
+                row.pop(c, None)
     else:
         for c, v in piv.items():
             nv = row.get(c, 0) - f * v
@@ -90,149 +92,121 @@ def _eliminate(row, f: int, piv, p: int) -> None:
                 row.pop(c, None)
 
 
-def _eliminate_mod(row, f: int, piv, m: int) -> None:
-    """row -= f * piv in place over Z/m; as a product can vanish mod m, an
-    entry that ``row`` lacks may stay absent."""
-    for c, v in piv.items():
-        nv = (row.get(c, 0) - f * v) % m
-        if nv:
-            row[c] = nv
-        else:
-            row.pop(c, None)
-
-
 class _Echelon:
-    """Dict rows over F_p, over Z when p is 0, or over Z/p for any p >= 1
-    when ``ring`` is set, in echelon form: each is stored under its
-    rightmost (largest) column, its pivot, which no other stored row shares.
-    Over F_2 and F_3 the same form is kept on bit-plane rows by
-    :class:`_Planes` whenever they fit in :data:`_PLANE_STORE`, so this
-    class serves F_p for p >= 5, larger eliminations over F_2 and F_3, Z/m
-    and Z.
+    """Dict rows over Z/m, or over Z when m is 0, in echelon form: each is
+    stored under its rightmost (largest) column, its pivot, which no other
+    stored row shares.  At a prime m this is F_m.  Over F_2 and F_3 the same
+    form is kept on bit-plane rows by :class:`_Planes` whenever they fit in
+    :data:`_PLANE_STORE`, so this class serves F_p for p >= 5, larger
+    eliminations over F_2 and F_3, Z/m and Z.
 
     A row that enters is reduced by the stored rows, rightmost column first,
     until that column has no stored row.  An entry that is a multiple of the
-    stored pivot is cleared by that multiple of the stored row; over F_p
-    every pivot is 1, so no other step runs.  Over Z and Z/m, any other
+    stored pivot is cleared by that multiple of the stored row.  Any other
     entry first takes a gcd step, Euclid's algorithm on the two rows: the
     stored row ends as a combination of the two whose entry there is their
-    gcd, and the entering row as one whose entry there is 0.  All steps are
+    gcd, and the entering row as one whose entry there is 0.  A pivot of 1
+    divides every entry, so at a prime m no gcd step runs.  All steps are
     unimodular.  Where a ``combo`` is passed it follows the row through
     every step: it records which combination of tracked inputs the row
     equals (see :class:`SubquotientFp` and :func:`smith_with_transform`).
 
-    Over Z/m the stored rows end as a Howell form (Howell, "Spans in the
+    Over Z/m the stored rows are a Howell form (Howell, "Spans in the
     module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for
-    linear algebra modulo N", ESA 1998).  Each stored row is scaled by a
-    unit so that its pivot is a divisor g of m.  Then :meth:`close` feeds
-    back in its closure row (m/g) r, which vanishes at the pivot, until
-    none is left.  So every vector of the span that vanishes past a column
-    is a combination of the stored rows pivoted at or before it, and
-    :func:`solutions_mod_m` walks the columns without a dead end.  For
-    prime m every pivot is 1, no closure row survives, and the rows are
-    those of F_m.
+    linear algebra modulo N", ESA 1998): see :meth:`add`.  So every vector
+    of the span that vanishes past a column is a combination of the stored
+    rows pivoted at or before it, and :func:`solutions_mod_m` walks the
+    columns without a dead end.
 
     On the bar differentials of this package rightmost pivots meet much less
     fill-in than leftmost ones: the F_2 rank of S3's d_4 (3125 x 625) runs
     about five times faster."""
 
-    def __init__(self, p: int, ring: bool = False):
-        self.p = p
-        self.ring = ring
-        self.euclid = ring or not p
-        self.eliminate = _eliminate_mod if ring else _eliminate
+    def __init__(self, m: int):
+        self.m = m
         self.rows: dict[int, dict[int, int]] = {}
         self.combos: dict[int, dict[int, int]] = {}
-        # over Z/m, the pivots whose closure rows are still to be fed in
-        self.unclosed: list[int] = []
 
     def reduce(self, row, combo=None):
         """Reduce ``row`` in place; return its new rightmost column, or None
         once it is zero."""
-        rows, combos, p, euclid = self.rows, self.combos, self.p, self.euclid
-        eliminate = self.eliminate
+        rows, combos, m = self.rows, self.combos, self.m
         while row:
             c = max(row)
             piv = rows.get(c)
             if piv is None:
                 return c
             f = row[c]
-            if euclid:
-                # over Z and Z/m, Euclid's algorithm on the two rows: each
-                # step stores the remainder row and carries on with the other
-                while f % piv[c]:
-                    q = f // piv[c]
-                    for store, vec in ((rows, row), (combos, combo)):
-                        if vec is not None:
-                            eliminate(vec, q, store[c], p)
-                            store[c], held = dict(vec), store[c]
-                            vec.clear()
-                            vec.update(held)
-                    piv, f = rows[c], row[c]
-                f //= piv[c]
-            eliminate(row, f, piv, p)
+            # Euclid's algorithm on the two rows: each step stores the
+            # remainder row and carries on with the other
+            while f % piv[c]:
+                q = f // piv[c]
+                for store, vec in ((rows, row), (combos, combo)):
+                    if vec is not None:
+                        _eliminate(vec, q, store[c], m)
+                        store[c], held = dict(vec), store[c]
+                        vec.clear()
+                        vec.update(held)
+                piv, f = rows[c], row[c]
+            f //= piv[c]
+            _eliminate(row, f, piv, m)
             if combo is not None:
-                eliminate(combo, f, combos[c], p)
+                _eliminate(combo, f, combos[c], m)
         return None
 
     def add(self, row, combo=None) -> bool:
         """Reduce ``row`` and store what is left; False if nothing is.  Over
-        F_p the stored row, and its combo, are scaled to a pivot of 1, and
-        over Z/m to a pivot dividing m (call :meth:`close` after the last
-        row)."""
+        Z/m the stored row, and its combo, are scaled by a unit to a pivot g
+        dividing m, which is 1 at a prime m.  For g > 1 the closure row
+        (m/g) r, which vanishes at the pivot, is fed in at once, and so on
+        for each row that this stores in turn: the rows are then a Howell
+        form.  A pivot of 1 is never replaced by a gcd step, and its closure
+        row is 0.
+
+        Each step only adds to the span of the rows pivoted before a column,
+        so a closure row, once fed in, stays in that span.  A row r' that a
+        gcd step puts in place of r at column c needs no closure row of its
+        own: r = (g/g') r' + q e, for an integer q and the remainder row e,
+        which is 0 at c and goes on to be reduced below c.  So (m/g') r' =
+        (m/g) r - (m/g) q e lies in the span pivoted before c."""
         c = self.reduce(row, combo)
         if c is None:
             return False
-        p = self.p
-        if p:
-            if self.ring:
+        m = self.m
+        # the closure rows form a chain, each pivoted below the one before
+        while c is not None:
+            if m:
                 # a unit u with row[c] u = g mod m: the inverse of row[c] / g
                 # mod m / g, moved by multiples of m / g until prime to m
-                g = gcd(row[c], p)
-                inv = pow(row[c] // g, -1, p // g)
-                while gcd(inv, p) > 1:
-                    inv += p // g
-                self.unclosed.append(c)
-            else:
-                inv = pow(row[c], p - 2, p)
-            for vec in (row, combo or {}):
-                for k, v in vec.items():
-                    vec[k] = v * inv % p
-        self.rows[c] = row
-        if combo is not None:
-            self.combos[c] = combo
+                g = gcd(row[c], m)
+                inv = pow(row[c] // g, -1, m // g)
+                while gcd(inv, m) > 1:
+                    inv += m // g
+                for vec in (row, combo or {}):
+                    for k, v in vec.items():
+                        vec[k] = v * inv % m
+            self.rows[c] = row
+            if combo is not None:
+                self.combos[c] = combo
+            if not m or g == 1:
+                break
+            row = _mod({k: v * (m // g) for k, v in row.items()}, m)
+            if combo is not None:
+                combo = _mod({k: v * (m // g) for k, v in combo.items()}, m)
+            c = self.reduce(row, combo)
         return True
-
-    def close(self) -> None:
-        """Over Z/m, feed in the closure row (m/g) r of each row r stored
-        since the last call, and of each row that this stores in turn,
-        until none is left: the rows are then a Howell form.
-
-        Each step only adds to the span of the rows pivoted before a column,
-        so a row's check stays true once made.  A row r' that a gcd step
-        puts in place of r at column c is not queued again.  While c is
-        queued, the row checked is the one stored then.  Once the closure
-        row of r is in, r = (g/g') r' + q e, for an integer q and the
-        remainder row e, makes (m/g') r' = (m/g) r - (m/g) q e, which lies
-        in the span pivoted before c."""
-        rows, m, unclosed = self.rows, self.p, self.unclosed
-        while unclosed:
-            c = unclosed.pop()
-            piv = rows[c]
-            if piv[c] > 1:
-                f = m // piv[c]
-                self.add({k: v * f % m for k, v in piv.items() if v * f % m})
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows in reduced echelon form, their combos following:
-        each entry at another row's pivot column is cleared over F_p, and
-        over Z brought below that pivot, to its remainder by floor division.
+        each entry at another row's pivot column is brought below that
+        pivot, to its remainder by floor division, so at a prime m it is
+        cleared.
 
         Rows are reduced left to right, each at its pivot columns right to
-        left: a row subtracted changes only columns still to come.  Over F_p,
-        being reduced already, it adds no pivot column; over Z the ones it
-        adds join the queue."""
-        rows, combos, p, eliminate = self.rows, self.combos, self.p, self.eliminate
+        left: a row subtracted changes only columns still to come.  Where
+        every pivot is 1 it is reduced already and adds no pivot column;
+        elsewhere the ones it adds join the queue."""
+        rows, combos, m = self.rows, self.combos, self.m
         for c in sorted(rows):
             row = rows[c]
             todo = sorted(k for k in row if k != c and k in rows)
@@ -242,9 +216,9 @@ class _Echelon:
                 f = row.get(k, 0) // piv[k]
                 if f:
                     new = [j for j in piv if j in rows and j not in row]
-                    eliminate(row, f, piv, p)
+                    _eliminate(row, f, piv, m)
                     if combos:
-                        eliminate(combos[c], f, combos[k], p)
+                        _eliminate(combos[c], f, combos[k], m)
                     if new:
                         todo += new
                         todo.sort()
@@ -542,7 +516,8 @@ def rank_z(rows, ncols: int) -> int:
 
 def solutions_mod_m(rows, ncols: int, m: int):
     """(count, solutions) of A x = 0 over Z/m, both from the Howell form of
-    A over Z/m (see :class:`_Echelon`).
+    A that ``_Echelon(m)`` keeps; at a prime m every pivot is 1, no closure
+    row is stored, and the form is the echelon form over F_m.
 
     A column that pivots no row is free and takes m values; one that pivots
     a row with pivot g takes the g values that solve that row, given the
@@ -550,17 +525,16 @@ def solutions_mod_m(rows, ncols: int, m: int):
     column, must equal the one that the Smith diagonal d_k gives,
     m**(ncols - len(d)) times the product of gcd(d_k, m).
 
-    The solutions keep the closed Howell form, and each iteration walks it
-    afresh with :func:`_walk`: the columns depth first, in increasing order,
+    The solutions keep the Howell form, and each iteration walks it afresh
+    with :func:`_walk`: the columns depth first, in increasing order,
     each through its values in increasing order, so it yields each solution
     once, as a tuple, in increasing lexicographic order, and holds only the
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
     """
-    echelon = _Echelon(m, ring=True)
+    echelon = _Echelon(m)
     for row in rows:
         echelon.add(_mod(row, m))
-    echelon.close()
     diag = smith_with_transform(rows, ncols)[0]
     count = m ** (ncols - len(echelon.rows)) * prod(
         row[c] for c, row in echelon.rows.items())
@@ -573,8 +547,8 @@ def solutions_mod_m(rows, ncols: int, m: int):
 
 
 class _Solutions:
-    """The solutions of a closed Howell form over Z/m, walked afresh each
-    time they are iterated."""
+    """The solutions of a Howell form over Z/m, walked afresh each time they
+    are iterated."""
 
     __slots__ = ("echelon", "ncols")
 
@@ -595,7 +569,7 @@ def _walk(echelon: _Echelon, ncols: int):
     ones and those pivoting with g > 1.  The walk steps the branching
     columns alone, depth first, and moves each fixed column by the change.
     """
-    m = echelon.p
+    m = echelon.m
     rows = echelon.reduced()
     branching = [b for b in range(ncols) if b not in rows or rows[b][b] > 1]
     fixed = {b: [] for b in branching}

@@ -232,6 +232,25 @@ def test_cli_validate_rejects_booleans_for_integers(case, tmp_path, capsys):
     assert "integer" in err.splitlines()[-1]
 
 
+def test_cli_rejects_a_duplicate_key(tmp_path, capsys):
+    """x11 validates; with a key repeated at top level, or inside its horiz
+    groupoid, it exits 2 naming the duplicate key."""
+    doc = _corpus_doc("x11")
+    text = json.dumps(doc)
+    cases = {
+        "good": text,
+        "top": text.replace("{", '{"n_points": %d, ' % doc["n_points"], 1),
+        "payload": text.replace('"horiz": {', '"horiz": {"n_objects": %d, '
+                                % doc["horiz"]["n_objects"], 1),
+    }
+    for name, case in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(case)
+        assert run(["validate", str(path)]) == (0 if name == "good" else 2)
+        err = capsys.readouterr().err
+        assert ("duplicate key" in err) == (name != "good"), name
+
+
 def test_cli_malformed_file_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -112,7 +112,14 @@ def check_rank_and_nullity(mat, p):
 @SETTINGS
 @given(dense_matrices(), st.sampled_from(PRIMES))
 def test_rank_and_nullity_match_dense_oracle(mat, p):
+    """Also, at each prime q: ``count_solutions_mod_m``, through
+    ``_Echelon(q)``, counts q to the nullity that ``nullity_fp`` finds, on
+    plane rows at q = 2 and 3."""
     check_rank_and_nullity(mat, p)
+    rows, ncols = to_sparse(mat[0]), mat[1]
+    for q in PRIMES:
+        assert count_solutions_mod_m(rows, ncols, q) == q ** nullity_fp(
+            rows, ncols, q)
 
 
 @SETTINGS
@@ -405,7 +412,7 @@ def test_smith_rejects_a_column_outside_the_matrix():
 
 @settings(max_examples=40, deadline=None)
 @given(dense_matrices(max_rows=4, max_cols=4),
-       st.sampled_from((1, 2, 4, 6, 8, 9, 12)))
+       st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 12)))
 def test_solutions_mod_m_match_brute_force(mat, m):
     """Every solution once, in increasing lexicographic order."""
     mat, ncols = mat
@@ -419,14 +426,15 @@ def test_solutions_mod_m_match_brute_force(mat, m):
 
 def test_the_walk_needs_the_howell_closure_row():
     """x0 + 2 x1 = 0 mod 4 pivots on x1 with g = 2, which has a value only
-    for even x0; the closure row 2 (1, 2) = (2, 0) says so."""
-    echelon = _Echelon(4, ring=True)
-    echelon.add({0: 1, 1: 2})
-    assert echelon.rows == {1: {0: 1, 1: 2}}
-    with pytest.raises(InternalConsistencyError, match="no value"):
-        list(_walk(echelon, 2))
-    echelon.close()
+    for even x0; the closure row 2 (1, 2) = (2, 0) says so.  ``add`` stores
+    it with the row, and without it the walk meets a dead end."""
+    echelon = _Echelon(4)
+    assert echelon.add({0: 1, 1: 2})
     assert echelon.rows == {1: {0: 1, 1: 2}, 0: {0: 2}}
+    bare = _Echelon(4)
+    bare.rows = {c: dict(row) for c, row in echelon.rows.items() if c != 0}
+    with pytest.raises(InternalConsistencyError, match="no value"):
+        list(_walk(bare, 2))
     count, solutions = solutions_mod_m([{0: 1, 1: 2}], 2, 4)
     assert count == 4
     assert list(solutions) == [(0, 0), (0, 2), (2, 1), (2, 3)]
@@ -435,17 +443,23 @@ def test_the_walk_needs_the_howell_closure_row():
 @settings(max_examples=60, deadline=None)
 @given(dense_matrices(max_rows=5, max_cols=5, min_size=1,
                       entry=st.integers(-12, 12)),
-       st.sampled_from((2, 4, 6, 8, 9, 12, 36)))
+       st.sampled_from((2, 3, 4, 5, 6, 8, 9, 12, 36)))
 def test_howell_count_is_the_smith_count(mat, m):
     """m per free column times g per pivot column of the Howell form equals
     m**(ncols - r) times the product of gcd(d_k, m) over the r divisors
-    that sympy finds; every pivot divides m."""
+    that sympy finds; every pivot divides m, and every stored row, closure
+    rows too, equals mod m the combination of the inputs its combo
+    records."""
     dense, ncols = mat
-    echelon = _Echelon(m, ring=True)
-    for row in to_sparse(dense):
-        echelon.add({j: v % m for j, v in row.items() if v % m})
-    echelon.close()
+    echelon = _Echelon(m)
+    for i, row in enumerate(to_sparse(dense)):
+        echelon.add({j: v % m for j, v in row.items() if v % m}, {i: 1})
     assert all(m % row[c] == 0 for c, row in echelon.rows.items())
+    for c, row in echelon.rows.items():
+        combo = echelon.combos[c]
+        assert to_dense([row], ncols)[0] == [
+            sum(x * dense[i][j] for i, x in combo.items()) % m
+            for j in range(ncols)]
     howell = m ** (ncols - len(echelon.rows)) * prod(
         row[c] for c, row in echelon.rows.items())
     divisors = sympy_divisors(dense)

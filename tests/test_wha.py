@@ -8,7 +8,7 @@ from dgq.errors import StructureError, UnsupportedFeatureError, VacancyError
 from dgq.fields import FieldSpec
 from dgq.samples import commuting_squares_z2
 from dgq.wha import (CocyclePair, antipode, block_structure, build,
-                     check_involutory, counit, counital_maps,
+                     check_involutory, comultiply, counit, counital_maps,
                      duality_check, gauge_isomorphism_check, is_hopf, multiply,
                      product_union_check, simple_algebra_conditions,
                      algebra_is_simple, unit_object_simple, verify_axioms)
@@ -284,3 +284,35 @@ def test_foreign_basis_rejected(s3_T):
         multiply(w, foreign, w.unit())
     with pytest.raises(StructureError, match="basis"):
         counit(small, {5: small.field.one})
+
+
+def _combine(fs, terms):
+    """The sum of c x over the (c, x) in ``terms``, x a sparse vector."""
+    out = {}
+    for c, x in terms:
+        for k, v in x.items():
+            out[k] = fs.add(out.get(k, fs.zero), fs.mul(c, v))
+    return {k: v for k, v in out.items() if v != fs.zero}
+
+
+def test_comultiply_is_the_linear_extension_of_the_factorizations(
+        vacant_corpus):
+    """Over Q untwisted and over F_3 with the last twist at modulus two:
+    Delta(1) is ``delta_one``, Delta of a box sums its factorization terms,
+    Delta is linear, and a key outside the basis is refused."""
+    for name, t in vacant_corpus.items():
+        twist = list(enumerate_cocycle_pairs(t, 2, budget=10 ** 7))[-1]
+        for w in (build(t), build(t, twist, F3)):
+            fs = w.field
+            one, two = fs.one, fs.add(fs.one, fs.one)
+            assert comultiply(w, w.unit()) == w.delta_one(), name
+            for a in range(w.dim):
+                assert comultiply(w, {a: one}) == _combine(
+                    fs, [(s, {(b, c): one}) for b, c, s in w.factorizations[a]])
+            x = {a: one for a in range(0, w.dim, 2)}
+            y = {a: two for a in range(0, w.dim, 3)}
+            assert comultiply(w, _combine(fs, [(one, x), (two, y)])) == _combine(
+                fs, [(one, comultiply(w, x)), (two, comultiply(w, y))]), name
+            for key in (w.dim, -1, "0"):
+                with pytest.raises(StructureError, match="basis"):
+                    comultiply(w, {key: one})
