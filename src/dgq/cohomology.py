@@ -562,16 +562,28 @@ class KacReport:
 
 class _TotalH:
     """Cohomology spaces of one total complex with coordinates, plus the
-    position layout needed to move vectors between D, A and E."""
+    position layout needed to move vectors between D, A and E.
+
+    Each differential out of a degree in ``degrees`` is reduced once, for
+    its nullspace.  The lowest degree has no term below it (Tot A none below
+    internal degree 2), so nothing maps into it.  Then dim H^n is reached
+    twice: as the dimension of the subquotient, and by rank arithmetic, the
+    nullity of d_n less the rank of d_(n-1)."""
 
     def __init__(self, spec, part, cx, p, degrees):
         mats, dims = cx
         self.layout = {n: _offsets(spec, part, n) for n in range(spec.bound + 1)}
         self.h = {}
+        rank_in = 0
         for n in degrees:
             z = nullspace_fp(mats[n], dims[n], p)
             b = transpose(mats[n - 1], dims[n - 1]) if n > 0 else []
             self.h[n] = SubquotientFp(dims[n], z, b, p)
+            if self.h[n].dim != len(z) - rank_in:
+                raise InternalConsistencyError(
+                    f"two routes to H of Tot {part} disagree in internal "
+                    f"degree {n}")
+            rank_in = dims[n] - len(z)
 
     def dim(self, n):
         return self.h[n].dim
@@ -621,19 +633,18 @@ def kac_report(t: DoubleGroupoid, p: int,
         for g in (diag, t.horiz, t.vert))
     kes_aux = {n: tot_d[n] == h_diag[n] for n in (1, 2, 3)}
     split = {n: tot_e[n] == h_horiz[n] + h_vert[n] for n in (1, 2, 3)}
-    return KacReport(p, h_diag, h_horiz, h_vert, tot_d, tot_e, tot_a[2],
-                     tot_a[3], kes_aux, split, nodes)
+    return KacReport(p, h_diag, h_horiz, h_vert, tot_d, tot_e, *tot_a,
+                     kes_aux, split, nodes)
 
 
 def _sequence(t: DoubleGroupoid, p: int, normalization: str):
-    """dim H^n of Tot D, Tot E and Tot A (internal degrees) over F_p, and
-    the exactness checks of the long sequence at each node."""
+    """dim H^n over F_p of Tot D and Tot E for n = 0..3 and of Tot A in
+    internal degrees 2 and 3, and the exactness checks of the long sequence
+    at each node."""
     spec = build_double_complex(t, 4, normalization)
     # the sequence runs through H^3 of Tot D and Tot E and H^1 of Tot A
     # (internal degree 3); the snake map out of H^3(Tot E) lands in degree 4
     complexes = {part: _total_complex(spec, part, 4) for part in "DEA"}
-    tot = {part: [g.dim for g in _cohomology(*cx, ("Fp", p))]
-           for part, cx in complexes.items()}
     hd = _TotalH(spec, "D", complexes["D"], p, range(4))
     he = _TotalH(spec, "E", complexes["E"], p, range(4))
     ha = _TotalH(spec, "A", complexes["A"], p, range(2, 4))   # internal
@@ -704,13 +715,8 @@ def _sequence(t: DoubleGroupoid, p: int, normalization: str):
                   composite_zero(maps["pi3"], maps["iota3"])),
         NodeCheck("H3(Tot E)", he.dim(3), ranks["pi3"], ranks["delta3"], True),
     ]
-    if any(tot["A"][n] != ha.dim(n) for n in range(2, 4)):
-        raise InternalConsistencyError("two routes to H(Tot A) disagree")
-    for n in range(4):
-        if tot["D"][n] != hd.dim(n) or tot["E"][n] != he.dim(n):
-            raise InternalConsistencyError(
-                f"two routes to H^{n}(Tot D) or H^{n}(Tot E) disagree")
-    return tot["D"], tot["E"], tot["A"], nodes
+    return ([hd.dim(n) for n in range(4)], [he.dim(n) for n in range(4)],
+            (ha.dim(2), ha.dim(3)), nodes)
 
 
 def commutation_defect(spec: DoubleComplexSpec):

@@ -117,11 +117,12 @@ class FieldSpec:
         return (a * b) % self.characteristic
 
     def inv(self, a):
-        if a == self.zero:
+        p = self.characteristic
+        if (a % p if p else a) == 0:
             raise ZeroDivisionError("inverting zero")
-        if self.characteristic == 0:
+        if p == 0:
             return _rational(1 / Fraction(a))
-        return pow(a, self.characteristic - 2, self.characteristic)
+        return pow(a, -1, p)
 
     def embed_exponent(self, k: int):
         """zeta ** k for an additive value k in Z/m."""

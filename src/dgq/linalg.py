@@ -14,9 +14,12 @@ ints.  A plane row is dense up to its pivot, so the planes of a matrix with
 :class:`_Echelon` is the one eliminator on dict rows: over Z/m for every
 m >= 1, and over Z at m = 0.  At a prime m that is F_m, where every pivot
 is 1: it serves F_p for p >= 5, and F_2 and F_3 wherever the planes would
-not fit.  At a composite m it keeps the Howell form, whose depth-first walk
-lists the solutions of a linear system in order; over Z it gives the Smith
-form, by echelon passes on the rows and on the columns in turn.
+not fit.  :class:`_Planes` takes the same dict rows and gives the same
+answers, so the plane format stays inside it.  At a composite m
+:class:`_Echelon` keeps the Howell form, whose depth-first walk lists the
+solutions of a linear system in order; over Z it gives the diagonal of a
+Smith form, by echelon passes on the rows and on the columns in turn.  No
+routine here needs the transforms of either form.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
@@ -96,20 +99,21 @@ class _Echelon:
     """Dict rows over Z/m, or over Z when m is 0, in echelon form: each is
     stored under its rightmost (largest) column, its pivot, which no other
     stored row shares.  At a prime m this is F_m.  Over F_2 and F_3 the same
-    form is kept on bit-plane rows by :class:`_Planes` whenever they fit in
-    :data:`_PLANE_STORE`, so this class serves F_p for p >= 5, larger
-    eliminations over F_2 and F_3, Z/m and Z.
+    form, behind the same interface, is kept on bit-plane rows by
+    :class:`_Planes` whenever they fit in :data:`_PLANE_STORE`, so this
+    class serves F_p for p >= 5, larger eliminations over F_2 and F_3, Z/m
+    and Z.
 
-    A row that enters is reduced by the stored rows, rightmost column first,
-    until that column has no stored row.  An entry that is a multiple of the
-    stored pivot is cleared by that multiple of the stored row.  Any other
-    entry first takes a gcd step, Euclid's algorithm on the two rows: the
-    stored row ends as a combination of the two whose entry there is their
-    gcd, and the entering row as one whose entry there is 0.  A pivot of 1
-    divides every entry, so at a prime m no gcd step runs.  All steps are
-    unimodular.  Where a ``combo`` is passed it follows the row through
-    every step: it records which combination of tracked inputs the row
-    equals (see :class:`SubquotientFp` and :func:`smith_with_transform`).
+    A row that enters is reduced mod m, then by the stored rows, rightmost
+    column first, until that column has no stored row.  An entry that is a
+    multiple of the stored pivot is cleared by that multiple of the stored
+    row.  Any other entry first takes a gcd step, Euclid's algorithm on the
+    two rows: the stored row ends as a combination of the two whose entry
+    there is their gcd, and the entering row as one whose entry there is 0.
+    A pivot of 1 divides every entry, so at a prime m no gcd step runs.
+    Columns below the ``low`` of :meth:`add` never pivot, so they only
+    follow the steps: :class:`SubquotientFp` keeps there which inputs each
+    row combines.
 
     Over Z/m the stored rows are a Howell form (Howell, "Spans in the
     module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for
@@ -125,43 +129,35 @@ class _Echelon:
     def __init__(self, m: int):
         self.m = m
         self.rows: dict[int, dict[int, int]] = {}
-        self.combos: dict[int, dict[int, int]] = {}
 
-    def reduce(self, row, combo=None):
-        """Reduce ``row`` in place; return its new rightmost column, or None
-        once it is zero."""
-        rows, combos, m = self.rows, self.combos, self.m
+    def reduce(self, row) -> dict[int, int]:
+        """``row`` reduced, as a new dict: zero, or with a rightmost column
+        that no stored row has."""
+        rows, m = self.rows, self.m
+        row = _mod(row, m) if m else dict(row)
         while row:
             c = max(row)
             piv = rows.get(c)
             if piv is None:
-                return c
+                break
             f = row[c]
             # Euclid's algorithm on the two rows: each step stores the
             # remainder row and carries on with the other
             while f % piv[c]:
-                q = f // piv[c]
-                for store, vec in ((rows, row), (combos, combo)):
-                    if vec is not None:
-                        _eliminate(vec, q, store[c], m)
-                        store[c], held = dict(vec), store[c]
-                        vec.clear()
-                        vec.update(held)
+                _eliminate(row, f // piv[c], piv, m)
+                rows[c], row = row, piv
                 piv, f = rows[c], row[c]
-            f //= piv[c]
-            _eliminate(row, f, piv, m)
-            if combo is not None:
-                _eliminate(combo, f, combos[c], m)
-        return None
+            _eliminate(row, f // piv[c], piv, m)
+        return row
 
-    def add(self, row, combo=None) -> bool:
-        """Reduce ``row`` and store what is left; False if nothing is.  Over
-        Z/m the stored row, and its combo, are scaled by a unit to a pivot g
-        dividing m, which is 1 at a prime m.  For g > 1 the closure row
-        (m/g) r, which vanishes at the pivot, is fed in at once, and so on
-        for each row that this stores in turn: the rows are then a Howell
-        form.  A pivot of 1 is never replaced by a gcd step, and its closure
-        row is 0.
+    def add(self, row, low: int = 0) -> bool:
+        """Reduce ``row`` and store what is left; False if nothing is left
+        at or above column ``low``, so that every stored pivot is.  Over Z/m
+        the stored row is scaled by a unit to a pivot g dividing m, which is
+        1 at a prime m.  For g > 1 the closure row (m/g) r, which vanishes
+        at the pivot, is fed in at once, and so on for each row that this
+        stores in turn: the rows are then a Howell form.  A pivot of 1 is
+        never replaced by a gcd step, and its closure row is 0.
 
         Each step only adds to the span of the rows pivoted before a column,
         so a closure row, once fed in, stays in that span.  A row r' that a
@@ -169,12 +165,13 @@ class _Echelon:
         own: r = (g/g') r' + q e, for an integer q and the remainder row e,
         which is 0 at c and goes on to be reduced below c.  So (m/g') r' =
         (m/g) r - (m/g) q e lies in the span pivoted before c."""
-        c = self.reduce(row, combo)
-        if c is None:
+        row = self.reduce(row)
+        c = max(row, default=-1)
+        if c < low:
             return False
         m = self.m
         # the closure rows form a chain, each pivoted below the one before
-        while c is not None:
+        while c >= low:
             if m:
                 # a unit u with row[c] u = g mod m: the inverse of row[c] / g
                 # mod m / g, moved by multiples of m / g until prime to m
@@ -182,31 +179,25 @@ class _Echelon:
                 inv = pow(row[c] // g, -1, m // g)
                 while gcd(inv, m) > 1:
                     inv += m // g
-                for vec in (row, combo or {}):
-                    for k, v in vec.items():
-                        vec[k] = v * inv % m
+                for k, v in row.items():
+                    row[k] = v * inv % m
             self.rows[c] = row
-            if combo is not None:
-                self.combos[c] = combo
             if not m or g == 1:
                 break
-            row = _mod({k: v * (m // g) for k, v in row.items()}, m)
-            if combo is not None:
-                combo = _mod({k: v * (m // g) for k, v in combo.items()}, m)
-            c = self.reduce(row, combo)
+            row = self.reduce({k: v * (m // g) for k, v in row.items()})
+            c = max(row, default=-1)
         return True
 
     def reduced(self) -> dict[int, dict[int, int]]:
-        """The stored rows in reduced echelon form, their combos following:
-        each entry at another row's pivot column is brought below that
-        pivot, to its remainder by floor division, so at a prime m it is
-        cleared.
+        """The stored rows in reduced echelon form: each entry at another
+        row's pivot column is brought below that pivot, to its remainder by
+        floor division, so at a prime m it is cleared.
 
         Rows are reduced left to right, each at its pivot columns right to
         left: a row subtracted changes only columns still to come.  Where
         every pivot is 1 it is reduced already and adds no pivot column;
         elsewhere the ones it adds join the queue."""
-        rows, combos, m = self.rows, self.combos, self.m
+        rows, m = self.rows, self.m
         for c in sorted(rows):
             row = rows[c]
             todo = sorted(k for k in row if k != c and k in rows)
@@ -217,8 +208,6 @@ class _Echelon:
                 if f:
                     new = [j for j in piv if j in rows and j not in row]
                     _eliminate(row, f, piv, m)
-                    if combos:
-                        _eliminate(combos[c], f, combos[k], m)
                     if new:
                         todo += new
                         todo.sort()
@@ -236,21 +225,21 @@ _PLANE_STORE = 1 << 26
 
 def _on_planes(p: int, ncols: int, extra: int = 0) -> bool:
     """Whether an elimination over F_p on ``ncols`` columns, with ``extra``
-    combo columns below them, fits its plane rows in :data:`_PLANE_STORE`."""
+    columns below them that never pivot, fits its plane rows in
+    :data:`_PLANE_STORE`."""
     return p in (2, 3) and (
         (p - 1) * ncols * (ncols + 2 * extra) <= 16 * _PLANE_STORE)
 
 
-def _to_planes(row, p: int, shift: int = 0) -> tuple[int, int]:
-    """The planes (ones, twos) of a dict row mod p, its columns moved up by
-    ``shift``."""
+def _to_planes(row, p: int) -> tuple[int, int]:
+    """The planes (ones, twos) of a dict row mod p."""
     ones = twos = 0
     for c, v in row.items():
         v %= p
         if v == 1:
-            ones |= 1 << c + shift
+            ones |= 1 << c
         elif v:
-            twos |= 1 << c + shift
+            twos |= 1 << c
     return ones, twos
 
 
@@ -271,29 +260,28 @@ def _from_planes(ones: int, twos: int) -> dict[int, int]:
 
 class _Planes:
     """Rows over F_2 or F_3 in the echelon form of :class:`_Echelon`, each
-    stored under its rightmost column, with a 1 there.
+    stored under its rightmost column, with a 1 there, behind the interface
+    of :class:`_Echelon`: dict rows go in and come out, and ``rows`` maps
+    each pivot to its stored row.
 
-    A row is a pair of ints (ones, twos): bit c of ``ones`` is set where
-    column c holds 1, and of ``twos`` where it holds 2, so the pivot is
-    ``(ones | twos).bit_length() - 1``.  Over F_2 ``twos`` stays 0 and
+    A stored row is a pair of ints (ones, twos): bit c of ``ones`` is set
+    where column c holds 1, and of ``twos`` where it holds 2, so the pivot
+    is ``(ones | twos).bit_length() - 1``.  Over F_2 ``twos`` stays 0 and
     subtracting a row is an XOR.  Over F_3 negating a row swaps its planes,
     and a + b is ``t = (a1 | b2) ^ (a2 | b1)``, ``ones = (a2 | b2) ^ t``,
     ``twos = (a1 | b1) ^ t`` (Boothby and Bradshaw, "Bitslicing and the
     Method of Four Russians over larger finite fields", arXiv:0901.1413).
     Each step is then a few word operations done in C, on rows as dense as
     the fill-in makes them (machine-word rows as in M4RI: Albrecht, Bard and
-    Hart, "Algorithm 898", ACM TOMS 37, 2010).
-
-    Columns below ``low`` are carried but never pivot: :class:`SubquotientFp`
-    keeps each row's combo there."""
+    Hart, "Algorithm 898", ACM TOMS 37, 2010)."""
 
     def __init__(self, p: int):
         self.p = p
         self.rows: dict[int, tuple[int, int]] = {}
 
-    def reduce(self, ones: int, twos: int) -> tuple[int, int]:
-        """The row reduced by the stored rows, rightmost column first, until
-        that column has no stored row."""
+    def _reduce(self, ones: int, twos: int) -> tuple[int, int]:
+        """The planes reduced by the stored rows, rightmost column first,
+        until that column has no stored row."""
         rows = self.rows
         if self.p == 2:
             while True:
@@ -313,11 +301,15 @@ class _Planes:
             t = (ones | b2) ^ (twos | b1)
             ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
 
-    def add(self, ones: int, twos: int = 0, low: int = 0) -> bool:
-        """Reduce the row and store what is left, scaled to a pivot of 1;
-        False if nothing is left at or above column ``low``.  Every stored
-        pivot is then at or above ``low``, so a reduction stops there."""
-        ones, twos = self.reduce(ones, twos)
+    def reduce(self, row) -> dict[int, int]:
+        """``row`` reduced, as in :meth:`_Echelon.reduce`."""
+        return _from_planes(*self._reduce(*_to_planes(row, self.p)))
+
+    def add(self, row, low: int = 0) -> bool:
+        """Reduce ``row`` and store what is left, scaled to a pivot of 1;
+        False if nothing is left at or above column ``low``, so that every
+        stored pivot is."""
+        ones, twos = self._reduce(*_to_planes(row, self.p))
         c = (ones | twos).bit_length() - 1
         if c < low:
             return False
@@ -346,28 +338,24 @@ class _Planes:
         return {c: _from_planes(*row) for c, row in rows.items()}
 
 
-def _echelon_fp(rows, ncols: int, p: int):
-    """The echelon form of ``rows`` over F_p: on plane rows where
+def _echelon_fp(p: int, ncols: int, rows=(), extra: int = 0):
+    """The echelon form of ``rows`` over F_p, on ``ncols`` columns with
+    ``extra`` below them that never pivot: on plane rows where
     :func:`_on_planes` allows, else on dict rows."""
-    if _on_planes(p, ncols):
-        echelon = _Planes(p)
-        for row in rows:
-            echelon.add(*_to_planes(row, p))
-    else:
-        echelon = _Echelon(p)
-        for row in rows:
-            echelon.add(_mod(row, p))
+    echelon = _Planes(p) if _on_planes(p, ncols, extra) else _Echelon(p)
+    for row in rows:
+        echelon.add(row)
     return echelon
 
 
 def rank_fp(rows, p: int) -> int:
     """Rank over F_p."""
     ncols = 1 + max((max(row) for row in rows if row), default=-1)
-    return len(_echelon_fp(rows, ncols, p).rows)
+    return len(_echelon_fp(p, ncols, rows).rows)
 
 
 def nullity_fp(rows, ncols: int, p: int) -> int:
-    return ncols - len(_echelon_fp(rows, ncols, p).rows)
+    return ncols - len(_echelon_fp(p, ncols, rows).rows)
 
 
 def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
@@ -376,7 +364,7 @@ def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
     column: the vector is 1 at its free column, zero at every other free
     column, and solves for the pivot columns.  (This is the reduced echelon
     basis of the matrix read with its columns in reverse order.)"""
-    echelon = _echelon_fp(rows, ncols, p)
+    echelon = _echelon_fp(p, ncols, rows)
     basis = {f: {f: 1} for f in range(ncols) if f not in echelon.rows}
     for c, row in echelon.reduced().items():
         for f, v in row.items():
@@ -398,93 +386,74 @@ class SubquotientFp:
         self.n = ambient_dim
         self.p = p
         self.reps = []
-        # every stored row carries its coordinates over the representatives;
-        # B rows have none, since span(B) is quotiented out.  Plane rows
-        # carry them in their low bits, one column per Z vector, so
-        # ``_shift`` is the number of Z vectors; dict rows in a combo.
+        # every row is moved up by ``_shift``, the number of Z vectors, and
+        # carries its coordinates over the representatives in the columns
+        # below, which never pivot; B rows carry none, since span(B) is
+        # quotiented out
         z_vectors = list(z_vectors)
-        if _on_planes(p, ambient_dim, len(z_vectors)):
-            self._shift = shift = len(z_vectors)
-            self._echelon = _Planes(p)
-            for v in b_vectors:
-                self._echelon.add(*_to_planes(v, p, shift), shift)
-            for v in z_vectors:
-                ones, twos = _to_planes(v, p, shift)
-                if self._echelon.add(ones | 1 << len(self.reps), twos, shift):
-                    self.reps.append(_mod(v, p))
-            return
-        self._shift = None
-        self._echelon = _Echelon(p)
+        self._shift = shift = len(z_vectors)
+        self._echelon = _echelon_fp(p, ambient_dim, extra=shift)
         for v in b_vectors:
-            self._echelon.add(_mod(v, p), {})
+            self._echelon.add(self._moved(v), shift)
         for v in z_vectors:
-            rep = _mod(v, p)
-            if self._echelon.add(dict(rep), {len(self.reps): 1}):
-                self.reps.append(rep)
+            row = self._moved(v)
+            row[len(self.reps)] = 1
+            if self._echelon.add(row, shift):
+                self.reps.append(_mod(v, p))
+
+    def _moved(self, v) -> dict[int, int]:
+        shift = self._shift
+        return {c + shift: x for c, x in v.items()}
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def coords(self, v) -> dict[int, int]:
-        p, shift = self.p, self._shift
-        if shift is None:
-            combo: dict[int, int] = {}
-            left = self._echelon.reduce(_mod(v, p), combo)
-        else:
-            ones, twos = self._echelon.reduce(*_to_planes(v, p, shift))
-            left = None if (ones | twos).bit_length() <= shift else shift
-            combo = _from_planes(ones, twos)
-        if left is not None:
+        left = self._echelon.reduce(self._moved(v))
+        if max(left, default=-1) >= self._shift:
             raise StructureError("vector does not lie in the subquotient span")
-        # v minus the stored rows it took is zero, so v is minus their combo
-        return {k: -x % p for k, x in combo.items()}
+        # v minus the stored rows it took is zero above the shift, so the
+        # class of v is minus the coordinates those rows carried
+        return {k: -x % self.p for k, x in left.items()}
 
 
 # -- integer Smith normal form ------------------------------------------
 
 
-def smith_with_transform(rows, ncols: int):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def _hermite(lines) -> list[dict[int, int]]:
+    """The reduced echelon form of ``lines`` over Z, in the order of its
+    pivots."""
+    echelon = _Echelon(0)
+    for line in lines:
+        echelon.add(line)
+    rows = echelon.reduced()
+    return [rows[c] for c in sorted(rows)]
 
-    Returns (diagonal, T), the diagonal positive and T a list of ``ncols``
-    sparse columns over the columns of A with |det T| = 1: the first go with
-    the diagonal entries, and the rest span ker A.  So x = T y turns A x = 0
-    into d_k y_k = 0, with d_k = 0 past the diagonal.  Divisibility along the
-    diagonal is not enforced here; see :func:`elementary_divisors`.
+
+def smith_diagonal(rows, ncols: int) -> list[int]:
+    """The diagonal of an integer matrix reached by unimodular row and
+    column operations, its entries positive and as many as the rank.
+    Divisibility along it is not enforced here; see
+    :func:`elementary_divisors`.
 
     Echelon passes over Z on the rows and on the columns alternate, each
-    ended by :meth:`_Echelon.reduced`, until every column has one entry.  A
-    pass on the columns carries T as combos; one on the rows carries
-    nothing, since row operations do not change the solutions.  Each pass
-    lists its lines in the order of their pivots, so its trailing pivot is
-    alone in its line, and the next pass replaces it by the gcd of the line
-    across, which includes it.  The trailing pivot thus at least halves, or
-    divides that line, which the reduction then clears for good.  So the
-    trailing pivots descend lexicographically, the classical argument for
-    alternating Hermite forms (Kannan and Bachem, SIAM J. Comput. 8, 1979),
-    and the loop ends."""
+    ended by :meth:`_Echelon.reduced`, until every column has one entry.
+    Each pass lists its lines in the order of their pivots, so its trailing
+    pivot is alone in its line, and the next pass replaces it by the gcd of
+    the line across, which includes it.  The trailing pivot thus at least
+    halves, or divides that line, which the reduction then clears for good.
+    So the trailing pivots descend lexicographically, the classical argument
+    for alternating Hermite forms (Kannan and Bachem, SIAM J. Comput. 8,
+    1979), and the loop ends."""
     if any(not 0 <= j < ncols for row in rows for j in row):
         raise StructureError(f"a column outside a matrix of {ncols} columns")
-    lines = (dict(row) for row in rows)
-    combos, kernel = [{j: 1} for j in range(ncols)], []
+    lines, width = rows, ncols
     while True:
-        echelon = _Echelon(0)
-        for row in lines:
-            echelon.add(row)
-        pivots = sorted(echelon.reduced())
-        lines = transpose([echelon.rows[c] for c in pivots], len(combos))
-        echelon = _Echelon(0)
-        for col, combo in zip(lines, combos):
-            if not echelon.add(col, combo):
-                kernel.append(combo)
-        pivots = sorted(echelon.reduced())
-        lines = [echelon.rows[c] for c in pivots]
-        combos = [echelon.combos[c] for c in pivots]
-        if all(len(col) == 1 for col in lines):
-            diag = [abs(v) for col in lines for v in col.values()]
-            return diag, combos + kernel
-        lines = transpose(lines, len(pivots))
+        cols = _hermite(transpose(_hermite(lines), width))
+        if all(len(col) == 1 for col in cols):
+            return [abs(v) for col in cols for v in col.values()]
+        lines, width = transpose(cols, len(cols)), len(cols)
 
 
 def invariant_factors(orders) -> list[int]:
@@ -507,7 +476,7 @@ def invariant_factors(orders) -> list[int]:
 
 def elementary_divisors(rows, ncols: int) -> list[int]:
     """Nonzero diagonal of the true Smith form, with d1 | d2 | ... enforced."""
-    return invariant_factors(smith_with_transform(rows, ncols)[0])
+    return invariant_factors(smith_diagonal(rows, ncols))
 
 
 def rank_z(rows, ncols: int) -> int:
@@ -534,8 +503,8 @@ def solutions_mod_m(rows, ncols: int, m: int):
     """
     echelon = _Echelon(m)
     for row in rows:
-        echelon.add(_mod(row, m))
-    diag = smith_with_transform(rows, ncols)[0]
+        echelon.add(row)
+    diag = smith_diagonal(rows, ncols)
     count = m ** (ncols - len(echelon.rows)) * prod(
         row[c] for c, row in echelon.rows.items())
     smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)

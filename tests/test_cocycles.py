@@ -278,3 +278,16 @@ def test_rational_scalars_are_ints_when_integral():
     assert type(qq.inv(-1)) is int and qq.inv(-1) == -1
     assert qq.inv(2) == Fraction(1, 2)
     assert qq.mul(qq.inv(2), 2) == qq.one
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+def test_field_inverse_refuses_every_multiple_of_p(p):
+    fs = FieldSpec(p)
+    for a in range(1, 2 * p):
+        if a % p:
+            assert fs.mul(fs.inv(a), a) == fs.one
+    for a in (0, p, -p, 2 * p):
+        with pytest.raises(ZeroDivisionError):
+            fs.inv(a)
+    with pytest.raises(ZeroDivisionError):
+        FieldSpec(0).inv(0)

@@ -5,14 +5,14 @@ against loop-based oracles.
 ``DoubleGroupoid.cocycle_identities``, a table of pair indices built once per
 double groupoid, and ``solutions_mod_m`` walks a Howell form over Z/m.  The
 oracles below are the loops those routines replaced: they walk the box
-tables directly, look every term up by its box pair, and build each solution
-from the whole transform of a Smith form.  On enumerated pairs, on corrupted
-pairs and on drawn tables alike, both routes must report the same failures
-(rule, witness and order), raise the same ``InternalConsistencyError``,
-count the same tuples and emit the same rows; the solvers must give the
-same solutions.  The residual sweep that checks each enumerated pair must
-flag exactly the pairs the validator fails, with one nonzero row per
-failing tuple.
+tables directly and look every term up by its box pair.  On enumerated
+pairs, on corrupted pairs and on drawn tables alike, both routes must report
+the same failures (rule, witness and order), raise the same
+``InternalConsistencyError``, count the same tuples and emit the same rows.
+The solver's solutions must solve the system, strictly increase, and number
+what the Smith diagonal counts.  The residual sweep that checks each
+enumerated pair must flag exactly the pairs the validator fails, with one
+nonzero row per failing tuple.
 
 ``count_modulo_gauge`` counts classes as |Z| |ker G| / m**|free| from two
 Smith forms.  Its oracle is the orbit sweep it replaced, which enumerates
@@ -37,8 +37,7 @@ from dgq.cocycles import (CocyclePair, _constraint_system, _ResidualSweep,
 from dgq.cohomology import aut_and_opext
 from dgq.double import CocycleIdentities, build_Xrs
 from dgq.errors import InternalConsistencyError, Report, StructureError
-from dgq.linalg import (smith_with_transform, solutions_mod_m, sparse_row,
-                        transpose)
+from dgq.linalg import smith_diagonal, solutions_mod_m, sparse_row, transpose
 from dgq.matched import to_vacant_double
 from dgq.samples import vacant_corpus
 
@@ -219,19 +218,6 @@ def oracle_orbit_count(t, m):
             assert moved in index, "gauge transform left the set of valid pairs"
             seen[index[moved]] = True
     return orbits
-
-
-def oracle_solutions(rows, ncols, m):
-    """Every solution x = T y in turn, summed over the whole transform (its
-    ``ncols`` sparse columns, each read at every row)."""
-    diag, t = smith_with_transform(rows, ncols)
-    steps = []
-    for k in range(ncols):
-        g = gcd((diag[k] if k < len(diag) else 0) % m, m)
-        steps.append([(m // g) * i for i in range(g)] if m > 1 else [0])
-    for y in itertools.product(*steps):
-        yield tuple(sum(t[k].get(i, 0) * y[k] for k in range(ncols)) % m
-                    for i in range(ncols))
 
 
 # -- helpers ----------------------------------------------------------------------
@@ -434,21 +420,19 @@ def test_constraint_system_matches_oracle(name, m):
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("name", NAMES)
 def test_solutions_match_oracle(name, m):
-    """Up to COMPARED solutions, the solver's and the oracle's are the same
-    set.  Beyond, the solver's first COMPARED strictly increase and solve
-    the system, and its count is the one the Smith diagonal gives."""
+    """The solver's first COMPARED solutions, or all of them if fewer, solve
+    the system and strictly increase, and its count is the one the Smith
+    diagonal d_k gives, m**(ncols - r) times the product of gcd(d_k, m).
+    Where they are all, that is the solution set: that many distinct
+    solutions leave none out."""
     rows, ncols, _, _ = _constraint_system(INSTANCES[name])
     count, solutions = solutions_mod_m(rows, ncols, m)
-    if count <= COMPARED:
-        found = list(solutions)
-        assert len(found) == count
-        assert set(found) == set(oracle_solutions(rows, ncols, m))
-        return
     first = list(itertools.islice(solutions, COMPARED))
+    assert len(first) == min(count, COMPARED)
     assert all(a < b for a, b in zip(first, first[1:]))
     assert all(sum(v * x[k] for k, v in row.items()) % m == 0
                for x in first for row in rows)
-    diag, _ = smith_with_transform(rows, ncols)
+    diag = smith_diagonal(rows, ncols)
     assert count == m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
 
 
@@ -506,7 +490,7 @@ def test_gauge_kernel_is_aut_and_classes_are_opext(name, m):
     columns = [sparse_row(enumerate(cp.sigma + cp.tau))
                for cp in _unit_gauge_moves(t, m)]
     nfree = len(columns)
-    diag, _ = smith_with_transform(transpose(columns, len(vp) + len(hp)), nfree)
+    diag = smith_diagonal(transpose(columns, len(vp) + len(hp)), nfree)
     diag += [0] * (nfree - len(diag))
     aut, opext = aut_and_opext(t, m)
     assert (_primary_parts(gcd(d, m) for d in diag)

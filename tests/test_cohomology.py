@@ -20,7 +20,7 @@ from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
                             total_cohomology, total_dim, total_matrix)
 from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
-from dgq.errors import TruncationError
+from dgq.errors import InternalConsistencyError, TruncationError
 from dgq.groupoids import coarse_groupoid, one_object_group
 from dgq.linalg import is_zero_matrix, matmul
 from dgq.samples import (corpus_product, corpus_union, cyclic_table,
@@ -427,15 +427,31 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
 
 def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
                                                    vacant_corpus):
-    calls = _count_calls(monkeypatch, ["nullity_fp", "rank_fp"])
+    calls = _count_calls(monkeypatch, ["nullity_fp", "nullspace_fp",
+                                       "rank_fp"])
     rep = coh.kac_report(vacant_corpus["x23"], 2)
-    # 4 total differentials for each of 3 parts, less Tot A's out of degree
-    # 0, which has no rows; the vertex groups of x23's three groupoids are
-    # trivial, so none of their differentials has a row either.  rank_fp
-    # serves only the 7 maps
-    assert len(calls["nullity_fp"]) == 12 - 1
+    # one nullspace out of each degree the sequence reads: 0..3 of Tot D and
+    # Tot E, internal 2..3 of Tot A; the rank arithmetic takes its nullities
+    # from them.  The vertex groups of x23's three groupoids are trivial, so
+    # none of their differentials has a row to reduce.  rank_fp serves only
+    # the 7 maps
+    assert len(calls["nullspace_fp"]) == 4 + 4 + 2
+    assert calls["nullity_fp"] == []
     assert len(calls["rank_fp"]) == 7
     assert rep.exact
+
+
+def test_kac_report_checks_each_total_h_by_rank_arithmetic(monkeypatch,
+                                                          vacant_corpus):
+    class Off(coh.SubquotientFp):
+        @property
+        def dim(self):
+            return super().dim + 1
+    monkeypatch.setattr(coh, "SubquotientFp", Off)
+    with pytest.raises(InternalConsistencyError,
+                       match="two routes to H of Tot D disagree in internal "
+                             "degree 0"):
+        coh.kac_report(vacant_corpus["x23"], 2)
 
 
 def test_composite_opext_one_smith_form_per_total_differential(
