@@ -16,12 +16,12 @@ import os
 import sys
 from collections.abc import Iterator
 
-from . import cocycles as ccy
-from . import cohomology as coh
+# cocycles, cohomology and wha are imported by the commands that run them, so
+# that each command loads only its own modules; they are reached through
+# their module objects, never through names copied here
 from . import double as dbl
 from . import io as dio
 from . import matched as mtd
-from . import wha
 from .errors import (FactorizationError, FormatError, InternalConsistencyError,
                      ResourceBudgetError, StructureError, TruncationError,
                      UnembeddableError, UnsupportedFeatureError, VacancyError)
@@ -120,6 +120,7 @@ def cmd_validate(args, out: Output) -> int:
     elif doc.kind == "matched_pair":
         rep = mtd.validate_matched_pair(doc.payload)
     elif doc.kind == "cocycle_pair" and args.against:
+        from . import cocycles as ccy
         t = _as_double(dio.load_path(args.against))
         cp = dio.cocycle_pair_for(t, doc.payload)
         rep = ccy.validate_cocycle_pair(t, cp)
@@ -170,6 +171,7 @@ def cmd_convert(args, out: Output) -> int:
 
 
 def _build_wha(args):
+    from . import wha
     t = _as_double(dio.load_path(args.path))
     fs = _field_from_args(args)
     cp = None
@@ -177,6 +179,7 @@ def _build_wha(args):
         cdoc = dio.load_path(args.cocycle)
         if cdoc.kind != "cocycle_pair":
             raise FormatError("--cocycle expects a cocycle_pair document")
+        from . import cocycles as ccy
         cp = dio.cocycle_pair_for(t, cdoc.payload)
         bad = ccy.validate_cocycle_pair(t, cp)
         if not bad.ok:
@@ -185,6 +188,7 @@ def _build_wha(args):
 
 
 def cmd_wha_build(args, out: Output) -> int:
+    from . import wha
     t, w = _build_wha(args)
     out.put("dimension", w.dim)
     out.put("points", t.n_points)
@@ -198,6 +202,7 @@ def cmd_wha_build(args, out: Output) -> int:
 
 
 def _put_blocks(out: Output, w) -> None:
+    from . import wha
     bs = wha.block_structure(w)
     for key, blocks in (("algebra_blocks", bs.algebra_blocks),
                         ("coalgebra_blocks", bs.coalgebra_blocks)):
@@ -206,6 +211,7 @@ def _put_blocks(out: Output, w) -> None:
 
 
 def cmd_wha_verify(args, out: Output) -> int:
+    from . import wha
     t, w = _build_wha(args)
     rep = wha.verify_axioms(w)
     involutory = wha.check_involutory(w)
@@ -217,6 +223,7 @@ def cmd_wha_verify(args, out: Output) -> int:
 
 
 def cmd_cocycles_enumerate(args, out: Output) -> int:
+    from . import cocycles as ccy
     t = _as_double(dio.load_path(args.path))
     pairs = ccy.enumerate_cocycle_pairs(t, args.m, args.budget)
     out.put("modulus", args.m)
@@ -227,6 +234,7 @@ def cmd_cocycles_enumerate(args, out: Output) -> int:
 
 
 def cmd_cocycles_classes(args, out: Output) -> int:
+    from . import cocycles as ccy
     t = _as_double(dio.load_path(args.path))
     out.put("modulus", args.m)
     out.put("classes", ccy.count_modulo_gauge(t, args.m))
@@ -234,6 +242,7 @@ def cmd_cocycles_classes(args, out: Output) -> int:
 
 
 def cmd_cohomology(args, out: Output) -> int:
+    from . import cohomology as coh
     doc = dio.load_path(args.path)
     if doc.kind != "groupoid":
         raise FormatError("cohomology expects a groupoid document")
@@ -250,6 +259,7 @@ def cmd_cohomology(args, out: Output) -> int:
 
 
 def cmd_kac(args, out: Output) -> int:
+    from . import cohomology as coh
     t = _as_double(dio.load_path(args.path))
     normalization = "strict" if args.strict_normalization == "on" else "literal"
     rep = coh.kac_report(t, args.p, normalization=normalization)
@@ -268,6 +278,7 @@ def cmd_kac(args, out: Output) -> int:
 
 
 def cmd_blocks(args, out: Output) -> int:
+    from . import wha
     t = _as_double(dio.load_path(args.path))
     w = wha.build(t)
     out.put("dimension", w.dim)

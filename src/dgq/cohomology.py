@@ -35,7 +35,7 @@ from .groupoids import Groupoid, connected_decomposition, one_object_group
 # elementary_divisors, whose length it is
 from .linalg import (SubquotientFp, elementary_divisors,  # noqa: F401
                      invariant_factors, is_zero_matrix, matmul, nullity_fp,
-                     nullspace_fp, rank_fp, rank_z, sparse_row, transpose)
+                     nullspace_fp, rank_fp, rank_z, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 # the largest tuple or grid basis a complex is built on; a larger one raises
@@ -95,10 +95,23 @@ def _groupoid_faces(g: Groupoid, n: int):
 def _coboundary_rows(src_index, tgt, faces):
     """One sparse row per target basis element: the signs of its faces,
     summed over the faces that lie in the source basis (a composed
-    coordinate may degenerate and drop out)."""
-    return [sparse_row((src_index[f], sign) for f, sign in faces(chain)
-                       if f in src_index)
-            for chain in tgt]
+    coordinate may degenerate and drop out).  Each row is built in one pass
+    over its faces; an entry that sums to 0 is deleted, so no row stores a
+    zero."""
+    where = src_index.get
+    rows = []
+    for chain in tgt:
+        row: dict[int, int] = {}
+        for f, sign in faces(chain):
+            c = where(f)
+            if c is not None:
+                v = row.get(c, 0) + sign
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+        rows.append(row)
+    return rows
 
 
 class FpGroup:

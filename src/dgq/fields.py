@@ -7,8 +7,6 @@ values k in Z/m embed as zeta**k.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import StructureError, UnembeddableError
 
 
@@ -38,7 +36,14 @@ def smallest_root(p: int, m: int) -> int:
 
 
 def _rational(x):
-    """x as an exact rational: an int when integral, else a Fraction."""
+    """x as an exact rational: an int when integral, else a Fraction.
+
+    ``fractions`` (which loads ``decimal``) is imported on the first value
+    that is not an int, so a command that never divides over Q never loads
+    it."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -121,6 +126,7 @@ class FieldSpec:
         if (a % p if p else a) == 0:
             raise ZeroDivisionError("inverting zero")
         if p == 0:
+            from fractions import Fraction
             return _rational(1 / Fraction(a))
         return pow(a, -1, p)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from operator import getitem
 
-from .cocycles import CocyclePair
 from .double import DoubleGroupoid
 from .errors import FormatError, StructureError
 from .fields import FieldSpec
@@ -289,6 +288,8 @@ def _cocycle_to_obj(doc: CocycleDocument) -> dict:
 def cocycle_pair_for(t: DoubleGroupoid, doc: CocycleDocument) -> CocyclePair:
     """Bind a cocycle document to a double groupoid, requiring the keys to be
     exactly the composable pairs."""
+    # imported here: only commands that bind a cocycle document load cocycles
+    from .cocycles import CocyclePair
     vp, hp, vindex, hindex = t.pair_domains()
     sigma = [None] * len(vp)
     for a, b, v in doc.sigma:
@@ -398,7 +399,13 @@ def parse(text) -> Document:
             raise FormatError(f"input is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise
+    except RecursionError as exc:
+        raise FormatError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal longer than the
+        # interpreter converts (sys.get_int_max_str_digits())
         raise FormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError("document must be a JSON object")

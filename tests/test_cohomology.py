@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dgq import cohomology as coh
+from dgq import samples
 from dgq.cli import run
 from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
                             aut_and_opext, build_double_complex,
@@ -22,7 +23,7 @@ from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
 from dgq.errors import InternalConsistencyError, TruncationError
 from dgq.groupoids import coarse_groupoid, one_object_group
-from dgq.linalg import is_zero_matrix, matmul
+from dgq.linalg import is_zero_matrix, matmul, sparse_row
 from dgq.samples import (corpus_product, corpus_union, cyclic_table,
                          s3_double, symmetric_table)
 
@@ -196,6 +197,61 @@ def test_vertex_groups_agree_with_the_full_nerve(name):
         full = coh._bar_cohomology(g, top, coefficients, 10 ** 6)
         assert groupoid_cohomology(g, top, coefficients).groups == full, (
             coefficients)
+
+
+# -- one-pass row assembly against the two-pass formulation -------------------
+
+
+def _rows_by_sparse_row(src_index, tgt, faces):
+    """The coboundary rows as two passes build them: the (column, sign)
+    entries of each row summed by ``sparse_row``, which then drops the
+    zeros."""
+    return [sparse_row((src_index[f], sign) for f, sign in faces(chain)
+                       if f in src_index)
+            for chain in tgt]
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """Checks every matrix that ``_coboundary_rows`` builds against
+    :func:`_rows_by_sparse_row`, and that no row stores a zero; the list of
+    the checked matrices' row counts is returned."""
+    checked = []
+    one_pass = coh._coboundary_rows
+
+    def checking(src_index, tgt, faces):
+        rows = one_pass(src_index, tgt, faces)
+        assert rows == _rows_by_sparse_row(src_index, tgt, faces)
+        assert all(v for row in rows for v in row.values())
+        checked.append(len(rows))
+        return rows
+    monkeypatch.setattr(coh, "_coboundary_rows", checking)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_one_pass_rows_match_sparse_row_on_groupoids(name, checked_rows):
+    g = ROUTE_CASES[name]
+    for n in range(4):
+        assert len(differential_matrix(g, n)) == len(nerve(g, n + 1))
+    assert len(checked_rows) == 4
+
+
+@pytest.mark.parametrize("name", sorted(samples.vacant_corpus()))
+def test_one_pass_rows_match_sparse_row_on_grid_matrices(vacant_corpus, name,
+                                                         checked_rows):
+    spec = build_double_complex(vacant_corpus[name], 4)
+    assert len(checked_rows) == len(spec.d_h) + len(spec.d_v) == 20
+
+
+def test_one_pass_rows_cancel(checked_rows):
+    """On Z/2 = {e, a}: d(a, a, a) = (a, a) - (e, a) + (a, e) - (a, a)
+    cancels to the empty row, and d(a, a) = (a) - (e) + (a) holds a 2."""
+    z2 = one_object_group(cyclic_table(2))
+    assert nerve(z2, 3) == [(1, 1, 1)] and nerve(z2, 1) == [(1,)]
+    assert differential_matrix(z2, 2) == [{}]
+    assert differential_matrix(z2, 1) == [{0: 2}]
+    assert checked_rows == [1, 1]
 
 
 def test_integral_torsion_of_a_union_is_merged_into_invariant_factors():

@@ -252,11 +252,18 @@ def test_cli_rejects_a_duplicate_key(tmp_path, capsys):
 
 
 def test_cli_malformed_file_exit2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(["validate", str(bad)]) == 2
-    missing = tmp_path / "missing.json"
-    assert run(["validate", str(missing)]) == 2
+    """Malformed JSON, nesting deeper than the parser recurses, an integer
+    literal longer than the interpreter converts, and a missing file each
+    exit 2 with one error line."""
+    texts = {"bad": "{not json", "nested": "[" * 100_000,
+             "long_int": "7" * 5000}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    for name in [*texts, "missing"]:
+        assert run(["validate", str(tmp_path / f"{name}.json")]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "", name
+        _assert_one_error_line(err)
 
 
 def test_cli_wha_verify_corpus(capsys):
@@ -528,10 +535,39 @@ def test_cli_full_disk_is_an_output_error():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Each command is a fresh interpreter, and importing ``dataclasses``
     (which loads ``inspect``) and generating record methods took about a
-    quarter of a ``verify`` command.  ``-S`` keeps site-wide imports out."""
+    quarter of a ``verify`` command.  Nor does ``dgq.cli`` load a module that
+    only some commands run: those commands import it.  ``-S`` keeps
+    site-wide imports out."""
+    unused = {"dataclasses", "inspect", "fractions", "decimal", "dgq.cocycles",
+              "dgq.cohomology", "dgq.wha", "dgq.linalg"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import dgq.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+         f"print(sorted({unused!r} & sys.modules.keys()))"],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["kac", "x23.json", "--p", "2"],
+     {"fractions", "decimal", "dgq.cocycles", "dgq.wha"}),
+    (["cohomology", "s3_group.json", "--p", "3"],
+     {"fractions", "decimal", "dgq.cocycles", "dgq.wha"}),
+    # over Q division needs fractions, which wha loads on first use
+    (["wha", "verify", "x22.json"], set()),
+], ids=["kac", "cohomology", "wha-verify"])
+def test_cli_command_loads_only_its_modules(argv, unused):
+    """A command run in a fresh interpreter (``-S``: no site-wide imports)
+    passes and loads none of the modules it does not use; the modules left
+    unloaded are printed to stderr after the command's output."""
+    argv = [str(CORPUS / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; from dgq.cli import run; "
+         "code = run(sys.argv[2:]); "
+         "print(sorted(set(sys.argv[1].split()) & sys.modules.keys()), "
+         "file=sys.stderr); sys.exit(code)",
+         " ".join(sorted(unused)), "--format", "machine", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert proc.stderr == "[]\n"
