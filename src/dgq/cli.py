@@ -16,9 +16,10 @@ import os
 import sys
 from collections.abc import Iterator
 
-# cocycles, cohomology and wha are imported by the commands that run them, so
-# that each command loads only its own modules; they are reached through
-# their module objects, never through names copied here
+# cocycles, cohomology and wha are imported inside the commands that run
+# them, so that each command loads only its own modules.  They are bound as
+# module objects, never as names copied here, so a function replaced on its
+# module (as the benchmark's tracer does) is the one called.
 from . import double as dbl
 from . import io as dio
 from . import matched as mtd
