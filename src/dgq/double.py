@@ -12,24 +12,41 @@ top of B and is defined when ``bottom(A) == top(B)``; ``hcomp(A, B)`` pastes
 A left of B and is defined when ``right(A) == left(B)``.  ``vid(x)`` is the
 identity box for stacking on the edge x, ``hid(g)`` the identity box for
 horizontal pasting on g.
+
+A double groupoid is four groupoids, each stored as a :class:`Groupoid`:
+
+* ``horiz``, the horizontal edges over the points;
+* ``vert``, the vertical edges over the points;
+* ``vertical_boxes``, the boxes over the horizontal edges, stacked by
+  ``vcomp``: source ``top``, target ``bottom``, identity ``vid``;
+* ``horizontal_boxes``, the boxes over the vertical edges, pasted by
+  ``hcomp``: source ``left``, target ``right``, identity ``hid``.
+
+The ten tables the constructor takes are the two edge groupoids and the
+tables of the two box groupoids; ``top``, ``vid``, ``vcomp`` and the others
+stay readable as attributes.
 """
 
 from __future__ import annotations
 
 from .errors import (InternalConsistencyError, Report, StructureError,
                      VacancyError)
-from .groupoids import UNDEF, Groupoid, validate_groupoid
+from .groupoids import (UNDEF, Groupoid, direct_product, disjoint_union,
+                        validate_groupoid)
 
 
 class DoubleGroupoid:
-    """Explicit box/edge/point tables with both compositions.
+    """The four groupoids of a double groupoid, built from ten tables.
 
-    Construction checks shapes and ranges only; :func:`validate_double_groupoid`
-    checks the axioms.  Instances are immutable by convention; derived caches
-    (inverse tables, identity flags) are computed lazily.
+    Construction checks shapes and ranges only, through the
+    :class:`Groupoid` constructor of each box groupoid;
+    :func:`validate_double_groupoid` checks the axioms.  Instances are
+    immutable by convention; derived caches (inverse tables, identity flags)
+    are computed lazily.
     """
 
-    __slots__ = ("horiz", "vert", "n_points", "n_boxes",
+    __slots__ = ("horiz", "vert", "vertical_boxes", "horizontal_boxes",
+                 "n_points", "n_boxes",
                  "top", "bottom", "left", "right", "vid", "hid",
                  "vcomp", "hcomp", "_inv", "_hash", "_pairs", "_squares",
                  "_identities")
@@ -38,61 +55,29 @@ class DoubleGroupoid:
                  vid, hid, vcomp, hcomp):
         if horiz.n_objects != vert.n_objects:
             raise StructureError("edge groupoids must share the point set")
+        vboxes = _box_groupoid("top/bottom/vid/vcomp", horiz.n_arrows,
+                               top, bottom, vid, vcomp)
+        hboxes = _box_groupoid("left/right/hid/hcomp", vert.n_arrows,
+                               left, right, hid, hcomp)
+        if vboxes.n_arrows != hboxes.n_arrows:
+            raise StructureError(
+                f"left/right/hid/hcomp: {hboxes.n_arrows} boxes, but "
+                f"top/bottom/vid/vcomp has {vboxes.n_arrows}")
         self.horiz = horiz
         self.vert = vert
+        self.vertical_boxes = vboxes
+        self.horizontal_boxes = hboxes
         self.n_points = horiz.n_objects
-        top = tuple(top)
-        bottom = tuple(bottom)
-        left = tuple(left)
-        right = tuple(right)
-        n = len(top)
-        if not (len(bottom) == len(left) == len(right) == n):
-            raise StructureError("frame tables differ in length")
-        self.n_boxes = n
-        for name, table, bound in (("top", top, horiz.n_arrows),
-                                   ("bottom", bottom, horiz.n_arrows),
-                                   ("left", left, vert.n_arrows),
-                                   ("right", right, vert.n_arrows)):
-            for i, v in enumerate(table):
-                if not 0 <= v < bound:
-                    raise StructureError(f"{name}[{i}] = {v} out of range")
-        vid = tuple(vid)
-        hid = tuple(hid)
-        if len(vid) != horiz.n_arrows or len(hid) != vert.n_arrows:
-            raise StructureError("identity-box tables have wrong length")
-        for name, table in (("vid", vid), ("hid", hid)):
-            for i, v in enumerate(table):
-                if not 0 <= v < n:
-                    raise StructureError(f"{name}[{i}] = {v} out of range")
-        vcomp = tuple(tuple(row) for row in vcomp)
-        hcomp = tuple(tuple(row) for row in hcomp)
-        for name, table in (("vcomp", vcomp), ("hcomp", hcomp)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise StructureError(f"{name} must be n_boxes x n_boxes")
-            for row in table:
-                for v in row:
-                    if v != UNDEF and not 0 <= v < n:
-                        raise StructureError(f"{name} entry out of range")
-        self.top, self.bottom, self.left, self.right = top, bottom, left, right
-        self.vid, self.hid = vid, hid
-        self.vcomp, self.hcomp = vcomp, hcomp
+        self.n_boxes = vboxes.n_arrows
+        self.top, self.bottom = vboxes.source, vboxes.target
+        self.vid, self.vcomp = vboxes.identity, vboxes.compose
+        self.left, self.right = hboxes.source, hboxes.target
+        self.hid, self.hcomp = hboxes.identity, hboxes.compose
         self._inv = None
         self._hash = None
         self._pairs = None
         self._squares = None
         self._identities = None
-
-    # -- the two box groupoids, reusing all Groupoid machinery -----------
-
-    def vertical_groupoid(self) -> Groupoid:
-        """Boxes over horizontal edges: source = top, target = bottom."""
-        return Groupoid(self.horiz.n_arrows, self.top, self.bottom,
-                        self.vid, self.vcomp)
-
-    def horizontal_groupoid(self) -> Groupoid:
-        """Boxes over vertical edges: source = left, target = right."""
-        return Groupoid(self.vert.n_arrows, self.left, self.right,
-                        self.hid, self.hcomp)
 
     # -- queries ---------------------------------------------------------
 
@@ -107,18 +92,6 @@ class DoubleGroupoid:
 
     def is_hid(self, a: int) -> bool:
         return self.hid[self.left[a]] == a
-
-    def vpairs(self):
-        for a in range(self.n_boxes):
-            for b in range(self.n_boxes):
-                if self.bottom[a] == self.top[b]:
-                    yield a, b
-
-    def hpairs(self):
-        for a in range(self.n_boxes):
-            for b in range(self.n_boxes):
-                if self.right[a] == self.left[b]:
-                    yield a, b
 
     def _by_left_top(self):
         """Boxes listed by left edge and by top edge, in increasing order."""
@@ -165,8 +138,8 @@ class DoubleGroupoid:
         """Sorted vertically/horizontally composable pair lists with their
         index maps; the canonical index sets for cocycle tables."""
         if self._pairs is None:
-            vp = sorted(self.vpairs())
-            hp = sorted(self.hpairs())
+            vp = list(self.vertical_boxes.composable_pairs())
+            hp = list(self.horizontal_boxes.composable_pairs())
             self._pairs = (vp, hp,
                            {pq: i for i, pq in enumerate(vp)},
                            {pq: i for i, pq in enumerate(hp)})
@@ -183,6 +156,15 @@ class DoubleGroupoid:
     def __repr__(self):
         return (f"DoubleGroupoid(points={self.n_points}, hedges={self.horiz.n_arrows}, "
                 f"vedges={self.vert.n_arrows}, boxes={self.n_boxes})")
+
+
+def _box_groupoid(family: str, n_edges: int, source, target, identity,
+                  compose) -> Groupoid:
+    """A box groupoid, its table errors prefixed with the table family."""
+    try:
+        return Groupoid(n_edges, source, target, identity, compose)
+    except StructureError as exc:
+        raise StructureError(f"{family}: {exc}") from None
 
 
 class CocycleIdentities:
@@ -269,8 +251,8 @@ def validate_double_groupoid(t: DoubleGroupoid) -> Report:
     rep = Report("double groupoid")
     pieces = (("axiom0.horizontal-edges", t.horiz),
               ("axiom0.vertical-edges", t.vert),
-              ("axiom0.vertical-boxes", t.vertical_groupoid()),
-              ("axiom0.horizontal-boxes", t.horizontal_groupoid()))
+              ("axiom0.vertical-boxes", t.vertical_boxes),
+              ("axiom0.horizontal-boxes", t.horizontal_boxes))
     for key, gpd in pieces:
         sub = validate_groupoid(gpd)
         for f in sub.failures:
@@ -288,7 +270,7 @@ def validate_double_groupoid(t: DoubleGroupoid) -> Report:
     if not rep.ok:
         # frame bookkeeping is broken; composite checks would be noise
         return rep
-    for a, b in t.hpairs():
+    for a, b in t.horizontal_boxes.composable_pairs():
         c = t.hcomp[a][b]
         if c == UNDEF:
             continue
@@ -296,7 +278,7 @@ def validate_double_groupoid(t: DoubleGroupoid) -> Report:
                 or t.bottom[c] != hz.compose[t.bottom[a]][t.bottom[b]]
                 or t.left[c] != t.left[a] or t.right[c] != t.right[b]):
             rep.add("axiom2", (a, b, c), "horizontal composite frame")
-    for a, b in t.vpairs():
+    for a, b in t.vertical_boxes.composable_pairs():
         c = t.vcomp[a][b]
         if c == UNDEF:
             continue
@@ -341,8 +323,8 @@ def validate_double_groupoid(t: DoubleGroupoid) -> Report:
 def compute_inverses(t: DoubleGroupoid) -> BoxInverseTable:
     """Horizontal/vertical/full inverse of every box, with the frame of the
     full inverse (b^-1, t^-1, r^-1, l^-1) verified."""
-    h_inv = t.horizontal_groupoid().inverse
-    v_inv = t.vertical_groupoid().inverse
+    h_inv = t.horizontal_boxes.inverse
+    v_inv = t.vertical_boxes.inverse
     full = tuple(v_inv[h_inv[a]] for a in t.boxes())
     other = tuple(h_inv[v_inv[a]] for a in t.boxes())
     if full != other:
@@ -534,10 +516,6 @@ def build_Xrs(r: int, s: int) -> DoubleGroupoid:
     return from_double_relation(DoubleRelation(n, rel_h, rel_v))
 
 
-def _point_relations(t: DoubleGroupoid) -> tuple[list[list[int]], list[list[int]]]:
-    return t.horiz.object_components(), t.vert.object_components()
-
-
 def is_double_relation(t: DoubleGroupoid) -> bool:
     """True when both edge groupoids are principal (at most one arrow between
     any ordered pair of points) and boxes are determined by their frames."""
@@ -568,15 +546,12 @@ def classify_vacant_relation(t: DoubleGroupoid):
         raise VacancyError(
             "a double relation is classifiable only when vacant: the diagonal "
             f"relation fails at corner {rep.witness[1]}")
-    h_classes, v_classes = _point_relations(t)
+    h_classes = t.horiz.object_components()
     if len(diagonal_components(t)) != 1:
         raise StructureError("double relation is not connected; classify "
                              "components separately")
-    r, s = len(h_classes), len(v_classes)
-    v_label = {}
-    for cls in v_classes:
-        for p in cls:
-            v_label[p] = cls[0]
+    v_label = _component_labels(t.vert)
+    r, s = len(h_classes), len(set(v_label))
     base_row = h_classes[0]
     col_of = {v_label[p]: j for j, p in enumerate(sorted(base_row))}
     if len(col_of) != len(base_row):
@@ -624,76 +599,35 @@ def _check_grid_iso(t: DoubleGroupoid, r: int, s: int, point_map: dict) -> None:
         bmap[a] = cands[0]
     if sorted(bmap.values()) != list(range(grid.n_boxes)):
         raise InternalConsistencyError("box map is not a bijection")
-    for a, b in t.vpairs():
+    for a, b in t.vertical_boxes.composable_pairs():
         if grid.vcomp[bmap[a]][bmap[b]] != bmap[t.vcomp[a][b]]:
             raise InternalConsistencyError("vertical composition not preserved")
-    for a, b in t.hpairs():
+    for a, b in t.horizontal_boxes.composable_pairs():
         if grid.hcomp[bmap[a]][bmap[b]] != bmap[t.hcomp[a][b]]:
             raise InternalConsistencyError("horizontal composition not preserved")
 
 
+def _on_each_groupoid(construction, t1: DoubleGroupoid,
+                      t2: DoubleGroupoid) -> DoubleGroupoid:
+    horiz = construction(t1.horiz, t2.horiz)
+    vert = construction(t1.vert, t2.vert)
+    vboxes = construction(t1.vertical_boxes, t2.vertical_boxes)
+    hboxes = construction(t1.horizontal_boxes, t2.horizontal_boxes)
+    return DoubleGroupoid(horiz, vert, vboxes.source, vboxes.target,
+                          hboxes.source, hboxes.target, vboxes.identity,
+                          hboxes.identity, vboxes.compose, hboxes.compose)
+
+
 def double_disjoint_union(t1: DoubleGroupoid, t2: DoubleGroupoid) -> DoubleGroupoid:
-    from .groupoids import disjoint_union as gu
-    horiz = gu(t1.horiz, t2.horiz)
-    vert = gu(t1.vert, t2.vert)
-    oh, ov, ob = t1.horiz.n_arrows, t1.vert.n_arrows, t1.n_boxes
-    top = list(t1.top) + [x + oh for x in t2.top]
-    bottom = list(t1.bottom) + [x + oh for x in t2.bottom]
-    left = list(t1.left) + [x + ov for x in t2.left]
-    right = list(t1.right) + [x + ov for x in t2.right]
-    vid = list(t1.vid) + [a + ob for a in t2.vid]
-    hid = list(t1.hid) + [a + ob for a in t2.hid]
-    n = ob + t2.n_boxes
-    vcomp = [[UNDEF] * n for _ in range(n)]
-    hcomp = [[UNDEF] * n for _ in range(n)]
-    for (tt, off) in ((t1, 0), (t2, ob)):
-        for a in tt.boxes():
-            for b in tt.boxes():
-                c = tt.vcomp[a][b]
-                if c != UNDEF:
-                    vcomp[a + off][b + off] = c + off
-                c = tt.hcomp[a][b]
-                if c != UNDEF:
-                    hcomp[a + off][b + off] = c + off
-    return DoubleGroupoid(horiz, vert, top, bottom, left, right, vid, hid,
-                          vcomp, hcomp)
+    """The disjoint union of each of the four groupoids: t1's points, edges
+    and boxes first, then t2's."""
+    return _on_each_groupoid(disjoint_union, t1, t2)
 
 
 def double_direct_product(t1: DoubleGroupoid, t2: DoubleGroupoid) -> DoubleGroupoid:
-    from .groupoids import direct_product as gp
-    horiz = gp(t1.horiz, t2.horiz)
-    vert = gp(t1.vert, t2.vert)
-    mh2, mv2, mb2 = t2.horiz.n_arrows, t2.vert.n_arrows, t2.n_boxes
-    n = t1.n_boxes * mb2
-    def bidx(a1, a2):
-        return a1 * mb2 + a2
-    top = [t1.top[a1] * mh2 + t2.top[a2]
-           for a1 in t1.boxes() for a2 in t2.boxes()]
-    bottom = [t1.bottom[a1] * mh2 + t2.bottom[a2]
-              for a1 in t1.boxes() for a2 in t2.boxes()]
-    left = [t1.left[a1] * mv2 + t2.left[a2]
-            for a1 in t1.boxes() for a2 in t2.boxes()]
-    right = [t1.right[a1] * mv2 + t2.right[a2]
-             for a1 in t1.boxes() for a2 in t2.boxes()]
-    vid = [bidx(t1.vid[x1], t2.vid[x2])
-           for x1 in t1.horiz.arrows() for x2 in t2.horiz.arrows()]
-    hid = [bidx(t1.hid[g1], t2.hid[g2])
-           for g1 in t1.vert.arrows() for g2 in t2.vert.arrows()]
-    vcomp = [[UNDEF] * n for _ in range(n)]
-    hcomp = [[UNDEF] * n for _ in range(n)]
-    for a1 in t1.boxes():
-        for a2 in t2.boxes():
-            i = bidx(a1, a2)
-            for b1 in t1.boxes():
-                cv1, ch1 = t1.vcomp[a1][b1], t1.hcomp[a1][b1]
-                for b2 in t2.boxes():
-                    j = bidx(b1, b2)
-                    if cv1 != UNDEF and t2.vcomp[a2][b2] != UNDEF:
-                        vcomp[i][j] = bidx(cv1, t2.vcomp[a2][b2])
-                    if ch1 != UNDEF and t2.hcomp[a2][b2] != UNDEF:
-                        hcomp[i][j] = bidx(ch1, t2.hcomp[a2][b2])
-    return DoubleGroupoid(horiz, vert, top, bottom, left, right, vid, hid,
-                          vcomp, hcomp)
+    """The direct product of each of the four groupoids: box (a1, a2) has
+    index a1 * t2.n_boxes + a2, and likewise for points and edges."""
+    return _on_each_groupoid(direct_product, t1, t2)
 
 
 def diagonal_components(t: DoubleGroupoid) -> list[list[int]]:

@@ -126,6 +126,8 @@ class FieldSpec:
         if (a % p if p else a) == 0:
             raise ZeroDivisionError("inverting zero")
         if p == 0:
+            if type(a) is int and (a == 1 or a == -1):
+                return a    # its own inverse; no need to load fractions
             from fractions import Fraction
             return _rational(1 / Fraction(a))
         return pow(a, -1, p)

@@ -195,8 +195,8 @@ def _double_from_obj(obj: dict, context: str) -> DoubleGroupoid:
                            _int_list(obj, "hid", context), vcomp, hcomp)
     except StructureError as exc:
         raise FormatError(f"{context}: {exc}") from exc
-    for key, derived in (("box_inverse_h", _try_inverse(t.horizontal_groupoid())),
-                         ("box_inverse_v", _try_inverse(t.vertical_groupoid()))):
+    for key, derived in (("box_inverse_h", _try_inverse(t.horizontal_boxes)),
+                         ("box_inverse_v", _try_inverse(t.vertical_boxes))):
         stored = _int_list(obj, key, context)
         if len(stored) != n or any(not 0 <= v < n for v in stored):
             raise FormatError(f"{context}: {key} malformed")
@@ -207,8 +207,8 @@ def _double_from_obj(obj: dict, context: str) -> DoubleGroupoid:
 
 
 def _double_to_obj(t: DoubleGroupoid) -> dict:
-    hinv = _try_inverse(t.horizontal_groupoid())
-    vinv = _try_inverse(t.vertical_groupoid())
+    hinv = _try_inverse(t.horizontal_boxes)
+    vinv = _try_inverse(t.vertical_boxes)
     return {
         "n_points": t.n_points,
         "horiz": _groupoid_to_obj(t.horiz),
@@ -219,10 +219,8 @@ def _double_to_obj(t: DoubleGroupoid) -> dict:
         "right": list(t.right),
         "vid": list(t.vid),
         "hid": list(t.hid),
-        "vcomp": sorted([a, b, t.vcomp[a][b]] for a, b in t.vpairs()
-                        if t.vcomp[a][b] != UNDEF),
-        "hcomp": sorted([a, b, t.hcomp[a][b]] for a, b in t.hpairs()
-                        if t.hcomp[a][b] != UNDEF),
+        "vcomp": _compose_to_triples(t.vertical_boxes),
+        "hcomp": _compose_to_triples(t.horizontal_boxes),
         "box_inverse_h": list(hinv) if hinv else list(t.boxes()),
         "box_inverse_v": list(vinv) if vinv else list(t.boxes()),
     }

@@ -127,7 +127,7 @@ def build(t: DoubleGroupoid, cp: CocyclePair | None = None,
             row.append(None if c == UNDEF else (c, sigma_hat[(a, b)]))
         product_table.append(row)
     factorizations = [[] for _ in range(n)]
-    for (b, c) in sorted(t.hpairs()):
+    for (b, c) in t.horizontal_boxes.composable_pairs():
         factorizations[t.hcomp[b][c]].append((b, c, tau_hat[(b, c)]))
     counit_table = [fs.one if t.is_hid(a) else fs.zero for a in t.boxes()]
     inv = t.inverses
@@ -467,10 +467,10 @@ def block_structure(w: QuantumGroupoid) -> BlockStructure:
         raise UnsupportedFeatureError(
             "block structure of a twisted algebra is unsupported")
     blocks = []
-    for comp in connected_decomposition(w.double.vertical_groupoid()):
+    for comp in connected_decomposition(w.double.vertical_boxes):
         blocks.append((comp.base, comp.vertex_order, len(comp.objects)))
     coblocks = []
-    for comp in connected_decomposition(w.double.horizontal_groupoid()):
+    for comp in connected_decomposition(w.double.horizontal_boxes):
         coblocks.append((comp.base, comp.vertex_order, len(comp.objects)))
     for side in (blocks, coblocks):
         if sum(order * size * size for _, order, size in side) != w.dim:
@@ -488,9 +488,6 @@ def simple_algebra_conditions(t: DoubleGroupoid) -> dict[str, bool]:
     """The four combinatorial conditions equivalent to the box algebra being
     simple: boxes-over-horizontal coarse, horizontal edges a trivial bundle,
     vertical edges coarse, boxes-over-vertical a trivial bundle."""
-    vg = t.vertical_groupoid()
-    hg = t.horizontal_groupoid()
-    hz, vt = t.horiz, t.vert
 
     def is_coarse(g):
         return (g.is_connected()
@@ -501,10 +498,10 @@ def simple_algebra_conditions(t: DoubleGroupoid) -> dict[str, bool]:
         return all(g.is_identity(f) for f in g.arrows())
 
     return {
-        "boxes-over-horizontal-coarse": is_coarse(vg),
-        "horizontal-trivial-bundle": is_trivial_bundle(hz),
-        "vertical-coarse": is_coarse(vt),
-        "boxes-over-vertical-trivial-bundle": is_trivial_bundle(hg),
+        "boxes-over-horizontal-coarse": is_coarse(t.vertical_boxes),
+        "horizontal-trivial-bundle": is_trivial_bundle(t.horiz),
+        "vertical-coarse": is_coarse(t.vert),
+        "boxes-over-vertical-trivial-bundle": is_trivial_bundle(t.horizontal_boxes),
     }
 
 

@@ -10,7 +10,7 @@ from dgq.double import build_Xrs
 from dgq import cocycles
 from dgq.errors import (InternalConsistencyError, ResourceBudgetError,
                         StructureError, UnembeddableError)
-from dgq.fields import FieldSpec
+from dgq.fields import RATIONALS, FieldSpec
 from dgq.samples import s3_double
 from test_cocycles_oracle import all_normalized_gauges, is_gauge_equivalent
 
@@ -291,3 +291,13 @@ def test_field_inverse_refuses_every_multiple_of_p(p):
             fs.inv(a)
     with pytest.raises(ZeroDivisionError):
         FieldSpec(0).inv(0)
+
+
+def test_rational_inverse_of_a_unit_is_the_same_int():
+    assert RATIONALS.inv(-1) == -1 and type(RATIONALS.inv(-1)) is int
+    assert RATIONALS.inv(1) == 1 and type(RATIONALS.inv(1)) is int
+    assert RATIONALS.inv(2) == Fraction(1, 2)
+    assert RATIONALS.inv(Fraction(-1)) == -1
+    assert type(RATIONALS.inv(Fraction(-1))) is int
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.inv(0)

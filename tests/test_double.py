@@ -1,14 +1,22 @@
+import itertools
+import json
+import re
+from pathlib import Path
+
 import pytest
 
+from dgq import io as dio
 from dgq.double import (DoubleGroupoid, DoubleRelation, build_Xrs,
                         classify_vacant_relation, compute_inverses,
                         diagonal_components, double_direct_product,
                         double_disjoint_union, equivalence_from_pairs, filler,
-                        from_double_relation, is_vacant, transpose,
-                        validate_double_groupoid)
-from dgq.errors import StructureError, VacancyError
-from dgq.groupoids import UNDEF
-from dgq.samples import commuting_squares_z2
+                        from_double_relation, is_vacant, relation_groupoid,
+                        transpose, validate_double_groupoid)
+from dgq.errors import FormatError, StructureError, VacancyError
+from dgq.groupoids import UNDEF, direct_product, disjoint_union
+from dgq.samples import commuting_squares_z2, full_corpus
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def brute_fillers(t, x, g):
@@ -31,7 +39,7 @@ def test_x22_valid_and_box_count():
 def test_corrupt_vcomp_detected():
     t = build_Xrs(2, 2)
     vcomp = [list(r) for r in t.vcomp]
-    a, b = next(iter(t.vpairs()))
+    a, b = next(iter(t.vertical_boxes.composable_pairs()))
     old = vcomp[a][b]
     vcomp[a][b] = (old + 1) % t.n_boxes
     bad = DoubleGroupoid(t.horiz, t.vert, t.top, t.bottom, t.left, t.right,
@@ -246,7 +254,7 @@ def test_stacked_horizontal_inverse(corpus):
     # {X over R}^h = {X^h over R^h} whenever X over R is defined
     for t in corpus.values():
         inv = compute_inverses(t)
-        for x, r in t.vpairs():
+        for x, r in t.vertical_boxes.composable_pairs():
             c = t.vcomp[x][r]
             if c == UNDEF:
                 continue
@@ -256,7 +264,7 @@ def test_stacked_horizontal_inverse(corpus):
 
 def _unit_triples(t):
     """Horizontally composable triples whose product is a vertical identity."""
-    for a, b in t.hpairs():
+    for a, b in t.horizontal_boxes.composable_pairs():
         ab = t.hcomp[a][b]
         for c in t.boxes():
             if t.right[ab] != t.left[c]:
@@ -430,3 +438,212 @@ def test_fold_pair_sets(s3_T):
                 z = t.top[a]
                 assert t.left[a] == g and t.top[b] == t.horiz.inv(z)
                 assert t.right[b] == g
+
+
+# -- construction: the table checks of the two box groupoids --------------------
+
+
+VBOXES = "top/bottom/vid/vcomp"
+HBOXES = "left/right/hid/hcomp"
+FAMILY = {"top": VBOXES, "bottom": VBOXES, "vid": VBOXES, "vcomp": VBOXES,
+          "horiz": VBOXES, "left": HBOXES, "right": HBOXES, "hid": HBOXES,
+          "hcomp": HBOXES, "vert": HBOXES}
+# the words a message may use for a family: its tables, or the kind of table
+FAMILY_WORDS = {VBOXES: r"top|bottom|vid|vcomp|frame|identity-box",
+                HBOXES: r"left|right|hid|hcomp|frame|identity-box"}
+ARGS = ("horiz", "vert", "top", "bottom", "left", "right", "vid", "hid",
+        "vcomp", "hcomp")
+
+
+def _x22_tables():
+    t = build_Xrs(2, 2)
+    return {"horiz": t.horiz, "vert": t.vert,
+            **{k: [list(r) for r in getattr(t, k)] if k.endswith("comp")
+               else list(getattr(t, k)) for k in ARGS[2:]}}
+
+
+def _malformed(table, fault):
+    """The ten tables of x22 with one of them broken."""
+    t = build_Xrs(2, 2)
+    args = _x22_tables()
+    if table in ("horiz", "vert"):
+        # an edge groupoid with fewer or more edges than the boxes are over
+        labels = (0, 1, 2, 3) if fault == "range" else (0, 0, 0, 0)
+        args[table] = relation_groupoid(labels)
+    elif table.endswith("comp"):
+        if fault == "range":
+            args[table][0][0] = t.n_boxes
+        else:
+            del args[table][-1]
+    elif fault == "range":
+        bound = (t.horiz.n_arrows if table in ("top", "bottom") else
+                 t.vert.n_arrows if table in ("left", "right") else t.n_boxes)
+        args[table][3] = bound + 1
+    else:
+        del args[table][-1]
+    return [args[k] for k in ARGS]
+
+
+MALFORMED = [(table, fault) for table in ARGS for fault in ("range", "length")]
+
+
+@pytest.mark.parametrize("table,fault", MALFORMED,
+                         ids=[f"{t}-{f}" for t, f in MALFORMED])
+def test_malformed_table_raises_structure_error(table, fault):
+    with pytest.raises(StructureError) as exc:
+        DoubleGroupoid(*_malformed(table, fault))
+    assert re.search(FAMILY_WORDS[FAMILY[table]], str(exc.value))
+
+
+def test_edge_groupoids_on_different_point_sets_rejected():
+    args = _x22_tables()
+    args["vert"] = build_Xrs(2, 3).vert
+    with pytest.raises(StructureError, match="edge groupoids"):
+        DoubleGroupoid(*[args[k] for k in ARGS])
+
+
+def test_malformed_document_raises_format_error():
+    doc = json.loads((CORPUS / "x22.json").read_text())
+    doc["top"][3] = 9
+    with pytest.raises(FormatError, match=r"top.*\b9 out of range"):
+        dio.parse(json.dumps(doc))
+
+
+def test_malformed_table_message_starts_with_its_family():
+    for table, fault in MALFORMED:
+        with pytest.raises(StructureError) as exc:
+            DoubleGroupoid(*_malformed(table, fault))
+        assert str(exc.value).startswith(FAMILY[table] + ": "), (table, fault)
+
+
+def test_malformed_table_message_example():
+    args = _x22_tables()
+    args["top"][3] = 9
+    with pytest.raises(StructureError) as exc:
+        DoubleGroupoid(*[args[k] for k in ARGS])
+    assert str(exc.value) == "top/bottom/vid/vcomp: source[3] = 9 out of range"
+
+
+def test_box_groupoids_must_share_their_boxes():
+    # the horizontal box groupoid of the boxes that are vertical edges only
+    args = _x22_tables()
+    vert = args["vert"]
+    args["left"] = args["right"] = args["hid"] = list(vert.arrows())
+    args["hcomp"] = [[g if g == h else UNDEF for h in vert.arrows()]
+                     for g in vert.arrows()]
+    with pytest.raises(StructureError) as exc:
+        DoubleGroupoid(*[args[k] for k in ARGS])
+    assert str(exc.value).startswith(HBOXES + ": 8 boxes")
+
+
+# -- the four groupoids --------------------------------------------------------
+
+
+def test_box_tables_are_the_box_groupoids(corpus):
+    for t in corpus.values():
+        vb, hb = t.vertical_boxes, t.horizontal_boxes
+        assert (t.top, t.bottom, t.vid, t.vcomp) == (
+            vb.source, vb.target, vb.identity, vb.compose)
+        assert t.top is vb.source and t.vcomp is vb.compose
+        assert t.left is hb.source and t.hcomp is hb.compose
+        assert (vb.n_objects, hb.n_objects) == (t.horiz.n_arrows, t.vert.n_arrows)
+        assert list(vb.composable_pairs()) == [
+            (a, b) for a in t.boxes() for b in t.boxes()
+            if t.bottom[a] == t.top[b]]
+        assert list(hb.composable_pairs()) == [
+            (a, b) for a in t.boxes() for b in t.boxes()
+            if t.right[a] == t.left[b]]
+        inv = compute_inverses(t)
+        assert inv.h_inv is hb.inverse and inv.v_inv is vb.inverse
+
+
+def _reference_union(t1, t2):
+    """The disjoint union written out table by table."""
+    oh, ov, ob = t1.horiz.n_arrows, t1.vert.n_arrows, t1.n_boxes
+    top = list(t1.top) + [x + oh for x in t2.top]
+    bottom = list(t1.bottom) + [x + oh for x in t2.bottom]
+    left = list(t1.left) + [x + ov for x in t2.left]
+    right = list(t1.right) + [x + ov for x in t2.right]
+    vid = list(t1.vid) + [a + ob for a in t2.vid]
+    hid = list(t1.hid) + [a + ob for a in t2.hid]
+    n = ob + t2.n_boxes
+    vcomp = [[UNDEF] * n for _ in range(n)]
+    hcomp = [[UNDEF] * n for _ in range(n)]
+    for (tt, off) in ((t1, 0), (t2, ob)):
+        for a in tt.boxes():
+            for b in tt.boxes():
+                c = tt.vcomp[a][b]
+                if c != UNDEF:
+                    vcomp[a + off][b + off] = c + off
+                c = tt.hcomp[a][b]
+                if c != UNDEF:
+                    hcomp[a + off][b + off] = c + off
+    return (disjoint_union(t1.horiz, t2.horiz), disjoint_union(t1.vert, t2.vert),
+            top, bottom, left, right, vid, hid, vcomp, hcomp)
+
+
+def _reference_product(t1, t2):
+    """The direct product written out table by table."""
+    mh2, mv2, mb2 = t2.horiz.n_arrows, t2.vert.n_arrows, t2.n_boxes
+    n = t1.n_boxes * mb2
+
+    def bidx(a1, a2):
+        return a1 * mb2 + a2
+    top = [t1.top[a1] * mh2 + t2.top[a2]
+           for a1 in t1.boxes() for a2 in t2.boxes()]
+    bottom = [t1.bottom[a1] * mh2 + t2.bottom[a2]
+              for a1 in t1.boxes() for a2 in t2.boxes()]
+    left = [t1.left[a1] * mv2 + t2.left[a2]
+            for a1 in t1.boxes() for a2 in t2.boxes()]
+    right = [t1.right[a1] * mv2 + t2.right[a2]
+             for a1 in t1.boxes() for a2 in t2.boxes()]
+    vid = [bidx(t1.vid[x1], t2.vid[x2])
+           for x1 in t1.horiz.arrows() for x2 in t2.horiz.arrows()]
+    hid = [bidx(t1.hid[g1], t2.hid[g2])
+           for g1 in t1.vert.arrows() for g2 in t2.vert.arrows()]
+    vcomp = [[UNDEF] * n for _ in range(n)]
+    hcomp = [[UNDEF] * n for _ in range(n)]
+    for a1 in t1.boxes():
+        for a2 in t2.boxes():
+            i = bidx(a1, a2)
+            for b1 in t1.boxes():
+                cv1, ch1 = t1.vcomp[a1][b1], t1.hcomp[a1][b1]
+                for b2 in t2.boxes():
+                    j = bidx(b1, b2)
+                    if cv1 != UNDEF and t2.vcomp[a2][b2] != UNDEF:
+                        vcomp[i][j] = bidx(cv1, t2.vcomp[a2][b2])
+                    if ch1 != UNDEF and t2.hcomp[a2][b2] != UNDEF:
+                        hcomp[i][j] = bidx(ch1, t2.hcomp[a2][b2])
+    return (direct_product(t1.horiz, t2.horiz), direct_product(t1.vert, t2.vert),
+            top, bottom, left, right, vid, hid, vcomp, hcomp)
+
+
+def _ten_tables(t):
+    return (t.horiz, t.vert, t.top, t.bottom, t.left, t.right, t.vid, t.hid,
+            t.vcomp, t.hcomp)
+
+
+def _as_tuples(tables):
+    return tables[:2] + tuple(tuple(map(tuple, x)) if x and isinstance(x[0], list)
+                              else tuple(x) for x in tables[2:])
+
+
+UNION_PAIRS = list(itertools.product(full_corpus(), repeat=2))
+PRODUCT_PAIRS = [(k1, k2) for k1, k2 in UNION_PAIRS
+                 if full_corpus()[k1].n_boxes * full_corpus()[k2].n_boxes <= 400]
+
+
+@pytest.mark.parametrize("k1,k2", UNION_PAIRS,
+                         ids=[f"{k1}+{k2}" for k1, k2 in UNION_PAIRS])
+def test_union_matches_the_table_by_table_reference(corpus, k1, k2):
+    t1, t2 = corpus[k1], corpus[k2]
+    got = _ten_tables(double_disjoint_union(t1, t2))
+    assert got == _as_tuples(_reference_union(t1, t2))
+
+
+@pytest.mark.parametrize("k1,k2", PRODUCT_PAIRS,
+                         ids=[f"{k1}*{k2}" for k1, k2 in PRODUCT_PAIRS])
+def test_product_matches_the_table_by_table_reference(corpus, k1, k2):
+    t1, t2 = corpus[k1], corpus[k2]
+    got = _ten_tables(double_direct_product(t1, t2))
+    assert got == _as_tuples(_reference_product(t1, t2))

@@ -553,9 +553,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      {"fractions", "decimal", "dgq.cocycles", "dgq.wha"}),
     (["cohomology", "s3_group.json", "--p", "3"],
      {"fractions", "decimal", "dgq.cocycles", "dgq.wha"}),
-    # over Q division needs fractions, which wha loads on first use
-    (["wha", "verify", "x22.json"], set()),
-], ids=["kac", "cohomology", "wha-verify"])
+    # over Q the antipode scalars invert only 1 and -1: no fractions
+    (["wha", "verify", "x22.json"], {"fractions", "decimal", "dgq.cohomology"}),
+    (["blocks", "x22.json"], {"fractions", "decimal", "dgq.cohomology"}),
+], ids=["kac", "cohomology", "wha-verify", "blocks"])
 def test_cli_command_loads_only_its_modules(argv, unused):
     """A command run in a fresh interpreter (``-S``: no site-wide imports)
     passes and loads none of the modules it does not use; the modules left

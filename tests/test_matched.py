@@ -95,11 +95,11 @@ def test_round_trip_double_mp_double(vacant_corpus):
         assert sorted(relabel.values()) == sorted(back.values())
         mapping = {a: next(i for i, v in back.items() if v == relabel[a])
                    for a in t.boxes()}
-        for a, b in t.vpairs():
+        for a, b in t.vertical_boxes.composable_pairs():
             c = t.vcomp[a][b]
             if c != UNDEF:
                 assert again.vcomp[mapping[a]][mapping[b]] == mapping[c]
-        for a, b in t.hpairs():
+        for a, b in t.horizontal_boxes.composable_pairs():
             c = t.hcomp[a][b]
             if c != UNDEF:
                 assert again.hcomp[mapping[a]][mapping[b]] == mapping[c]

@@ -113,7 +113,7 @@ def test_axioms_pass_untwisted(vacant_corpus):
 
 def test_corrupt_product_scalar_fails_comultiplicativity(s3_T):
     w = build(s3_T, fs=FieldSpec(5))
-    a, b = next((a, b) for a, b in s3_T.vpairs()
+    a, b = next((a, b) for a, b in s3_T.vertical_boxes.composable_pairs()
                 if not s3_T.is_vid(a) and not s3_T.is_vid(b))
     c, s = w.product_table[a][b]
     w.product_table[a][b] = (c, (s * 2) % 5)
