@@ -20,6 +20,15 @@ Two degeneracy conventions are implemented:
 
 The total differential uses the sign trick: the vertical component out of
 bidegree (r, s) carries (-1)**s.
+
+The cohomology of a groupoid is that of its vertex groups, and a group's
+complex needs no nerve: with k non-identity elements, C^n has the k^n
+n-tuples of them as cells, numbered by their base-k digits, which is the
+lexicographic order of :func:`nerve`.  Each differential is built from the
+one before and dropped once reduced.  Over F_2 and F_3 the rank of d_n is
+taken on its coface rows, one per cell of C^n, wherever their C^(n+1)
+columns fit the plane rows of :mod:`dgq.linalg`; past that, and over Z and
+F_p for p >= 5, on its face rows, one per cell of C^(n+1).
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ from .errors import (InternalConsistencyError, ResourceBudgetError,
                      StructureError, TruncationError)
 from .fields import _is_prime
 from .groupoids import Groupoid, connected_decomposition, one_object_group
-# rank_z is not called here but stays importable from this module, next to
-# elementary_divisors, whose length it is
-from .linalg import (SubquotientFp, elementary_divisors,  # noqa: F401
-                     invariant_factors, is_zero_matrix, matmul, nullity_fp,
-                     nullspace_fp, rank_fp, rank_z, transpose)
+# nullity_fp and rank_z are not called here but stay importable from this
+# module, next to rank_fp and elementary_divisors, whose counterparts they are
+from .linalg import (SubquotientFp, _on_planes,  # noqa: F401
+                     elementary_divisors, invariant_factors, is_zero_matrix,
+                     matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
+                     transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 # the largest tuple or grid basis a complex is built on; a larger one raises
@@ -171,25 +181,29 @@ def _field(coefficients):
 
 def _cohomology(mats, dims, coefficients) -> list:
     """H^0..H^N of the cochain complex with differentials ``mats[n]``:
-    C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n.
+    C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n; ``mats`` may be
+    an iterator, so that each differential is dropped once reduced.
 
-    Each matrix with rows is reduced once: one nullity over F_p, or one
-    Smith form over Z, whose length is the rank of d_n and whose entries
-    above 1 are the torsion of H^(n+1).  A matrix with no rows has rank 0."""
+    A differential comes as face rows, one per cell of C^(n+1) with entries
+    at C^n, or over F_p also as coface rows, their transpose: its rank is
+    the same.  Each matrix with a nonzero entry is reduced once: one rank
+    over F_p, or one Smith form of the face rows over Z, whose length is the
+    rank of d_n and whose entries above 1 are the torsion of H^(n+1).  A
+    matrix with no nonzero entry has rank 0."""
     p = _field(coefficients)
     if p is None:
         groups, prev = [], []
         for m, dim in zip(mats, dims):
-            divisors = elementary_divisors(m, dim) if m else []
+            divisors = elementary_divisors(m, dim) if any(m) else []
             groups.append(ZGroup(dim - len(divisors) - len(prev),
                                  tuple(d for d in prev if d > 1)))
             prev = divisors
         return groups
     groups, rank_prev = [], 0
     for m, dim in zip(mats, dims):
-        null = nullity_fp(m, dim, p) if m else dim
-        groups.append(FpGroup(null - rank_prev))
-        rank_prev = dim - null
+        rank = rank_fp(m, p) if any(m) else 0
+        groups.append(FpGroup(dim - rank - rank_prev))
+        rank_prev = rank
     return groups
 
 
@@ -202,21 +216,28 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     of its components.  So H^n(g) is the direct sum over the components of
     H^n of the vertex group, whose bar complex is reduced once per distinct
     vertex table: F_p dimensions and Z ranks add, and Z torsion is merged
-    into invariant factors.  The vertex group's tuple bases grow like
-    (order - 1)^n; a degree that would exceed the budget raises a resource
-    error before its differential is built."""
+    into invariant factors.  A vertex group with k non-identity elements
+    has k^n cells in degree n; if any degree up to n_max + 1 of any vertex
+    group would exceed the budget, a resource error names the first such
+    degree before any row is built."""
     p = _field(coefficients)
     if n_max < 0:
         raise StructureError("degree must be nonnegative")
-    by_table, parts = {}, []
-    for comp in connected_decomposition(g):
-        key = tuple(map(tuple, comp.vertex_table))
-        if key not in by_table:
-            by_table[key] = _bar_cohomology(one_object_group(comp.vertex_table),
-                                            n_max, coefficients, budget)
-        parts.append(by_table[key])
+    keys = [tuple(map(tuple, comp.vertex_table))
+            for comp in connected_decomposition(g)]
+    tables = dict.fromkeys(keys)
+    for key in tables:
+        for n in range(n_max + 2):
+            if (len(key) - 1) ** n > budget:
+                raise ResourceBudgetError(
+                    f"degree {n} basis exceeds the budget {budget}")
+    for key in tables:
+        tables[key] = _cohomology(
+            _bar_differentials(one_object_group(key), n_max, p),
+            [(len(key) - 1) ** n for n in range(n_max + 1)], coefficients)
     return CohomologyReport("Z" if p is None else f"F{p}",
-                            [_direct_sum(summands) for summands in zip(*parts)])
+                            [_direct_sum(summands) for summands in
+                             zip(*(tables[key] for key in keys))])
 
 
 def _direct_sum(summands):
@@ -228,23 +249,113 @@ def _direct_sum(summands):
                   tuple(d for d in torsion if d > 1))
 
 
-def _bar_cohomology(g: Groupoid, n_max: int, coefficients,
-                    budget: int) -> list:
-    """H^0..H^n_max of g from its full normalized bar complex, built from
-    the nerve of every degree up to n_max + 1."""
-    mats, dims, basis = [], [], None
-    for n in range(n_max + 2):
-        nxt = nerve(g, n)
-        if len(nxt) > budget:
-            raise ResourceBudgetError(
-                f"degree {n} basis exceeds the budget {budget}")
-        if basis is not None:
-            dims.append(len(basis))
-            mats.append(_coboundary_rows({c: i for i, c in enumerate(basis)},
-                                         nxt, _groupoid_faces(g, n - 1)))
-        basis = nxt
-    del basis, nxt      # the top nerve, the largest, is not needed to reduce
-    return _cohomology(mats, dims, coefficients)
+# -- a group's bar complex by digits ----------------------------------------
+
+
+def _digit_table(g: Groupoid) -> list[list[int | None]]:
+    """The product of a one-object groupoid's non-identity arrows, on their
+    digits: digit i is the i-th non-identity arrow in increasing order, and
+    a product that is the identity is None."""
+    elems = [f for f in g.arrows() if not g.is_identity(f)]
+    digit = {f: i for i, f in enumerate(elems)}
+    return [[digit.get(g.compose[x][y]) for y in elems] for x in elems]
+
+
+def _bar_differentials(g: Groupoid, n_max: int, p):
+    """d_0..d_n_max of the normalized bar complex of the one-object groupoid
+    ``g``, one degree at a time, each built from the one before by
+    :func:`_bar_rows`.  Over F_2 and F_3 (``p``) a differential comes as
+    coface rows where :func:`linalg._on_planes` fits its C^(n+1) columns,
+    else as face rows; over Z (p None) and F_p, p >= 5, always as face
+    rows.  Nothing but the last differential is kept, so a consumer that
+    drops each one once reduced holds at most two degrees' rows."""
+    mul = _digit_table(g)
+    k = len(mul)
+    rows, cofaces = None, False
+    for n in range(n_max + 1):
+        want = p is not None and _on_planes(p, k ** (n + 1))
+        if rows is not None and want != cofaces:
+            # the other orientation of d_(n-1), as the next one starts from
+            rows = transpose(rows, k ** (n if cofaces else n - 1))
+        cofaces = want
+        rows = _bar_rows(mul, n, rows, cofaces)
+        yield rows
+
+
+def _bar_rows(mul, n: int, prev, cofaces: bool) -> list[dict[int, int]]:
+    """The rows of d_n: C^n -> C^(n+1) of the normalized bar complex of the
+    group whose product on digits is ``mul`` (see :func:`_digit_table`),
+    from ``prev``, the rows of d_(n-1) in the same orientation (unused at
+    n = 0).
+
+    With k non-identity elements, the cells of C^n are the k^n n-tuples of
+    them, numbered by their base-k digits: the lexicographic order of
+    :func:`nerve`, so the cell (J, f) of C^(n+1), J in C^n, is J k + f.
+    Face rows are one per cell of C^(n+1), with entries at C^n, as
+    :func:`differential_matrix` builds them; coface rows are their
+    transpose, one per cell of C^n.  At n = 0 the one object is both faces
+    of every cell, so every row is empty.
+
+    For n >= 1 the faces of (J, f) are the faces of J other than its last,
+    J // k, each with f appended; the cell composing J's last element with
+    f, with the sign (-1)^n, unless that product is the identity; and J,
+    with the sign (-1)^(n+1).  The faces of J other than its last are its
+    row of d_(n-1) less the (-1)^n there at J // k; transposed, the cofaces
+    of a cell a other than those it is the last face of are its coface row
+    less the (-1)^n at each a k + g.  No two faces of a cell meet but the
+    last and one of those appended, so that sum is the only one that can
+    cancel."""
+    k = len(mul)
+    if n == 0:
+        return [{} for _ in range(1 if cofaces else k)]
+    s = -1 if n % 2 else 1
+    # every row takes its columns from one list of ints, not from an int
+    # object of its own per entry: a third of the memory of face rows
+    cells = list(range(k ** (n + 1 if cofaces else n)))
+    out = []
+    if not cofaces:
+        for j, row in enumerate(prev):
+            faces = dict(row)
+            _add(faces, j // k, -s)
+            shifted = [(c * k, v) for c, v in faces.items()]
+            head = j // k * k
+            for f, m in enumerate(mul[j % k]):
+                r = {cells[c + f]: v for c, v in shifted}
+                if m is not None:
+                    r[cells[head + m]] = s
+                _add(r, cells[j], -s)
+                out.append(r)
+        return out
+    # the cells (x, f) of C^2 whose product is y, as x k + f, for each y
+    composing = [[] for _ in range(k)]
+    for x, products in enumerate(mul):
+        for f, m in enumerate(products):
+            if m is not None:
+                composing[m].append(x * k + f)
+    for a, row in enumerate(prev):
+        cofaces_of_a = dict(row)
+        for c in range(a * k, a * k + k):
+            _add(cofaces_of_a, c, -s)
+        shifted = [(c * k, v) for c, v in cofaces_of_a.items()]
+        head = a * k * k
+        for y in range(k):
+            r = {cells[c + y]: v for c, v in shifted}
+            for c in composing[y]:
+                r[cells[head + c]] = s
+            last = (a * k + y) * k
+            for c in cells[last:last + k]:
+                _add(r, c, -s)
+            out.append(r)
+    return out
+
+
+def _add(row: dict[int, int], c: int, v: int) -> None:
+    """row[c] += v in place, deleting an entry that becomes 0."""
+    v += row.get(c, 0)
+    if v:
+        row[c] = v
+    else:
+        del row[c]
 
 
 # -- the double complex -----------------------------------------------------

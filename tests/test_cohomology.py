@@ -6,12 +6,15 @@ reductions against each other, and call counts check that each matrix is
 built and reduced once."""
 
 import gc
+import itertools
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from dgq import cohomology as coh
+from dgq import linalg
 from dgq.cli import run
 from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
                             aut_and_opext, build_double_complex,
@@ -21,7 +24,8 @@ from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
 from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
 from dgq.errors import InternalConsistencyError, TruncationError
-from dgq.groupoids import coarse_groupoid, one_object_group
+from dgq.groupoids import (coarse_groupoid, connected_decomposition,
+                           one_object_group)
 from dgq.linalg import is_zero_matrix, matmul, sparse_row
 from dgq.samples import (corpus_product, corpus_union, cyclic_table,
                          s3_double, symmetric_table)
@@ -154,6 +158,37 @@ def test_degree_budget_guard():
         groupoid_cohomology(g, 4, ("Fp", 2), budget=100)
 
 
+def test_budget_is_checked_before_any_row_is_built(monkeypatch):
+    """k^n is known up front: Z/2 (k = 1) fits any budget, S3 (k = 5) has
+    125 cells in degree 3, so with a budget of 100 the union raises before
+    either vertex group builds a row.  Within the budget, each distinct
+    vertex group is built once."""
+    from dgq.errors import ResourceBudgetError
+    from dgq.groupoids import disjoint_union
+    calls = _count_calls(monkeypatch, ["_bar_rows"])
+    z2 = one_object_group(cyclic_table(2))
+    g = disjoint_union(disjoint_union(
+        z2, one_object_group(symmetric_table(3)[0])), z2)
+    for top in (2, 4):
+        with pytest.raises(ResourceBudgetError,
+                           match="^degree 3 basis exceeds the budget 100$"):
+            groupoid_cohomology(g, top, ("Fp", 2), budget=100)
+    assert calls["_bar_rows"] == []
+    # at a budget of 125, degree 3 fits: d_0..d_2 of each group are built
+    assert [grp.dim for grp in groupoid_cohomology(
+        g, 2, ("Fp", 2), budget=125).groups] == [3, 3, 3]
+    assert [n for _, n, *_ in calls["_bar_rows"]] == [0, 1, 2] * 2
+
+
+def test_cli_refuses_a_degree_past_the_budget_at_once(capsys):
+    """S3 to degree 8 needs the 5^9 = 1,953,125 cells of degree 9."""
+    code = run(["--format", "machine", "cohomology",
+                str(CORPUS / "s3_group.json"), "--p", "2", "--degree", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: degree 9 basis exceeds the budget 500000\n"
+
+
 def test_h0_counts_components():
     g = coarse_groupoid(3)
     assert groupoid_cohomology(g, 0, ("Fp", 7)).groups[0].dim == 1
@@ -188,14 +223,149 @@ ROUTE_CASES = _route_cases()
 Z_ORACLE_DEGREE = 3
 
 
+def full_nerve_cohomology(g, top, coefficients):
+    """H^0..H^top of ``g`` from its whole normalized bar complex, built on
+    the nerves of every degree up to top + 1: the route that the vertex
+    groups replace."""
+    return _cohomology([differential_matrix(g, n) for n in range(top + 1)],
+                       [len(nerve(g, n)) for n in range(top + 1)],
+                       coefficients)
+
+
 @pytest.mark.parametrize("name", sorted(ROUTE_CASES))
 def test_vertex_groups_agree_with_the_full_nerve(name):
     g = ROUTE_CASES[name]
     for coefficients, top in ((("Fp", 2), 3), (("Fp", 3), 3),
                               ("Z", Z_ORACLE_DEGREE)):
-        full = coh._bar_cohomology(g, top, coefficients, 10 ** 6)
+        full = full_nerve_cohomology(g, top, coefficients)
         assert groupoid_cohomology(g, top, coefficients).groups == full, (
             coefficients)
+        if coefficients != "Z":
+            # with the plane store at 0 no coface matrix with a column fits,
+            # so F_2 and F_3 take face rows, and reduce them on dict rows
+            with mock.patch.object(linalg, "_PLANE_STORE", 0):
+                assert groupoid_cohomology(
+                    g, top, coefficients).groups == full, coefficients
+
+
+# -- vertex-group differentials by digits -------------------------------------
+
+
+def _vertex_groups():
+    """Each distinct vertex group of the ROUTE_CASES groupoids, and C_2 to
+    C_6."""
+    tables = {}
+    for name, g in sorted(ROUTE_CASES.items()):
+        for comp in connected_decomposition(g):
+            tables.setdefault(tuple(map(tuple, comp.vertex_table)), name)
+    for n in range(2, 7):
+        tables.setdefault(tuple(map(tuple, cyclic_table(n))), f"C{n}")
+    return {f"{name}:{len(table)}": one_object_group(table)
+            for table, name in tables.items()}
+
+
+VERTEX_GROUPS = _vertex_groups()
+
+
+def _rows_by_degree(g, top, cofaces):
+    mul = coh._digit_table(g)
+    rows = None
+    for n in range(top + 1):
+        rows = coh._bar_rows(mul, n, rows, cofaces)
+        yield n, rows
+
+
+def test_vertex_groups_cover_the_corpus():
+    # the trivial group, Z/2, C_3 and two labellings of S3 from the corpus,
+    # each under the first groupoid it is a vertex group of; C_2 and C_3
+    # are among them
+    assert sorted(VERTEX_GROUPS) == [
+        "C4:4", "C5:5", "C6:6", "coarse3_group:1",
+        "product_s3_x21.diagonal:6", "product_s3_x21.horiz:2",
+        "product_s3_x21.vert:3", "s3_group:6"]
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
+def test_digit_rows_match_the_nerve_rows(name):
+    """Face rows are ``differential_matrix``; coface rows its transpose."""
+    g = VERTEX_GROUPS[name]
+    for (n, face), (_, coface) in zip(_rows_by_degree(g, 4, False),
+                                      _rows_by_degree(g, 4, True)):
+        expected = differential_matrix(g, n)
+        assert face == expected, n
+        assert coface == linalg.transpose(expected, len(nerve(g, n))), n
+        assert all(v for row in face for v in row.values())
+
+
+def test_digit_rows_cancel():
+    """The rows of ``test_one_pass_rows_cancel``: on Z/2 the degree-1 row
+    of (a, a) holds a 2 and the degree-2 row of (a, a, a) is empty, in both
+    orientations."""
+    z2 = one_object_group(cyclic_table(2))
+    for cofaces in (False, True):
+        rows = dict(_rows_by_degree(z2, 2, cofaces))
+        assert rows == {0: [{}], 1: [{0: 2}], 2: [{}]}
+
+
+@pytest.mark.parametrize("store,p,expected", [
+    (None, 2, [True] * 5), (None, 3, [True] * 5),
+    # 1,000 bytes hold the planes of 125 columns at p = 2, of 25 at p = 3
+    (1000, 2, [True, True, True, False, False]),
+    (1000, 3, [True, True, False, False, False]),
+    (0, 2, [False] * 5), (0, 3, [False] * 5),
+    (None, 5, [False] * 5), (None, None, [False] * 5)])
+def test_bar_differentials_switch_to_face_rows_past_the_plane_store(
+        store, p, expected):
+    """Each differential of S3 comes as coface rows where its C^(n+1)
+    columns fit the plane store over F_2 and F_3, else as face rows, and
+    always as face rows over F_5 and Z; a switch transposes the rows that
+    the next degree starts from."""
+    s3 = ROUTE_CASES["s3_group"]
+    with mock.patch.object(linalg, "_PLANE_STORE",
+                           linalg._PLANE_STORE if store is None else store):
+        mats = list(coh._bar_differentials(s3, 4, p))
+    got = []
+    for n, m in enumerate(mats):
+        d_n = differential_matrix(s3, n)
+        got.append(m != d_n)
+        assert m == (linalg.transpose(d_n, 5 ** n) if got[-1] else d_n), n
+    assert got == expected
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_s3_face_rows_over_f2_and_f3_agree_with_the_full_nerve(p):
+    s3 = ROUTE_CASES["s3_group"]
+    full = full_nerve_cohomology(s3, 4, ("Fp", p))
+    assert groupoid_cohomology(s3, 4, ("Fp", p)).groups == full
+    with mock.patch.object(linalg, "_PLANE_STORE", 0):
+        assert groupoid_cohomology(s3, 4, ("Fp", p)).groups == full
+    assert [grp.dim for grp in full] == ([1] * 5 if p == 2
+                                         else [1, 0, 0, 1, 1])
+
+
+def _smallest_prime_not_dividing(order):
+    return next(q for q in itertools.count(2)
+                if all(q % d for d in range(2, q)) and order % q)
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
+def test_fp_ranks_on_coface_rows_count_smith_divisors(name):
+    """|G| kills H^n(G; Z) for n >= 1, so every Smith divisor of d_n over Z
+    divides |G|; and the rank of d_n over F_p counts the divisors that p
+    does not divide, which is all of them for a prime not dividing |G|.
+    The ranks are taken on coface rows (plane rows at p = 2, 3, dict rows
+    above), the divisors on face rows over Z."""
+    g = VERTEX_GROUPS[name]
+    order = g.n_arrows
+    primes = sorted({q for q in (2, 3, 5) if order % q == 0}
+                    | {_smallest_prime_not_dividing(order)})
+    for (n, face), (_, coface) in zip(_rows_by_degree(g, 3, False),
+                                      _rows_by_degree(g, 3, True)):
+        divisors = linalg.elementary_divisors(face, len(nerve(g, n)))
+        assert all(order % d == 0 for d in divisors), n
+        for q in primes:
+            rank = linalg.rank_fp(coface, q) if any(coface) else 0
+            assert rank == sum(1 for d in divisors if d % q), (n, q)
 
 
 # -- one-pass row assembly against the two-pass formulation -------------------
@@ -259,7 +429,7 @@ def test_integral_torsion_of_a_union_is_merged_into_invariant_factors():
     g = disjoint_union(one_object_group(cyclic_table(2)),
                        one_object_group(cyclic_table(3)))
     skeleton = groupoid_cohomology(g, 2, "Z").groups
-    assert skeleton == coh._bar_cohomology(g, 2, "Z", 10 ** 6)
+    assert skeleton == full_nerve_cohomology(g, 2, "Z")
     # Z/2 + Z/3 is Z/6; listing the parts' torsion side by side gives (2, 3)
     assert skeleton[2] == ZGroup(0, (6,))
     assert skeleton[0] == ZGroup(2, ())
@@ -455,29 +625,26 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
                                                       vacant_corpus):
     calls = _count_calls(monkeypatch, ["total_matrix", "nerve",
                                        "groupoid_cohomology",
-                                       "build_double_complex"])
+                                       "build_double_complex", "_bar_rows"])
     t = vacant_corpus["x23"]
     coh.kac_report(t, 2)
     built = [(part, n) for _, part, n in calls["total_matrix"]]
     assert sorted(built) == sorted((part, n) for part in "DEA"
                                    for n in range(4))
     # The double complex's edge bases are the edge groupoids' nerves in
-    # degrees 1..4.  groupoid_cohomology builds no nerve of the diagonal or
-    # edge groupoids, only those of their vertex groups in degrees 0..4:
-    # every component of x23's three groupoids has the trivial vertex group,
-    # so each call reduces one vertex table.
+    # degrees 1..4.  groupoid_cohomology builds no nerve, of the diagonal
+    # or edge groupoids or of their vertex groups.
     cohomology_of = {id(g) for g, *_ in calls["groupoid_cohomology"]}
     assert len(cohomology_of) == 3
     assert {id(t.horiz), id(t.vert)} <= cohomology_of
-    of_given = [(id(g), n) for g, n in calls["nerve"] if id(g) in cohomology_of]
-    assert sorted(of_given) == sorted((id(g), n) for g in (t.vert, t.horiz)
-                                      for n in range(1, 5))
-    vertex = [(g, n) for g, n in calls["nerve"] if id(g) not in cohomology_of]
-    groups = {id(g): g for g, _ in vertex}
-    assert len(groups) == 3
-    assert all(g.n_objects == 1 and g.n_arrows == 1 for g in groups.values())
-    assert sorted((id(g), n) for g, n in vertex) == sorted(
-        (k, n) for k in groups for n in range(5))
+    assert sorted((id(g), n) for g, n in calls["nerve"]) == sorted(
+        (id(g), n) for g in (t.vert, t.horiz) for n in range(1, 5))
+    # Every component of x23's three groupoids has the trivial vertex
+    # group, so each call builds d_0..d_3 of one vertex table by digits: the
+    # empty coface row of d_0, then no rows at all
+    by_digits = [(mul, n, cofaces)
+                 for mul, n, _, cofaces in calls["_bar_rows"]]
+    assert by_digits == [([], n, True) for _ in range(3) for n in range(4)]
     assert len(calls["build_double_complex"]) == 1
 
 
@@ -489,8 +656,8 @@ def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
     # one nullspace out of each degree the sequence reads: 0..3 of Tot D and
     # Tot E, internal 2..3 of Tot A; the rank arithmetic takes its nullities
     # from them.  The vertex groups of x23's three groupoids are trivial, so
-    # none of their differentials has a row to reduce.  rank_fp serves only
-    # the 7 maps
+    # none of their differentials has a nonzero entry to reduce.  rank_fp
+    # serves only the 7 maps
     assert len(calls["nullspace_fp"]) == 4 + 4 + 2
     assert calls["nullity_fp"] == []
     assert len(calls["rank_fp"]) == 7
@@ -517,9 +684,9 @@ def test_composite_opext_one_smith_form_per_total_differential(
     aut, opx = coh.aut_and_opext(vacant_corpus["x23"], 6)
     assert aut.divisors == (6, 6) and opx.divisors == ()
     assert [n for _, _, n in calls["total_matrix"]] == [0, 1, 2, 3, 4]
-    # Tot A has no term in degree 1, so its differential out of degree 0
-    # has no rows and is not reduced
-    assert len(calls["elementary_divisors"]) == 4
+    # Tot A has no term in degree 1, so its differentials out of degrees 0
+    # and 1 have no nonzero entry and are not reduced
+    assert len(calls["elementary_divisors"]) == 3
     assert calls["rank_z"] == []
 
 
