@@ -275,7 +275,7 @@ def _bar_differentials(g: Groupoid, n_max: int, p):
     for n in range(n_max + 1):
         want = p is not None and _on_planes(p, k ** (n + 1))
         if rows is not None and want != cofaces:
-            # the other orientation of d_(n-1), as the next one starts from
+            # d_(n-1) in the orientation that d_n is built from
             rows = transpose(rows, k ** (n if cofaces else n - 1))
         cofaces = want
         rows = _bar_rows(mul, n, rows, cofaces)
