@@ -4,17 +4,21 @@ A pair (sigma, tau) assigns sigma to vertically composable box pairs and tau
 to horizontally composable ones, written additively.  Validity means: each is
 a normalized groupoid 2-cocycle on its box groupoid, and the joint square
 compatibility holds.  The valid pairs are the solutions Z of a linear system
-over Z/m, walked in order through its Howell form, and the gauge classes are
-the cosets in Z of the image of the gauge map, counted from two Howell forms
-without listing pairs or gauges.  Field
-realization (zeta ** value) is a separate explicit step, so enumeration and
-counting stay integer problems.
+over Z/m, walked in order through its Howell form.  Before any is written,
+the solutions are checked a block at a time: packed as bytes, read as one
+int per solution column with one solution per lane, on which each identity
+row is a few additions, its failing lanes ORed into a mask.  The gauge
+classes are the cosets in Z of the image of the gauge map, counted from two
+Howell forms without listing pairs or gauges.  Field realization
+(zeta ** value) is a separate explicit step, so enumeration and counting
+stay integer problems.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import itemgetter, ne
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
@@ -199,12 +203,13 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
 
     The count of solutions is checked against ``budget``, the most pairs
     to write, before any pair is built; a negative budget is bad input.
-    Then one walk of the solutions builds each pair, checks that the pairs
-    strictly increase (so none repeats), decides every identity on it with
-    a :class:`_ResidualSweep` and counts it.  A pair the sweep fails is
-    reported through :func:`validate_cocycle_pair`; a solver that breaks
-    the order or misses its count raises, and so does a sweep that
-    disagrees with the validator.  The pairs come back as a
+    Then one walk of the solutions checks them a block at a time with a
+    :class:`_BlockCheck`, which builds no pair: the packed solutions must
+    strictly increase (so no pair repeats), and every identity is decided
+    on every pair of the block at once.  The earliest pair that fails is
+    rebuilt and reported through :func:`validate_cocycle_pair`; a solver
+    that breaks the order or misses its count raises, and so does a check
+    that disagrees with the validator.  The pairs come back as a
     :class:`CocyclePairs` view, which walks them afresh, in the same order,
     each time it is iterated, so memory does not grow with their number.
     """
@@ -220,125 +225,254 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
         raise ResourceBudgetError(
             f"{count} cocycle pairs exceed the budget of {budget} pairs to "
             f"write")
-    sweep = _ResidualSweep(t, m)
-    n, last = 0, None
-    for cp in _pairs(t, m, system, solutions):
-        key = (cp.sigma, cp.tau)
-        if last is not None and key <= last:
-            raise InternalConsistencyError(
-                f"the solver's pair {n} repeats or precedes the one before it")
-        if not sweep.holds(cp):
-            bad = validate_cocycle_pair(t, cp)
-            if not bad.ok:
-                raise InternalConsistencyError(
-                    f"solver produced an invalid pair: {bad.failures[0]}")
-            raise InternalConsistencyError(
-                f"the residual sweep fails pair {n}, which "
-                f"validate_cocycle_pair passes")
-        n, last = n + 1, key
+    n = _BlockCheck(t, m, system).walk(solutions)
     if n != count:
         raise InternalConsistencyError(
             f"the solver gave {n} pairs for {count} solutions")
     return CocyclePairs(t, m, system, count, solutions)
 
 
-class _ResidualSweep:
-    """Every identity of ``t.cocycle_identities()`` mod m, decided along a
-    sequence of pairs by residuals that are updated, not recomputed.
+# solutions held per block of the check walk, one lane each
+_BLOCK = 256
 
-    Each rule row (normalization, cocycle, compatibility) and each symmetry
-    row keeps its residual, the value of its linear form on the current
-    pair, with a count of the nonzero ones.  :meth:`holds` diffs a pair
-    against the one before it (the first against the zero pair, on which
-    every row vanishes) and updates only the rows of the entries that
-    changed, so every identity is still decided for every pair: the pair
-    holds exactly when the count is 0.  The symmetry rows are consequences
-    of the rules and are kept apart, as the validator keeps them: nonzero
-    symmetry rows under rules that all vanish raise.
+
+class _BlockCheck:
+    """Every identity of ``t.cocycle_identities()`` mod m, decided on a
+    block of solutions at once, one solution per lane of a Python int.
+
+    A block holds up to ``_BLOCK`` solutions as bytes, each value in a lane
+    of ``width`` bytes, and turns into one int per solution column whose
+    lane k holds solution k's value.  Each normalization, cocycle,
+    compatibility and symmetry row is compiled onto those columns through
+    :func:`_entry_columns` (an entry that normalization forces reads 0, so
+    a row left with no term always holds) as offset + positive terms -
+    negative terms, the offset being the least multiple of m that keeps
+    every lane nonnegative.  No value reaches the top bit of its lane, so
+    a lane of x is nonzero exactly when the top bit of x + fill is set,
+    fill being all the lower bits of every lane; a row fails in the lanes
+    that equal none of the multiples of m within its range.  The rules and
+    the symmetry rows (their consequences, kept apart as the validator
+    keeps them) are ORed into two masks, and a column value of m or more
+    fails as a rule does.
     """
 
-    __slots__ = ("modulus", "sizes", "touch", "rules", "symmetry_errors",
-                 "residue", "nonzero", "entries")
+    __slots__ = ("t", "modulus", "system", "width", "pack", "rules",
+                 "symmetry", "symmetry_errors", "fill", "above", "high")
 
-    def __init__(self, t: DoubleGroupoid, m: int):
-        vp, hp, _, _ = t.pair_domains()
+    def __init__(self, t: DoubleGroupoid, m: int, system):
+        vp, _, _, _ = t.pair_domains()
         ids = t.cocycle_identities()
         nv = len(vp)
+        where = _entry_columns(t, system)
+        ncols = system[1]
+
+        def compiled(forms):
+            """(offset, positive columns, negative columns, multiples of m
+            in range) of each form that keeps a term."""
+            for form in forms:
+                row = sparse_row((where[e], c) for e, c in form
+                                 if where[e] < ncols)
+                pos = tuple(col for col, c in row.items() if c > 0
+                            for _ in range(c))
+                neg = tuple(col for col, c in row.items() if c < 0
+                            for _ in range(-c))
+                offset = -(-len(neg) * (m - 1) // m) * m
+                low = offset - len(neg) * (m - 1)
+                high = offset + len(pos) * (m - 1)
+                yield (offset, pos, neg, range(-(-low // m) * m, high + 1, m)
+                       ) if row else None
+
         rules = chain((((i, 1),) for i, _ in ids.sigma_normalization),
                       (((nv + j, 1),) for j, _ in ids.tau_normalization),
                       _identity_forms(t))
-        # the symmetry rows, consequences of the rules, follow the rule rows
-        # in the validator's order and with its messages
-        self.symmetry_errors = []
-        symmetry = []
+        # the symmetry rows, consequences of the rules, in the validator's
+        # order and with its messages
+        symmetry, errors = [], []
         for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
             symmetry += [((i, 1), (j, -1)), ((nv + k, 1), (nv + l, -1))]
-            self.symmetry_errors += [f"sigma symmetry broken at box {a}",
-                                     f"tau symmetry broken at box {a}"]
-        # for each entry, the rows it enters, grouped by its coefficient there
-        by_coefficient = [{} for _ in range(nv + len(hp))]
-        nrows = 0
-        for form in chain(rules, symmetry):
-            for e, c in sparse_row(form).items():
-                by_coefficient[e].setdefault(c, []).append(nrows)
-            nrows += 1
-        self.touch = [tuple((c, tuple(rows)) for c, rows in groups.items())
-                      for groups in by_coefficient]
-        self.rules = nrows - len(symmetry)
-        self.modulus = m
-        self.sizes = (nv, len(hp))
-        self.residue = [0] * nrows
-        self.nonzero = 0
-        self.entries = (0,) * (nv + len(hp))
+            errors += [f"sigma symmetry broken at box {a}",
+                       f"tau symmetry broken at box {a}"]
+        rules = list(filter(None, compiled(rules)))
+        symmetry = [(row, e) for row, e in zip(compiled(symmetry), errors)
+                    if row]
+        # the least lane width whose top bit no value reaches
+        largest = max([m - 1] + [row[0] + len(row[1]) * (m - 1) for row
+                                 in chain(rules, (r for r, _ in symmetry))])
+        width = -(-(largest.bit_length() + 1) // 8)
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * _BLOCK, "little")
+        spread, distinct = {}, {}
 
-    def holds(self, cp: CocyclePair) -> bool:
-        """Whether ``cp``, a pair of the right size with values reduced mod
-        m, satisfies every rule; one that does but breaks a symmetry raises,
-        as :func:`validate_cocycle_pair` does.  A pair of the wrong size or
-        range fails and leaves the residuals as they were."""
-        m = self.modulus
-        entries = cp.sigma + cp.tau
-        if ((len(cp.sigma), len(cp.tau)) != self.sizes
-                or entries and (min(entries) < 0 or max(entries) >= m)):
-            return False
-        prev, residue, touch = self.entries, self.residue, self.touch
-        nonzero = self.nonzero
-        for e in compress(range(len(entries)), map(ne, entries, prev)):
-            d = entries[e] - prev[e]
-            for c, rows in touch[e]:
-                step = c * d
-                for r in rows:
-                    old = residue[r]
-                    new = residue[r] = (old + step) % m
-                    if old:
-                        if not new:
-                            nonzero -= 1
-                    elif new:
-                        nonzero += 1
-        self.entries, self.nonzero = entries, nonzero
-        if not nonzero:
-            return True
-        broken = [k for k, v in enumerate(residue[self.rules:]) if v]
-        if len(broken) < nonzero:
-            return False
-        raise InternalConsistencyError(self.symmetry_errors[broken[0]])
+        def packed(rows):
+            # each lane value is spread into one int, and each distinct row
+            # is one tuple, shared by every row that uses it
+            for offset, pos, neg, multiples in rows:
+                if (pos, neg) not in distinct:
+                    distinct[pos, neg] = (
+                        spread.setdefault(offset, offset * ones), pos, neg,
+                        tuple(spread.setdefault(v, v * ones)
+                              for v in multiples))
+                yield distinct[pos, neg]
+
+        top = 1 << 8 * width - 1
+        self.t, self.modulus, self.system, self.width = t, m, system, width
+        self.pack = bytes if width == 1 else partial(_packed, width)
+        self.rules = list(packed(rules))
+        self.symmetry = list(packed(row for row, _ in symmetry))
+        self.symmetry_errors = [e for _, e in symmetry]
+        self.high = top * ones
+        self.fill = (top - 1) * ones
+        self.above = (top - m) * ones
+
+    def walk(self, solutions) -> int:
+        """Check every solution, in the order given, and return how many
+        there were; the first one that fails raises."""
+        ncols, pack, put = self.system[1], self.pack, self.put
+        block = bytearray(ncols * _BLOCK * self.width)
+        n = k = 0
+        last = None
+        for sol in solutions:
+            try:
+                packed = pack(sol)
+            except (ValueError, OverflowError):
+                # a value below 0 or too wide for a lane
+                packed = None
+            if (packed is None or len(sol) != ncols
+                    or last is not None and packed <= last):
+                self._check(block, k, n - k)
+                self._fault(sol, n, packs=packed is not None)
+            put(block, k, packed)
+            last = packed
+            n += 1
+            k += 1
+            if k == _BLOCK:
+                self._check(block, k, n - k)
+                k = 0
+        self._check(block, k, n - k)
+        return n
+
+    def put(self, block, k: int, packed) -> None:
+        """Write a packed solution into lane k of each column of a block.
+        Its values are big-endian, so that packed solutions sort like the
+        solutions; each lane is little-endian, as the column ints read
+        it."""
+        width = self.width
+        stride = _BLOCK * width
+        for j in range(width):
+            block[k * width + j::stride] = packed[width - 1 - j::width]
+
+    def _columns(self, block):
+        """The column ints of a block, and the lanes where a value is m or
+        more (as top bits, with noise below them)."""
+        size = _BLOCK * self.width
+        view = memoryview(block)
+        fill, above = self.fill, self.above
+        columns, wide = [], 0
+        for start in range(0, len(block), size):
+            col = int.from_bytes(view[start:start + size], "little")
+            columns.append(col)
+            wide |= col | ((col & fill) + above)
+        return columns, wide
+
+    def _failing(self, columns, rows):
+        """For each row in turn, an int whose lane k has its top bit set
+        exactly when the row fails on solution k."""
+        fill = self.fill
+        for offset, pos, neg, multiples in rows:
+            v = offset
+            for c in pos:
+                v += columns[c]
+            for c in neg:
+                v -= columns[c]
+            f = -1
+            for c in multiples:
+                f &= (v ^ c) + fill
+            yield f
+
+    def masks(self, block):
+        """(rules, symmetry): the top bits of the lanes of a block where a
+        rule, or a symmetry row, fails."""
+        columns, rules = self._columns(block)
+        for f in self._failing(columns, self.rules):
+            rules |= f
+        symmetry = 0
+        for f in self._failing(columns, self.symmetry):
+            symmetry |= f
+        return rules & self.high, symmetry & self.high
+
+    def _check(self, block, k: int, first: int) -> None:
+        """Decide the first k solutions of a block, pair ``first`` on; the
+        earliest that fails raises."""
+        if not k:
+            return
+        rules, symmetry = self.masks(block)
+        bits = 8 * self.width
+        bad = (rules | symmetry) & ((1 << k * bits) - 1)
+        if not bad:
+            return
+        top = bad & -bad
+        lane = (top.bit_length() - 1) // bits
+        size = _BLOCK * self.width
+        sol = tuple(int.from_bytes(block[c + lane * self.width:
+                                         c + (lane + 1) * self.width],
+                                   "little")
+                    for c in range(0, len(block), size))
+        if not rules & top:
+            # only symmetry rows fail, though the rules imply them
+            columns, _ = self._columns(block)
+            for f, error in zip(self._failing(columns, self.symmetry),
+                                self.symmetry_errors):
+                if f & top:
+                    raise InternalConsistencyError(error)
+        self._fault(sol, first + lane)
+
+    def _fault(self, sol, n: int, packs: bool = False):
+        """Raise for solution n: it has the wrong size; or it packs, and so
+        breaks the order; or else it fails a rule or its range."""
+        ncols = self.system[1]
+        if len(sol) != ncols:
+            raise InternalConsistencyError(
+                f"the solver's pair {n} has {len(sol)} values for {ncols} "
+                f"columns")
+        if packs:
+            raise InternalConsistencyError(
+                f"the solver's pair {n} repeats or precedes the one before it")
+        cp = next(_pairs(self.t, self.modulus, self.system, [sol]))
+        bad = validate_cocycle_pair(self.t, cp)
+        if not bad.ok:
+            raise InternalConsistencyError(
+                f"solver produced an invalid pair: {bad.failures[0]}")
+        raise InternalConsistencyError(
+            f"the block check fails pair {n}, which validate_cocycle_pair "
+            f"passes")
+
+
+def _packed(width: int, sol) -> bytes:
+    """A solution as bytes, each value big-endian in ``width`` bytes."""
+    return b"".join(v.to_bytes(width, "big") for v in sol)
+
+
+def _entry_columns(t: DoubleGroupoid, system) -> list[int]:
+    """The map from solutions to pairs: for each sigma entry, then each tau
+    entry, the column of the solution that holds its value, or ``ncols``
+    where normalization forces the entry to 0."""
+    vp, hp, _, _ = t.pair_domains()
+    _, ncols, svars, tvars = system
+    where = [ncols] * (len(vp) + len(hp))
+    for k, e in enumerate(svars + [len(vp) + j for j in tvars]):
+        where[e] = k
+    return where
 
 
 def _pairs(t: DoubleGroupoid, m: int, system, solutions):
     """The pair of each solution of the constraint system, in turn."""
-    vp, hp, _, _ = t.pair_domains()
-    nv, nh = len(vp), len(hp)
-    _, ncols, svars, tvars = system
-    # where each sigma entry, then each tau entry, sits in the solution
-    # extended by a 0 at ncols for the entries that normalization forces;
-    # two more picks of that 0 make itemgetter return a tuple at any size
-    where = [ncols] * (nv + nh + 2)
-    for k, i in enumerate(svars + [nv + j for j in tvars]):
-        where[i] = k
-    pick = itemgetter(*where)
+    where = _entry_columns(t, system)
+    nv, ncols = len(t.pair_domains()[0]), system[1]
+    # each solution is extended by the 0 that forced entries read; two more
+    # picks of it make itemgetter return a tuple at any size
+    pick = itemgetter(*where, ncols, ncols)
     for sol in solutions:
         entries = pick(sol + (0,))
-        yield CocyclePair(m, entries[:nv], entries[nv:nv + nh])
+        yield CocyclePair(m, entries[:nv], entries[nv:len(where)])
 
 
 class CocyclePairs:

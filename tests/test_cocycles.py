@@ -166,17 +166,11 @@ def test_an_invalid_solution_in_order_raises(monkeypatch, where):
     # solution tuples and their pairs sort alike, so a solution moved in one
     # value to another tuple strictly between its neighbours keeps the order
     t, m = build_Xrs(2, 2), 3
-    system = cocycles._constraint_system(t)
-    rows, ncols, _, _ = system
+    rows, ncols, _, _ = cocycles._constraint_system(t)
     solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
     n = {"first": 0, "middle": len(solutions) // 2,
          "last": len(solutions) - 1}[where]
-    low = solutions[n - 1] if n else ()
-    high = solutions[n + 1] if n + 1 < len(solutions) else (m,)
-    moved = (solutions[n][:k] + (v,) + solutions[n][k + 1:]
-             for k in range(ncols) for v in range(m))
-    bad = next(x for x in moved if low < x < high and not validate_cocycle_pair(
-        t, next(cocycles._pairs(t, m, system, [x]))).ok)
+    bad = _moved_in_order(t, m, solutions, n)
 
     def corrupt(solutions):
         solutions[n] = bad
@@ -200,11 +194,102 @@ def test_a_dropped_solution_raises(monkeypatch):
 
 
 def test_a_sweep_that_disagrees_with_the_validator_raises(monkeypatch):
-    monkeypatch.setattr(cocycles._ResidualSweep, "holds", lambda self, cp: False)
+    # a block check that fails every lane, on pairs the validator passes
+    monkeypatch.setattr(cocycles._BlockCheck, "masks",
+                        lambda self, block: (self.high, 0))
     with pytest.raises(InternalConsistencyError,
-                       match="the residual sweep fails pair 0, which "
+                       match="the block check fails pair 0, which "
                              "validate_cocycle_pair passes"):
         enumerate_cocycle_pairs(build_Xrs(2, 2), 2)
+
+
+def _moved_in_order(t, m, solutions, n):
+    """Solution n moved in one value to a tuple strictly between its
+    neighbours whose pair the validator fails."""
+    system = cocycles._constraint_system(t)
+    low = solutions[n - 1] if n else ()
+    high = solutions[n + 1] if n + 1 < len(solutions) else (m,)
+    moved = (solutions[n][:k] + (v,) + solutions[n][k + 1:]
+             for k in range(system[1]) for v in range(m))
+    return next(x for x in moved if low < x < high and not validate_cocycle_pair(
+        t, next(cocycles._pairs(t, m, system, [x]))).ok)
+
+
+@pytest.mark.parametrize("fault", ["invalid", "repeat"])
+def test_pairs_are_counted_across_the_block_boundary(monkeypatch, fault):
+    # x23 = X_{2,3} has 1,024 pairs mod 2, so solution _BLOCK is the first
+    # of the second block; the validator is made to pass it, so the error
+    # names the pair
+    t, m, n = build_Xrs(2, 3), 2, cocycles._BLOCK
+    rows, ncols, _, _ = cocycles._constraint_system(t)
+    solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
+    bad = (_moved_in_order(t, m, solutions, n) if fault == "invalid"
+           else solutions[n - 1])
+
+    def corrupt(solutions):
+        solutions[n] = bad
+        return solutions
+
+    monkeypatch.setattr(cocycles, "solutions_mod_m", _solver_that(corrupt))
+    monkeypatch.setattr(cocycles, "validate_cocycle_pair",
+                        lambda t, cp: validate_cocycle_pair(t, zero_pair(t, m)))
+    with pytest.raises(InternalConsistencyError,
+                       match=f"the block check fails pair {n}, which" if
+                       fault == "invalid" else f"the solver's pair {n} repeats"):
+        enumerate_cocycle_pairs(t, m)
+
+
+def test_the_earliest_offending_pair_is_reported(monkeypatch):
+    # in one block an invalid pair comes before a pair out of order, and a
+    # later pair is both: the first is reported; at one pair, the order
+    t, m = build_Xrs(2, 2), 3
+    rows, ncols, _, _ = cocycles._constraint_system(t)
+    solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
+    invalid = _moved_in_order(t, m, solutions, 3)
+
+    def corrupt(changes):
+        def change(solutions):
+            for n, sol in changes.items():
+                solutions[n] = sol
+            return solutions
+        return _solver_that(change)
+
+    first_invalid = corrupt({3: invalid, 10: solutions[9]})
+    monkeypatch.setattr(cocycles, "solutions_mod_m", first_invalid)
+    with pytest.raises(InternalConsistencyError,
+                       match="solver produced an invalid pair"):
+        enumerate_cocycle_pairs(t, m)
+    # solution 3, invalid and before solution 2, breaks the order first
+    both = corrupt({3: invalid, 2: solutions[4]})
+    monkeypatch.setattr(cocycles, "solutions_mod_m", both)
+    with pytest.raises(InternalConsistencyError,
+                       match="the solver's pair 3 repeats or precedes"):
+        enumerate_cocycle_pairs(t, m)
+
+
+def test_the_order_check_starts_from_no_previous_pair():
+    # x11 has no free column: its one solution packs to no bytes, which no
+    # previous pair precedes, and a second one repeats it
+    t = build_Xrs(1, 1)
+    for m in (1, 2, 2 ** 70):
+        system = cocycles._constraint_system(t)
+        assert system[1] == 0
+        assert cocycles._BlockCheck(t, m, system).walk([()]) == 1
+        with pytest.raises(InternalConsistencyError,
+                           match="the solver's pair 1 repeats"):
+            cocycles._BlockCheck(t, m, system).walk([(), ()])
+        assert list(enumerate_cocycle_pairs(t, m)) == [zero_pair(t, m)]
+
+
+def test_a_wide_modulus_on_a_small_instance():
+    # X_{1,3} has 12 free columns and only the zero pair at every m; past
+    # 255 its lanes take two bytes, and past 2**63 nine or more
+    t = build_Xrs(1, 3)
+    for m in (257, 65537, 2 ** 70):
+        system = cocycles._constraint_system(t)
+        assert system[1] == 12
+        assert cocycles._BlockCheck(t, m, system).width > 1
+        assert list(enumerate_cocycle_pairs(t, m, budget=1)) == [zero_pair(t, m)]
 
 
 # -- field embedding -------------------------------------------------------------

@@ -10,9 +10,9 @@ pairs, on corrupted pairs and on drawn tables alike, both routes must report
 the same failures (rule, witness and order), raise the same
 ``InternalConsistencyError``, count the same tuples and emit the same rows.
 The solver's solutions must solve the system, strictly increase, and number
-what the Smith diagonal counts.  The residual sweep that checks each
-enumerated pair must flag exactly the pairs the validator fails, with one
-nonzero row per failing tuple.
+what the Smith diagonal counts.  The block check that decides each
+enumerated pair, one solution per lane, must flag exactly the solutions
+whose pairs the validator fails, with one failing row per failing tuple.
 
 ``count_modulo_gauge`` counts classes as |Z| |ker G| / m**|free| from two
 Smith forms.  Its oracle is the orbit sweep it replaced, which enumerates
@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgq import io as dio
-from dgq.cocycles import (CocyclePair, _constraint_system, _ResidualSweep,
+from dgq.cocycles import (_BLOCK, CocyclePair, _BlockCheck, _constraint_system,
                           count_modulo_gauge, enumerate_cocycle_pairs,
                           free_boxes, gauge_transform, validate_cocycle_pair,
                           zero_pair)
@@ -240,27 +240,38 @@ def _assert_same(t, cp):
 
 
 @lru_cache(maxsize=None)
-def _pairs(name, m):
-    """The compared pairs: every enumerated pair up to COMPARED of them, else
+def _solutions(name, m):
+    """The compared solutions: every solution up to COMPARED of them, else
     an evenly spaced selection that keeps the first and the last."""
-    t = INSTANCES[name]
-    rows, ncols, svars, tvars = _constraint_system(t)
+    rows, ncols, _, _ = _constraint_system(INSTANCES[name])
     count, solutions = solutions_mod_m(rows, ncols, m)
-    if count <= COMPARED:
-        return tuple(enumerate_cocycle_pairs(t, m))
     stride = -(-count // COMPARED)
     keep = set(range(0, count, stride)) | {count - 1}
+    return tuple(sol for n, sol in enumerate(solutions) if n in keep)
+
+
+def _pair_of(t, m, sol):
+    """The pair whose free entries are the solution's values, in the
+    order of the constraint system's columns."""
     vp, hp, _, _ = t.pair_domains()
-    out = []
-    for n, sol in enumerate(solutions):
-        if n in keep:
-            sigma, tau = [0] * len(vp), [0] * len(hp)
-            for k, i in enumerate(svars):
-                sigma[i] = sol[k]
-            for k, j in enumerate(tvars):
-                tau[j] = sol[len(svars) + k]
-            out.append(CocyclePair(m, tuple(sigma), tuple(tau)))
-    return tuple(out)
+    _, _, svars, tvars = _constraint_system(t)
+    sigma, tau = [0] * len(vp), [0] * len(hp)
+    for k, i in enumerate(svars):
+        sigma[i] = sol[k]
+    for k, j in enumerate(tvars):
+        tau[j] = sol[len(svars) + k]
+    return CocyclePair(m, tuple(sigma), tuple(tau))
+
+
+@lru_cache(maxsize=None)
+def _pairs(name, m):
+    """The pairs of the compared solutions; enumerated whole when they are
+    all compared."""
+    t = INSTANCES[name]
+    rows, ncols, _, _ = _constraint_system(t)
+    if solutions_mod_m(rows, ncols, m)[0] <= COMPARED:
+        return tuple(enumerate_cocycle_pairs(t, m))
+    return tuple(_pair_of(t, m, sol) for sol in _solutions(name, m))
 
 
 # -- enumerated and corrupted pairs -----------------------------------------------
@@ -306,38 +317,101 @@ def test_single_entry_corruptions_match_oracle(name, m):
     assert failing
 
 
+def _block(check, solutions):
+    """A block of the check that holds the solutions in its first lanes."""
+    block = bytearray(check.system[1] * _BLOCK * check.width)
+    for k, sol in enumerate(solutions):
+        check.put(block, k, check.pack(sol))
+    return block
+
+
+def _lane(check, k):
+    """The top bit of lane k, where the check marks solution k."""
+    return 1 << (k + 1) * 8 * check.width - 1
+
+
+def _single_column_corruptions(sol, m):
+    """sol with one value moved by a nonzero shift mod m, for every column
+    and every shift (three shifts when m is large)."""
+    shifts = range(1, m) if m < 8 else (1, m // 2, m - 1)
+    for c in range(len(sol)):
+        for shift in shifts:
+            yield sol[:c] + ((sol[c] + shift) % m,) + sol[c + 1:]
+
+
+def _flag_corruptions(t, m, solutions):
+    """Three solutions in a block, one of them corrupted in one column: the
+    block check flags that lane, and only it, exactly when the validator
+    fails its pair, and as many rule rows fail there as the validator
+    reports failing tuples.  Returns how many corruptions failed."""
+    check = _BlockCheck(t, m, _constraint_system(t))
+    sequence = (solutions[0], solutions[-1], solutions[len(solutions) // 2])
+    for sol in sequence:
+        assert validate_cocycle_pair(t, _pair_of(t, m, sol)).ok
+    failing = 0
+    for n in (0, 1):
+        top = _lane(check, n)
+        for bad in _single_column_corruptions(sequence[n], m):
+            block = _block(check, sequence[:n] + (bad,) + sequence[n + 1:])
+            rules, symmetry = check.masks(block)
+            failures = validate_cocycle_pair(t, _pair_of(t, m, bad)).failures
+            # only the corrupted lane can fail, and it does exactly when
+            # the validator fails its pair, on as many rule rows
+            assert rules & ~top == 0
+            assert bool(rules) == bool(failures)
+            columns, _ = check._columns(block)
+            assert sum(bool(f & top) for f in
+                       check._failing(columns, check.rules)) == len(failures)
+            # a pair that passes every rule passes every symmetry row
+            assert not symmetry & ~rules
+            failing += bool(failures)
+    return failing
+
+
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("name", NAMES)
 def test_residual_sweep_flags_exactly_the_failing_pair(name, m):
-    """Three compared pairs in a row, one of them corrupted in one entry: the
-    sweep flags that pair, and only it, exactly when the validator fails it,
-    and its nonzero rule rows are as many as the validator's failing tuples.
-    The first pair is diffed against the zero pair and the second against
-    the first; the pair after the corrupted one checks that the residuals
-    follow it back.  Each sequence ends on the zero pair, which brings the
-    sweep back to its start."""
+    """The first, last and middle compared solutions in one block, the
+    first or the second corrupted in one column by each nonzero shift.  x11
+    has no free column, so none of its solutions can be corrupted."""
     t = INSTANCES[name]
-    pairs = _pairs(name, m)
-    sequence = (pairs[0], pairs[-1], pairs[len(pairs) // 2], zero_pair(t, m))
-    sweep = _ResidualSweep(t, m)
-    failing = 0
-    for n in (0, 1):
-        for bad in _single_entry_corruptions(sequence[n]):
-            corrupted = sequence[:n] + (bad,) + sequence[n + 1:]
-            for k, cp in enumerate(corrupted):
-                failures = validate_cocycle_pair(t, cp).failures
-                assert sweep.holds(cp) == (not failures)
-                assert not failures or k == n
-                assert sum(map(bool, sweep.residue[:sweep.rules])) == len(failures)
-                failing += bool(failures)
-    assert failing
+    failing = _flag_corruptions(t, m, _solutions(name, m))
+    assert failing or not _constraint_system(t)[1]
+
+
+# 1, where every value is 0; composite 4 and 6; and two moduli whose lanes
+# take more than a byte, where the prefixes below reach the value m - 1.
+# The lanes do not depend on the instance, so the four with fewer columns
+# are enough.
+EDGE_MODULI = (1, 4, 6, 257, 2 ** 70)
+EDGE_NAMES = ("s3_matched_pair", "union_x22_s3", "x11", "x22")
+
+
+@pytest.mark.parametrize("m", EDGE_MODULI)
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_block_check_at_edge_moduli(name, m):
+    """A prefix of the solutions that spans more than two blocks: the walk
+    passes it (in tuple order, whatever the width of a lane), the validator
+    passes each of its pairs, and corruptions are flagged as at m = 2, 3."""
+    t = INSTANCES[name]
+    system = _constraint_system(t)
+    rows, ncols, _, _ = system
+    prefix = tuple(itertools.islice(solutions_mod_m(rows, ncols, m)[1],
+                                    2 * _BLOCK + 1))
+    check = _BlockCheck(t, m, system)
+    assert check.walk(prefix) == len(prefix)
+    for sol in prefix:
+        assert validate_cocycle_pair(t, _pair_of(t, m, sol)).ok
+    failing = _flag_corruptions(t, m, prefix)
+    assert failing or m == 1 or not ncols
+    if m >= 256:
+        assert check.width > 1
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_domain_failures_match_oracle(name):
     t = INSTANCES[name]
     cp = _pairs(name, 2)[-1]
-    sweep = _ResidualSweep(t, 2)
     for bad in (CocyclePair(0, cp.sigma, cp.tau),
                 CocyclePair(2, cp.sigma[1:], cp.tau),
                 CocyclePair(2, cp.sigma, cp.tau + (0,)),
@@ -345,10 +419,22 @@ def test_domain_failures_match_oracle(name):
                 CocyclePair(2, cp.sigma, (-1,) + cp.tau[1:])):
         failures, checked = _assert_same(t, bad)
         assert [f.rule for f in failures] == ["domain"] and checked == {}
-        # the sweep mod 2 fails wrong sizes and ranges, and they leave its
-        # residuals as they were
-        assert bad.modulus != 2 or not sweep.holds(bad)
-    assert sweep.holds(cp)
+    # the block check mod 2 fails solutions of the wrong size, and values
+    # of m or more (within a lane or past it) or below 0
+    sol = _solutions(name, 2)[-1]
+    check = _BlockCheck(t, 2, _constraint_system(t))
+    for bad in (sol[1:], sol + (0,))[not sol:]:
+        with pytest.raises(InternalConsistencyError,
+                           match=f"the solver's pair 1 has {len(bad)} values "
+                                 f"for {len(sol)} columns"):
+            check.walk([sol, bad])
+    for k in range(len(sol))[:3]:
+        for v in (2, 127, 128, 255, 256, -1):
+            bad = sol[:k] + (v,) + sol[k + 1:]
+            with pytest.raises(InternalConsistencyError,
+                               match="solver produced an invalid pair: domain"):
+                check.walk([bad])
+    assert check.walk([sol]) == 1
 
 
 @st.composite
@@ -380,7 +466,7 @@ def test_drawn_sparse_tables_match_oracle(drawn):
 def test_symmetry_check_raises_on_a_broken_table(side):
     """The symmetry consequences stay checked: with one side's identities
     emptied from the table, a pair breaking its symmetry passes them, and
-    the validator and the residual sweep raise the same error."""
+    the validator and the block check raise the same error."""
     t = build_Xrs(2, 2)
     ids = t.cocycle_identities()
     _, i, _ = next(s for s in getattr(ids, f"{side}_symmetry") if s[1] != s[2])
@@ -394,8 +480,11 @@ def test_symmetry_check_raises_on_a_broken_table(side):
     with pytest.raises(InternalConsistencyError,
                        match=f"{side} symmetry") as raised:
         validate_cocycle_pair(t, cp)
+    system = _constraint_system(t)
+    _, _, svars, tvars = system
+    sol = tuple(cp.sigma[i] for i in svars) + tuple(cp.tau[j] for j in tvars)
     with pytest.raises(InternalConsistencyError, match=str(raised.value)):
-        _ResidualSweep(t, 2).holds(cp)
+        _BlockCheck(t, 2, system).walk([sol])
 
 
 # -- constraint rows and solutions ------------------------------------------------

@@ -477,6 +477,38 @@ def test_solutions_mod_m_hold_one_solution_at_a_time():
     assert peaks[3] < 1.5 * peaks[2]
 
 
+def test_cli_enumerate_at_a_modulus_past_a_machine_word(capsys):
+    # m = 2**70 needs lanes of ten bytes; x11 has no free column, and its
+    # one pair prints as it did under the per-pair check
+    m = 2 ** 70
+    code = run(["--format", "machine", "cocycles", "enumerate",
+                str(CORPUS / "x11.json"), "--m", str(m)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f'{{"command": "cocycles enumerate", "count": 1, "modulus": {m}, '
+        f'"ok": true, "pairs": [{{"modulus": {m}, "sigma": [[0, 0, 0]], '
+        f'"tau": [[0, 0, 0]]}}]}}\n')
+
+
+def test_the_check_walk_holds_one_block_of_bytes():
+    # enumerate_cocycle_pairs on x23 mod 3 checks its 59,049 pairs a block
+    # of bytes at a time: about 155 KiB at the peak, with the constraint
+    # system, its Howell form and the compiled check, against 189 KiB for
+    # the per-pair residual sweep it replaced; wider blocks, or temporaries
+    # held across rows, push it past 295 KiB
+    t = dio.load_path(CORPUS / "x23.json").payload
+    # the pair domains and the identity table are built once, on first use
+    enumerate_cocycle_pairs(t, 2)
+    tracemalloc.start()
+    try:
+        pairs = enumerate_cocycle_pairs(t, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 59049
+    assert peak < 192 * 2 ** 10
+
+
 def test_every_corpus_file_validates_and_verifies(capsys):
     # every shipped instance parses, validates, and (for vacant double
     # groupoids and matched pairs) passes the full axiom suite

@@ -1,6 +1,7 @@
 """The package source against the Python versions it declares."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,3 +13,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dgq"
 def test_source_parses_as_the_oldest_supported_python(path):
     """``requires-python = ">=3.10"`` in pyproject.toml: no newer syntax."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_package_imports_only_the_standard_library():
+    """``dependencies = []`` in pyproject.toml: every module that
+    ``src/dgq`` imports, at any depth of its code, is in the standard
+    library or is ``dgq`` itself."""
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    tops = {name.partition(".")[0] for name in imported}
+    assert "json" in tops
+    assert tops - sys.stdlib_module_names - {"dgq"} == set()
