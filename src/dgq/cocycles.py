@@ -201,8 +201,9 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
                             budget: int = 10 ** 6) -> CocyclePairs:
     """All valid pairs, found by solving the (linear) identity system mod m.
 
-    The count of solutions is checked against ``budget``, the most pairs
-    to write, before any pair is built; a negative budget is bad input.
+    A table that fails the double-groupoid axioms is refused first.  The
+    count of solutions is checked against ``budget``, the most pairs to
+    write, before any pair is built; a negative budget is bad input.
     Then one walk of the solutions checks them a block at a time with a
     :class:`_BlockCheck`, which builds no pair: the packed solutions must
     strictly increase (so no pair repeats), and every identity is decided
@@ -213,10 +214,11 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     :class:`CocyclePairs` view, which walks them afresh, in the same order,
     each time it is iterated, so memory does not grow with their number.
     """
-    from .double import require_vacant
+    from .double import require_vacant, validate_double_groupoid
     _require_modulus(m)
     if budget < 0:
         raise StructureError("budget must be >= 0")
+    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     system = _constraint_system(t)
     rows, ncols, _, _ = system
@@ -525,10 +527,12 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     the orbits are the cosets in Z of B, the image of the gauge map G.  As
     |B| = m**|free boxes| / |ker G|, the count is |Z| |ker G| / m**|free|,
     both orders from a Howell form (checked against a Smith form); nothing
-    is enumerated.
+    is enumerated.  A table that fails the double-groupoid axioms is
+    refused first.
     """
-    from .double import require_vacant
+    from .double import require_vacant, validate_double_groupoid
     _require_modulus(m)
+    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     rows, ncols, svars, tvars = _constraint_system(t)
     gauge = _gauge_matrix(t, svars, tvars)

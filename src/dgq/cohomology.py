@@ -733,7 +733,9 @@ def kac_report(t: DoubleGroupoid, p: int,
     connecting maps realized from the chain-level inclusion/projection of
     the short exact sequence of complexes.  The dimensions of H(Tot D),
     H(Tot E) and H(Tot A) are each reached twice, by rank arithmetic and by
-    explicit subquotients, and must agree.
+    explicit subquotients, and must agree.  A table that fails the
+    double-groupoid axioms is refused first: the vacancy cross-check and
+    the complexes assume them.
 
     ``tot_e_split[n]`` reports whether the naive edge splitting
     dim H^n(Tot E) = dim H^n(horiz) + dim H^n(vert) holds.  It is expected
@@ -742,7 +744,8 @@ def kac_report(t: DoubleGroupoid, p: int,
     Mayer-Vietoris, H^1(Tot E) exceeds the sum by exactly delta, while the
     splitting holds for n >= 2.
     """
-    from .double import require_vacant
+    from .double import require_vacant, validate_double_groupoid
+    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     _field(("Fp", p))
     # The total complexes come first: a grid that fails d.d = 0 (possible

@@ -32,7 +32,7 @@ from __future__ import annotations
 from .errors import (InternalConsistencyError, Report, StructureError,
                      VacancyError)
 from .groupoids import (UNDEF, Groupoid, direct_product, disjoint_union,
-                        validate_groupoid)
+                        groupoid_on, relation_groupoid, validate_groupoid)
 
 
 class DoubleGroupoid:
@@ -454,23 +454,6 @@ def equivalence_from_pairs(n: int, pairs) -> tuple[int, ...]:
     return tuple(min(q for q in range(n) if (p, q) in have) for p in range(n))
 
 
-def relation_groupoid(labels: tuple[int, ...]) -> Groupoid:
-    """The groupoid of an equivalence relation: one arrow per related ordered
-    pair, arrows sorted lexicographically."""
-    n = len(labels)
-    pairs = [(p, q) for p in range(n) for q in range(n) if labels[p] == labels[q]]
-    index = {pq: i for i, pq in enumerate(pairs)}
-    source = [p for p, _ in pairs]
-    target = [q for _, q in pairs]
-    identity = [index[(p, p)] for p in range(n)]
-    compose = [[UNDEF] * len(pairs) for _ in pairs]
-    for (p, q), i in index.items():
-        for (q2, v), j in index.items():
-            if q2 == q and labels[p] == labels[v]:
-                compose[i][j] = index[(p, v)]
-    return Groupoid(n, source, target, identity, compose)
-
-
 def from_double_relation(rel: DoubleRelation) -> DoubleGroupoid:
     """Boxes are the compatible corner quadruples (P Q / R S); compositions
     paste matrices along shared edges."""
@@ -483,26 +466,16 @@ def from_double_relation(rel: DoubleRelation) -> DoubleGroupoid:
              for p in range(n) for q in range(n) for r in range(n) for s in range(n)
              if rel.rel_h[p] == rel.rel_h[q] and rel.rel_v[p] == rel.rel_v[r]
              and rel.rel_h[r] == rel.rel_h[s] and rel.rel_v[q] == rel.rel_v[s]]
-    bindex = {b: i for i, b in enumerate(quads)}
-    top = [hindex[(p, q)] for (p, q, r, s) in quads]
-    bottom = [hindex[(r, s)] for (p, q, r, s) in quads]
-    left = [vindex[(p, r)] for (p, q, r, s) in quads]
-    right = [vindex[(q, s)] for (p, q, r, s) in quads]
-    vid = [bindex[(horiz.source[x], horiz.target[x],
-                   horiz.source[x], horiz.target[x])] for x in horiz.arrows()]
-    hid = [bindex[(vert.source[g], vert.source[g],
-                   vert.target[g], vert.target[g])] for g in vert.arrows()]
-    m = len(quads)
-    vcomp = [[UNDEF] * m for _ in range(m)]
-    hcomp = [[UNDEF] * m for _ in range(m)]
-    for (p, q, r, s), i in bindex.items():
-        for (p2, q2, r2, s2), j in bindex.items():
-            if (r, s) == (p2, q2):
-                vcomp[i][j] = bindex[(p, q, r2, s2)]
-            if (q, s) == (p2, r2):
-                hcomp[i][j] = bindex[(p, q2, r, s2)]
-    return DoubleGroupoid(horiz, vert, top, bottom, left, right, vid, hid,
-                          vcomp, hcomp)
+    vboxes = groupoid_on(
+        horiz.n_arrows, quads, lambda b: hindex[b[:2]], lambda b: hindex[b[2:]],
+        lambda x: (horiz.source[x], horiz.target[x]) * 2,
+        lambda a, b: a[:2] + b[2:])
+    hboxes = groupoid_on(
+        vert.n_arrows, quads, lambda b: vindex[b[0], b[2]],
+        lambda b: vindex[b[1], b[3]],
+        lambda g: (vert.source[g],) * 2 + (vert.target[g],) * 2,
+        lambda a, b: (a[0], b[1], a[2], b[3]))
+    return _from_box_groupoids(horiz, vert, vboxes, hboxes)
 
 
 def build_Xrs(r: int, s: int) -> DoubleGroupoid:
@@ -607,15 +580,21 @@ def _check_grid_iso(t: DoubleGroupoid, r: int, s: int, point_map: dict) -> None:
             raise InternalConsistencyError("horizontal composition not preserved")
 
 
-def _on_each_groupoid(construction, t1: DoubleGroupoid,
-                      t2: DoubleGroupoid) -> DoubleGroupoid:
-    horiz = construction(t1.horiz, t2.horiz)
-    vert = construction(t1.vert, t2.vert)
-    vboxes = construction(t1.vertical_boxes, t2.vertical_boxes)
-    hboxes = construction(t1.horizontal_boxes, t2.horizontal_boxes)
+def _from_box_groupoids(horiz: Groupoid, vert: Groupoid, vboxes: Groupoid,
+                        hboxes: Groupoid) -> DoubleGroupoid:
+    """The double groupoid whose box i is arrow i of both ``vboxes`` (over
+    the arrows of ``horiz``) and ``hboxes`` (over the arrows of ``vert``)."""
     return DoubleGroupoid(horiz, vert, vboxes.source, vboxes.target,
                           hboxes.source, hboxes.target, vboxes.identity,
                           hboxes.identity, vboxes.compose, hboxes.compose)
+
+
+def _on_each_groupoid(construction, t1: DoubleGroupoid,
+                      t2: DoubleGroupoid) -> DoubleGroupoid:
+    return _from_box_groupoids(
+        construction(t1.horiz, t2.horiz), construction(t1.vert, t2.vert),
+        construction(t1.vertical_boxes, t2.vertical_boxes),
+        construction(t1.horizontal_boxes, t2.horizontal_boxes))
 
 
 def double_disjoint_union(t1: DoubleGroupoid, t2: DoubleGroupoid) -> DoubleGroupoid:

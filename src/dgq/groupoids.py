@@ -6,12 +6,18 @@ composite runs ``source(f) -> target(g)``.  This convention is fixed once here
 and used by every module in the package.
 
 Objects and arrows are dense integer indices; all maps are explicit tuples, so
-exhaustive axiom checks are plain scans.
+exhaustive axiom checks are plain scans.  The coarse, relation, union,
+product, sub- and diagonal groupoids, and the box groupoids that
+:mod:`dgq.double`, :mod:`dgq.matched` and :mod:`dgq.samples` construct, name
+their arrows by labels and are built by :func:`groupoid_on`, which numbers
+them in list order and is the one place a composition rule is turned into a
+dense table.  A Cayley table and a parsed document are taken as given.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import InternalConsistencyError, Report, StructureError
 
@@ -202,21 +208,56 @@ def validate_groupoid(g: Groupoid) -> Report:
 # -- constructions ------------------------------------------------------
 
 
+def groupoid_on(n_objects: int, labels, source, target, identity,
+                compose) -> Groupoid:
+    """The groupoid whose arrow i is ``labels[i]``.
+
+    ``source`` and ``target`` send a label to its object, ``identity`` sends
+    an object to the label of its identity arrow, and ``compose(f, g)``
+    gives the label of the composite f g.  It is asked only where
+    ``target(f) == source(g)``; a composite or identity that is not a label
+    raises :class:`StructureError`.
+    """
+    index = {f: i for i, f in enumerate(labels)}
+    src = [source(f) for f in labels]
+    tgt = [target(f) for f in labels]
+    leaving: dict[int, list[int]] = {}
+    for j, p in enumerate(src):
+        leaving.setdefault(p, []).append(j)
+    table = [[UNDEF] * len(labels) for _ in labels]
+    for f, row, q in zip(labels, table, tgt):
+        for j in leaving.get(q, ()):
+            h = compose(f, labels[j])
+            if h not in index:
+                raise StructureError(f"the composite of arrows {f} and "
+                                     f"{labels[j]} is {h}, not an arrow")
+            row[j] = index[h]
+    ids = [index.get(identity(p), UNDEF) for p in range(n_objects)]
+    if UNDEF in ids:
+        p = ids.index(UNDEF)
+        raise StructureError(
+            f"the identity {identity(p)} at object {p} is not an arrow")
+    return Groupoid(n_objects, src, tgt, ids, table)
+
+
+def relation_groupoid(labels: tuple[int, ...]) -> Groupoid:
+    """The groupoid of an equivalence relation given by class labels: one
+    arrow (p, q) per related ordered pair, arrows sorted lexicographically,
+    composed by (p, q)(q, v) = (p, v)."""
+    n = len(labels)
+    return groupoid_on(
+        n, [(p, q) for p in range(n) for q in range(n) if labels[p] == labels[q]],
+        itemgetter(0), itemgetter(1), lambda p: (p, p),
+        lambda f, g: (f[0], g[1]))
+
+
 def coarse_groupoid(n: int) -> Groupoid:
     """The groupoid with objects 0..n-1 and exactly one arrow (x, y) between
     any ordered pair, composed by (x,y)(y,v) = (x,v).  Arrow (x,y) has index
     x*n + y."""
     if n < 1:
         raise StructureError("coarse groupoid needs a non-empty base")
-    source = [x for x in range(n) for _ in range(n)]
-    target = [y for _ in range(n) for y in range(n)]
-    identity = [x * n + x for x in range(n)]
-    compose = [[UNDEF] * (n * n) for _ in range(n * n)]
-    for x in range(n):
-        for y in range(n):
-            for v in range(n):
-                compose[x * n + y][y * n + v] = x * n + v
-    return Groupoid(n, source, target, identity, compose)
+    return relation_groupoid((0,) * n)
 
 
 def one_object_group(table) -> Groupoid:
@@ -250,49 +291,27 @@ def one_object_group(table) -> Groupoid:
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Tagged sum: objects and arrows of ``g1`` first, then ``g2``."""
-    n1, n2 = g1.n_objects, g2.n_objects
-    m1, m2 = g1.n_arrows, g2.n_arrows
-    source = list(g1.source) + [x + n1 for x in g2.source]
-    target = list(g1.target) + [x + n1 for x in g2.target]
-    identity = list(g1.identity) + [f + m1 for f in g2.identity]
-    compose = [[UNDEF] * (m1 + m2) for _ in range(m1 + m2)]
-    for f in range(m1):
-        for g in range(m1):
-            c = g1.compose[f][g]
-            compose[f][g] = c
-    for f in range(m2):
-        for g in range(m2):
-            c = g2.compose[f][g]
-            compose[m1 + f][m1 + g] = c if c == UNDEF else c + m1
-    return Groupoid(n1 + n2, source, target, identity, compose)
+    parts, shift, n1 = (g1, g2), (0, g1.n_objects), g1.n_objects
+    return groupoid_on(
+        n1 + g2.n_objects,
+        [(0, f) for f in g1.arrows()] + [(1, f) for f in g2.arrows()],
+        lambda a: parts[a[0]].source[a[1]] + shift[a[0]],
+        lambda a: parts[a[0]].target[a[1]] + shift[a[0]],
+        lambda x: (0, g1.identity[x]) if x < n1 else (1, g2.identity[x - n1]),
+        lambda a, b: (a[0], parts[a[0]].compose[a[1]][b[1]]))
 
 
 def direct_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Componentwise product; object (x1,x2) has index x1*n2+x2 and arrow
     (f1,f2) has index f1*m2+f2."""
-    n2, m2 = g2.n_objects, g2.n_arrows
-    n = g1.n_objects * n2
-    m = g1.n_arrows * m2
-    source = [g1.source[f1] * n2 + g2.source[f2]
-              for f1 in range(g1.n_arrows) for f2 in range(m2)]
-    target = [g1.target[f1] * n2 + g2.target[f2]
-              for f1 in range(g1.n_arrows) for f2 in range(m2)]
-    identity = [g1.identity[x1] * m2 + g2.identity[x2]
-                for x1 in range(g1.n_objects) for x2 in range(n2)]
-    compose = [[UNDEF] * m for _ in range(m)]
-    for f1 in range(g1.n_arrows):
-        for f2 in range(m2):
-            for h1 in range(g1.n_arrows):
-                c1 = g1.compose[f1][h1]
-                if c1 == UNDEF:
-                    continue
-                row = compose[f1 * m2 + f2]
-                crow = g2.compose[f2]
-                for h2 in range(m2):
-                    c2 = crow[h2]
-                    if c2 != UNDEF:
-                        row[h1 * m2 + h2] = c1 * m2 + c2
-    return Groupoid(n, source, target, identity, compose)
+    n2 = g2.n_objects
+    return groupoid_on(
+        g1.n_objects * n2,
+        [(f1, f2) for f1 in g1.arrows() for f2 in g2.arrows()],
+        lambda a: g1.source[a[0]] * n2 + g2.source[a[1]],
+        lambda a: g1.target[a[0]] * n2 + g2.target[a[1]],
+        lambda x: (g1.identity[x // n2], g2.identity[x % n2]),
+        lambda a, b: (g1.compose[a[0]][b[0]], g2.compose[a[1]][b[1]]))
 
 
 # -- structure decomposition ---------------------------------------------

@@ -13,13 +13,16 @@ right g of the corresponding vacant double groupoid is::
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import (FactorizationError, InternalConsistencyError, Report,
                      StructureError)
-from .double import DoubleGroupoid, filler, require_vacant
+from .double import (DoubleGroupoid, _from_box_groupoids, filler,
+                     require_vacant)
 from .groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
-                        closure_defect, group_times_coarse, one_object_group,
-                        validate_groupoid, validate_subgroupoid_data,
-                        wide_subgroupoid_from_data)
+                        closure_defect, group_times_coarse, groupoid_on,
+                        one_object_group, validate_groupoid,
+                        validate_subgroupoid_data, wide_subgroupoid_from_data)
 
 
 class MatchedPair:
@@ -104,6 +107,9 @@ def validate_matched_pair(mp: MatchedPair) -> Report:
             rep.add("right-action-endpoint", (x, g), "r(x<|g) = b(g)")
         if vt.target[mp.left(x, g)] != hz.source[mp.right(x, g)]:
             rep.add("corner-compatibility", (x, g), "b(x|>g) = l(x<|g)")
+    if not rep.ok:
+        # the composites below would leave the domains of the actions
+        return rep
     for g in vt.arrows():
         x = hz.identity[vt.source[g]]
         if mp.left(x, g) != g:
@@ -164,23 +170,15 @@ def to_vacant_double(mp: MatchedPair) -> DoubleGroupoid:
     """Boxes are the composable pairs (x, g), ordered lexicographically."""
     vt, hz = mp.vert, mp.horiz
     boxes = sorted(mp.pairs())
-    index = {b: i for i, b in enumerate(boxes)}
-    top = [x for x, g in boxes]
-    right = [g for x, g in boxes]
-    left = [mp.left(x, g) for x, g in boxes]
-    bottom = [mp.right(x, g) for x, g in boxes]
-    vid = [index[(x, vt.identity[hz.target[x]])] for x in hz.arrows()]
-    hid = [index[(hz.identity[vt.source[g]], g)] for g in vt.arrows()]
-    n = len(boxes)
-    vcomp = [[UNDEF] * n for _ in range(n)]
-    hcomp = [[UNDEF] * n for _ in range(n)]
-    for (x, g), i in index.items():
-        for (y, h), j in index.items():
-            if bottom[i] == y:
-                vcomp[i][j] = index[(x, vt.compose[g][h])]
-            if g == left[j]:
-                hcomp[i][j] = index[(hz.compose[x][y], h)]
-    return DoubleGroupoid(hz, vt, top, bottom, left, right, vid, hid, vcomp, hcomp)
+    vboxes = groupoid_on(
+        hz.n_arrows, boxes, itemgetter(0), lambda b: mp.right(*b),
+        lambda x: (x, vt.identity[hz.target[x]]),
+        lambda a, b: (a[0], vt.compose[a[1]][b[1]]))
+    hboxes = groupoid_on(
+        vt.n_arrows, boxes, lambda b: mp.left(*b), itemgetter(1),
+        lambda g: (hz.identity[vt.source[g]], g),
+        lambda a, b: (hz.compose[a[0]][b[0]], b[1]))
+    return _from_box_groupoids(hz, vt, vboxes, hboxes)
 
 
 def from_vacant_double(t: DoubleGroupoid) -> MatchedPair:
@@ -218,26 +216,19 @@ def diagonal_groupoid(mp: MatchedPair) -> DiagonalGroupoid:
     vt, hz = mp.vert, mp.horiz
     pairs = sorted((f, y) for f in vt.arrows() for y in hz.arrows()
                    if vt.target[f] == hz.source[y])
-    index = {p: i for i, p in enumerate(pairs)}
-    source = [vt.source[f] for f, y in pairs]
-    target = [hz.target[y] for f, y in pairs]
-    identity = [index[(vt.identity[p], hz.identity[p])] for p in range(mp.n_points)]
-    n = len(pairs)
-    compose = [[UNDEF] * n for _ in range(n)]
-    for (f, y), i in index.items():
-        for (h, z), j in index.items():
-            if hz.target[y] != vt.source[h]:
-                continue
-            compose[i][j] = index[(vt.compose[f][mp.left(y, h)],
-                                   hz.compose[mp.right(y, h)][z])]
-    gpd = Groupoid(mp.n_points, source, target, identity, compose)
+    gpd = groupoid_on(
+        mp.n_points, pairs, lambda a: vt.source[a[0]], lambda a: hz.target[a[1]],
+        lambda p: (vt.identity[p], hz.identity[p]),
+        lambda a, b: (vt.compose[a[0]][mp.left(a[1], b[0])],
+                      hz.compose[mp.right(a[1], b[0])][b[1]]))
     validate_groupoid(gpd).raise_if_failed()
+    index = {p: i for i, p in enumerate(pairs)}
     v_embed = tuple(index[(f, hz.identity[vt.target[f]])] for f in vt.arrows())
     h_embed = tuple(index[(vt.identity[hz.source[y]], y)] for y in hz.arrows())
     for (f, y), i in index.items():
         if gpd.compose[v_embed[f]][h_embed[y]] != i:
             raise InternalConsistencyError("embedded factors do not multiply back")
-    for i in range(n):
+    for i in gpd.arrows():
         count = sum(1 for f in vt.arrows() for y in hz.arrows()
                     if gpd.compose[v_embed[f]][h_embed[y]] == i)
         if count != 1:
@@ -255,17 +246,9 @@ def subgroupoid(d: Groupoid, arrows) -> tuple[Groupoid, list[int]]:
     if bad is not None:
         raise StructureError(f"arrow set is not a wide subgroupoid: {bad}")
     order = sorted(arrows)
-    pos = {f: i for i, f in enumerate(order)}
-    source = [d.source[f] for f in order]
-    target = [d.target[f] for f in order]
-    identity = [pos[d.identity[p]] for p in range(d.n_objects)]
-    compose = [[UNDEF] * len(order) for _ in order]
-    for f in order:
-        for g in order:
-            c = d.compose[f][g]
-            if c != UNDEF:
-                compose[pos[f]][pos[g]] = pos[c]
-    return Groupoid(d.n_objects, source, target, identity, compose), order
+    return groupoid_on(d.n_objects, order, d.source.__getitem__,
+                       d.target.__getitem__, d.identity.__getitem__,
+                       lambda f, g: d.compose[f][g]), order
 
 
 def from_exact_factorization(d: Groupoid, v_arrows, h_arrows):

@@ -7,8 +7,11 @@ the permutation tuples.
 
 from __future__ import annotations
 
-from .double import DoubleGroupoid, build_Xrs, double_direct_product, double_disjoint_union
-from .groupoids import UNDEF, Groupoid, one_object_group
+from operator import itemgetter
+
+from .double import (DoubleGroupoid, _from_box_groupoids, build_Xrs,
+                     double_direct_product, double_disjoint_union)
+from .groupoids import Groupoid, groupoid_on, one_object_group
 from .matched import MatchedPair, from_exact_factorization, to_vacant_double
 
 
@@ -81,25 +84,16 @@ def commuting_squares(g: Groupoid) -> DoubleGroupoid:
              if g.source[f] == g.source[x] and g.source[k] == g.target[x]
              and g.source[y] == g.target[f] and g.target[k] == g.target[y]
              and g.compose[x][k] == g.compose[f][y]]
-    index = {b: i for i, b in enumerate(boxes)}
-    top = [x for x, y, f, k in boxes]
-    bottom = [y for x, y, f, k in boxes]
-    left = [f for x, y, f, k in boxes]
-    right = [k for x, y, f, k in boxes]
-    vid = [index[(x, x, g.identity[g.source[x]], g.identity[g.target[x]])]
-           for x in g.arrows()]
-    hid = [index[(g.identity[g.source[f]], g.identity[g.target[f]], f, f)]
-           for f in g.arrows()]
-    n = len(boxes)
-    vcomp = [[UNDEF] * n for _ in range(n)]
-    hcomp = [[UNDEF] * n for _ in range(n)]
-    for (x, y, f, k), i in index.items():
-        for (x2, y2, f2, k2), j in index.items():
-            if y == x2:
-                vcomp[i][j] = index[(x, y2, g.compose[f][f2], g.compose[k][k2])]
-            if k == f2:
-                hcomp[i][j] = index[(g.compose[x][x2], g.compose[y][y2], f, k2)]
-    return DoubleGroupoid(g, g, top, bottom, left, right, vid, hid, vcomp, hcomp)
+    ids = g.identity
+    vboxes = groupoid_on(
+        g.n_arrows, boxes, itemgetter(0), itemgetter(1),
+        lambda x: (x, x, ids[g.source[x]], ids[g.target[x]]),
+        lambda a, b: (a[0], b[1], g.compose[a[2]][b[2]], g.compose[a[3]][b[3]]))
+    hboxes = groupoid_on(
+        g.n_arrows, boxes, itemgetter(2), itemgetter(3),
+        lambda f: (ids[g.source[f]], ids[g.target[f]], f, f),
+        lambda a, b: (g.compose[a[0]][b[0]], g.compose[a[1]][b[1]], a[2], b[3]))
+    return _from_box_groupoids(g, g, vboxes, hboxes)
 
 
 def commuting_squares_z2() -> DoubleGroupoid:

@@ -7,7 +7,7 @@ from dgq.groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
                            ambient_parts, coarse_groupoid,
                            connected_decomposition, data_from_wide_subgroupoid,
                            direct_product, disjoint_union, group_times_coarse,
-                           one_object_group, reassemble, same_double_coset,
+                           groupoid_on, one_object_group, reassemble, same_double_coset,
                            trivial_transversal, validate_groupoid,
                            validate_subgroupoid_data, wide_subgroupoid_from_data)
 from dgq.samples import cyclic_table, symmetric_table
@@ -50,6 +50,42 @@ def test_coarse_composition_law():
     # (x, y)(y, v) = (x, v) with arrow (x, y) at index x*3+y
     for x, y, v in itertools.product(range(3), repeat=3):
         assert g.compose[x * 3 + y][y * 3 + v] == x * 3 + v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coarse_groupoid_keeps_arrow_x_y_at_index_x_n_plus_y(n):
+    g = coarse_groupoid(n)
+    assert [(g.source[i], g.target[i]) for i in g.arrows()] == [
+        (x, y) for x in range(n) for y in range(n)]
+    assert g.identity == tuple(x * n + x for x in range(n))
+
+
+def test_groupoid_on_asks_only_composable_pairs_and_rejects_a_stray_composite():
+    # arrows "a": 0 -> 1 and "b": 1 -> 0 with their identities; a b is
+    # defined, b a would be the identity at 1, left out of the labels
+    ends = {"e0": (0, 0), "e1": (1, 1), "a": (0, 1), "b": (1, 0)}
+    asked = []
+
+    def compose(f, g):
+        assert ends[f][1] == ends[g][0], (f, g)
+        asked.append((f, g))
+        return {("a", "b"): "e0", ("b", "a"): "e1"}.get(
+            (f, g), f if g.startswith("e") else g)
+
+    g = groupoid_on(2, ["e0", "e1", "a", "b"], lambda f: ends[f][0],
+                    lambda f: ends[f][1], lambda p: f"e{p}", compose)
+    assert g.source == (0, 1, 0, 1) and g.identity == (0, 1)
+    assert g.compose[2][3] == 0 and g.compose[3][2] == 1
+    assert g.compose[2][2] == UNDEF and len(asked) == 8
+    assert validate_groupoid(g).ok
+    with pytest.raises(StructureError,
+                       match="composite of arrows b and a is e1, not an arrow"):
+        groupoid_on(2, ["e0", "a", "b"], lambda f: ends[f][0],
+                    lambda f: ends[f][1], lambda p: "e0", compose)
+    with pytest.raises(StructureError, match="identity e1 at object 1"):
+        groupoid_on(2, ["e0", "a"], lambda f: ends[f][0],
+                    lambda f: ends[f][1], lambda p: f"e{p}",
+                    lambda f, g: "e0")
 
 
 def test_empty_base_rejected():

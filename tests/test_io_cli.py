@@ -540,6 +540,55 @@ def _assert_one_error_line(stderr):
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
+def _x22_with_a_wrong_hcomp(tmp_path):
+    """x22 with the horizontal composite of boxes 1 and 3 moved to box 2."""
+    doc = json.loads((CORPUS / "x22.json").read_text())
+    doc["hcomp"][doc["hcomp"].index([1, 3, 3])] = [1, 3, 2]
+    return doc
+
+
+def _matched_pair_with_an_action_off_its_domain(tmp_path):
+    """x22 as a matched pair, with 0 |> 0 sent to a vertical edge that does
+    not start at the source of horizontal edge 0."""
+    mp = tmp_path / "mp.json"
+    assert run(["convert", str(CORPUS / "x22.json"), "--to", "matched_pair",
+                "-o", str(mp)]) == 0
+    doc = json.loads(mp.read_text())
+    doc["act_left"][doc["act_left"].index([0, 0, 0])] = [0, 0, 2]
+    return doc
+
+
+# exit codes of validate, vacant, convert, kac, cocycles enumerate,
+# cocycles classes and wha verify; convert reads only the corner fillers
+# of a double groupoid, which the wrong hcomp leaves as they were
+@pytest.mark.parametrize("edit,convert_to,codes", [
+    (_x22_with_a_wrong_hcomp, "matched_pair", (1, 1, 0, 2, 2, 2, 2)),
+    (_matched_pair_with_an_action_off_its_domain, "double_groupoid",
+     (1, 2, 2, 2, 2, 2, 2)),
+], ids=["x22_hcomp", "matched_pair_act_left"])
+def test_cli_refuses_an_edited_table_without_a_traceback(
+        edit, convert_to, codes, tmp_path, capsys):
+    """A table that fails the axioms is reported by validate and vacant
+    with exit 1, and refused by the other commands with exit 2 and one
+    error line, never computed on or crashed over."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(tmp_path)))
+    capsys.readouterr()
+    p = str(path)
+    commands = (["validate", p], ["vacant", p],
+                ["convert", p, "--to", convert_to,
+                 "-o", str(tmp_path / "out.json")],
+                ["kac", p, "--p", "2"], ["cocycles", "enumerate", p, "--m", "2"],
+                ["cocycles", "classes", p, "--m", "2"], ["wha", "verify", p])
+    for argv, code in zip(commands, codes):
+        assert run(argv) == code, argv
+        err = capsys.readouterr().err
+        if code == 2:
+            _assert_one_error_line(err)
+        else:
+            assert err == "", argv
+
+
 def test_cli_closed_pipe_is_an_output_error():
     """A reader that closes stdout early gets exit 2 and one error line, and
     the output still buffered is not written again at exit."""

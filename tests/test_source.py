@@ -29,3 +29,29 @@ def test_the_package_imports_only_the_standard_library():
     tops = {name.partition(".")[0] for name in imported}
     assert "json" in tops
     assert tops - sys.stdlib_module_names - {"dgq"} == set()
+
+
+def _groupoid_calls(node, where, path, found):
+    """(file, innermost enclosing function) of each ``Groupoid(...)`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", getattr(child.func, "attr", None))
+            if name == "Groupoid":
+                found.add((path.name, where))
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else where)
+        _groupoid_calls(child, inner, path, found)
+
+
+def test_groupoid_tables_are_built_behind_groupoid_on():
+    """The dense compose format stays behind ``groupoids.groupoid_on``: the
+    ``Groupoid`` constructor is called only in ``groupoids.py``, in the
+    parser of ``io.py`` and in ``double._box_groupoid``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        _groupoid_calls(ast.parse(path.read_text(), filename=str(path)),
+                        "<module>", path, found)
+    assert ("groupoids.py", "groupoid_on") in found
+    assert {c for c in found if c[0] != "groupoids.py"} == {
+        ("io.py", "_groupoid_from_obj"), ("double.py", "_box_groupoid")}
