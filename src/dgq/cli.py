@@ -155,7 +155,9 @@ def cmd_convert(args, out: Output) -> int:
     if args.to == "double_groupoid":
         if doc.kind != "matched_pair":
             raise FormatError("convert --to double_groupoid needs a matched_pair")
-        result = dio.Document("double_groupoid", mtd.to_vacant_double(doc.payload))
+        t = mtd.to_vacant_double(doc.payload)
+        dbl.require_vacant(t)   # as that of a valid matched pair must be
+        result = dio.Document("double_groupoid", t)
     elif args.to == "matched_pair":
         t = _as_double(doc)
         result = dio.Document("matched_pair", mtd.from_vacant_double(t))

@@ -214,11 +214,10 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
     :class:`CocyclePairs` view, which walks them afresh, in the same order,
     each time it is iterated, so memory does not grow with their number.
     """
-    from .double import require_vacant, validate_double_groupoid
+    from .double import require_vacant
     _require_modulus(m)
     if budget < 0:
         raise StructureError("budget must be >= 0")
-    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     system = _constraint_system(t)
     rows, ncols, _, _ = system
@@ -530,9 +529,8 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     is enumerated.  A table that fails the double-groupoid axioms is
     refused first.
     """
-    from .double import require_vacant, validate_double_groupoid
+    from .double import require_vacant
     _require_modulus(m)
-    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     rows, ncols, svars, tvars = _constraint_system(t)
     gauge = _gauge_matrix(t, svars, tvars)

@@ -733,9 +733,8 @@ def kac_report(t: DoubleGroupoid, p: int,
     connecting maps realized from the chain-level inclusion/projection of
     the short exact sequence of complexes.  The dimensions of H(Tot D),
     H(Tot E) and H(Tot A) are each reached twice, by rank arithmetic and by
-    explicit subquotients, and must agree.  A table that fails the
-    double-groupoid axioms is refused first: the vacancy cross-check and
-    the complexes assume them.
+    explicit subquotients, and must agree.  :func:`from_vacant_double`
+    first refuses a table that is not a vacant double groupoid.
 
     ``tot_e_split[n]`` reports whether the naive edge splitting
     dim H^n(Tot E) = dim H^n(horiz) + dim H^n(vert) holds.  It is expected
@@ -744,9 +743,7 @@ def kac_report(t: DoubleGroupoid, p: int,
     Mayer-Vietoris, H^1(Tot E) exceeds the sum by exactly delta, while the
     splitting holds for n >= 2.
     """
-    from .double import require_vacant, validate_double_groupoid
-    validate_double_groupoid(t).raise_if_failed()
-    require_vacant(t)
+    mp = from_vacant_double(t)
     _field(("Fp", p))
     # The total complexes come first: a grid that fails d.d = 0 (possible
     # under the literal normalization) is refused before any groupoid
@@ -754,7 +751,7 @@ def kac_report(t: DoubleGroupoid, p: int,
     # diagonal groupoid's nerve is reduced.
     tot_d, tot_e, tot_a, nodes = _sequence(t, p, normalization)
     coeff = ("Fp", p)
-    diag = diagonal_groupoid(from_vacant_double(t)).groupoid
+    diag = diagonal_groupoid(mp).groupoid
     h_diag, h_horiz, h_vert = (
         [grp.dim for grp in groupoid_cohomology(g, 3, coeff).groups]
         for g in (diag, t.horiz, t.vert))

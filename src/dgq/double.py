@@ -40,25 +40,35 @@ class DoubleGroupoid:
 
     Construction checks shapes and ranges only, through the
     :class:`Groupoid` constructor of each box groupoid;
-    :func:`validate_double_groupoid` checks the axioms.  Instances are
-    immutable by convention; derived caches (inverse tables, identity flags)
-    are computed lazily.
+    :func:`validate_double_groupoid` checks the axioms, which
+    :func:`is_vacant` and :meth:`cocycle_identities` assume.  Instances are
+    immutable by convention; derived caches (axiom report, inverse tables,
+    identity flags) are computed lazily.
     """
 
     __slots__ = ("horiz", "vert", "vertical_boxes", "horizontal_boxes",
                  "n_points", "n_boxes",
                  "top", "bottom", "left", "right", "vid", "hid",
                  "vcomp", "hcomp", "_inv", "_hash", "_pairs", "_squares",
-                 "_identities")
+                 "_identities", "_report")
 
     def __init__(self, horiz: Groupoid, vert: Groupoid, top, bottom, left, right,
                  vid, hid, vcomp, hcomp):
+        if horiz.n_objects != vert.n_objects:   # before the box tables are read
+            raise StructureError("edge groupoids must share the point set")
+        self._attach(horiz, vert,
+                     _box_groupoid("top/bottom/vid/vcomp", horiz.n_arrows,
+                                   top, bottom, vid, vcomp),
+                     _box_groupoid("left/right/hid/hcomp", vert.n_arrows,
+                                   left, right, hid, hcomp))
+
+    def _attach(self, horiz: Groupoid, vert: Groupoid, vboxes: Groupoid,
+                hboxes: Groupoid) -> None:
+        """Fill the slots from the four groupoids, once their shapes fit."""
         if horiz.n_objects != vert.n_objects:
             raise StructureError("edge groupoids must share the point set")
-        vboxes = _box_groupoid("top/bottom/vid/vcomp", horiz.n_arrows,
-                               top, bottom, vid, vcomp)
-        hboxes = _box_groupoid("left/right/hid/hcomp", vert.n_arrows,
-                               left, right, hid, hcomp)
+        if (vboxes.n_objects, hboxes.n_objects) != (horiz.n_arrows, vert.n_arrows):
+            raise StructureError("box groupoids must lie over the edges")
         if vboxes.n_arrows != hboxes.n_arrows:
             raise StructureError(
                 f"left/right/hid/hcomp: {hboxes.n_arrows} boxes, but "
@@ -78,6 +88,7 @@ class DoubleGroupoid:
         self._pairs = None
         self._squares = None
         self._identities = None
+        self._report = None
 
     # -- queries ---------------------------------------------------------
 
@@ -148,8 +159,10 @@ class DoubleGroupoid:
     def cocycle_identities(self) -> "CocycleIdentities":
         """The identities a cocycle pair must satisfy, over the indices of
         :meth:`pair_domains`; built once and shared by the validator and the
-        Z/m constraint system of :mod:`dgq.cocycles`."""
+        Z/m constraint system of :mod:`dgq.cocycles`.  Its lookups assume the
+        axioms, so a table that fails them is refused first."""
         if self._identities is None:
+            validate_double_groupoid(self).raise_if_failed()
             self._identities = _compile_identities(self)
         return self._identities
 
@@ -246,8 +259,15 @@ def validate_double_groupoid(t: DoubleGroupoid) -> Report:
 
     ``axiom0.*`` covers the four component categories being groupoids (for the
     box categories this subsumes the invertibility of every box in both
-    directions); the remaining keys follow the axiom numbering 1..6.
+    directions); the remaining keys follow the axiom numbering 1..6.  The
+    report is computed once and kept on ``t``.
     """
+    if t._report is None:
+        t._report = _axiom_report(t)
+    return t._report
+
+
+def _axiom_report(t: DoubleGroupoid) -> Report:
     rep = Report("double groupoid")
     pieces = (("axiom0.horizontal-edges", t.horiz),
               ("axiom0.vertical-edges", t.vert),
@@ -354,42 +374,40 @@ class VacancyReport:
 def is_vacant(t: DoubleGroupoid) -> VacancyReport:
     """Decide vacancy: every (top, right) corner has exactly one filler.
 
-    The three other corner conditions (left+bottom, top+left, right+bottom)
-    are cross-checked; any disagreement between the four verdicts is an
-    internal-consistency failure, never a quiet answer.
+    A table that fails the axioms raises :class:`StructureError` first.  The
+    three other corner conditions (left+bottom, top+left, right+bottom) are
+    cross-checked; on a double groupoid they agree, so any disagreement is
+    an internal-consistency failure, never a quiet answer.  The witness is
+    the first corner in edge order without exactly one filler.
     """
+    validate_double_groupoid(t).raise_if_failed()
     hz, vt = t.horiz, t.vert
-    corner_sets = {
-        "top-right": [((x, g), t.top, x, t.right, g)
-                      for x in range(hz.n_arrows) for g in range(vt.n_arrows)
-                      if hz.target[x] == vt.source[g]],
-        "left-bottom": [((f, y), t.left, f, t.bottom, y)
-                        for f in range(vt.n_arrows) for y in range(hz.n_arrows)
-                        if vt.target[f] == hz.source[y]],
-        "top-left": [((x, f), t.top, x, t.left, f)
-                     for x in range(hz.n_arrows) for f in range(vt.n_arrows)
-                     if hz.source[x] == vt.source[f]],
-        "right-bottom": [((g, y), t.right, g, t.bottom, y)
-                         for g in range(vt.n_arrows) for y in range(hz.n_arrows)
-                         if vt.target[g] == hz.target[y]],
-    }
-    verdicts = {}
     witnesses = {}
-    for name, corners in corner_sets.items():
-        bad = None
-        for key, tab1, v1, tab2, v2 in corners:
-            found = [a for a in t.boxes() if tab1[a] == v1 and tab2[a] == v2]
-            if len(found) != 1:
-                bad = (name, key, tuple(found))
-                break
-        verdicts[name] = bad is None
-        witnesses[name] = bad
+    # (condition, frame tables, end and start of the corner's two edges)
+    for name, first, second, ends, starts in (
+            ("top-right", t.top, t.right, hz.target, vt.source),
+            ("left-bottom", t.left, t.bottom, vt.target, hz.source),
+            ("top-left", t.top, t.left, hz.source, vt.source),
+            ("right-bottom", t.right, t.bottom, vt.target, hz.target)):
+        fillers = corner_fillers(first, second)
+        witnesses[name] = next(
+            ((name, (e, f), tuple(fillers.get((e, f), ())))
+             for e, end in enumerate(ends) for f, start in enumerate(starts)
+             if end == start and len(fillers.get((e, f), ())) != 1), None)
+    verdicts = {name: bad is None for name, bad in witnesses.items()}
     if len(set(verdicts.values())) != 1:
         raise InternalConsistencyError(
             f"vacancy conditions disagree: {verdicts}")
-    if verdicts["top-right"]:
-        return VacancyReport(True, None)
-    return VacancyReport(False, witnesses["top-right"])
+    return VacancyReport(verdicts["top-right"], witnesses["top-right"])
+
+
+def corner_fillers(first, second) -> dict[tuple[int, int], list[int]]:
+    """Each corner (first[a], second[a]) of two frame tables, such as ``top``
+    and ``right``, with its boxes a in increasing order."""
+    out: dict[tuple[int, int], list[int]] = {}
+    for a, corner in enumerate(zip(first, second)):
+        out.setdefault(corner, []).append(a)
+    return out
 
 
 def require_vacant(t: DoubleGroupoid) -> None:
@@ -413,8 +431,8 @@ def filler(t: DoubleGroupoid, x: int, g: int) -> int:
 
 def transpose(t: DoubleGroupoid) -> DoubleGroupoid:
     """Swap the horizontal and vertical structures; an involution."""
-    return DoubleGroupoid(t.vert, t.horiz, t.left, t.right, t.top, t.bottom,
-                          t.hid, t.vid, t.hcomp, t.vcomp)
+    return _from_box_groupoids(t.vert, t.horiz, t.horizontal_boxes,
+                               t.vertical_boxes)
 
 
 class DoubleRelation:
@@ -583,10 +601,11 @@ def _check_grid_iso(t: DoubleGroupoid, r: int, s: int, point_map: dict) -> None:
 def _from_box_groupoids(horiz: Groupoid, vert: Groupoid, vboxes: Groupoid,
                         hboxes: Groupoid) -> DoubleGroupoid:
     """The double groupoid whose box i is arrow i of both ``vboxes`` (over
-    the arrows of ``horiz``) and ``hboxes`` (over the arrows of ``vert``)."""
-    return DoubleGroupoid(horiz, vert, vboxes.source, vboxes.target,
-                          hboxes.source, hboxes.target, vboxes.identity,
-                          hboxes.identity, vboxes.compose, hboxes.compose)
+    the arrows of ``horiz``) and ``hboxes`` (over the arrows of ``vert``),
+    which it keeps as they are."""
+    t = DoubleGroupoid.__new__(DoubleGroupoid)
+    t._attach(horiz, vert, vboxes, hboxes)
+    return t
 
 
 def _on_each_groupoid(construction, t1: DoubleGroupoid,

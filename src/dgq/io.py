@@ -9,7 +9,8 @@ validators, so the CLI can distinguish malformed files (exit 2) from false
 mathematics (exit 1).
 
 Canonical emission sorts every index list ascending and is idempotent:
-``emit(parse(emit(d))) == emit(d)``.
+``emit(parse(emit(d))) == emit(d)``.  An arrow without an inverse raises
+:class:`StructureError`.
 """
 
 from __future__ import annotations
@@ -150,26 +151,14 @@ def _try_inverse(g: Groupoid):
 
 
 def _groupoid_to_obj(g: Groupoid) -> dict:
-    inv = _try_inverse(g)
-    if inv is None:
-        inv = _stored_inverse(g)
     return {
         "n_objects": g.n_objects,
         "source": list(g.source),
         "target": list(g.target),
         "identity": list(g.identity),
-        "inverse": list(inv),
+        "inverse": list(g.inverse),
         "compose": _compose_to_triples(g),
     }
-
-
-def _stored_inverse(g: Groupoid):
-    # emitting an invalid groupoid: fall back to the best-effort table
-    inv = []
-    for f in g.arrows():
-        cand = g._find_inverse(f)
-        inv.append(cand if cand is not None else f)
-    return inv
 
 
 # -- double groupoid ---------------------------------------------------------
@@ -207,8 +196,6 @@ def _double_from_obj(obj: dict, context: str) -> DoubleGroupoid:
 
 
 def _double_to_obj(t: DoubleGroupoid) -> dict:
-    hinv = _try_inverse(t.horizontal_boxes)
-    vinv = _try_inverse(t.vertical_boxes)
     return {
         "n_points": t.n_points,
         "horiz": _groupoid_to_obj(t.horiz),
@@ -221,8 +208,8 @@ def _double_to_obj(t: DoubleGroupoid) -> dict:
         "hid": list(t.hid),
         "vcomp": _compose_to_triples(t.vertical_boxes),
         "hcomp": _compose_to_triples(t.horizontal_boxes),
-        "box_inverse_h": list(hinv) if hinv else list(t.boxes()),
-        "box_inverse_v": list(vinv) if vinv else list(t.boxes()),
+        "box_inverse_h": list(t.horizontal_boxes.inverse),
+        "box_inverse_v": list(t.vertical_boxes.inverse),
     }
 
 

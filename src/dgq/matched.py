@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .errors import (FactorizationError, InternalConsistencyError, Report,
                      StructureError)
-from .double import (DoubleGroupoid, _from_box_groupoids, filler,
+from .double import (DoubleGroupoid, _from_box_groupoids, corner_fillers,
                      require_vacant)
 from .groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
                         closure_defect, group_times_coarse, groupoid_on,
@@ -187,13 +187,9 @@ def from_vacant_double(t: DoubleGroupoid) -> MatchedPair:
     hz, vt = t.horiz, t.vert
     act_left = [[UNDEF] * vt.n_arrows for _ in range(hz.n_arrows)]
     act_right = [[UNDEF] * vt.n_arrows for _ in range(hz.n_arrows)]
-    for x in hz.arrows():
-        for g in vt.arrows():
-            if hz.target[x] != vt.source[g]:
-                continue
-            a = filler(t, x, g)
-            act_left[x][g] = t.left[a]
-            act_right[x][g] = t.bottom[a]
+    for (x, g), (a,) in corner_fillers(t.top, t.right).items():
+        act_left[x][g] = t.left[a]
+        act_right[x][g] = t.bottom[a]
     return MatchedPair(vt, hz, act_left, act_right)
 
 

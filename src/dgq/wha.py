@@ -26,7 +26,8 @@ tuples examined per rule.
 from __future__ import annotations
 
 from .cocycles import CocyclePair, embed_in_field, zero_pair
-from .double import (DoubleGroupoid, double_direct_product,
+# validate_double_groupoid stays importable here; require_vacant calls it
+from .double import (DoubleGroupoid, double_direct_product,  # noqa: F401
                      double_disjoint_union, require_vacant,
                      validate_double_groupoid)
 from .errors import (InternalConsistencyError, Report, StructureError,
@@ -113,7 +114,6 @@ def build(t: DoubleGroupoid, cp: CocyclePair | None = None,
     exist) and cocycles the field cannot realize."""
     if fs is None:
         fs = FieldSpec(0)
-    validate_double_groupoid(t).raise_if_failed()
     require_vacant(t)
     if cp is None:
         cp = zero_pair(t, fs.modulus)

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from dgq import io as dio
-from dgq.double import (DoubleGroupoid, DoubleRelation, build_Xrs,
-                        classify_vacant_relation, compute_inverses,
+from dgq.double import (DoubleGroupoid, DoubleRelation, _from_box_groupoids,
+                        build_Xrs, classify_vacant_relation, compute_inverses,
                         diagonal_components, double_direct_product,
                         double_disjoint_union, equivalence_from_pairs, filler,
                         from_double_relation, is_vacant, relation_groupoid,
@@ -113,6 +113,23 @@ def test_x22_every_corner_has_one_filler():
     assert len(corners) == 16
     for x, g in corners:
         assert len(brute_fillers(t, x, g)) == 1
+
+
+def test_the_axiom_report_is_computed_once(corpus):
+    for t in corpus.values():
+        assert validate_double_groupoid(t) is validate_double_groupoid(t)
+
+
+def test_vacancy_is_decided_only_on_a_double_groupoid(s3_T):
+    bad_hcomp = [list(row) for row in s3_T.hcomp]
+    a, b = next(iter(s3_T.horizontal_boxes.composable_pairs()))
+    bad_hcomp[a][b] = (bad_hcomp[a][b] + 1) % s3_T.n_boxes
+    bad = DoubleGroupoid(s3_T.horiz, s3_T.vert, s3_T.top, s3_T.bottom,
+                         s3_T.left, s3_T.right, s3_T.vid, s3_T.hid,
+                         s3_T.vcomp, bad_hcomp)
+    for routine in (is_vacant, DoubleGroupoid.cocycle_identities):
+        with pytest.raises(StructureError, match="double groupoid: "):
+            routine(bad)
 
 
 def test_vacancy_conditions_consistent_on_corpus(corpus):
@@ -534,6 +551,21 @@ def test_box_groupoids_must_share_their_boxes():
     with pytest.raises(StructureError) as exc:
         DoubleGroupoid(*[args[k] for k in ARGS])
     assert str(exc.value).startswith(HBOXES + ": 8 boxes")
+
+
+def test_box_groupoids_are_kept_as_handed_over(corpus):
+    for t in corpus.values():
+        swapped = transpose(t)
+        assert swapped.vertical_boxes is t.horizontal_boxes
+        assert swapped.horizontal_boxes is t.vertical_boxes
+        assert (swapped.horiz, swapped.vert) == (t.vert, t.horiz)
+
+
+def test_box_groupoids_must_lie_over_their_edges(s3_T):
+    # the vertical boxes of the transpose lie over the vertical edges
+    with pytest.raises(StructureError, match="must lie over the edges"):
+        _from_box_groupoids(s3_T.horiz, s3_T.vert, s3_T.horizontal_boxes,
+                            s3_T.vertical_boxes)
 
 
 # -- the four groupoids --------------------------------------------------------

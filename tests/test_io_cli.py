@@ -15,7 +15,7 @@ from dgq import io as dio
 from dgq.cli import Output, _note_checked, run
 from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
                           validate_cocycle_pair)
-from dgq.errors import FormatError, Report, ResourceBudgetError
+from dgq.errors import FormatError, Report, ResourceBudgetError, StructureError
 from dgq.linalg import solutions_mod_m
 from dgq.samples import s3_double, s3_matched_pair
 
@@ -558,13 +558,23 @@ def _matched_pair_with_an_action_off_its_domain(tmp_path):
     return doc
 
 
+def _a_pair_of_x22(tmp_path):
+    """A valid cocycle pair of the unedited x22, modulo 2, as a file."""
+    t = dio.load_path(CORPUS / "x22.json").payload
+    cp = list(enumerate_cocycle_pairs(t, 2))[-1]
+    path = tmp_path / "pair.json"
+    path.write_text(dio.emit(dio.Document("cocycle_pair",
+                                          dio.cocycle_document(t, cp))))
+    return str(path)
+
+
 # exit codes of validate, vacant, convert, kac, cocycles enumerate,
-# cocycles classes and wha verify; convert reads only the corner fillers
-# of a double groupoid, which the wrong hcomp leaves as they were
+# cocycles classes, wha verify, validate <pair> --against and wha verify
+# --cocycle <pair>
 @pytest.mark.parametrize("edit,convert_to,codes", [
-    (_x22_with_a_wrong_hcomp, "matched_pair", (1, 1, 0, 2, 2, 2, 2)),
+    (_x22_with_a_wrong_hcomp, "matched_pair", (1, 1, 2, 2, 2, 2, 2, 2, 2)),
     (_matched_pair_with_an_action_off_its_domain, "double_groupoid",
-     (1, 2, 2, 2, 2, 2, 2)),
+     (1, 2, 2, 2, 2, 2, 2, 2, 2)),
 ], ids=["x22_hcomp", "matched_pair_act_left"])
 def test_cli_refuses_an_edited_table_without_a_traceback(
         edit, convert_to, codes, tmp_path, capsys):
@@ -573,13 +583,16 @@ def test_cli_refuses_an_edited_table_without_a_traceback(
     error line, never computed on or crashed over."""
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(edit(tmp_path)))
+    pair = _a_pair_of_x22(tmp_path)
     capsys.readouterr()
     p = str(path)
     commands = (["validate", p], ["vacant", p],
                 ["convert", p, "--to", convert_to,
                  "-o", str(tmp_path / "out.json")],
                 ["kac", p, "--p", "2"], ["cocycles", "enumerate", p, "--m", "2"],
-                ["cocycles", "classes", p, "--m", "2"], ["wha", "verify", p])
+                ["cocycles", "classes", p, "--m", "2"], ["wha", "verify", p],
+                ["validate", pair, "--against", p],
+                ["wha", "verify", p, "--p", "3", "--m", "2", "--cocycle", pair])
     for argv, code in zip(commands, codes):
         assert run(argv) == code, argv
         err = capsys.readouterr().err
@@ -587,6 +600,20 @@ def test_cli_refuses_an_edited_table_without_a_traceback(
             _assert_one_error_line(err)
         else:
             assert err == "", argv
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_routines_that_assume_the_axioms_refuse_an_edited_table(tmp_path):
+    """The edited x22 is refused by the library calls that rest on the
+    axioms, not only by the commands."""
+    from dgq.cocycles import zero_pair
+    from dgq.cohomology import aut_and_opext
+    t = dio.parse(json.dumps(_x22_with_a_wrong_hcomp(tmp_path))).payload
+    refusal = "double groupoid: 7 check"
+    with pytest.raises(StructureError, match=refusal):
+        validate_cocycle_pair(t, zero_pair(t, 2))
+    with pytest.raises(StructureError, match=refusal):
+        aut_and_opext(t, 2)
 
 
 def test_cli_closed_pipe_is_an_output_error():

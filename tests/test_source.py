@@ -31,27 +31,44 @@ def test_the_package_imports_only_the_standard_library():
     assert tops - sys.stdlib_module_names - {"dgq"} == set()
 
 
-def _groupoid_calls(node, where, path, found):
-    """(file, innermost enclosing function) of each ``Groupoid(...)`` call."""
+def _calls(name, node, where, path, found):
+    """(file, innermost enclosing function) of each call of ``name``, called
+    bare or as an attribute."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
-            name = getattr(child.func, "id", getattr(child.func, "attr", None))
-            if name == "Groupoid":
+            called = getattr(child.func, "id", getattr(child.func, "attr", None))
+            if called == name:
                 found.add((path.name, where))
         inner = (child.name if isinstance(child, (ast.FunctionDef,
                                                   ast.AsyncFunctionDef))
                  else where)
-        _groupoid_calls(child, inner, path, found)
+        _calls(name, child, inner, path, found)
+
+
+def _callers(name):
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        _calls(name, ast.parse(path.read_text(), filename=str(path)),
+               "<module>", path, found)
+    return found
 
 
 def test_groupoid_tables_are_built_behind_groupoid_on():
     """The dense compose format stays behind ``groupoids.groupoid_on``: the
     ``Groupoid`` constructor is called only in ``groupoids.py``, in the
     parser of ``io.py`` and in ``double._box_groupoid``."""
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        _groupoid_calls(ast.parse(path.read_text(), filename=str(path)),
-                        "<module>", path, found)
+    found = _callers("Groupoid")
     assert ("groupoids.py", "groupoid_on") in found
     assert {c for c in found if c[0] != "groupoids.py"} == {
         ("io.py", "_groupoid_from_obj"), ("double.py", "_box_groupoid")}
+
+
+def test_the_double_groupoid_axioms_are_checked_behind_double():
+    """The routines of ``double.py`` that assume the axioms check them;
+    elsewhere ``validate_double_groupoid`` is called only by the two commands
+    that report it, ``validate`` and ``vacant``."""
+    found = _callers("validate_double_groupoid")
+    assert {("double.py", "is_vacant"),
+            ("double.py", "cocycle_identities")} <= found
+    assert {c for c in found if c[0] != "double.py"} == {
+        ("cli.py", "cmd_validate"), ("cli.py", "cmd_vacant")}
