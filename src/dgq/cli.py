@@ -134,7 +134,15 @@ def cmd_validate(args, out: Output) -> int:
 
 
 def cmd_vacant(args, out: Output) -> int:
-    t = _as_double(dio.load_path(args.path))
+    doc = dio.load_path(args.path)
+    if doc.kind == "matched_pair":
+        # a matched pair that fails its axioms has no double groupoid to
+        # build; its failures are reported as validate reports them
+        rep = mtd.validate_matched_pair(doc.payload)
+        if not rep.ok:
+            _report_failures(out, rep)
+            return MATH_FAILURE
+    t = _as_double(doc)
     rep = dbl.validate_double_groupoid(t)
     if not rep.ok:
         _report_failures(out, rep)

@@ -27,8 +27,12 @@ n-tuples of them as cells, numbered by their base-k digits, which is the
 lexicographic order of :func:`nerve`.  Each differential is built from the
 one before and dropped once reduced.  Over F_2 and F_3 the rank of d_n is
 taken on its coface rows, one per cell of C^n, wherever their C^(n+1)
-columns fit the plane rows of :mod:`dgq.linalg`; past that, and over Z and
-F_p for p >= 5, on its face rows, one per cell of C^(n+1).
+columns fit the plane rows of :mod:`dgq.linalg`; past that, and over F_p
+for p >= 5, on its face rows, one per cell of C^(n+1).  Over Z a group of
+squarefree order needs only the ranks of d_n over F_p for the primes of
+its order, taken on rows laid out as for F_3, or F_2 where 3 does not
+divide the order; a group whose order a square divides takes the Smith
+form of the face rows.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .groupoids import Groupoid, connected_decomposition, one_object_group
 from .linalg import (SubquotientFp, _on_planes,  # noqa: F401
                      elementary_divisors, invariant_factors, is_zero_matrix,
                      matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
-                     transpose)
+                     squarefree_primes, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 # the largest tuple or grid basis a complex is built on; a larger one raises
@@ -219,7 +223,11 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     into invariant factors.  A vertex group with k non-identity elements
     has k^n cells in degree n; if any degree up to n_max + 1 of any vertex
     group would exceed the budget, a resource error names the first such
-    degree before any row is built."""
+    degree before any row is built.
+
+    Over Z a vertex group whose order is squarefree is reduced by
+    :func:`_integral_from_ranks`, from ranks over F_p for the primes of its
+    order; the Smith form runs only for an order that a square divides."""
     p = _field(coefficients)
     if n_max < 0:
         raise StructureError("degree must be nonnegative")
@@ -232,12 +240,52 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
                 raise ResourceBudgetError(
                     f"degree {n} basis exceeds the budget {budget}")
     for key in tables:
-        tables[key] = _cohomology(
-            _bar_differentials(one_object_group(key), n_max, p),
-            [(len(key) - 1) ** n for n in range(n_max + 1)], coefficients)
+        group = one_object_group(key)
+        dims = [(len(key) - 1) ** n for n in range(n_max + 1)]
+        primes = None if p else squarefree_primes(len(key))
+        if primes is None:
+            tables[key] = _cohomology(_bar_differentials(group, n_max, p),
+                                      dims, coefficients)
+        else:
+            # the rows are laid out for the planes of F_3 where 3 divides
+            # the order, which then also fit those of F_2
+            planes = max((q for q in primes if q < 5), default=None)
+            tables[key] = _integral_from_ranks(
+                _bar_differentials(group, n_max, planes), dims, primes)
     return CohomologyReport("Z" if p is None else f"F{p}",
                             [_direct_sum(summands) for summands in
                              zip(*(tables[key] for key in keys))])
+
+
+def _integral_from_ranks(mats, dims, primes) -> list:
+    """H^0..H^N over Z, as :func:`_cohomology` gives them, of the bar
+    complex of a group whose order is the product of the distinct
+    ``primes``, with no Smith form: the local Smith form of Dumas, Saunders
+    and Villard (J. Symbolic Comput. 32, 2001) with its primes known.
+
+    |G| kills H^n(G; Z) for n >= 1, and H^n(G; Q) = 0 there (Brown,
+    *Cohomology of Groups*, III.10).  So rank_Q d_n = dim C^n -
+    rank_Q d_(n-1), with rank_Q d_0 = 0, and every elementary divisor of
+    d_n divides |G|, so no square divides it: p divides the last
+    t_p = rank_Q d_n - rank_Fp d_n of the rank_Q divisors, and each divisor
+    is the product of the primes that divide it.  A t_p outside
+    0..rank_Q d_n raises."""
+    groups, prev, rank_q = [], [], 0
+    for n, (m, dim) in enumerate(zip(mats, dims)):
+        rank_q = dim - rank_q if n else 0
+        divisors = [1] * rank_q
+        for q in primes:
+            t = rank_q - (rank_fp(m, q) if any(m) else 0)
+            if not 0 <= t <= rank_q:
+                raise InternalConsistencyError(
+                    f"d_{n} has rank {rank_q} over Q and {rank_q - t} over "
+                    f"F_{q}")
+            for i in range(rank_q - t, rank_q):
+                divisors[i] *= q
+        groups.append(ZGroup(dim - rank_q - len(prev),
+                             tuple(d for d in prev if d > 1)))
+        prev = invariant_factors(divisors)
+    return groups
 
 
 def _direct_sum(summands):
@@ -264,11 +312,11 @@ def _digit_table(g: Groupoid) -> list[list[int | None]]:
 def _bar_differentials(g: Groupoid, n_max: int, p):
     """d_0..d_n_max of the normalized bar complex of the one-object groupoid
     ``g``, one degree at a time, each built from the one before by
-    :func:`_bar_rows`.  Over F_2 and F_3 (``p``) a differential comes as
-    coface rows where :func:`linalg._on_planes` fits its C^(n+1) columns,
-    else as face rows; over Z (p None) and F_p, p >= 5, always as face
-    rows.  Nothing but the last differential is kept, so a consumer that
-    drops each one once reduced holds at most two degrees' rows."""
+    :func:`_bar_rows`.  At ``p`` = 2 or 3 a differential comes as coface
+    rows where :func:`linalg._on_planes` fits its C^(n+1) columns over F_p,
+    else as face rows; at p None or p >= 5 always as face rows.  Nothing
+    but the last differential is kept, so a consumer that drops each one
+    once reduced holds at most two degrees' rows."""
     mul = _digit_table(g)
     k = len(mul)
     rows, cofaces = None, False

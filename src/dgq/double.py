@@ -418,14 +418,6 @@ def require_vacant(t: DoubleGroupoid) -> None:
             f"{len(rep.witness[2])} fillers")
 
 
-def filler(t: DoubleGroupoid, x: int, g: int) -> int:
-    """The unique box with top x and right g of a vacant double groupoid."""
-    found = [a for a in t.boxes() if t.top[a] == x and t.right[a] == g]
-    if len(found) != 1:
-        raise VacancyError(f"corner ({x}, {g}) has {len(found)} fillers")
-    return found[0]
-
-
 # -- transpose and constructions --------------------------------------------
 
 

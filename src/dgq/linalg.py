@@ -23,6 +23,14 @@ routine here needs the transforms of either form.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
+
+A count of solutions mod m is a product over the primes of m when m is
+squarefree (:func:`squarefree_primes`): mod p the solutions number
+p**(ncols - r_p), r_p the rank over F_p, and by the Chinese remainder
+theorem mod m they number the product of those.  So at a squarefree m
+:func:`count_solutions_mod_m` takes ranks over F_p, and the Smith form runs
+only where a square divides m: for the count check of
+:func:`solutions_mod_m` there, and for :func:`elementary_divisors`.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
+from .fields import _is_prime
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -483,6 +492,47 @@ def rank_z(rows, ncols: int) -> int:
     return len(elementary_divisors(rows, ncols))
 
 
+# the largest prime that :func:`squarefree_primes` looks for
+_TRIAL = 1 << 16
+
+
+def squarefree_primes(n: int) -> list[int] | None:
+    """The primes of a squarefree n >= 1, in increasing order; None when a
+    square above 1 divides n, and also when n has a prime factor above
+    :data:`_TRIAL`: the primes are found by trial division up to there, so
+    that a modulus past a machine word costs no more, and the rest is left
+    to the Smith form."""
+    primes = [p for p in range(2, min(n, _TRIAL) + 1)
+              if n % p == 0 and _is_prime(p)]
+    return primes if prod(primes) == n else None
+
+
+def _rank_count(rows, ncols: int, primes) -> int:
+    """The number of solutions of A x = 0 mod the product of the distinct
+    ``primes``: p**(ncols - r_p) mod each p, r_p the rank over F_p, taken on
+    the rows and again on their transpose, which must agree."""
+    cols = transpose(rows, ncols)
+    count = 1
+    for p in primes:
+        rank = len(_echelon_fp(p, ncols, rows).rows)
+        rank_t = len(_echelon_fp(p, len(rows), cols).rows)
+        if rank != rank_t:
+            raise InternalConsistencyError(
+                f"rank {rank} over F_{p} on the rows, {rank_t} on the columns")
+        count *= p ** (ncols - rank)
+    return count
+
+
+def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
+    """The number of solutions of A x = 0 over Z/m: at a squarefree m from
+    ranks over F_p (:func:`_rank_count`), elsewhere from the Howell form of
+    :func:`solutions_mod_m`, checked against the Smith form."""
+    primes = squarefree_primes(m)
+    if primes is None:
+        return solutions_mod_m(rows, ncols, m)[0]
+    return _rank_count(rows, ncols, primes)
+
+
 def solutions_mod_m(rows, ncols: int, m: int):
     """(count, solutions) of A x = 0 over Z/m, both from the Howell form of
     A that ``_Echelon(m)`` keeps; at a prime m every pivot is 1, no closure
@@ -491,8 +541,10 @@ def solutions_mod_m(rows, ncols: int, m: int):
     A column that pivots no row is free and takes m values; one that pivots
     a row with pivot g takes the g values that solve that row, given the
     columns before it.  The count, m per free column times g per pivot
-    column, must equal the one that the Smith diagonal d_k gives,
-    m**(ncols - len(d)) times the product of gcd(d_k, m).
+    column, must equal the one found another way: at a squarefree m the
+    product of :func:`_rank_count`, elsewhere the one that the Smith
+    diagonal d_k gives, m**(ncols - len(d)) times the product of
+    gcd(d_k, m).
 
     The solutions keep the Howell form, and each iteration walks it afresh
     with :func:`_walk`: the columns depth first, in increasing order,
@@ -504,14 +556,19 @@ def solutions_mod_m(rows, ncols: int, m: int):
     echelon = _Echelon(m)
     for row in rows:
         echelon.add(row)
-    diag = smith_diagonal(rows, ncols)
     count = m ** (ncols - len(echelon.rows)) * prod(
         row[c] for c, row in echelon.rows.items())
-    smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
-    if count != smith:
+    primes = squarefree_primes(m)
+    if primes is None:
+        diag = smith_diagonal(rows, ncols)
+        route, other = "Smith form", m ** (ncols - len(diag)) * prod(
+            gcd(d, m) for d in diag)
+    else:
+        route, other = "F_p ranks", _rank_count(rows, ncols, primes)
+    if count != other:
         raise InternalConsistencyError(
-            f"the Howell form counts {count} solutions mod {m}, the Smith "
-            f"form {smith}")
+            f"the Howell form counts {count} solutions mod {m}, the {route} "
+            f"{other}")
     return count, _Solutions(echelon, ncols)
 
 
@@ -585,7 +642,3 @@ def _walk(echelon: _Echelon, ncols: int):
         for c, w in moves:
             x[c] = (x[c] + w * d) % m
         i += 1
-
-
-def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
-    return solutions_mod_m(rows, ncols, m)[0]

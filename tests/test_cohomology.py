@@ -8,6 +8,7 @@ built and reduced once."""
 import gc
 import itertools
 import weakref
+from math import prod
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +29,7 @@ from dgq.groupoids import (coarse_groupoid, connected_decomposition,
                            one_object_group)
 from dgq.linalg import is_zero_matrix, matmul, sparse_row
 from dgq.samples import (corpus_product, corpus_union, cyclic_table,
-                         s3_double, symmetric_table)
+                         perm_closure, perm_mul, s3_double, symmetric_table)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -366,6 +367,75 @@ def test_fp_ranks_on_coface_rows_count_smith_divisors(name):
         for q in primes:
             rank = linalg.rank_fp(coface, q) if any(coface) else 0
             assert rank == sum(1 for d in divisors if d % q), (n, q)
+
+
+# -- integral cohomology from ranks over F_p --------------------------------
+
+
+def _permutation_group(*gens):
+    elems = perm_closure(list(gens))
+    index = {x: i for i, x in enumerate(elems)}
+    return one_object_group([[index[perm_mul(x, y)] for y in elems]
+                             for x in elems])
+
+
+# order 6 and 10, squarefree, and C_4, whose order 4 keeps the Smith form
+LOCAL_CASES = {
+    "s3_group": ROUTE_CASES["s3_group"],
+    "C6": _permutation_group((1, 2, 3, 4, 5, 0)),
+    "D5": _permutation_group((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)),
+    "C4": _permutation_group((1, 2, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_CASES))
+def test_local_ranks_agree_with_the_full_nerve_over_z(name, monkeypatch):
+    """Where the order is squarefree no Smith form runs, and the groups are
+    those of the Smith form of the whole nerve's differentials; C_4 takes
+    the Smith form."""
+    g = LOCAL_CASES[name]
+    full = full_nerve_cohomology(g, Z_ORACLE_DEGREE, "Z")
+    calls = _count_calls(monkeypatch, ["elementary_divisors", "rank_fp"])
+    assert groupoid_cohomology(g, Z_ORACLE_DEGREE, "Z").groups == full
+    squarefree = name != "C4"
+    assert bool(calls["rank_fp"]) == squarefree
+    assert bool(calls["elementary_divisors"]) != squarefree
+    assert g.n_arrows == {"s3_group": 6, "C6": 6, "D5": 10, "C4": 4}[name]
+
+
+def test_a_wrong_rank_over_fp_raises(monkeypatch):
+    """A rank over F_p above the rank over Q, or below zero, is a t_p
+    outside 0..rank_Q."""
+    s3 = ROUTE_CASES["s3_group"]
+    for shift in (1, -100):
+        real = linalg.rank_fp
+        monkeypatch.setattr(coh, "rank_fp",
+                            lambda rows, p, _s=shift: real(rows, p) + _s)
+        with pytest.raises(InternalConsistencyError, match="over Q"):
+            groupoid_cohomology(s3, 2, "Z")
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_no_divisor_of_s3_is_divisible_by_a_square(p):
+    """The Howell count mod p^2 of d_1..d_4 of S3 is p**(2 (ncols - r)) p**t,
+    r the rank over F_5 (which no divisor's prime divides) and t the number
+    of divisors that p divides: it would be larger if p^2 divided one."""
+    s3 = ROUTE_CASES["s3_group"]
+    ts = []
+    for n, face in _rows_by_degree(s3, 4, False):
+        if n == 0:
+            continue
+        ncols = 5 ** n
+        echelon = linalg._Echelon(p * p)
+        for row in face:
+            echelon.add(row)
+        howell = (p * p) ** (ncols - len(echelon.rows)) * prod(
+            row[c] for c, row in echelon.rows.items())
+        r = linalg.rank_fp(face, 5)
+        ts.append(r - linalg.rank_fp(face, p))
+        assert howell == p ** (2 * (ncols - r) + ts[-1]), n
+    # the torsion Z/2 of H^2 and Z/6 of H^4
+    assert ts == ([1, 0, 1, 0] if p == 2 else [0, 0, 1, 0])
 
 
 # -- one-pass row assembly against the two-pass formulation -------------------

@@ -9,7 +9,7 @@ from dgq import io as dio
 from dgq.double import (DoubleGroupoid, DoubleRelation, _from_box_groupoids,
                         build_Xrs, classify_vacant_relation, compute_inverses,
                         diagonal_components, double_direct_product,
-                        double_disjoint_union, equivalence_from_pairs, filler,
+                        double_disjoint_union, equivalence_from_pairs,
                         from_double_relation, is_vacant, relation_groupoid,
                         transpose, validate_double_groupoid)
 from dgq.errors import FormatError, StructureError, VacancyError
@@ -21,6 +21,14 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 def brute_fillers(t, x, g):
     return [a for a in t.boxes() if t.top[a] == x and t.right[a] == g]
+
+
+def filler(t, x, g):
+    """The unique box with top x and right g of a vacant double groupoid."""
+    found = brute_fillers(t, x, g)
+    if len(found) != 1:
+        raise VacancyError(f"corner ({x}, {g}) has {len(found)} fillers")
+    return found[0]
 
 
 # -- validation ---------------------------------------------------------------

@@ -574,7 +574,7 @@ def _a_pair_of_x22(tmp_path):
 @pytest.mark.parametrize("edit,convert_to,codes", [
     (_x22_with_a_wrong_hcomp, "matched_pair", (1, 1, 2, 2, 2, 2, 2, 2, 2)),
     (_matched_pair_with_an_action_off_its_domain, "double_groupoid",
-     (1, 2, 2, 2, 2, 2, 2, 2, 2)),
+     (1, 1, 2, 2, 2, 2, 2, 2, 2)),
 ], ids=["x22_hcomp", "matched_pair_act_left"])
 def test_cli_refuses_an_edited_table_without_a_traceback(
         edit, convert_to, codes, tmp_path, capsys):
@@ -601,6 +601,64 @@ def test_cli_refuses_an_edited_table_without_a_traceback(
         else:
             assert err == "", argv
     assert not (tmp_path / "out.json").exists()
+
+
+def test_vacant_and_validate_agree_on_every_action_edit(tmp_path, capsys):
+    """Each of the 224 single action edits of x22's matched pair, an entry
+    of act_left or act_right sent to another arrow of its edge groupoid,
+    fails the matched-pair axioms: vacant reports it as validate does, with
+    exit 1 and the failures, not with exit 2."""
+    mp = tmp_path / "mp.json"
+    assert run(["convert", str(CORPUS / "x22.json"), "--to", "matched_pair",
+                "-o", str(mp)]) == 0
+    doc = json.loads(mp.read_text())
+    path = tmp_path / "edited.json"
+    edits = 0
+    for key, edge in (("act_left", "vert"), ("act_right", "horiz")):
+        for i, (x, g, y) in enumerate(doc[key]):
+            for z in range(len(doc[edge]["source"])):
+                if z == y:
+                    continue
+                doc[key][i] = [x, g, z]
+                path.write_text(json.dumps(doc))
+                capsys.readouterr()
+                codes = [run(["--format", "machine", command, str(path)])
+                         for command in ("validate", "vacant")]
+                out, err = capsys.readouterr()
+                assert codes == [1, 1] and err == "", (key, x, g, z)
+                validated, vacant = map(json.loads, out.splitlines())
+                assert vacant["failures"] == validated["failures"]
+                edits += 1
+            doc[key][i] = [x, g, y]
+    assert edits == 224
+
+
+def test_squarefree_counts_take_no_smith_form(monkeypatch, capsys):
+    """The integral cohomology of S3 (order 6) and the cocycle counts mod 2
+    come from ranks over F_p with the Smith form made to raise; the count
+    mod 4 of x22 still takes it."""
+    from dgq import linalg
+
+    def refuse(rows, ncols):
+        raise AssertionError("a Smith form ran")
+    real = linalg.smith_diagonal
+    monkeypatch.setattr(linalg, "smith_diagonal", refuse)
+    for argv in (["cohomology", CORPUS / "s3_group.json", "--integral",
+                  "--degree", "4"],
+                 ["cocycles", "enumerate", CORPUS / "x23.json", "--m", "2"],
+                 ["cocycles", "classes", CORPUS / "product_s3_x21.json",
+                  "--m", "2"]):
+        assert run(["--format", "machine", *map(str, argv)]) == 0, argv
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+    monkeypatch.setattr(linalg, "smith_diagonal", counted)
+    assert run(["cocycles", "classes", str(CORPUS / "x22.json"),
+                "--m", "4"]) == 0
+    assert calls
+    capsys.readouterr()
 
 
 def test_the_routines_that_assume_the_axioms_refuse_an_edited_table(tmp_path):

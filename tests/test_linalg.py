@@ -24,7 +24,7 @@ from dgq.groupoids import coarse_groupoid, one_object_group
 from dgq.linalg import (SubquotientFp, _Echelon, _on_planes, _Planes, _walk,
                         count_solutions_mod_m, elementary_divisors, matmul,
                         nullity_fp, nullspace_fp, rank_fp, smith_diagonal,
-                        solutions_mod_m, transpose)
+                        solutions_mod_m, squarefree_primes, transpose)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
 
 PRIMES = (2, 3, 5)
@@ -449,3 +449,63 @@ def test_howell_count_is_the_smith_count(mat, m):
     divisors = sympy_divisors(dense)
     assert howell == m ** (ncols - len(divisors)) * prod(
         gcd(d, m) for d in divisors)
+
+
+# -- counts mod a squarefree m from ranks over F_p -----------------------------
+
+
+def test_squarefree_primes_match_factorisation():
+    for n in range(1, 400):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % d for d in range(2, p))]
+        assert squarefree_primes(n) == (
+            primes if prod(primes) == n else None), n
+    # past the trial bound the Smith form is left to decide
+    assert squarefree_primes(2 * 65521) == [2, 65521]
+    assert squarefree_primes(2 ** 70) is None
+    assert squarefree_primes(65537) is None
+    assert squarefree_primes(2 ** 61 - 1) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_matrices(max_rows=6, max_cols=6, entry=st.integers(-12, 12)),
+       st.sampled_from((1, 2, 3, 5, 6, 10, 30, 4, 12)))
+def test_count_solutions_mod_m_is_the_smith_count(mat, m):
+    """From ranks over F_p at a squarefree m, from the Howell form at 4 and
+    12, the count is m**(ncols - r) times the product of gcd(d_k, m) over
+    the r divisors of the Smith form; and at a squarefree m it is the
+    product over its primes of p**(ncols - rank over F_p)."""
+    dense, ncols = mat
+    rows = to_sparse(dense)
+    diag = smith_diagonal(rows, ncols)
+    smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
+    assert count_solutions_mod_m(rows, ncols, m) == smith
+    primes = squarefree_primes(m)
+    if primes is not None:
+        assert smith == prod(p ** (ncols - dense_rank(dense, ncols, p))
+                             for p in primes)
+
+
+def _a_column_rank_off(monkeypatch):
+    """Make every elimination of 2 columns, the transpose of the rows below,
+    lose one stored row on the planes."""
+    real = linalg._echelon_fp
+
+    def off(p, ncols, rows=(), extra=0):
+        echelon = real(p, ncols, rows, extra)
+        assert isinstance(echelon, _Planes)
+        if ncols == 2:
+            echelon.rows.popitem()
+        return echelon
+    monkeypatch.setattr(linalg, "_echelon_fp", off)
+
+
+@pytest.mark.parametrize("m", (2, 6))
+def test_a_wrong_plane_rank_raises(monkeypatch, m):
+    rows = [{0: 1, 2: 1}, {1: 1}]
+    assert count_solutions_mod_m(rows, 3, m) == m
+    _a_column_rank_off(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="on the columns"):
+        count_solutions_mod_m(rows, 3, m)
+    with pytest.raises(InternalConsistencyError, match="on the columns"):
+        solutions_mod_m(rows, 3, m)
