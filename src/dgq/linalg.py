@@ -28,9 +28,12 @@ A count of solutions mod m is a product over the primes of m when m is
 squarefree (:func:`squarefree_primes`): mod p the solutions number
 p**(ncols - r_p), r_p the rank over F_p, and by the Chinese remainder
 theorem mod m they number the product of those.  So at a squarefree m
-:func:`count_solutions_mod_m` takes ranks over F_p, and the Smith form runs
-only where a square divides m: for the count check of
-:func:`solutions_mod_m` there, and for :func:`elementary_divisors`.
+:func:`count_solutions_mod_m` takes ranks over F_p, and
+:func:`solutions_mod_m` checks its Howell count against them.  The Smith
+form runs for that check only where a square divides m, and in
+:func:`elementary_divisors`, which :mod:`dgq.cohomology` calls only for a
+group order that a square divides and for the total complex of its
+``aut_and_opext``.
 """
 
 from __future__ import annotations
