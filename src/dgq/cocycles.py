@@ -480,7 +480,9 @@ class CocyclePairs:
     """The valid pairs of a double groupoid mod m, sorted by (sigma, tau),
     as a sized, re-iterable view: it keeps the solutions of the constraint
     system, which hold its closed Howell form, and each iteration walks them
-    afresh and builds one pair at a time."""
+    afresh and builds one pair at a time.  The writer,
+    :func:`dgq.io.cocycle_texts`, builds no pair: it walks ``solutions``
+    and fills one text template with each."""
 
     __slots__ = ("t", "modulus", "system", "count", "solutions")
 

@@ -74,13 +74,6 @@ def nerve(g: Groupoid, n: int) -> list[tuple]:
     return sorted(chains)
 
 
-def differential_matrix(g: Groupoid, n: int) -> list[dict[int, int]]:
-    """Matrix of d^n: C^n -> C^(n+1), as sparse rows indexed by
-    nerve(g, n+1)."""
-    src_index = {c: i for i, c in enumerate(nerve(g, n))}
-    return _coboundary_rows(src_index, nerve(g, n + 1), _groupoid_faces(g, n))
-
-
 def _bar_faces(chain, compose_fn):
     """(face, sign) pairs of the bar differential applied at an (n+1)-tuple;
     a composed face outside the source basis is degenerate."""
@@ -339,8 +332,8 @@ def _bar_rows(mul, n: int, prev, cofaces: bool) -> list[dict[int, int]]:
     With k non-identity elements, the cells of C^n are the k^n n-tuples of
     them, numbered by their base-k digits: the lexicographic order of
     :func:`nerve`, so the cell (J, f) of C^(n+1), J in C^n, is J k + f.
-    Face rows are one per cell of C^(n+1), with entries at C^n, as
-    :func:`differential_matrix` builds them; coface rows are their
+    Face rows are one per cell of C^(n+1), with entries at C^n, as the
+    full-nerve differential of the group reads them; coface rows are their
     transpose, one per cell of C^n.  At n = 0 the one object is both faces
     of every cell, so every row is empty.
 

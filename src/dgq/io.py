@@ -16,10 +16,9 @@ Canonical emission sorts every index list ascending and is idempotent:
 from __future__ import annotations
 
 import json
-from operator import getitem
 
 from .double import DoubleGroupoid
-from .errors import FormatError, StructureError
+from .errors import FormatError, InternalConsistencyError, StructureError
 from .fields import FieldSpec
 from .groupoids import UNDEF, Groupoid
 from .matched import MatchedPair
@@ -302,38 +301,36 @@ def cocycle_document(t: DoubleGroupoid, cp: CocyclePair) -> CocycleDocument:
     return CocycleDocument(cp.modulus, sigma, tau)
 
 
-class _EntryTexts(dict):
-    """The text ``[a, b, v]`` of one table entry, keyed by its value v and
-    built the first time v is asked for."""
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, a: int, b: int):
-        super().__init__()
-        self.prefix = f"[{a}, {b}, "
-
-    def __missing__(self, v):
-        text = self[v] = f"{self.prefix}{v}]"
-        return text
-
-
 def cocycle_texts(t: DoubleGroupoid, pairs):
-    """The JSON text of each pair bound to ``t``, one pair at a time: what
-    ``json.dumps(body, sort_keys=True)`` writes for the body that :func:`emit`
-    writes for its document, without ``kind`` and ``version``.
+    """The JSON text of each pair of ``pairs``, the :class:`CocyclePairs`
+    view of ``t``'s pairs, one pair at a time: what
+    ``json.dumps(body, sort_keys=True)`` writes for the body that
+    :func:`emit` writes for its document, without ``kind`` and ``version``.
 
-    The pairs of ``t.pair_domains()`` are sorted, so each table's entries
-    come out in the document's order.  Each entry's text is built once per
-    value it takes, so a pair is two joins of looked-up strings; at most m
-    strings are built per entry, and only the values that occur.
+    Every pair's text comes from one ``%``-template, built here once: the
+    entries of ``t.pair_domains()`` in their (sorted) order, ``[a, b, %d]``
+    where the entry takes a solution column and ``[a, b, 0]`` where
+    normalization forces it.  :func:`_entry_columns` numbers the free sigma
+    entries and then the free tau entries in increasing order, so the holes
+    take the columns 0, 1, ... in turn, and a pair's text is
+    ``template % solution``.  That order is checked here, before any text
+    is written.
     """
+    # imported here: only commands that enumerate pairs load cocycles
+    from .cocycles import _entry_columns
     vp, hp, _, _ = t.pair_domains()
-    sigma_texts = [_EntryTexts(a, b) for a, b in vp]
-    tau_texts = [_EntryTexts(a, b) for a, b in hp]
-    for cp in pairs:
-        yield (f'{{"modulus": {cp.modulus}, "sigma": '
-               f'[{", ".join(map(getitem, sigma_texts, cp.sigma))}], "tau": '
-               f'[{", ".join(map(getitem, tau_texts, cp.tau))}]}}')
+    ncols = pairs.system[1]
+    where = _entry_columns(t, pairs.system)
+    if [k for k in where if k < ncols] != list(range(ncols)):
+        raise InternalConsistencyError(
+            "the free cocycle entries do not take the solution columns in "
+            "order")
+    entries = [f"[{a}, {b}, {'%d' if k < ncols else 0}]"
+               for (a, b), k in zip(vp + hp, where)]
+    template = (f'{{"modulus": {pairs.modulus}, '
+                f'"sigma": [{", ".join(entries[:len(vp)])}], '
+                f'"tau": [{", ".join(entries[len(vp):])}]}}')
+    return map(template.__mod__, pairs.solutions)
 
 
 def _field_from_obj(obj: dict, context: str) -> FieldSpec:

@@ -9,8 +9,8 @@ import time
 from dgq.cocycles import (CocyclePair, count_modulo_gauge,
                           enumerate_cocycle_pairs, zero_pair)
 from dgq.cohomology import (aut_and_opext, build_double_complex,
-                            differential_matrix, groupoid_cohomology,
-                            kac_report, nerve, total_matrix)
+                            groupoid_cohomology, kac_report, nerve,
+                            total_matrix)
 from dgq.double import build_Xrs, compute_inverses, is_vacant, transpose
 from dgq.fields import FieldSpec
 from dgq.groupoids import UNDEF, coarse_groupoid, one_object_group
@@ -25,6 +25,8 @@ from dgq.wha import (block_structure, build, check_involutory, duality_check,
 from dgq.matched import ConnectedFactorizationData
 from dgq.groupoids import WideSubgroupoidData, trivial_transversal
 from dgq.matched import verify_connected_factorization
+
+from full_nerve import differential_matrix
 
 F3_M2 = FieldSpec(3, 2, 2)
 QQ = FieldSpec(0)

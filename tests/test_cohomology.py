@@ -19,9 +19,9 @@ from dgq import linalg
 from dgq.cli import run
 from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
                             aut_and_opext, build_double_complex,
-                            commutation_defect, differential_matrix,
-                            groupoid_cohomology, kac_report, nerve,
-                            total_cohomology, total_dim, total_matrix)
+                            commutation_defect, groupoid_cohomology,
+                            kac_report, nerve, total_cohomology, total_dim,
+                            total_matrix)
 from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
 from dgq.errors import InternalConsistencyError, TruncationError
@@ -30,6 +30,8 @@ from dgq.groupoids import (coarse_groupoid, connected_decomposition,
 from dgq.linalg import is_zero_matrix, matmul, sparse_row
 from dgq.samples import (corpus_product, corpus_union, cyclic_table,
                          perm_closure, perm_mul, s3_double, symmetric_table)
+
+from full_nerve import differential_matrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -16,12 +16,22 @@ stdout.  ``convert`` runs both ways.  ``cocycles enumerate`` runs with
 the order in which non-unit pivots yield their pairs.  ``cocycles classes
 --m 2`` runs on every double groupoid and matched pair, and with ``--m 3``
 on x23 and product_s3_x21.  Left out for time: ``kac`` on product_s3_x21.
+
+The help and usage text of the parser is pinned too, so that a change to
+the parser can be judged byte for byte: ``dgq --help``, ``dgq cocycles
+--help``, ``dgq cocycles enumerate --help`` and one usage error, recorded
+with ``COLUMNS`` fixed.  Their stdout (help) or stderr (usage error) is in
+``tests/golden/<name>.out`` and their exit codes in
+``tests/golden/help.json``, with the Python version they were recorded
+under: argparse's layout changes between versions, so the bytes are
+compared only under that version.
 """
 
 import io
 import json
+import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -100,6 +110,46 @@ def test_machine_output_matches_golden(name, argv):
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+# (name, argv) of each pinned help or usage text; the usage error stops
+# at the parser, so its path is never read
+HELP_COMMANDS = (
+    ("help-dgq", ["--help"]),
+    ("help-cocycles", ["cocycles", "--help"]),
+    ("help-cocycles-enumerate", ["cocycles", "enumerate", "--help"]),
+    ("usage-cocycles-enumerate-without-m",
+     ["cocycles", "enumerate", "corpus/x22.json"]),
+)
+HELP_COLUMNS = "80"
+PYTHON = f"{sys.version_info[0]}.{sys.version_info[1]}"
+
+
+def _run_parser(argv):
+    """(exit code, the one stream written) of ``dgq argv``; argparse wraps
+    at the width that ``COLUMNS`` gives.  Both streams written is an
+    error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert not (out.getvalue() and err.getvalue()), argv
+    return code, out.getvalue() or err.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", HELP_COMMANDS,
+                         ids=[n for n, _ in HELP_COMMANDS])
+def test_help_and_usage_text_match_golden(name, argv, monkeypatch):
+    recorded = json.loads((GOLDEN / "help.json").read_text())
+    if recorded["python"] != PYTHON:
+        pytest.skip(f"argparse's layout is version-dependent; the text was "
+                    f"recorded under Python {recorded['python']}")
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
+    code, text = _run_parser(argv)
+    assert code == recorded["exit"][name]
+    assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     exits = {}
@@ -110,3 +160,11 @@ if __name__ == "__main__":
         print(f"{name}: exit {code}", file=sys.stderr)
     (GOLDEN / "exit.json").write_text(json.dumps(exits, indent=1,
                                                  sort_keys=True) + "\n")
+    exits = {}
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    for name, argv in HELP_COMMANDS:
+        exits[name], text = _run_parser(argv)
+        (GOLDEN / f"{name}.out").write_bytes(text.encode())
+        print(f"{name}: exit {exits[name]}", file=sys.stderr)
+    (GOLDEN / "help.json").write_text(json.dumps(
+        {"python": PYTHON, "exit": exits}, indent=1, sort_keys=True) + "\n")

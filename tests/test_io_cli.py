@@ -490,6 +490,35 @@ def test_cli_enumerate_at_a_modulus_past_a_machine_word(capsys):
         f'"tau": [[0, 0, 0]]}}]}}\n')
 
 
+def test_cli_enumerate_refuses_holes_out_of_column_order(monkeypatch,
+                                                        capsys):
+    # the texts fill the template's holes with the solution columns in
+    # turn; a map whose free entries take them in another order must stop
+    # the command before it writes.  The check walk reads the map first,
+    # so it is swapped only once enumerate_cocycle_pairs has returned.
+    from dgq import cocycles
+    entry_columns = cocycles._entry_columns
+    enumerate_pairs = cocycles.enumerate_cocycle_pairs
+
+    def swapped(t, system):
+        where = entry_columns(t, system)
+        i, j = where.index(0), where.index(1)
+        where[i], where[j] = 1, 0
+        return where
+
+    def enumerate_then_swap(*args):
+        pairs = enumerate_pairs(*args)
+        monkeypatch.setattr(cocycles, "_entry_columns", swapped)
+        return pairs
+    monkeypatch.setattr(cocycles, "enumerate_cocycle_pairs",
+                        enumerate_then_swap)
+    code = run(["--format", "machine", "cocycles", "enumerate",
+                str(CORPUS / "x22.json"), "--m", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "do not take the solution columns in order" in err
+
+
 def test_the_check_walk_holds_one_block_of_bytes():
     # enumerate_cocycle_pairs on x23 mod 3 checks its 59,049 pairs a block
     # of bytes at a time: about 155 KiB at the peak, with the constraint

@@ -15,9 +15,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from dgq import linalg
-from dgq.cohomology import (build_double_complex, differential_matrix,
-                            groupoid_cohomology, nerve, total_dim,
-                            total_matrix)
+from dgq.cohomology import (build_double_complex, groupoid_cohomology,
+                            nerve, total_dim, total_matrix)
 from dgq.double import build_Xrs
 from dgq.errors import InternalConsistencyError, StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
@@ -26,6 +25,8 @@ from dgq.linalg import (SubquotientFp, _Echelon, _on_planes, _Planes, _walk,
                         nullity_fp, nullspace_fp, rank_fp, smith_diagonal,
                         solutions_mod_m, squarefree_primes, transpose)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
+
+from full_nerve import differential_matrix
 
 PRIMES = (2, 3, 5)
 SETTINGS = settings(max_examples=60, deadline=None)
