@@ -8,8 +8,9 @@ over Z/m, walked in order through its Howell form.  Before any is written,
 the solutions are checked a block at a time: packed as bytes, read as one
 int per solution column with one solution per lane, on which each identity
 row is a few additions, its failing lanes ORed into a mask.  The gauge
-classes are the cosets in Z of the image of the gauge map, counted from two
-Howell forms without listing pairs or gauges.  Field realization
+classes are the cosets in Z of the image of the gauge map, counted without
+listing pairs or gauges: from ranks over F_p at a squarefree m, from Howell
+forms checked against Smith forms elsewhere.  Field realization
 (zeta ** value) is a separate explicit step, so enumeration and counting
 stay integer problems.
 """
@@ -165,30 +166,33 @@ def _identity_forms(t: DoubleGroupoid):
 
 
 def _constraint_system(t: DoubleGroupoid):
-    """Integral rows of the linear system over Z/m on the free cocycle
-    entries, as sparse rows; the modulus enters only when it is solved.
+    """``(rows, ncols, where)``: the integral rows of the linear system over
+    Z/m on the free cocycle entries, as sparse rows over ``ncols`` solution
+    columns, and the map from entries to columns; the modulus enters only
+    when it is solved.
 
-    Free variables are the sigma and tau entries that normalization does not
-    force to zero; each cocycle and compatibility identity gives one row
-    over them (none where every term is forced).
+    The free entries are the sigma and tau entries that normalization does
+    not force to zero; they take the columns 0, 1, ... in the order of the
+    sigma entries and then the tau entries.  ``where[e]`` is the column of
+    sigma entry e, tau entry j being entry ``len(vp) + j``, and ``ncols``
+    where the entry is forced.  Each cocycle and compatibility identity
+    gives one row (none where every term is forced).
     """
     vp, hp, _, _ = t.pair_domains()
     ids = t.cocycle_identities()
-    forced_s = {i for i, _ in ids.sigma_normalization}
-    forced_t = {j for j, _ in ids.tau_normalization}
-    svars = [i for i in range(len(vp)) if i not in forced_s]
-    tvars = [j for j in range(len(hp)) if j not in forced_t]
-    # column of each sigma entry, then of each tau entry; None where
-    # normalization forces the entry to zero
-    col = [None] * (len(vp) + len(hp))
-    for k, e in enumerate(svars + [len(vp) + j for j in tvars]):
-        col[e] = k
+    forced = ({i for i, _ in ids.sigma_normalization}
+              | {len(vp) + j for j, _ in ids.tau_normalization})
+    free = [e for e in range(len(vp) + len(hp)) if e not in forced]
+    ncols = len(free)
+    where = [ncols] * (len(vp) + len(hp))
+    for k, e in enumerate(free):
+        where[e] = k
     rows = []
     for form in _identity_forms(t):
-        row = sparse_row((col[e], c) for e, c in form if col[e] is not None)
+        row = sparse_row((where[e], c) for e, c in form if where[e] < ncols)
         if row:
             rows.append(row)
-    return rows, len(svars) + len(tvars), svars, tvars
+    return rows, ncols, where
 
 
 def _require_modulus(m: int) -> None:
@@ -220,7 +224,7 @@ def enumerate_cocycle_pairs(t: DoubleGroupoid, m: int,
         raise StructureError("budget must be >= 0")
     require_vacant(t)
     system = _constraint_system(t)
-    rows, ncols, _, _ = system
+    rows, ncols, _ = system
     count, solutions = solutions_mod_m(rows, ncols, m)
     if count > budget:
         raise ResourceBudgetError(
@@ -243,83 +247,79 @@ class _BlockCheck:
 
     A block holds up to ``_BLOCK`` solutions as bytes, each value in a lane
     of ``width`` bytes, and turns into one int per solution column whose
-    lane k holds solution k's value.  Each normalization, cocycle,
-    compatibility and symmetry row is compiled onto those columns through
-    :func:`_entry_columns` (an entry that normalization forces reads 0, so
-    a row left with no term always holds) as offset + positive terms -
-    negative terms, the offset being the least multiple of m that keeps
-    every lane nonnegative.  No value reaches the top bit of its lane, so
-    a lane of x is nonzero exactly when the top bit of x + fill is set,
-    fill being all the lower bits of every lane; a row fails in the lanes
-    that equal none of the multiples of m within its range.  The rules and
-    the symmetry rows (their consequences, kept apart as the validator
-    keeps them) are ORed into two masks, and a column value of m or more
-    fails as a rule does.
+    lane k holds solution k's value.  The rules are the distinct rows of
+    the constraint system, each once, in the order of its first occurrence
+    (a normalization identity lies on a forced entry and gives no row).
+    The symmetry rows, the consequences of the rules that the validator
+    keeps apart, are compiled onto the columns through the system's
+    ``where`` (a forced entry reads 0, so a row left with no term always
+    holds).  On x23 the 240 rows of the system are 168 distinct rules, and
+    42 of the 72 symmetry rows keep a term.  Each row is evaluated as
+    offset + positive terms - negative terms, the offset being the least
+    multiple of m that keeps every lane nonnegative.  No value reaches the
+    top bit of its lane, so a lane of x is nonzero exactly when the top bit
+    of x + fill is set, fill being all the lower bits of every lane; a row
+    fails in the lanes that equal none of the multiples of m within its
+    range.  The rules and the symmetry rows are ORed into two masks, and a
+    column value of m or more fails as a rule does.
     """
 
     __slots__ = ("t", "modulus", "system", "width", "pack", "rules",
                  "symmetry", "symmetry_errors", "fill", "above", "high")
 
     def __init__(self, t: DoubleGroupoid, m: int, system):
-        vp, _, _, _ = t.pair_domains()
+        rows, ncols, where = system
         ids = t.cocycle_identities()
-        nv = len(vp)
-        where = _entry_columns(t, system)
-        ncols = system[1]
+        nv = len(t.pair_domains()[0])
 
-        def compiled(forms):
-            """(offset, positive columns, negative columns, multiples of m
-            in range) of each form that keeps a term."""
-            for form in forms:
-                row = sparse_row((where[e], c) for e, c in form
-                                 if where[e] < ncols)
-                pos = tuple(col for col, c in row.items() if c > 0
-                            for _ in range(c))
-                neg = tuple(col for col, c in row.items() if c < 0
-                            for _ in range(-c))
-                offset = -(-len(neg) * (m - 1) // m) * m
-                low = offset - len(neg) * (m - 1)
-                high = offset + len(pos) * (m - 1)
-                yield (offset, pos, neg, range(-(-low // m) * m, high + 1, m)
-                       ) if row else None
+        def terms(row):
+            """(positive columns, negative columns) of a row, each column
+            repeated as often as its coefficient."""
+            return (tuple(col for col, c in row.items() if c > 0
+                          for _ in range(c)),
+                    tuple(col for col, c in row.items() if c < 0
+                          for _ in range(-c)))
 
-        rules = chain((((i, 1),) for i, _ in ids.sigma_normalization),
-                      (((nv + j, 1),) for j, _ in ids.tau_normalization),
-                      _identity_forms(t))
-        # the symmetry rows, consequences of the rules, in the validator's
-        # order and with its messages
+        rules = list(dict.fromkeys(map(terms, rows)))
+        # the symmetry rows, in the validator's order and with its messages
         symmetry, errors = [], []
         for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
-            symmetry += [((i, 1), (j, -1)), ((nv + k, 1), (nv + l, -1))]
-            errors += [f"sigma symmetry broken at box {a}",
-                       f"tau symmetry broken at box {a}"]
-        rules = list(filter(None, compiled(rules)))
-        symmetry = [(row, e) for row, e in zip(compiled(symmetry), errors)
-                    if row]
+            for side, e, f in (("sigma", i, j), ("tau", nv + k, nv + l)):
+                row = sparse_row((where[x], c) for x, c in ((e, 1), (f, -1))
+                                 if where[x] < ncols)
+                if row:
+                    symmetry.append(terms(row))
+                    errors.append(f"{side} symmetry broken at box {a}")
+
+        def offset(neg):
+            return -(-len(neg) * (m - 1) // m) * m
+
         # the least lane width whose top bit no value reaches
-        largest = max([m - 1] + [row[0] + len(row[1]) * (m - 1) for row
-                                 in chain(rules, (r for r, _ in symmetry))])
+        largest = max([m - 1] + [offset(neg) + len(pos) * (m - 1)
+                                 for pos, neg in chain(rules, symmetry)])
         width = -(-(largest.bit_length() + 1) // 8)
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * _BLOCK, "little")
-        spread, distinct = {}, {}
+        spread, compiled = {}, {}
 
-        def packed(rows):
+        def packed(pos, neg):
             # each lane value is spread into one int, and each distinct row
             # is one tuple, shared by every row that uses it
-            for offset, pos, neg, multiples in rows:
-                if (pos, neg) not in distinct:
-                    distinct[pos, neg] = (
-                        spread.setdefault(offset, offset * ones), pos, neg,
-                        tuple(spread.setdefault(v, v * ones)
-                              for v in multiples))
-                yield distinct[pos, neg]
+            if (pos, neg) not in compiled:
+                base = offset(neg)
+                low = base - len(neg) * (m - 1)
+                high = base + len(pos) * (m - 1)
+                compiled[pos, neg] = (
+                    spread.setdefault(base, base * ones), pos, neg,
+                    tuple(spread.setdefault(v, v * ones) for v
+                          in range(-(-low // m) * m, high + 1, m)))
+            return compiled[pos, neg]
 
         top = 1 << 8 * width - 1
         self.t, self.modulus, self.system, self.width = t, m, system, width
         self.pack = bytes if width == 1 else partial(_packed, width)
-        self.rules = list(packed(rules))
-        self.symmetry = list(packed(row for row, _ in symmetry))
-        self.symmetry_errors = [e for _, e in symmetry]
+        self.rules = [packed(*r) for r in rules]
+        self.symmetry = [packed(*r) for r in symmetry]
+        self.symmetry_errors = errors
         self.high = top * ones
         self.fill = (top - 1) * ones
         self.above = (top - m) * ones
@@ -452,22 +452,10 @@ def _packed(width: int, sol) -> bytes:
     return b"".join(v.to_bytes(width, "big") for v in sol)
 
 
-def _entry_columns(t: DoubleGroupoid, system) -> list[int]:
-    """The map from solutions to pairs: for each sigma entry, then each tau
-    entry, the column of the solution that holds its value, or ``ncols``
-    where normalization forces the entry to 0."""
-    vp, hp, _, _ = t.pair_domains()
-    _, ncols, svars, tvars = system
-    where = [ncols] * (len(vp) + len(hp))
-    for k, e in enumerate(svars + [len(vp) + j for j in tvars]):
-        where[e] = k
-    return where
-
-
 def _pairs(t: DoubleGroupoid, m: int, system, solutions):
     """The pair of each solution of the constraint system, in turn."""
-    where = _entry_columns(t, system)
-    nv, ncols = len(t.pair_domains()[0]), system[1]
+    _, ncols, where = system
+    nv = len(t.pair_domains()[0])
     # each solution is extended by the 0 that forced entries read; two more
     # picks of it make itemgetter return a tuple at any size
     pick = itemgetter(*where, ncols, ncols)
@@ -501,24 +489,22 @@ class CocyclePairs:
         return _pairs(self.t, self.modulus, self.system, self.solutions)
 
 
-def _gauge_matrix(t: DoubleGroupoid, svars, tvars):
-    """The gauge map G over Z, from the free boxes to the free cocycle
-    columns of :func:`_constraint_system`: one sparse row per column, one
-    column per free box, holding :func:`gauge_delta` of that box's unit
-    gauge.  A gauge that moves a normalized entry raises."""
-    ids = t.cocycle_identities()
+def _gauge_matrix(t: DoubleGroupoid, where, ncols: int):
+    """The gauge map G over Z, from the free boxes to the ``ncols`` columns
+    of :func:`_constraint_system`, read through its ``where``: one sparse
+    row per column, one column per free box, holding :func:`gauge_delta` of
+    that box's unit gauge.  A gauge that moves a normalized entry raises."""
     cols = []
     for a in free_boxes(t):
         psi = [0] * t.n_boxes
         psi[a] = 1
-        dsig, dtau = gauge_delta(t, psi)
-        if (any(dsig[i] for i, _ in ids.sigma_normalization)
-                or any(dtau[j] for j, _ in ids.tau_normalization)):
+        delta = list(chain(*gauge_delta(t, psi)))
+        if any(d for k, d in zip(where, delta) if k == ncols):
             raise InternalConsistencyError(
                 f"the unit gauge on box {a} moves a normalized entry")
-        cols.append(sparse_row(enumerate([dsig[i] for i in svars]
-                                         + [dtau[j] for j in tvars])))
-    return transpose(cols, len(svars) + len(tvars))
+        cols.append(sparse_row((k, d) for k, d in zip(where, delta)
+                               if k < ncols))
+    return transpose(cols, ncols)
 
 
 def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
@@ -527,15 +513,16 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     The valid pairs form the solution group Z of the constraint system, and
     the orbits are the cosets in Z of B, the image of the gauge map G.  As
     |B| = m**|free boxes| / |ker G|, the count is |Z| |ker G| / m**|free|,
-    both orders from a Howell form (checked against a Smith form); nothing
-    is enumerated.  A table that fails the double-groupoid axioms is
+    both orders from :func:`count_solutions_mod_m`: at a squarefree m from
+    ranks over F_p, elsewhere from a Howell form checked against a Smith
+    form; nothing is enumerated.  A table that fails the double-groupoid axioms is
     refused first.
     """
     from .double import require_vacant
     _require_modulus(m)
     require_vacant(t)
-    rows, ncols, svars, tvars = _constraint_system(t)
-    gauge = _gauge_matrix(t, svars, tvars)
+    rows, ncols, where = _constraint_system(t)
+    gauge = _gauge_matrix(t, where, ncols)
     if not is_zero_matrix(matmul(rows, gauge)):
         raise InternalConsistencyError("a gauge coboundary fails the cocycle system")
     nfree = len(free_boxes(t))

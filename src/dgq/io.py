@@ -310,17 +310,14 @@ def cocycle_texts(t: DoubleGroupoid, pairs):
     Every pair's text comes from one ``%``-template, built here once: the
     entries of ``t.pair_domains()`` in their (sorted) order, ``[a, b, %d]``
     where the entry takes a solution column and ``[a, b, 0]`` where
-    normalization forces it.  :func:`_entry_columns` numbers the free sigma
-    entries and then the free tau entries in increasing order, so the holes
-    take the columns 0, 1, ... in turn, and a pair's text is
+    normalization forces it.  The constraint system's ``where`` numbers the
+    free sigma entries and then the free tau entries in increasing order,
+    so the holes take the columns 0, 1, ... in turn, and a pair's text is
     ``template % solution``.  That order is checked here, before any text
     is written.
     """
-    # imported here: only commands that enumerate pairs load cocycles
-    from .cocycles import _entry_columns
     vp, hp, _, _ = t.pair_domains()
-    ncols = pairs.system[1]
-    where = _entry_columns(t, pairs.system)
+    _, ncols, where = pairs.system
     if [k for k in where if k < ncols] != list(range(ncols)):
         raise InternalConsistencyError(
             "the free cocycle entries do not take the solution columns in "

@@ -166,7 +166,7 @@ def test_an_invalid_solution_in_order_raises(monkeypatch, where):
     # solution tuples and their pairs sort alike, so a solution moved in one
     # value to another tuple strictly between its neighbours keeps the order
     t, m = build_Xrs(2, 2), 3
-    rows, ncols, _, _ = cocycles._constraint_system(t)
+    rows, ncols, _ = cocycles._constraint_system(t)
     solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
     n = {"first": 0, "middle": len(solutions) // 2,
          "last": len(solutions) - 1}[where]
@@ -221,7 +221,7 @@ def test_pairs_are_counted_across_the_block_boundary(monkeypatch, fault):
     # of the second block; the validator is made to pass it, so the error
     # names the pair
     t, m, n = build_Xrs(2, 3), 2, cocycles._BLOCK
-    rows, ncols, _, _ = cocycles._constraint_system(t)
+    rows, ncols, _ = cocycles._constraint_system(t)
     solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
     bad = (_moved_in_order(t, m, solutions, n) if fault == "invalid"
            else solutions[n - 1])
@@ -243,7 +243,7 @@ def test_the_earliest_offending_pair_is_reported(monkeypatch):
     # in one block an invalid pair comes before a pair out of order, and a
     # later pair is both: the first is reported; at one pair, the order
     t, m = build_Xrs(2, 2), 3
-    rows, ncols, _, _ = cocycles._constraint_system(t)
+    rows, ncols, _ = cocycles._constraint_system(t)
     solutions = list(cocycles.solutions_mod_m(rows, ncols, m)[1])
     invalid = _moved_in_order(t, m, solutions, 3)
 

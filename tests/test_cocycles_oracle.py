@@ -12,7 +12,8 @@ the same failures (rule, witness and order), raise the same
 The solver's solutions must solve the system, strictly increase, and number
 what the Smith diagonal counts.  The block check that decides each
 enumerated pair, one solution per lane, must flag exactly the solutions
-whose pairs the validator fails, with one failing row per failing tuple.
+whose pairs the validator fails, with one failing system row per failing
+tuple and each distinct row decided once.
 
 ``count_modulo_gauge`` counts classes as |Z| |ker G| / m**|free| from two
 Smith forms.  Its oracle is the orbit sweep it replaced, which enumerates
@@ -243,7 +244,7 @@ def _assert_same(t, cp):
 def _solutions(name, m):
     """The compared solutions: every solution up to COMPARED of them, else
     an evenly spaced selection that keeps the first and the last."""
-    rows, ncols, _, _ = _constraint_system(INSTANCES[name])
+    rows, ncols, _ = _constraint_system(INSTANCES[name])
     count, solutions = solutions_mod_m(rows, ncols, m)
     stride = -(-count // COMPARED)
     keep = set(range(0, count, stride)) | {count - 1}
@@ -253,14 +254,10 @@ def _solutions(name, m):
 def _pair_of(t, m, sol):
     """The pair whose free entries are the solution's values, in the
     order of the constraint system's columns."""
-    vp, hp, _, _ = t.pair_domains()
-    _, _, svars, tvars = _constraint_system(t)
-    sigma, tau = [0] * len(vp), [0] * len(hp)
-    for k, i in enumerate(svars):
-        sigma[i] = sol[k]
-    for k, j in enumerate(tvars):
-        tau[j] = sol[len(svars) + k]
-    return CocyclePair(m, tuple(sigma), tuple(tau))
+    nv = len(t.pair_domains()[0])
+    _, ncols, where = _constraint_system(t)
+    entries = [sol[k] if k < ncols else 0 for k in where]
+    return CocyclePair(m, tuple(entries[:nv]), tuple(entries[nv:]))
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +265,7 @@ def _pairs(name, m):
     """The pairs of the compared solutions; enumerated whole when they are
     all compared."""
     t = INSTANCES[name]
-    rows, ncols, _, _ = _constraint_system(t)
+    rows, ncols, _ = _constraint_system(t)
     if solutions_mod_m(rows, ncols, m)[0] <= COMPARED:
         return tuple(enumerate_cocycle_pairs(t, m))
     return tuple(_pair_of(t, m, sol) for sol in _solutions(name, m))
@@ -339,12 +336,24 @@ def _single_column_corruptions(sol, m):
             yield sol[:c] + ((sol[c] + shift) % m,) + sol[c + 1:]
 
 
+def _distinct(rows):
+    """The distinct rows, each once, in the order of its first occurrence."""
+    distinct = []
+    for row in rows:
+        if row not in distinct:
+            distinct.append(row)
+    return distinct
+
+
 def _flag_corruptions(t, m, solutions):
     """Three solutions in a block, one of them corrupted in one column: the
     block check flags that lane, and only it, exactly when the validator
     fails its pair, and as many rule rows fail there as the validator
-    reports failing tuples.  Returns how many corruptions failed."""
-    check = _BlockCheck(t, m, _constraint_system(t))
+    reports failing tuples, each distinct one once.  Returns how many
+    corruptions failed."""
+    system = _constraint_system(t)
+    rows = system[0]
+    check = _BlockCheck(t, m, system)
     sequence = (solutions[0], solutions[-1], solutions[len(solutions) // 2])
     for sol in sequence:
         assert validate_cocycle_pair(t, _pair_of(t, m, sol)).ok
@@ -359,9 +368,14 @@ def _flag_corruptions(t, m, solutions):
             # the validator fails its pair, on as many rule rows
             assert rules & ~top == 0
             assert bool(rules) == bool(failures)
+            # one row of the system fails per failing tuple, and the
+            # check evaluates each distinct row once
+            failed = [row for row in rows
+                      if sum(v * bad[k] for k, v in row.items()) % m]
+            assert len(failed) == len(failures)
             columns, _ = check._columns(block)
-            assert sum(bool(f & top) for f in
-                       check._failing(columns, check.rules)) == len(failures)
+            assert sum(bool(f & top) for f in check._failing(
+                columns, check.rules)) == len(_distinct(failed))
             # a pair that passes every rule passes every symmetry row
             assert not symmetry & ~rules
             failing += bool(failures)
@@ -377,6 +391,19 @@ def test_residual_sweep_flags_exactly_the_failing_pair(name, m):
     t = INSTANCES[name]
     failing = _flag_corruptions(t, m, _solutions(name, m))
     assert failing or not _constraint_system(t)[1]
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("name", NAMES)
+def test_block_check_rules_are_the_distinct_system_rows(name, m):
+    """The check compiles its rules from the constraint system: each
+    distinct row once, in the order of its first occurrence, with every
+    column repeated as often as its coefficient."""
+    t = INSTANCES[name]
+    system = _constraint_system(t)
+    rules = [sparse_row([(c, 1) for c in pos] + [(c, -1) for c in neg])
+             for _, pos, neg, _ in _BlockCheck(t, m, system).rules]
+    assert rules == _distinct(system[0])
 
 
 # 1, where every value is 0; composite 4 and 6; and two moduli whose lanes
@@ -395,7 +422,7 @@ def test_block_check_at_edge_moduli(name, m):
     passes each of its pairs, and corruptions are flagged as at m = 2, 3."""
     t = INSTANCES[name]
     system = _constraint_system(t)
-    rows, ncols, _, _ = system
+    rows, ncols, _ = system
     prefix = tuple(itertools.islice(solutions_mod_m(rows, ncols, m)[1],
                                     2 * _BLOCK + 1))
     check = _BlockCheck(t, m, system)
@@ -481,8 +508,9 @@ def test_symmetry_check_raises_on_a_broken_table(side):
                        match=f"{side} symmetry") as raised:
         validate_cocycle_pair(t, cp)
     system = _constraint_system(t)
-    _, _, svars, tvars = system
-    sol = tuple(cp.sigma[i] for i in svars) + tuple(cp.tau[j] for j in tvars)
+    _, ncols, where = system
+    entries = cp.sigma + cp.tau
+    sol = tuple(entries[where.index(k)] for k in range(ncols))
     with pytest.raises(InternalConsistencyError, match=str(raised.value)):
         _BlockCheck(t, 2, system).walk([sol])
 
@@ -496,11 +524,19 @@ def test_constraint_system_matches_oracle(name, m):
     """The rows are integral and serve every modulus; at each m they vanish
     on the free entries of every unit gauge's coboundary."""
     t = INSTANCES[name]
-    got = _constraint_system(t)
-    want = oracle_constraint_system(t)
-    assert got == want
-    assert [list(row) for row in got[0]] == [list(row) for row in want[0]]
-    rows, _, svars, tvars = got
+    rows, ncols, where = _constraint_system(t)
+    want_rows, want_ncols, svars, tvars = oracle_constraint_system(t)
+    assert (rows, ncols) == (want_rows, want_ncols)
+    assert [list(row) for row in rows] == [list(row) for row in want_rows]
+    # the column of each sigma entry, then of each tau entry, as the
+    # oracle numbers them; ncols where normalization forces the entry
+    vp, hp, _, _ = t.pair_domains()
+    assert len(where) == len(vp) + len(hp)
+    for i in range(len(vp)):
+        assert where[i] == (svars.index(i) if i in svars else ncols)
+    for j in range(len(hp)):
+        assert where[len(vp) + j] == (len(svars) + tvars.index(j)
+                                      if j in tvars else ncols)
     for moved in _unit_gauge_moves(t, m):
         x = [moved.sigma[i] for i in svars] + [moved.tau[j] for j in tvars]
         assert all(sum(v * x[k] for k, v in row.items()) % m == 0 for row in rows)
@@ -514,7 +550,7 @@ def test_solutions_match_oracle(name, m):
     diagonal d_k gives, m**(ncols - r) times the product of gcd(d_k, m).
     Where they are all, that is the solution set: that many distinct
     solutions leave none out."""
-    rows, ncols, _, _ = _constraint_system(INSTANCES[name])
+    rows, ncols, _ = _constraint_system(INSTANCES[name])
     count, solutions = solutions_mod_m(rows, ncols, m)
     first = list(itertools.islice(solutions, COMPARED))
     assert len(first) == min(count, COMPARED)

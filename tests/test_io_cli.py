@@ -463,7 +463,7 @@ def test_solutions_mod_m_hold_one_solution_at_a_time():
     # x23's constraint system has 1,024 solutions mod 2 and 59,049 mod 3;
     # held whole, those mod 3 would take tens of megabytes
     t = dio.load_path(CORPUS / "x23.json").payload
-    rows, ncols, _, _ = _constraint_system(t)
+    rows, ncols, _ = _constraint_system(t)
     peaks = {}
     for m, count in ((2, 1024), (3, 59049)):
         tracemalloc.start()
@@ -495,20 +495,16 @@ def test_cli_enumerate_refuses_holes_out_of_column_order(monkeypatch,
     # the texts fill the template's holes with the solution columns in
     # turn; a map whose free entries take them in another order must stop
     # the command before it writes.  The check walk reads the map first,
-    # so it is swapped only once enumerate_cocycle_pairs has returned.
+    # so two of its entries are swapped only once enumerate_cocycle_pairs
+    # has returned.
     from dgq import cocycles
-    entry_columns = cocycles._entry_columns
     enumerate_pairs = cocycles.enumerate_cocycle_pairs
-
-    def swapped(t, system):
-        where = entry_columns(t, system)
-        i, j = where.index(0), where.index(1)
-        where[i], where[j] = 1, 0
-        return where
 
     def enumerate_then_swap(*args):
         pairs = enumerate_pairs(*args)
-        monkeypatch.setattr(cocycles, "_entry_columns", swapped)
+        where = pairs.system[2]
+        i, j = where.index(0), where.index(1)
+        where[i], where[j] = 1, 0
         return pairs
     monkeypatch.setattr(cocycles, "enumerate_cocycle_pairs",
                         enumerate_then_swap)

@@ -72,3 +72,12 @@ def test_the_double_groupoid_axioms_are_checked_behind_double():
             ("double.py", "cocycle_identities")} <= found
     assert {c for c in found if c[0] != "double.py"} == {
         ("cli.py", "cmd_validate"), ("cli.py", "cmd_vacant")}
+
+
+def test_the_identities_are_compiled_once():
+    """The cocycle and compatibility identities become linear forms in one
+    place: ``_identity_forms`` is called only by
+    ``cocycles._constraint_system``, whose rows, column count and column
+    map the solver, the block check, the writer and the gauge map read."""
+    assert _callers("_identity_forms") == {
+        ("cocycles.py", "_constraint_system")}
