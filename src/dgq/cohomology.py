@@ -21,18 +21,17 @@ Two degeneracy conventions are implemented:
 The total differential uses the sign trick: the vertical component out of
 bidegree (r, s) carries (-1)**s.
 
-The cohomology of a groupoid is that of its vertex groups, and a group's
-complex needs no nerve: with k non-identity elements, C^n has the k^n
-n-tuples of them as cells, numbered by their base-k digits, which is the
-lexicographic order of :func:`nerve`.  Each differential is built from the
-one before and dropped once reduced.  Over F_2 and F_3 the rank of d_n is
-taken on its coface rows, one per cell of C^n, wherever their C^(n+1)
-columns fit the plane rows of :mod:`dgq.linalg`; past that, and over F_p
-for p >= 5, on its face rows, one per cell of C^(n+1).  Over Z a group of
-squarefree order needs only the ranks of d_n over F_p for the primes of
-its order, taken on rows laid out as for F_3, or F_2 where 3 does not
-divide the order; a group whose order a square divides takes the Smith
-form of the face rows.
+The cohomology of a groupoid is that of its vertex groups.  Over F_p a
+group's is read from a free F_pG-resolution built greedily: F_0 = F_pG over
+the augmentation, and each next F_(n+1) has one generator per kernel vector
+of d_n whose G-translates were still needed to span that kernel.  The
+cochains Hom_G(F_n, F_p) have one cell per generator, and the coboundary
+sums each generator's image coefficients over G.  Over Z a group of
+squarefree order takes its torsion from those F_q dimensions, for the
+primes q of its order; a group whose order a square divides takes the Smith
+form of its normalized bar complex, whose C^n has the k^n n-tuples of the k
+non-identity elements as cells, numbered by their base-k digits, the
+lexicographic order of :func:`nerve`.
 """
 
 from __future__ import annotations
@@ -46,10 +45,10 @@ from .fields import _is_prime
 from .groupoids import Groupoid, connected_decomposition, one_object_group
 # nullity_fp and rank_z are not called here but stay importable from this
 # module, next to rank_fp and elementary_divisors, whose counterparts they are
-from .linalg import (SubquotientFp, _on_planes,  # noqa: F401
+from .linalg import (SubquotientFp, _echelon_fp,  # noqa: F401
                      elementary_divisors, invariant_factors, is_zero_matrix,
                      matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
-                     squarefree_primes, transpose)
+                     sparse_row, squarefree_primes, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 # the largest tuple or grid basis a complex is built on; a larger one raises
@@ -182,11 +181,10 @@ def _cohomology(mats, dims, coefficients) -> list:
     an iterator, so that each differential is dropped once reduced.
 
     A differential comes as face rows, one per cell of C^(n+1) with entries
-    at C^n, or over F_p also as coface rows, their transpose: its rank is
-    the same.  Each matrix with a nonzero entry is reduced once: one rank
-    over F_p, or one Smith form of the face rows over Z, whose length is the
-    rank of d_n and whose entries above 1 are the torsion of H^(n+1).  A
-    matrix with no nonzero entry has rank 0."""
+    at C^n.  Each matrix with a nonzero entry is reduced once: one rank over
+    F_p, or one Smith form over Z, whose length is the rank of d_n and whose
+    entries above 1 are the torsion of H^(n+1).  A matrix with no nonzero
+    entry has rank 0."""
     p = _field(coefficients)
     if p is None:
         groups, prev = [], []
@@ -211,74 +209,112 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     Cohomology with constant coefficients is invariant under equivalence,
     and a groupoid is equivalent to the disjoint union of the vertex groups
     of its components.  So H^n(g) is the direct sum over the components of
-    H^n of the vertex group, whose bar complex is reduced once per distinct
-    vertex table: F_p dimensions and Z ranks add, and Z torsion is merged
-    into invariant factors.  A vertex group with k non-identity elements
-    has k^n cells in degree n; if any degree up to n_max + 1 of any vertex
-    group would exceed the budget, a resource error names the first such
-    degree before any row is built.
-
-    Over Z a vertex group whose order is squarefree is reduced by
-    :func:`_integral_from_ranks`, from ranks over F_p for the primes of its
-    order; the Smith form runs only for an order that a square divides."""
+    H^n of the vertex group, computed once per distinct vertex table: F_p
+    dimensions and Z ranks add, and Z torsion is merged into invariant
+    factors.  A vertex group with k non-identity elements has k^n bar cells
+    in degree n; if any degree up to n_max + 1 of any vertex group would
+    exceed the budget, a resource error names the first such degree before
+    any row is built.  Over F_p, and over Z at a squarefree order, a vertex
+    group goes through :func:`_resolution_cohomology`; the bar complex and
+    its Smith form run only over Z at an order that a square divides."""
     p = _field(coefficients)
     if n_max < 0:
         raise StructureError("degree must be nonnegative")
     keys = [tuple(map(tuple, comp.vertex_table))
             for comp in connected_decomposition(g)]
     tables = dict.fromkeys(keys)
+    for n in range(n_max + 2):
+        if any((len(key) - 1) ** n > budget for key in tables):
+            raise ResourceBudgetError(
+                f"degree {n} basis exceeds the budget {budget}")
     for key in tables:
-        for n in range(n_max + 2):
-            if (len(key) - 1) ** n > budget:
-                raise ResourceBudgetError(
-                    f"degree {n} basis exceeds the budget {budget}")
-    for key in tables:
-        group = one_object_group(key)
-        dims = [(len(key) - 1) ** n for n in range(n_max + 1)]
-        primes = None if p else squarefree_primes(len(key))
-        if primes is None:
-            tables[key] = _cohomology(_bar_differentials(group, n_max, p),
-                                      dims, coefficients)
+        if p:
+            tables[key] = _resolution_cohomology(key, n_max, p, budget)
+        elif (primes := squarefree_primes(len(key))) is not None:
+            tables[key] = _integral_from_fp(key, n_max, primes, budget)
         else:
-            # the rows are laid out for the planes of F_3 where 3 divides
-            # the order, which then also fit those of F_2
-            planes = max((q for q in primes if q < 5), default=None)
-            tables[key] = _integral_from_ranks(
-                _bar_differentials(group, n_max, planes), dims, primes)
+            tables[key] = _cohomology(
+                _bar_differentials(one_object_group(key), n_max),
+                [(len(key) - 1) ** n for n in range(n_max + 1)], "Z")
     return CohomologyReport("Z" if p is None else f"F{p}",
                             [_direct_sum(summands) for summands in
                              zip(*(tables[key] for key in keys))])
 
 
-def _integral_from_ranks(mats, dims, primes) -> list:
-    """H^0..H^N over Z, as :func:`_cohomology` gives them, of the bar
-    complex of a group whose order is the product of the distinct
-    ``primes``, with no Smith form: the local Smith form of Dumas, Saunders
-    and Villard (J. Symbolic Comput. 32, 2001) with its primes known.
+def _resolution_cohomology(table, n_max: int, p: int, budget: int) -> list:
+    """H^0..H^n_max over F_p of the group with Cayley table ``table``, from
+    a free F_pG-resolution F_n = (F_pG)^(r_n) built greedily (Brown,
+    *Cohomology of Groups*, I.2-I.5; Ellis, J. Symbolic Comput. 38, 2004).
 
-    |G| kills H^n(G; Z) for n >= 1, and H^n(G; Q) = 0 there (Brown,
-    *Cohomology of Groups*, III.10).  So rank_Q d_n = dim C^n -
-    rank_Q d_(n-1), with rank_Q d_0 = 0, and every elementary divisor of
-    d_n divides |G|, so no square divides it: p divides the last
-    t_p = rank_Q d_n - rank_Fp d_n of the rank_Q divisors, and each divisor
-    is the product of the primes that divide it.  A t_p outside
-    0..rank_Q d_n raises."""
-    groups, prev, rank_q = [], [], 0
-    for n, (m, dim) in enumerate(zip(mats, dims)):
-        rank_q = dim - rank_q if n else 0
-        divisors = [1] * rank_q
-        for q in primes:
-            t = rank_q - (rank_fp(m, q) if any(m) else 0)
-            if not 0 <= t <= rank_q:
+    The cell i |G| + h of F_n is h times its i-th generator, and g moves it
+    to i |G| + g h; F_0 = F_pG maps onto F_p by the augmentation.  The basis
+    vectors of ker d_n are walked in order: one outside the span so far
+    becomes a generator of F_(n+1), which d_(n+1) maps to it, and its
+    translates join the span until that is the kernel.  A G-map F_n -> F_p
+    is its values on the r_n generators, so the coboundary is r_(n+1) x r_n:
+    at a generator, its image's coefficients summed over G.
+
+    |G| r_n is checked against the budget before each kernel is taken.
+    d_(n-1) d_n must be 0 mod p on every cell, so that the translates lie
+    in the kernel, and their span must reach the kernel's dimension."""
+    order = len(table)
+    images, below = [{0: 1}] * order, 1     # the augmentation, on F_0
+    ranks, coboundaries = [1], []
+    for n in range(n_max + 1):
+        dim = order * ranks[n]
+        if dim > budget:
+            raise ResourceBudgetError(
+                f"degree {n} of the resolution exceeds the budget {budget}")
+        kernel = nullspace_fp(transpose(images, below), dim, p)
+        span, gens = _echelon_fp(p, dim), []
+        for v in kernel:
+            if len(span.rows) == len(kernel):
+                break
+            if span.add(v):
+                gens.append(v)
+                for h in table:
+                    if len(span.rows) == len(kernel):
+                        break
+                    span.add(_translate(v, h, order))
+        if len(span.rows) != len(kernel):
+            raise InternalConsistencyError(
+                f"the translates of the generators of F_{n + 1} span "
+                f"{len(span.rows)} dimensions of a kernel of {len(kernel)}")
+        new = [_translate(v, h, order) for v in gens for h in table]
+        if any(v % p for row in matmul(new, images) for v in row.values()):
+            raise InternalConsistencyError(f"d_{n} d_{n + 1} is not 0 mod {p}")
+        coboundaries.append([sparse_row((c // order, x) for c, x in v.items())
+                             for v in gens])
+        ranks.append(len(gens))
+        images, below = new, dim
+    return _cohomology(coboundaries, ranks, ("Fp", p))
+
+
+def _translate(v, h, order: int) -> dict[int, int]:
+    """g v, where ``h`` is g's row of the Cayley table."""
+    return {c - c % order + h[c % order]: x for c, x in v.items()}
+
+
+def _integral_from_fp(table, n_max: int, primes, budget: int) -> list:
+    """H^0..H^n_max over Z, as :func:`_cohomology` gives them, of a group
+    whose order is the product of the distinct ``primes``.  For n >= 1
+    |G| kills H^n(G; Z), whose q-part embeds in that of a Sylow q-subgroup,
+    of order q (Brown, III.10): H^n(G; Z) is the sum over q of (Z/q)^(t_n).
+    By universal coefficients dim H^n(G; F_q) = t_n + t_(n+1), with t_1 = 0
+    as H^1(G; Z) = Hom(G, Z) = 0.  A negative t_n raises."""
+    torsion = [[] for _ in range(n_max + 1)]
+    for q in primes:
+        t = 0
+        for n, grp in enumerate(
+                _resolution_cohomology(table, n_max, q, budget)[1:], 1):
+            torsion[n] += [q] * t
+            t = grp.dim - t
+            if t < 0:
                 raise InternalConsistencyError(
-                    f"d_{n} has rank {rank_q} over Q and {rank_q - t} over "
-                    f"F_{q}")
-            for i in range(rank_q - t, rank_q):
-                divisors[i] *= q
-        groups.append(ZGroup(dim - rank_q - len(prev),
-                             tuple(d for d in prev if d > 1)))
-        prev = invariant_factors(divisors)
-    return groups
+                    f"t_{n + 1} = {t} over F_{q}: dim H^{n} below t_{n}")
+    return [ZGroup(1, ())] + [
+        ZGroup(0, tuple(d for d in invariant_factors(ts) if d > 1))
+        for ts in torsion[1:]]
 
 
 def _direct_sum(summands):
@@ -302,90 +338,54 @@ def _digit_table(g: Groupoid) -> list[list[int | None]]:
     return [[digit.get(g.compose[x][y]) for y in elems] for x in elems]
 
 
-def _bar_differentials(g: Groupoid, n_max: int, p):
+def _bar_differentials(g: Groupoid, n_max: int):
     """d_0..d_n_max of the normalized bar complex of the one-object groupoid
-    ``g``, one degree at a time, each built from the one before by
-    :func:`_bar_rows`.  At ``p`` = 2 or 3 a differential comes as coface
-    rows where :func:`linalg._on_planes` fits its C^(n+1) columns over F_p,
-    else as face rows; at p None or p >= 5 always as face rows.  Nothing
-    but the last differential is kept, so a consumer that drops each one
-    once reduced holds at most two degrees' rows."""
+    ``g`` as face rows, each built from the one before by :func:`_bar_rows`
+    and the only one kept: a consumer holds at most two degrees' rows."""
     mul = _digit_table(g)
-    k = len(mul)
-    rows, cofaces = None, False
+    rows = None
     for n in range(n_max + 1):
-        want = p is not None and _on_planes(p, k ** (n + 1))
-        if rows is not None and want != cofaces:
-            # d_(n-1) in the orientation that d_n is built from
-            rows = transpose(rows, k ** (n if cofaces else n - 1))
-        cofaces = want
-        rows = _bar_rows(mul, n, rows, cofaces)
+        rows = _bar_rows(mul, n, rows)
         yield rows
 
 
-def _bar_rows(mul, n: int, prev, cofaces: bool) -> list[dict[int, int]]:
-    """The rows of d_n: C^n -> C^(n+1) of the normalized bar complex of the
-    group whose product on digits is ``mul`` (see :func:`_digit_table`),
-    from ``prev``, the rows of d_(n-1) in the same orientation (unused at
-    n = 0).
+def _bar_rows(mul, n: int, prev) -> list[dict[int, int]]:
+    """The face rows of d_n: C^n -> C^(n+1) of the normalized bar complex
+    of the group whose product on digits is ``mul`` (:func:`_digit_table`),
+    from ``prev``, the rows of d_(n-1) (unused at n = 0).
 
     With k non-identity elements, the cells of C^n are the k^n n-tuples of
     them, numbered by their base-k digits: the lexicographic order of
     :func:`nerve`, so the cell (J, f) of C^(n+1), J in C^n, is J k + f.
-    Face rows are one per cell of C^(n+1), with entries at C^n, as the
-    full-nerve differential of the group reads them; coface rows are their
-    transpose, one per cell of C^n.  At n = 0 the one object is both faces
-    of every cell, so every row is empty.
+    There is one row per cell of C^(n+1), with entries at C^n, as the
+    full-nerve differential of the group reads them.  At n = 0 the one
+    object is both faces of every cell, so every row is empty.
 
     For n >= 1 the faces of (J, f) are the faces of J other than its last,
     J // k, each with f appended; the cell composing J's last element with
     f, with the sign (-1)^n, unless that product is the identity; and J,
     with the sign (-1)^(n+1).  The faces of J other than its last are its
-    row of d_(n-1) less the (-1)^n there at J // k; transposed, the cofaces
-    of a cell a other than those it is the last face of are its coface row
-    less the (-1)^n at each a k + g.  No two faces of a cell meet but the
-    last and one of those appended, so that sum is the only one that can
-    cancel."""
+    row of d_(n-1) less the (-1)^n there at J // k.  No two faces of a cell
+    meet but the last and one of those appended, so that sum is the only
+    one that can cancel."""
     k = len(mul)
     if n == 0:
-        return [{} for _ in range(1 if cofaces else k)]
+        return [{} for _ in range(k)]
     s = -1 if n % 2 else 1
     # every row takes its columns from one list of ints, not from an int
-    # object of its own per entry: a third of the memory of face rows
-    cells = list(range(k ** (n + 1 if cofaces else n)))
+    # object of its own per entry: a third of the memory of the rows
+    cells = list(range(k ** n))
     out = []
-    if not cofaces:
-        for j, row in enumerate(prev):
-            faces = dict(row)
-            _add(faces, j // k, -s)
-            shifted = [(c * k, v) for c, v in faces.items()]
-            head = j // k * k
-            for f, m in enumerate(mul[j % k]):
-                r = {cells[c + f]: v for c, v in shifted}
-                if m is not None:
-                    r[cells[head + m]] = s
-                _add(r, cells[j], -s)
-                out.append(r)
-        return out
-    # the cells (x, f) of C^2 whose product is y, as x k + f, for each y
-    composing = [[] for _ in range(k)]
-    for x, products in enumerate(mul):
-        for f, m in enumerate(products):
+    for j, row in enumerate(prev):
+        faces = dict(row)
+        _add(faces, j // k, -s)
+        shifted = [(c * k, v) for c, v in faces.items()]
+        head = j // k * k
+        for f, m in enumerate(mul[j % k]):
+            r = {cells[c + f]: v for c, v in shifted}
             if m is not None:
-                composing[m].append(x * k + f)
-    for a, row in enumerate(prev):
-        cofaces_of_a = dict(row)
-        for c in range(a * k, a * k + k):
-            _add(cofaces_of_a, c, -s)
-        shifted = [(c * k, v) for c, v in cofaces_of_a.items()]
-        head = a * k * k
-        for y in range(k):
-            r = {cells[c + y]: v for c, v in shifted}
-            for c in composing[y]:
-                r[cells[head + c]] = s
-            last = (a * k + y) * k
-            for c in cells[last:last + k]:
-                _add(r, c, -s)
+                r[cells[head + m]] = s
+            _add(r, cells[j], -s)
             out.append(r)
     return out
 

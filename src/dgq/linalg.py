@@ -231,7 +231,6 @@ class _Echelon:
 # Bytes that the plane rows of one elimination may take.  A stored plane row
 # is dense up to its pivot, so an elimination on ``ncols`` columns stores at
 # most ``planes * ncols**2 / 16`` bytes; past this bound it takes dict rows.
-# 64 MB keeps S3's bar differentials on planes up to degree 6 at p = 3.
 _PLANE_STORE = 1 << 26
 
 

@@ -164,11 +164,11 @@ def test_degree_budget_guard():
 def test_budget_is_checked_before_any_row_is_built(monkeypatch):
     """k^n is known up front: Z/2 (k = 1) fits any budget, S3 (k = 5) has
     125 cells in degree 3, so with a budget of 100 the union raises before
-    either vertex group builds a row.  Within the budget, each distinct
-    vertex group is built once."""
+    either vertex group builds a resolution.  Within the budget, each
+    distinct vertex group is resolved once."""
     from dgq.errors import ResourceBudgetError
     from dgq.groupoids import disjoint_union
-    calls = _count_calls(monkeypatch, ["_bar_rows"])
+    calls = _count_calls(monkeypatch, ["_resolution_cohomology"])
     z2 = one_object_group(cyclic_table(2))
     g = disjoint_union(disjoint_union(
         z2, one_object_group(symmetric_table(3)[0])), z2)
@@ -176,11 +176,45 @@ def test_budget_is_checked_before_any_row_is_built(monkeypatch):
         with pytest.raises(ResourceBudgetError,
                            match="^degree 3 basis exceeds the budget 100$"):
             groupoid_cohomology(g, top, ("Fp", 2), budget=100)
-    assert calls["_bar_rows"] == []
-    # at a budget of 125, degree 3 fits: d_0..d_2 of each group are built
+    assert calls["_resolution_cohomology"] == []
+    # at a budget of 125, degree 3 fits: each group is resolved to degree 2
     assert [grp.dim for grp in groupoid_cohomology(
         g, 2, ("Fp", 2), budget=125).groups] == [3, 3, 3]
-    assert [n for _, n, *_ in calls["_bar_rows"]] == [0, 1, 2] * 2
+    assert [(len(table), n, p) for table, n, p, _ in
+            calls["_resolution_cohomology"]] == [(2, 2, 2), (6, 2, 2)]
+
+
+@pytest.mark.parametrize("first", ("S3", "C11"))
+def test_budget_error_names_the_first_degree_over_all_vertex_groups(first):
+    """At a budget of 99, C_11 (k = 10) is over it in degree 2 and S3
+    (k = 5) in degree 3: degree 2 is named whichever comes first."""
+    from dgq.errors import ResourceBudgetError
+    from dgq.groupoids import disjoint_union
+    groups = {"S3": one_object_group(symmetric_table(3)[0]),
+              "C11": one_object_group(cyclic_table(11))}
+    second = "C11" if first == "S3" else "S3"
+    g = disjoint_union(groups[first], groups[second])
+    with pytest.raises(ResourceBudgetError,
+                       match="^degree 2 basis exceeds the budget 99$"):
+        groupoid_cohomology(g, 2, ("Fp", 2), budget=99)
+
+
+@pytest.mark.parametrize("coefficients", (("Fp", 2), ("Fp", 3), "Z"))
+def test_resolution_checks_the_budget_before_each_kernel(monkeypatch,
+                                                         coefficients):
+    """S3 to degree 0 needs 5 bar cells, within a budget of 5, but its
+    resolution starts from F_0 = F_pG, of |G| = 6 cells: the budget is
+    checked before the kernel of the augmentation is taken."""
+    from dgq.errors import ResourceBudgetError
+    calls = _count_calls(monkeypatch, ["nullspace_fp"])
+    s3 = ROUTE_CASES["s3_group"]
+    with pytest.raises(ResourceBudgetError,
+                       match="^degree 0 of the resolution exceeds the budget "
+                             "5$"):
+        groupoid_cohomology(s3, 0, coefficients, budget=5)
+    assert calls["nullspace_fp"] == []
+    assert [grp.dim for grp in groupoid_cohomology(
+        s3, 0, ("Fp", 2), budget=6).groups] == [1]
 
 
 def test_cli_refuses_a_degree_past_the_budget_at_once(capsys):
@@ -270,11 +304,11 @@ def _vertex_groups():
 VERTEX_GROUPS = _vertex_groups()
 
 
-def _rows_by_degree(g, top, cofaces):
+def _rows_by_degree(g, top):
     mul = coh._digit_table(g)
     rows = None
     for n in range(top + 1):
-        rows = coh._bar_rows(mul, n, rows, cofaces)
+        rows = coh._bar_rows(mul, n, rows)
         yield n, rows
 
 
@@ -290,24 +324,20 @@ def test_vertex_groups_cover_the_corpus():
 
 @pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
 def test_digit_rows_match_the_nerve_rows(name):
-    """Face rows are ``differential_matrix``; coface rows its transpose."""
+    """The face rows by digits are ``differential_matrix``, and
+    ``_bar_differentials`` yields them."""
     g = VERTEX_GROUPS[name]
-    for (n, face), (_, coface) in zip(_rows_by_degree(g, 4, False),
-                                      _rows_by_degree(g, 4, True)):
-        expected = differential_matrix(g, n)
-        assert face == expected, n
-        assert coface == linalg.transpose(expected, len(nerve(g, n))), n
+    for (n, face), yielded in zip(_rows_by_degree(g, 4),
+                                  coh._bar_differentials(g, 4)):
+        assert face == yielded == differential_matrix(g, n), n
         assert all(v for row in face for v in row.values())
 
 
 def test_digit_rows_cancel():
     """The rows of ``test_one_pass_rows_cancel``: on Z/2 the degree-1 row
-    of (a, a) holds a 2 and the degree-2 row of (a, a, a) is empty, in both
-    orientations."""
+    of (a, a) holds a 2 and the degree-2 row of (a, a, a) is empty."""
     z2 = one_object_group(cyclic_table(2))
-    for cofaces in (False, True):
-        rows = dict(_rows_by_degree(z2, 2, cofaces))
-        assert rows == {0: [{}], 1: [{0: 2}], 2: [{}]}
+    assert dict(_rows_by_degree(z2, 2)) == {0: [{}], 1: [{0: 2}], 2: [{}]}
 
 
 @pytest.mark.parametrize("store,p,expected", [
@@ -319,20 +349,17 @@ def test_digit_rows_cancel():
     (None, 5, [False] * 5), (None, None, [False] * 5)])
 def test_bar_differentials_switch_to_face_rows_past_the_plane_store(
         store, p, expected):
-    """Each differential of S3 comes as coface rows where its C^(n+1)
-    columns fit the plane store over F_2 and F_3, else as face rows, and
-    always as face rows over F_5 and Z; a switch transposes the rows that
-    the next degree starts from."""
+    """The bar route serves only Z and takes face rows at every plane
+    store: the transposes of S3's d_0..d_4, whose C^(n+1) columns fit the
+    plane store over F_2 and F_3 where ``expected`` says, are not built."""
     s3 = ROUTE_CASES["s3_group"]
     with mock.patch.object(linalg, "_PLANE_STORE",
                            linalg._PLANE_STORE if store is None else store):
-        mats = list(coh._bar_differentials(s3, 4, p))
-    got = []
-    for n, m in enumerate(mats):
-        d_n = differential_matrix(s3, n)
-        got.append(m != d_n)
-        assert m == (linalg.transpose(d_n, 5 ** n) if got[-1] else d_n), n
-    assert got == expected
+        fits = [p is not None and linalg._on_planes(p, 5 ** (n + 1))
+                for n in range(5)]
+        mats = list(coh._bar_differentials(s3, 4))
+    assert fits == expected
+    assert mats == [differential_matrix(s3, n) for n in range(5)]
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -346,6 +373,59 @@ def test_s3_face_rows_over_f2_and_f3_agree_with_the_full_nerve(p):
                                          else [1, 0, 0, 1, 1])
 
 
+# -- the free resolution against the bar complex -----------------------------
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
+def test_resolution_agrees_with_the_digit_bar_route(name):
+    g = VERTEX_GROUPS[name]
+    table = tuple(map(tuple, g.compose))
+    k = g.n_arrows - 1
+    for p in (2, 3, 5):
+        bar = _cohomology(coh._bar_differentials(g, 4),
+                          [k ** n for n in range(5)], ("Fp", p))
+        assert coh._resolution_cohomology(table, 4, p, coh.BUDGET) == bar, p
+
+
+@pytest.mark.parametrize("p,expected", [
+    # the Poincare series (1 + t^2) / ((1 - t)(1 - t^3)) of H^*(S_4; F_2)
+    (2, [1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7]),
+    (3, [1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0])])
+def test_s4_to_degree_10(p, expected):
+    """S_4's bar complex has 23^10 cells in degree 10, past any budget; its
+    resolution has at most 336 cells in a degree."""
+    s4 = tuple(map(tuple, symmetric_table(4)[0]))
+    assert [grp.dim for grp in coh._resolution_cohomology(
+        s4, 10, p, coh.BUDGET)] == expected
+    if p == 2:
+        # 1 / ((1 - t)(1 - t^3)) has n // 3 + 1 at t^n
+        assert expected == [n // 3 + 1 + (n - 2) // 3 + 1 if n >= 2 else 1
+                            for n in range(11)]
+
+
+def test_resolution_checks_its_kernels(monkeypatch):
+    """A kernel vector that d_n does not kill fails d_(n-1) d_n = 0, and a
+    kernel basis that is not independent leaves the span of the translates
+    short of its length."""
+    s3 = tuple(map(tuple, symmetric_table(3)[0]))
+    real = linalg.nullspace_fp
+
+    def off(rows, ncols, p):
+        kernel = real(rows, ncols, p)
+        return [{**kernel[0], ncols - 1: kernel[0].get(ncols - 1, 0) + 1},
+                *kernel[1:]] if kernel else kernel
+
+    def repeated(rows, ncols, p):
+        kernel = real(rows, ncols, p)
+        return kernel + kernel[:1]
+    for fake, match in ((off, "^d_0 d_1 is not 0 mod 2$"),
+                        (repeated, "^the translates of the generators of "
+                                   "F_1 span 5 dimensions of a kernel of 6$")):
+        monkeypatch.setattr(coh, "nullspace_fp", fake)
+        with pytest.raises(InternalConsistencyError, match=match):
+            coh._resolution_cohomology(s3, 2, 2, coh.BUDGET)
+
+
 def _smallest_prime_not_dividing(order):
     return next(q for q in itertools.count(2)
                 if all(q % d for d in range(2, q)) and order % q)
@@ -356,22 +436,23 @@ def test_fp_ranks_on_coface_rows_count_smith_divisors(name):
     """|G| kills H^n(G; Z) for n >= 1, so every Smith divisor of d_n over Z
     divides |G|; and the rank of d_n over F_p counts the divisors that p
     does not divide, which is all of them for a prime not dividing |G|.
-    The ranks are taken on coface rows (plane rows at p = 2, 3, dict rows
-    above), the divisors on face rows over Z."""
+    The ranks are taken on the transposed rows (plane rows at p = 2, 3,
+    dict rows above), the divisors on the face rows over Z."""
     g = VERTEX_GROUPS[name]
     order = g.n_arrows
     primes = sorted({q for q in (2, 3, 5) if order % q == 0}
                     | {_smallest_prime_not_dividing(order)})
-    for (n, face), (_, coface) in zip(_rows_by_degree(g, 3, False),
-                                      _rows_by_degree(g, 3, True)):
-        divisors = linalg.elementary_divisors(face, len(nerve(g, n)))
+    for n, face in _rows_by_degree(g, 3):
+        ncols = len(nerve(g, n))
+        coface = linalg.transpose(face, ncols)
+        divisors = linalg.elementary_divisors(face, ncols)
         assert all(order % d == 0 for d in divisors), n
         for q in primes:
             rank = linalg.rank_fp(coface, q) if any(coface) else 0
             assert rank == sum(1 for d in divisors if d % q), (n, q)
 
 
-# -- integral cohomology from ranks over F_p --------------------------------
+# -- integral cohomology from dimensions over F_p ----------------------------
 
 
 def _permutation_group(*gens):
@@ -392,28 +473,31 @@ LOCAL_CASES = {
 
 @pytest.mark.parametrize("name", sorted(LOCAL_CASES))
 def test_local_ranks_agree_with_the_full_nerve_over_z(name, monkeypatch):
-    """Where the order is squarefree no Smith form runs, and the groups are
-    those of the Smith form of the whole nerve's differentials; C_4 takes
-    the Smith form."""
+    """Where the order is squarefree no Smith form runs: the groups come
+    from resolutions over F_q, and are those of the Smith form of the whole
+    nerve's differentials.  C_4 takes the Smith form and no resolution."""
     g = LOCAL_CASES[name]
     full = full_nerve_cohomology(g, Z_ORACLE_DEGREE, "Z")
-    calls = _count_calls(monkeypatch, ["elementary_divisors", "rank_fp"])
+    calls = _count_calls(monkeypatch, ["elementary_divisors", "nullspace_fp"])
     assert groupoid_cohomology(g, Z_ORACLE_DEGREE, "Z").groups == full
     squarefree = name != "C4"
-    assert bool(calls["rank_fp"]) == squarefree
+    assert bool(calls["nullspace_fp"]) == squarefree
     assert bool(calls["elementary_divisors"]) != squarefree
     assert g.n_arrows == {"s3_group": 6, "C6": 6, "D5": 10, "C4": 4}[name]
 
 
 def test_a_wrong_rank_over_fp_raises(monkeypatch):
-    """A rank over F_p above the rank over Q, or below zero, is a t_p
-    outside 0..rank_Q."""
+    """A dimension of H^1 over F_q too large or below zero makes a t_n
+    negative: t_2 = dim H^1 and t_3 = dim H^2 - t_2."""
     s3 = ROUTE_CASES["s3_group"]
-    for shift in (1, -100):
-        real = linalg.rank_fp
-        monkeypatch.setattr(coh, "rank_fp",
-                            lambda rows, p, _s=shift: real(rows, p) + _s)
-        with pytest.raises(InternalConsistencyError, match="over Q"):
+    real = coh._resolution_cohomology
+    for shift, t in ((1, "t_3 = -1"), (-100, "t_2 = -99")):
+        def shifted(*args, _s=shift):
+            groups = real(*args)
+            groups[1] = coh.FpGroup(groups[1].dim + _s)
+            return groups
+        monkeypatch.setattr(coh, "_resolution_cohomology", shifted)
+        with pytest.raises(InternalConsistencyError, match=f"^{t} over F_2"):
             groupoid_cohomology(s3, 2, "Z")
 
 
@@ -424,7 +508,7 @@ def test_no_divisor_of_s3_is_divisible_by_a_square(p):
     of divisors that p divides: it would be larger if p^2 divided one."""
     s3 = ROUTE_CASES["s3_group"]
     ts = []
-    for n, face in _rows_by_degree(s3, 4, False):
+    for n, face in _rows_by_degree(s3, 4):
         if n == 0:
             continue
         ncols = 5 ** n
@@ -697,7 +781,8 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
                                                       vacant_corpus):
     calls = _count_calls(monkeypatch, ["total_matrix", "nerve",
                                        "groupoid_cohomology",
-                                       "build_double_complex", "_bar_rows"])
+                                       "build_double_complex",
+                                       "_resolution_cohomology"])
     t = vacant_corpus["x23"]
     coh.kac_report(t, 2)
     built = [(part, n) for _, part, n in calls["total_matrix"]]
@@ -712,11 +797,9 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
     assert sorted((id(g), n) for g, n in calls["nerve"]) == sorted(
         (id(g), n) for g in (t.vert, t.horiz) for n in range(1, 5))
     # Every component of x23's three groupoids has the trivial vertex
-    # group, so each call builds d_0..d_3 of one vertex table by digits: the
-    # empty coface row of d_0, then no rows at all
-    by_digits = [(mul, n, cofaces)
-                 for mul, n, _, cofaces in calls["_bar_rows"]]
-    assert by_digits == [([], n, True) for _ in range(3) for n in range(4)]
+    # group, so each call resolves that one vertex table once, to degree 3
+    assert [args[:3] for args in calls["_resolution_cohomology"]] == [
+        (((0,),), 3, 2)] * 3
     assert len(calls["build_double_complex"]) == 1
 
 
@@ -724,13 +807,24 @@ def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
                                                    vacant_corpus):
     calls = _count_calls(monkeypatch, ["nullity_fp", "nullspace_fp",
                                        "rank_fp"])
+    built, total_matrix = [], coh.total_matrix
+
+    def recorded(*args):
+        built.append(total_matrix(*args))
+        return built[-1]
+    monkeypatch.setattr(coh, "total_matrix", recorded)
     rep = coh.kac_report(vacant_corpus["x23"], 2)
     # one nullspace out of each degree the sequence reads: 0..3 of Tot D and
     # Tot E, internal 2..3 of Tot A; the rank arithmetic takes its nullities
-    # from them.  The vertex groups of x23's three groupoids are trivial, so
-    # none of their differentials has a nonzero entry to reduce.  rank_fp
-    # serves only the 7 maps
-    assert len(calls["nullspace_fp"]) == 4 + 4 + 2
+    # from them.  No total matrix is reduced twice.  The other nullspaces
+    # are the kernels of d_0..d_3 of the three resolutions of the trivial
+    # vertex group of x23's groupoids, whose coboundaries have no nonzero
+    # entry to reduce.  rank_fp serves only the 7 maps
+    reduced = [i for rows, *_ in calls["nullspace_fp"]
+               for i, m in enumerate(built) if rows is m]
+    assert len(built) == 4 * 3
+    assert len(reduced) == len(set(reduced)) == 4 + 4 + 2
+    assert len(calls["nullspace_fp"]) == len(reduced) + 3 * 4
     assert calls["nullity_fp"] == []
     assert len(calls["rank_fp"]) == 7
     assert rep.exact

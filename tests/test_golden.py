@@ -15,7 +15,9 @@ stdout.  ``convert`` runs both ways.  ``cocycles enumerate`` runs with
 ``--m`` 2, 3, 4 and 6 on x22 and s3_matched_pair; the composite moduli pin
 the order in which non-unit pivots yield their pairs.  ``cocycles classes
 --m 2`` runs on every double groupoid and matched pair, and with ``--m 3``
-on x23 and product_s3_x21.  Left out for time: ``kac`` on product_s3_x21.
+on x23 and product_s3_x21.  ``cohomology`` runs on each groupoid to degree
+3 over F_2, F_3 and Z, and on s3_group to degree 7 over F_2 and 6 over F_3
+and Z.  Left out for time: ``kac`` on product_s3_x21.
 
 The help and usage text of the parser is pinned too, so that a change to
 the parser can be judged byte for byte: ``dgq --help``, ``dgq cocycles
@@ -87,6 +89,14 @@ def _commands():
             tag = flag[-1] if flag[0] == "--p" else "z"
             out.append((f"cohomology-{tag}-{stem}",
                         ["cohomology", path, *flag, "--degree", "3"]))
+    # s3_group further up: to degree 7 over F_2, the last whose 5^(n+1) bar
+    # cells the budget allows, and to 6 over F_3 and Z
+    for tag, flag, degree in (("2", ["--p", "2"], "7"),
+                              ("3", ["--p", "3"], "6"),
+                              ("z", ["--integral"], "6")):
+        out.append((f"cohomology-{tag}-deg{degree}-s3_group",
+                    ["cohomology", "corpus/s3_group.json", *flag, "--degree",
+                     degree]))
     return out
 
 
