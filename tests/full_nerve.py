@@ -1,6 +1,6 @@
 """The full-nerve differential of a groupoid, which the library no longer
-builds: it reaches groupoid cohomology through the vertex groups' digit
-tables.  The tests use it as an oracle and to check those tables."""
+builds: it reaches groupoid cohomology through the vertex groups.  The
+tests use it as an oracle, and to check the vertex groups' digit tables."""
 
 from dgq import cohomology as coh
 from dgq.groupoids import Groupoid

@@ -278,8 +278,8 @@ def test_vertex_groups_agree_with_the_full_nerve(name):
         assert groupoid_cohomology(g, top, coefficients).groups == full, (
             coefficients)
         if coefficients != "Z":
-            # with the plane store at 0 no coface matrix with a column fits,
-            # so F_2 and F_3 take face rows, and reduce them on dict rows
+            # with the plane store at 0 every elimination of the
+            # resolutions runs on dict rows
             with mock.patch.object(linalg, "_PLANE_STORE", 0):
                 assert groupoid_cohomology(
                     g, top, coefficients).groups == full, coefficients
