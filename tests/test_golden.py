@@ -20,9 +20,13 @@ on x23 and product_s3_x21.  ``cohomology`` runs on each groupoid to degree
 and Z.  Left out for time: ``kac`` on product_s3_x21.
 
 The help and usage text of the parser is pinned too, so that a change to
-the parser can be judged byte for byte: ``dgq --help``, ``dgq cocycles
---help``, ``dgq cocycles enumerate --help`` and one usage error, recorded
-with ``COLUMNS`` fixed.  Their stdout (help) or stderr (usage error) is in
+the parser can be judged byte for byte: the ``--help`` of ``dgq`` and of
+every command and subcommand; six usage errors (a missing required option,
+the two coefficient options together, ``--threads 0``, an unknown format
+and an unknown command); and one abbreviation that argparse accepts
+(``--deg`` for ``--degree``), whose command runs.  They are recorded with
+``COLUMNS`` fixed.  Their stdout (help, or the command's text output) or
+stderr (usage error) is in
 ``tests/golden/<name>.out`` and their exit codes in
 ``tests/golden/help.json``, with the Python version they were recorded
 under: argparse's layout changes between versions, so the bytes are
@@ -120,14 +124,27 @@ def test_machine_output_matches_golden(name, argv):
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
-# (name, argv) of each pinned help or usage text; the usage error stops
-# at the parser, so its path is never read
+# (name, argv) of each pinned help or usage text; a usage error stops at
+# the parser, so its path is never read
 HELP_COMMANDS = (
     ("help-dgq", ["--help"]),
     ("help-cocycles", ["cocycles", "--help"]),
     ("help-cocycles-enumerate", ["cocycles", "enumerate", "--help"]),
     ("usage-cocycles-enumerate-without-m",
      ["cocycles", "enumerate", "corpus/x22.json"]),
+    *((f"help-{'-'.join(words)}", [*words, "--help"]) for words in (
+        ["validate"], ["vacant"], ["convert"], ["wha"], ["wha", "build"],
+        ["wha", "verify"], ["cocycles", "classes"], ["cohomology"], ["kac"],
+        ["blocks"])),
+    ("usage-kac-without-p", ["kac", "corpus/x22.json"]),
+    ("usage-cohomology-p-and-integral",
+     ["cohomology", "corpus/s3_group.json", "--p", "2", "--integral"]),
+    ("usage-threads-0", ["--threads", "0", "blocks", "corpus/x22.json"]),
+    ("usage-format-json", ["--format", "json", "blocks", "corpus/x22.json"]),
+    ("usage-unknown-command", ["frobnicate", "corpus/x22.json"]),
+    # an abbreviation argparse accepts: the command runs and exits 0
+    ("abbrev-cohomology-deg",
+     ["cohomology", "corpus/s3_group.json", "--p", "2", "--deg", "3"]),
 )
 HELP_COLUMNS = "80"
 PYTHON = f"{sys.version_info[0]}.{sys.version_info[1]}"
@@ -137,6 +154,7 @@ def _run_parser(argv):
     """(exit code, the one stream written) of ``dgq argv``; argparse wraps
     at the width that ``COLUMNS`` gives.  Both streams written is an
     error."""
+    argv = [str(ROOT / a) if a.startswith("corpus/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
