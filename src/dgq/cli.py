@@ -6,15 +6,19 @@ output that cannot be written (a closed pipe, a full disk).
 Reports are deterministic; ``--format machine`` emits a single JSON object
 with sorted keys and no timestamps, written key by key (the pairs of
 ``cocycles enumerate`` one at a time).
+
+Every command and option is declared once, in ``COMMANDS``.  ``_parse``
+reads a plain command line from that table; argparse, which ``make_parser``
+builds from the same table, is loaded only to print help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 # cocycles, cohomology and wha are imported inside the commands that run
 # them, so that each command loads only its own modules.  They are bound as
@@ -113,6 +117,9 @@ def _report_failures(out: Output, rep) -> None:
 
 def cmd_validate(args, out: Output) -> int:
     doc = dio.load_path(args.path)
+    if args.against and doc.kind != "cocycle_pair":
+        raise FormatError(f"--against binds a cocycle_pair document, "
+                          f"not a {doc.kind}")
     out.put("kind", doc.kind)
     if doc.kind == "groupoid":
         rep = validate_groupoid(doc.payload)
@@ -297,87 +304,191 @@ def cmd_blocks(args, out: Output) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+class _Option:
+    """One ``add_argument`` call of the table: its flags and keyword
+    arguments, the mutually exclusive group it joins (each such group is
+    required), and the dest and default argparse gives it."""
+
+    def __init__(self, *flags, group=None, **kwargs):
+        self.flags, self.group, self.kwargs = flags, group, kwargs
+        self.dest = kwargs.get("dest") or next(
+            f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+        self.default = kwargs.get(
+            "default", False if kwargs.get("action") == "store_true" else None)
+
+
+GLOBAL_OPTIONS = (
+    _Option("--format", choices=("text", "machine"), default="text"),
+    _Option("--threads", type=int, default=1,
+            help="accepted for interface stability; computation is "
+                 "sequential and output never depends on it"),
+)
+_WHA_OPTIONS = (
+    _Option("--p", type=int, default=0, help="field characteristic"),
+    _Option("--m", type=int, default=1, help="twist modulus"),
+    _Option("--zeta", type=int, default=None,
+            help="designated root of unity (default: smallest)"),
+    _Option("--cocycle", help="cocycle_pair document"),
+)
+_M = _Option("--m", type=int, required=True)
+
+# Every command, in the order argparse adds it: its words, its handler
+# (None for a word that only groups subcommands), the help argparse lists
+# it under (None: none given) and its options.  Every command takes one
+# positional path, added before its options.
+COMMANDS = (
+    (("validate",), cmd_validate, "check the axioms of a document", (
+        _Option("--against", help="double groupoid to bind a cocycle_pair to"),
+    )),
+    (("vacant",), cmd_vacant, "decide vacancy of a double groupoid", ()),
+    (("convert",), cmd_convert, "matched pair <-> double groupoid", (
+        _Option("--to", required=True,
+                choices=("double_groupoid", "matched_pair")),
+        _Option("-o", "--output"),
+    )),
+    (("wha",), None, "box algebra construction/verification", ()),
+    (("wha", "build"), cmd_wha_build, None, _WHA_OPTIONS),
+    (("wha", "verify"), cmd_wha_verify, None, _WHA_OPTIONS),
+    (("cocycles",), None, "enumerate twists / gauge classes", ()),
+    (("cocycles", "enumerate"), cmd_cocycles_enumerate, None, (
+        _M,
+        _Option("--budget", type=int, default=10 ** 6,
+                help="most pairs to write; the pairs are walked one at a "
+                     "time, so it bounds the output, not memory"),
+    )),
+    (("cocycles", "classes"), cmd_cocycles_classes, None, (_M,)),
+    (("cohomology",), cmd_cohomology, "groupoid cohomology", (
+        _Option("--p", group="coefficients", type=int,
+                help="prime field coefficients"),
+        _Option("--integral", group="coefficients", action="store_true",
+                help="integer coefficients (Smith normal form)"),
+        _Option("--degree", type=int, default=2),
+    )),
+    (("kac",), cmd_kac, "long-exact-sequence report", (
+        _Option("--p", type=int, required=True),
+        _Option("--strict-normalization", choices=("on", "off"), default="on",
+                dest="strict_normalization",
+                help="off switches to the asymmetric degeneracy thresholds "
+                     "(experimental; the grid may fail d.d = 0)"),
+    )),
+    (("blocks",), cmd_blocks, "matrix blocks of the untwisted algebra", ()),
+)
+_BY_WORDS = {words: (fn, options) for words, fn, _, options in COMMANDS}
+
+
+def make_parser():
+    """The argparse parser of ``COMMANDS``.  Only help and usage errors
+    need it, so argparse is imported here."""
+    import argparse
+
+    def add_options(parser, options):
+        groups = {}
+        for opt in options:
+            target = parser
+            if opt.group is not None:
+                if opt.group not in groups:
+                    groups[opt.group] = parser.add_mutually_exclusive_group(
+                        required=True)
+                target = groups[opt.group]
+            target.add_argument(*opt.flags, **opt.kwargs)
+
     parser = argparse.ArgumentParser(
         prog="dgq",
         description="exact computations with finite double groupoids and "
                     "their box algebras")
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; computation "
-                             "is sequential and output never depends on it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="check the axioms of a document")
-    p.add_argument("path")
-    p.add_argument("--against", help="double groupoid to bind a cocycle_pair to")
-
-    p = add("vacant", cmd_vacant, help="decide vacancy of a double groupoid")
-    p.add_argument("path")
-
-    p = add("convert", cmd_convert, help="matched pair <-> double groupoid")
-    p.add_argument("path")
-    p.add_argument("--to", required=True,
-                   choices=("double_groupoid", "matched_pair"))
-    p.add_argument("-o", "--output")
-
-    wha_parser = sub.add_parser("wha", help="box algebra construction/verification")
-    wha_sub = wha_parser.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("build", cmd_wha_build), ("verify", cmd_wha_verify)):
-        p = wha_sub.add_parser(name)
+    add_options(parser, GLOBAL_OPTIONS)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, fn, summary, options in COMMANDS:
+        kwargs = {} if summary is None else {"help": summary}
+        p = subparsers[words[:-1]].add_parser(words[-1], **kwargs)
+        if fn is None:
+            subparsers[words] = p.add_subparsers(dest="subcommand",
+                                                 required=True)
+            continue
         p.set_defaults(fn=fn)
         p.add_argument("path")
-        p.add_argument("--p", type=int, default=0, help="field characteristic")
-        p.add_argument("--m", type=int, default=1, help="twist modulus")
-        p.add_argument("--zeta", type=int, default=None,
-                       help="designated root of unity (default: smallest)")
-        p.add_argument("--cocycle", help="cocycle_pair document")
-
-    cc_parser = sub.add_parser("cocycles", help="enumerate twists / gauge classes")
-    cc_sub = cc_parser.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("enumerate", cmd_cocycles_enumerate),
-                     ("classes", cmd_cocycles_classes)):
-        p = cc_sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        p.add_argument("path")
-        p.add_argument("--m", type=int, required=True)
-        if name == "enumerate":
-            p.add_argument("--budget", type=int, default=10 ** 6,
-                           help="most pairs to write; the pairs are walked "
-                                "one at a time, so it bounds the output, "
-                                "not memory")
-
-    p = add("cohomology", cmd_cohomology, help="groupoid cohomology")
-    p.add_argument("path")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, help="prime field coefficients")
-    group.add_argument("--integral", action="store_true",
-                       help="integer coefficients (Smith normal form)")
-    p.add_argument("--degree", type=int, default=2)
-
-    p = add("kac", cmd_kac, help="long-exact-sequence report")
-    p.add_argument("path")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--strict-normalization", choices=("on", "off"),
-                   default="on", dest="strict_normalization",
-                   help="off switches to the asymmetric degeneracy thresholds "
-                        "(experimental; the grid may fail d.d = 0)")
-
-    p = add("blocks", cmd_blocks, help="matrix blocks of the untwisted algebra")
-    p.add_argument("path")
+        add_options(p, options)
     return parser
 
 
+def _long_flags(options):
+    return {f: opt for opt in options for f in opt.flags if f.startswith("--")}
+
+
+def _parse(argv):
+    """The attributes ``make_parser().parse_args(argv)`` gives, read without
+    argparse, or None for an argv outside this grammar: ``--format`` and
+    ``--threads`` (at least 1) first, then the command's words, then its
+    path (not starting with ``-``) and its options, each named in full and
+    followed by a separate value not starting with ``-``, ``store_true``
+    flags alone.  Help, abbreviations, ``--opt=value``, short flags, and
+    every argv that argparse refuses get None, and argparse then parses
+    the argv itself."""
+    options = _long_flags(GLOBAL_OPTIONS)
+    given = {}
+    words = ()
+    fn = command_options = None
+    paths = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            opt = options.get(token)
+            if opt is None:
+                return None
+            if opt.kwargs.get("action") == "store_true":
+                given[opt.dest] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = opt.kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in opt.kwargs.get("choices", (value,)):
+                return None
+            given[opt.dest] = value
+        elif fn is None:
+            words += (token,)
+            if words not in _BY_WORDS:
+                return None
+            fn, command_options = _BY_WORDS[words]
+            options = _long_flags(command_options)
+        else:
+            paths.append(token)
+    if fn is None or len(paths) != 1:
+        return None
+    values = {"fn": fn, "command": words[0], "path": paths[0]}
+    if len(words) > 1:
+        values["subcommand"] = words[1]
+    for opt in GLOBAL_OPTIONS + command_options:
+        if opt.dest in given:
+            values[opt.dest] = given[opt.dest]
+        elif opt.kwargs.get("required"):
+            return None
+        else:
+            values[opt.dest] = opt.default
+    for group in {opt.group for opt in command_options} - {None}:
+        # argparse counts an option of a group only if its value is not the
+        # default object itself
+        picked = [opt for opt in command_options
+                  if opt.group == group and opt.dest in given]
+        if [values[opt.dest] is not opt.default for opt in picked] != [True]:
+            return None
+    if values["threads"] < 1:
+        return None
+    return SimpleNamespace(**values)
+
+
 def run(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        parser = make_parser()
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error("--threads must be >= 1")
     out = Output(args.format)
     try:
         code = args.fn(args, out)

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgq import io as dio
-from dgq.cli import Output, _note_checked, run
+from dgq.cli import (COMMANDS, GLOBAL_OPTIONS, Output, _note_checked, _parse,
+                     make_parser, run)
 from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
                           validate_cocycle_pair)
 from dgq.errors import FormatError, Report, ResourceBudgetError, StructureError
@@ -21,6 +22,7 @@ from dgq.samples import s3_double, s3_matched_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = CORPUS.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def corpus_files():
@@ -318,6 +320,17 @@ def test_cli_enumerate_budget_bounds_the_pairs_written(capsys):
     assert "8 cocycle pairs exceed the budget of 7 pairs to write" in err
     assert run(["--format", "machine", "cocycles", "enumerate",
                 str(CORPUS / "x22.json"), "--m", "2", "--budget", "8"]) == 0
+
+
+def test_cli_validate_against_needs_a_cocycle_pair(capsys):
+    """``--against`` binds a cocycle pair to a double groupoid; with any
+    other document it is refused, not ignored."""
+    argv = ["validate", str(CORPUS / "x22.json"),
+            "--against", str(CORPUS / "x23.json")]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    _assert_one_error_line(err)
 
 
 def test_cli_validate_cocycle_reports_tuples_checked(tmp_path, capsys):
@@ -730,13 +743,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     only some commands run: those commands import it.  ``-S`` keeps
     site-wide imports out."""
     unused = {"dataclasses", "inspect", "fractions", "decimal", "dgq.cocycles",
-              "dgq.cohomology", "dgq.wha", "dgq.linalg"}
+              "dgq.cohomology", "dgq.wha", "dgq.linalg", "argparse", "gettext",
+              "locale"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import dgq.cli, sys; "
          f"print(sorted({unused!r} & sys.modules.keys()))"],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# argparse (with gettext and locale) loads only to print help or a usage
+# error; every command below reads its argv from the command table
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv,unused", [
@@ -752,6 +771,7 @@ def test_cli_command_loads_only_its_modules(argv, unused):
     """A command run in a fresh interpreter (``-S``: no site-wide imports)
     passes and loads none of the modules it does not use; the modules left
     unloaded are printed to stderr after the command's output."""
+    unused = unused | PARSER_MODULES
     argv = [str(CORPUS / a) if a.endswith(".json") else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys; from dgq.cli import run; "
@@ -763,3 +783,140 @@ def test_cli_command_loads_only_its_modules(argv, unused):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
     assert proc.stderr == "[]\n"
+
+
+def test_cli_help_in_a_fresh_interpreter_prints_the_pinned_text():
+    """``--help`` still goes through argparse: in a fresh interpreter
+    (``-S``) it exits 0 with the text pinned in ``tests/golden``."""
+    recorded = json.loads((GOLDEN / "help.json").read_text())
+    if recorded["python"] != f"{sys.version_info[0]}.{sys.version_info[1]}":
+        pytest.skip("argparse's layout is version-dependent")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "dgq.cli", "--help"],
+        env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+        capture_output=True)
+    assert proc.returncode == recorded["exit"]["help-dgq"] == 0
+    assert proc.stdout == (GOLDEN / "help-dgq.out").read_bytes()
+
+
+# -- the table parser against argparse ----------------------------------------
+
+# tokens argparse reads otherwise than the table grammar, or refuses
+JUNK = ("-h", "--help", "--", "-", "-o", "-1", "--p=2", "extra", "", "--zz")
+BAD_VALUES = ("-1", "-x", "x", "1.5", "", "json", "--p")
+# ways to take a valid argv off the table grammar; some argparse still reads
+MUTATIONS = ("junk", "abbreviation", "equals", "short", "no value",
+             "bad value", "no path", "two paths", "dash path", "few words",
+             "unknown command", "drop an option")
+
+
+@st.composite
+def _option_tokens(draw, opt, form):
+    """The tokens that give ``opt``, spelt in ``form`` (``exact`` or one of
+    the option ``MUTATIONS``)."""
+    kw = opt.kwargs
+    if kw.get("action") == "store_true":
+        value = []
+    elif form == "bad value":
+        value = [draw(st.sampled_from(BAD_VALUES))]
+    elif "choices" in kw:
+        value = [draw(st.sampled_from(kw["choices"]))]
+    elif kw.get("type") is int:
+        value = [str(draw(st.integers(0, 4)))]
+    else:
+        value = [draw(st.sampled_from(("out.json", "a b")))]
+    flag = opt.flags[-1]
+    if form == "abbreviation":
+        return [flag[:-1], *value]
+    if form == "equals":
+        return [f"{flag}={''.join(value) or 1}"]
+    if form == "short":
+        return [opt.flags[0], *value]
+    if form == "no value":
+        return [flag]
+    return [flag, *value]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of a command drawn from the table: global options, the
+    command's words, a path and its options (required ones, one of each
+    group, and up to two more, repeats allowed) in any order, taken off the
+    grammar by up to two ``MUTATIONS``."""
+    words, _, _, options = draw(st.sampled_from(
+        [row for row in COMMANDS if row[1] is not None]))
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2))
+    head = draw(st.lists(st.sampled_from(GLOBAL_OPTIONS), max_size=2))
+    picked = [opt for opt in options if opt.kwargs.get("required")]
+    for group in {opt.group for opt in options} - {None}:
+        picked.append(draw(st.sampled_from(
+            [opt for opt in options if opt.group == group])))
+    if options:
+        picked += draw(st.lists(st.sampled_from(options), max_size=2))
+    if "drop an option" in mutations and picked:
+        picked.pop(draw(st.integers(0, len(picked) - 1)))
+    forms = ["exact"] * (len(head) + len(picked))
+    for form in mutations:
+        if form in ("abbreviation", "equals", "short", "no value",
+                    "bad value") and forms:
+            forms[draw(st.integers(0, len(forms) - 1))] = form
+    units = [draw(_option_tokens(opt, form))
+             for opt, form in zip(head + picked, forms)]
+    head_tokens = [t for unit in units[:len(head)] for t in unit]
+    paths = [] if "no path" in mutations else [["x.json"]]
+    if "two paths" in mutations:
+        paths.append(["kac"])
+    if "dash path" in mutations:
+        paths = [["-"]]
+    if "junk" in mutations:
+        paths.append([draw(st.sampled_from(JUNK))])
+    if "few words" in mutations:
+        words = words[:-1]
+    if "unknown command" in mutations:
+        words = ("nonsense",)
+    body = draw(st.permutations(units[len(head):] + paths))
+    return head_tokens + list(words) + [t for unit in body for t in unit]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse(argv):
+    """Where the table parser reads an argv, argparse reads the same
+    attributes from it; where argparse refuses it (exit 2), or ``run``
+    would (``--threads`` below 1), the table parser returns None."""
+    ns = _parse(argv)
+    sink = io.StringIO()
+    try:
+        with redirect_stdout(sink), redirect_stderr(sink):
+            expected = vars(make_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert ns is None
+        assert exc.code in (0, 2)
+        return
+    if expected["threads"] < 1:
+        assert ns is None
+    if ns is not None:
+        assert vars(ns) == expected
+
+
+def test_parse_reads_the_plain_grammar():
+    """Each command with its options spelt out in full goes round argparse;
+    a valid argv the table grammar leaves out gets None."""
+    cases = [
+        ["--format", "machine", "--threads", "2", "kac", "x.json", "--p", "3",
+         "--strict-normalization", "off"],
+        ["cohomology", "--integral", "x.json"],
+        ["convert", "x.json", "--to", "matched_pair", "--output", "y.json"],
+        ["wha", "verify", "x.json", "--p", "3", "--m", "2", "--zeta", "2",
+         "--cocycle", "c.json"],
+        ["cocycles", "enumerate", "x.json", "--m", "2", "--budget", "8"],
+    ]
+    for argv in cases:
+        assert vars(_parse(argv)) == vars(make_parser().parse_args(argv))
+    for argv in (["cohomology", "x.json", "--p", "2", "--deg", "3"],
+                 ["convert", "x.json", "--to", "matched_pair", "-o", "y"],
+                 ["kac", "x.json", "--p=2"], ["kac", "-", "--p", "2"]):
+        assert _parse(argv) is None
+        make_parser().parse_args(argv)
+    # argparse takes a value that starts with "-" for an option: exit 2
+    assert _parse(["validate", "x.json", "--against", "-x"]) is None
