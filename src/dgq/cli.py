@@ -117,7 +117,7 @@ def _report_failures(out: Output, rep) -> None:
 
 def cmd_validate(args, out: Output) -> int:
     doc = dio.load_path(args.path)
-    if args.against and doc.kind != "cocycle_pair":
+    if args.against is not None and doc.kind != "cocycle_pair":
         raise FormatError(f"--against binds a cocycle_pair document, "
                           f"not a {doc.kind}")
     out.put("kind", doc.kind)
@@ -127,7 +127,7 @@ def cmd_validate(args, out: Output) -> int:
         rep = dbl.validate_double_groupoid(doc.payload)
     elif doc.kind == "matched_pair":
         rep = mtd.validate_matched_pair(doc.payload)
-    elif doc.kind == "cocycle_pair" and args.against:
+    elif doc.kind == "cocycle_pair" and args.against is not None:
         from . import cocycles as ccy
         t = _as_double(dio.load_path(args.against))
         cp = dio.cocycle_pair_for(t, doc.payload)

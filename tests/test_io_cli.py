@@ -322,11 +322,11 @@ def test_cli_enumerate_budget_bounds_the_pairs_written(capsys):
                 str(CORPUS / "x22.json"), "--m", "2", "--budget", "8"]) == 0
 
 
-def test_cli_validate_against_needs_a_cocycle_pair(capsys):
+@pytest.mark.parametrize("against", [str(CORPUS / "x23.json"), ""])
+def test_cli_validate_against_needs_a_cocycle_pair(against, capsys):
     """``--against`` binds a cocycle pair to a double groupoid; with any
-    other document it is refused, not ignored."""
-    argv = ["validate", str(CORPUS / "x22.json"),
-            "--against", str(CORPUS / "x23.json")]
+    other document, or an empty path, it is refused, not ignored."""
+    argv = ["validate", str(CORPUS / "x22.json"), "--against", against]
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
