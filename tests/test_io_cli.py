@@ -736,6 +736,11 @@ def test_cli_full_disk_is_an_output_error():
     _assert_one_error_line(proc.stderr)
 
 
+# argparse (with gettext and locale) loads only to print help or a usage
+# error; a plain command reads its argv from the command table
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Each command is a fresh interpreter, and importing ``dataclasses``
     (which loads ``inspect``) and generating record methods took about a
@@ -743,19 +748,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     only some commands run: those commands import it.  ``-S`` keeps
     site-wide imports out."""
     unused = {"dataclasses", "inspect", "fractions", "decimal", "dgq.cocycles",
-              "dgq.cohomology", "dgq.wha", "dgq.linalg", "argparse", "gettext",
-              "locale"}
+              "dgq.cohomology", "dgq.wha", "dgq.linalg"} | PARSER_MODULES
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import dgq.cli, sys; "
          f"print(sorted({unused!r} & sys.modules.keys()))"],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-
-
-# argparse (with gettext and locale) loads only to print help or a usage
-# error; every command below reads its argv from the command table
-PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv,unused", [
