@@ -361,7 +361,7 @@ COMMANDS = (
         _Option("--p", group="coefficients", type=int,
                 help="prime field coefficients"),
         _Option("--integral", group="coefficients", action="store_true",
-                help="integer coefficients (Smith normal form)"),
+                help="integer coefficients"),
         _Option("--degree", type=int, default=2),
     )),
     (("kac",), cmd_kac, "long-exact-sequence report", (

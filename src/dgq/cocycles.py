@@ -9,10 +9,10 @@ the solutions are checked a block at a time: packed as bytes, read as one
 int per solution column with one solution per lane, on which each identity
 row is a few additions, its failing lanes ORed into a mask.  The gauge
 classes are the cosets in Z of the image of the gauge map, counted without
-listing pairs or gauges: from ranks over F_p at a squarefree m, from Howell
-forms checked against Smith forms elsewhere.  Field realization
-(zeta ** value) is a separate explicit step, so enumeration and counting
-stay integer problems.
+listing pairs or gauges: from ranks over F_p at a squarefree m, elsewhere
+from Howell forms, each checked against that of its transpose.  Field
+realization (zeta ** value) is a separate explicit step, so enumeration and
+counting stay integer problems.
 """
 
 from __future__ import annotations
@@ -514,9 +514,9 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     the orbits are the cosets in Z of B, the image of the gauge map G.  As
     |B| = m**|free boxes| / |ker G|, the count is |Z| |ker G| / m**|free|,
     both orders from :func:`count_solutions_mod_m`: at a squarefree m from
-    ranks over F_p, elsewhere from a Howell form checked against a Smith
-    form; nothing is enumerated.  A table that fails the double-groupoid axioms is
-    refused first.
+    ranks over F_p, elsewhere from a Howell form checked against that of
+    the transpose; nothing is enumerated.  A table that fails the
+    double-groupoid axioms is refused first.
     """
     from .double import require_vacant
     _require_modulus(m)

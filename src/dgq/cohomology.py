@@ -21,34 +21,33 @@ Two degeneracy conventions are implemented:
 The total differential uses the sign trick: the vertical component out of
 bidegree (r, s) carries (-1)**s.
 
-The cohomology of a groupoid is that of its vertex groups.  Over F_p a
-group's is read from a free F_pG-resolution built greedily: F_0 = F_pG over
-the augmentation, and each next F_(n+1) has one generator per kernel vector
-of d_n whose G-translates were still needed to span that kernel.  The
-cochains Hom_G(F_n, F_p) have one cell per generator, and the coboundary
-sums each generator's image coefficients over G.  Over Z a group of
-squarefree order takes its torsion from those F_q dimensions, for the
-primes q of its order; a group whose order a square divides takes the Smith
-form of its normalized bar complex, whose C^n has the k^n n-tuples of the k
-non-identity elements as cells, numbered by their base-k digits, the
-lexicographic order of :func:`nerve`.
+The cohomology of a groupoid is that of its vertex groups.  A group's is
+read from a free RG-resolution built greedily, R = F_p or Z/q^v: F_0 = RG
+over the augmentation, and each next F_(n+1) has one generator per kernel
+vector of d_n whose G-translates were still needed to span that kernel.
+The cochains Hom_G(F_n, R) have one cell per generator, and the coboundary
+sums each generator's image coefficients over G.  Over Z the q-torsion,
+q^v exactly dividing the order, comes from H^n(G; Z/q^v), whose type the
+orders of H^n(G; Z/q^j), j <= v, give.  Only a total complex over Z, whose
+torsion has no bound known in advance, takes a Smith form.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from collections import Counter
+from math import prod
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, ResourceBudgetError,
                      StructureError, TruncationError)
-from .fields import _is_prime
-from .groupoids import Groupoid, connected_decomposition, one_object_group
-# nullity_fp and rank_z are not called here but stay importable from this
-# module, next to rank_fp and elementary_divisors, whose counterparts they are
-from .linalg import (SubquotientFp, _echelon_fp,  # noqa: F401
+from .fields import _is_prime, prime_powers
+from .groupoids import Groupoid, connected_decomposition
+# nullity_fp and rank_z are not called here, but perfbench/tracing.py binds
+# them under this module's name, so they stay importable from it
+from .linalg import (SubquotientFp, _echelon_fp, _Echelon,  # noqa: F401
                      elementary_divisors, invariant_factors, is_zero_matrix,
-                     matmul, nullity_fp, nullspace_fp, rank_fp, rank_z,
-                     sparse_row, squarefree_primes, transpose)
+                     kernel_mod_m, matmul, nullity_fp, nullspace_fp, rank_fp,
+                     rank_z, span_length, sparse_row, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
 # the largest tuple or grid basis a complex is built on; a larger one raises
@@ -157,6 +156,22 @@ class ZGroup:
         return " + ".join(parts) if parts else "0"
 
 
+class AbelianInvariants:
+    """The invariant factors d1 | d2 | ... of a finite abelian group."""
+
+    def __init__(self, divisors: tuple[int, ...]):
+        self.divisors = divisors
+
+    def __repr__(self):
+        return f"AbelianInvariants({self.divisors})"
+
+    def order(self) -> int:
+        return prod(self.divisors)
+
+    def __str__(self):
+        return " + ".join(f"Z/{d}" for d in self.divisors) if self.divisors else "0"
+
+
 class CohomologyReport:
     def __init__(self, coefficients: str, groups: list):
         self.coefficients = coefficients
@@ -177,14 +192,36 @@ def _field(coefficients):
 
 def _cohomology(mats, dims, coefficients) -> list:
     """H^0..H^N of the cochain complex with differentials ``mats[n]``:
-    C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n; ``mats`` may be
-    an iterator, so that each differential is dropped once reduced.
+    C^n -> C^(n+1), n = 0..N, where ``dims[n]`` = dim C^n, with coefficients
+    'Z', ('Fp', p) or ('Z/m', m), m >= 1.
 
     A differential comes as face rows, one per cell of C^(n+1) with entries
-    at C^n.  Each matrix with a nonzero entry is reduced once: one rank over
-    F_p, or one Smith form over Z, whose length is the rank of d_n and whose
-    entries above 1 are the torsion of H^(n+1).  A matrix with no nonzero
-    entry has rank 0."""
+    at C^n.  Over F_p and Z each matrix with a nonzero entry is reduced
+    once: one rank over F_p, or one Smith form over Z, whose length is the
+    rank of d_n and whose entries above 1 are the torsion of H^(n+1).  A
+    matrix with no nonzero entry has rank 0.
+
+    Over Z/m, for each q^v exactly dividing m and j <= v, |H^n(Z/q^j)| is
+    q^(j dim C^n) over the orders of the spans of d_n and d_(n-1) mod q^j;
+    that exponent grows from j - 1 to j by the number of summands of
+    H^n(Z/q^v) of order q^j or more."""
+    if coefficients != "Z" and coefficients[0] == "Z/m":
+        mats, parts = list(mats), [[] for _ in dims]
+        for q, v in prime_powers(coefficients[1]):
+            spans = [[0] * v] + [[span_length(mat, q, j)
+                                  for j in range(1, v + 1)] for mat in mats]
+            for n, (dim, here, below) in enumerate(
+                    zip(dims, spans[1:], spans)):
+                e = [0] + [j * dim - s - r for j, s, r
+                           in zip(range(1, v + 1), here, below)]
+                at_least = [y - x for x, y in zip(e, e[1:])] + [0]
+                if sorted(at_least, reverse=True) != at_least:
+                    raise InternalConsistencyError(
+                        f"H^{n} has {q}^{e} elements mod {q}^j")
+                parts[n] += [q ** sum(k >= i for k in at_least)
+                             for i in range(1, at_least[0] + 1)]
+        return [AbelianInvariants(tuple(d for d in invariant_factors(ds)
+                                        if d > 1)) for ds in parts[:len(mats)]]
     p = _field(coefficients)
     if p is None:
         groups, prev = [], []
@@ -214,9 +251,9 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     factors.  A vertex group with k non-identity elements has k^n bar cells
     in degree n; if any degree up to n_max + 1 of any vertex group would
     exceed the budget, a resource error names the first such degree before
-    any row is built.  Over F_p, and over Z at a squarefree order, a vertex
-    group goes through :func:`_resolution_cohomology`; the bar complex and
-    its Smith form run only over Z at an order that a square divides."""
+    any row is built.  A vertex group goes through
+    :func:`_resolution_cohomology` over F_p, and through
+    :func:`_integral_cohomology` over Z; no Smith form runs."""
     p = _field(coefficients)
     if n_max < 0:
         raise StructureError("degree must be nonnegative")
@@ -228,36 +265,33 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
             raise ResourceBudgetError(
                 f"degree {n} basis exceeds the budget {budget}")
     for key in tables:
-        if p:
-            tables[key] = _resolution_cohomology(key, n_max, p, budget)
-        elif (primes := squarefree_primes(len(key))) is not None:
-            tables[key] = _integral_from_fp(key, n_max, primes, budget)
-        else:
-            tables[key] = _cohomology(
-                _bar_differentials(one_object_group(key), n_max),
-                [(len(key) - 1) ** n for n in range(n_max + 1)], "Z")
+        tables[key] = (_resolution_cohomology(key, n_max, p, budget) if p
+                       else _integral_cohomology(key, n_max, budget))
     return CohomologyReport("Z" if p is None else f"F{p}",
                             [_direct_sum(summands) for summands in
                              zip(*(tables[key] for key in keys))])
 
 
-def _resolution_cohomology(table, n_max: int, p: int, budget: int) -> list:
-    """H^0..H^n_max over F_p of the group with Cayley table ``table``, from
-    a free F_pG-resolution F_n = (F_pG)^(r_n) built greedily (Brown,
-    *Cohomology of Groups*, I.2-I.5; Ellis, J. Symbolic Comput. 38, 2004).
+def _resolution_cohomology(table, n_max: int, q: int, budget: int,
+                           v: int = 1) -> list:
+    """H^0..H^n_max over F_q at v = 1, else over Z/q^v, of the group with
+    Cayley table ``table``, from a free RG-resolution F_n = (RG)^(r_n), R =
+    Z/q^v, built greedily (Brown, *Cohomology of Groups*, I.2-I.5; Ellis,
+    J. Symbolic Comput. 38, 2004).
 
     The cell i |G| + h of F_n is h times its i-th generator, and g moves it
-    to i |G| + g h; F_0 = F_pG maps onto F_p by the augmentation.  The basis
-    vectors of ker d_n are walked in order: one outside the span so far
-    becomes a generator of F_(n+1), which d_(n+1) maps to it, and its
-    translates join the span until that is the kernel.  A G-map F_n -> F_p
-    is its values on the r_n generators, so the coboundary is r_(n+1) x r_n:
-    at a generator, its image's coefficients summed over G.
+    to i |G| + g h; F_0 = RG maps onto R by the augmentation.  The kernel
+    of d_n comes from :func:`nullspace_fp` at v = 1, else from
+    :func:`kernel_mod_m`.  Its vectors are walked in order: one outside the
+    span so far becomes a generator of F_(n+1), which d_(n+1) maps to it,
+    and its translates join the span until that is the kernel.  A G-map
+    F_n -> R is its values on the r_n generators, so the coboundary is
+    r_(n+1) x r_n: at a generator, its image's coefficients summed over G.
 
     |G| r_n is checked against the budget before each kernel is taken.
-    d_(n-1) d_n must be 0 mod p on every cell, so that the translates lie
-    in the kernel, and their span must reach the kernel's dimension."""
-    order = len(table)
+    d_(n-1) d_n must be 0 mod q^v on every cell, so that the translates lie
+    in the kernel, and the order of their span must reach the kernel's."""
+    order, m = len(table), q ** v
     images, below = [{0: 1}] * order, 1     # the augmentation, on F_0
     ranks, coboundaries = [1], []
     for n in range(n_max + 1):
@@ -265,29 +299,35 @@ def _resolution_cohomology(table, n_max: int, p: int, budget: int) -> list:
         if dim > budget:
             raise ResourceBudgetError(
                 f"degree {n} of the resolution exceeds the budget {budget}")
-        kernel = nullspace_fp(transpose(images, below), dim, p)
-        span, gens = _echelon_fp(p, dim), []
-        for v in kernel:
-            if len(span.rows) == len(kernel):
+        cols = transpose(images, below)
+        if v == 1:
+            kernel = nullspace_fp(cols, dim, q)
+            size, span = q ** len(kernel), _echelon_fp(q, dim)
+        else:
+            (size, kernel), span = kernel_mod_m(cols, dim, m), _Echelon(m)
+        gens = []
+        for w in kernel:
+            if span.order() == size:
                 break
-            if span.add(v):
-                gens.append(v)
+            if span.add(w):
+                gens.append(w)
                 for h in table:
-                    if len(span.rows) == len(kernel):
+                    if span.order() == size:
                         break
-                    span.add(_translate(v, h, order))
-        if len(span.rows) != len(kernel):
+                    span.add(_translate(w, h, order))
+        if span.order() != size:
             raise InternalConsistencyError(
-                f"the translates of the generators of F_{n + 1} span "
-                f"{len(span.rows)} dimensions of a kernel of {len(kernel)}")
-        new = [_translate(v, h, order) for v in gens for h in table]
-        if any(v % p for row in matmul(new, images) for v in row.values()):
-            raise InternalConsistencyError(f"d_{n} d_{n + 1} is not 0 mod {p}")
-        coboundaries.append([sparse_row((c // order, x) for c, x in v.items())
-                             for v in gens])
+                f"the translates of the generators of F_{n + 1} span a group "
+                f"of order {span.order()} in a kernel of order {size}")
+        new = [_translate(w, h, order) for w in gens for h in table]
+        if any(x % m for row in matmul(new, images) for x in row.values()):
+            raise InternalConsistencyError(f"d_{n} d_{n + 1} is not 0 mod {m}")
+        coboundaries.append([sparse_row((c // order, x) for c, x in w.items())
+                             for w in gens])
         ranks.append(len(gens))
         images, below = new, dim
-    return _cohomology(coboundaries, ranks, ("Fp", p))
+    return _cohomology(coboundaries, ranks,
+                       ("Fp", q) if v == 1 else ("Z/m", m))
 
 
 def _translate(v, h, order: int) -> dict[int, int]:
@@ -295,25 +335,36 @@ def _translate(v, h, order: int) -> dict[int, int]:
     return {c - c % order + h[c % order]: x for c, x in v.items()}
 
 
-def _integral_from_fp(table, n_max: int, primes, budget: int) -> list:
-    """H^0..H^n_max over Z, as :func:`_cohomology` gives them, of a group
-    whose order is the product of the distinct ``primes``.  For n >= 1
-    |G| kills H^n(G; Z), whose q-part embeds in that of a Sylow q-subgroup,
-    of order q (Brown, III.10): H^n(G; Z) is the sum over q of (Z/q)^(t_n).
-    By universal coefficients dim H^n(G; F_q) = t_n + t_(n+1), with t_1 = 0
-    as H^1(G; Z) = Hom(G, Z) = 0.  A negative t_n raises."""
-    torsion = [[] for _ in range(n_max + 1)]
-    for q in primes:
-        t = 0
-        for n, grp in enumerate(
-                _resolution_cohomology(table, n_max, q, budget)[1:], 1):
-            torsion[n] += [q] * t
-            t = grp.dim - t
-            if t < 0:
+def _integral_cohomology(table, n_max: int, budget: int) -> list:
+    """H^0..H^n_max over Z, as :func:`_cohomology` gives them, of the group
+    with Cayley table ``table``.  For n >= 1 |G| kills H^n(G; Z) (Brown,
+    III.10), so q^v, exactly dividing |G|, kills its q-part T_n, and
+    H^n(G; Z/q^v) = T_n + T_(n+1) (universal coefficients).  T_1 = 0, as
+    H^1(G; Z) = Hom(G, Z), so T_(n+1) is the type of H^n(G; Z/q^v) less
+    T_n, as multisets; at v = 1 that is (Z/q)^(dim H^n(G; F_q)).  Checked:
+    H^0(G; Z/q^v) = Z/q^v, T_n lies in H^n, and at v >= 2 H^n has
+    dim H^n(G; F_q) summands, from a resolution over F_q of its own."""
+    torsion = [Counter() for _ in range(n_max + 1)]
+    for q, v in prime_powers(len(table)):
+        dims = [grp.dim for grp in
+                _resolution_cohomology(table, n_max, q, budget)]
+        types = [(q,) * dim for dim in dims] if v == 1 else [
+            grp.divisors for grp in
+            _resolution_cohomology(table, n_max, q, budget, v)]
+        if [len(ds) for ds in types] != dims or types[0] != (q ** v,):
+            raise InternalConsistencyError(
+                f"H^0..H^{n_max} over Z/{q ** v} read {types}, over F_{q} "
+                f"dimensions {dims}")
+        t = Counter()
+        for n, ds in enumerate(types[1:], 1):
+            torsion[n] += t
+            if t - Counter(ds):
                 raise InternalConsistencyError(
-                    f"t_{n + 1} = {t} over F_{q}: dim H^{n} below t_{n}")
+                    f"T_{n} = {sorted(t.elements())} does not lie in "
+                    f"H^{n} over Z/{q ** v}, {ds}")
+            t = Counter(ds) - t
     return [ZGroup(1, ())] + [
-        ZGroup(0, tuple(d for d in invariant_factors(ts) if d > 1))
+        ZGroup(0, tuple(d for d in invariant_factors(ts.elements()) if d > 1))
         for ts in torsion[1:]]
 
 
@@ -324,79 +375,6 @@ def _direct_sum(summands):
     torsion = invariant_factors(d for grp in summands for d in grp.torsion)
     return ZGroup(sum(grp.rank for grp in summands),
                   tuple(d for d in torsion if d > 1))
-
-
-# -- a group's bar complex by digits ----------------------------------------
-
-
-def _digit_table(g: Groupoid) -> list[list[int | None]]:
-    """The product of a one-object groupoid's non-identity arrows, on their
-    digits: digit i is the i-th non-identity arrow in increasing order, and
-    a product that is the identity is None."""
-    elems = [f for f in g.arrows() if not g.is_identity(f)]
-    digit = {f: i for i, f in enumerate(elems)}
-    return [[digit.get(g.compose[x][y]) for y in elems] for x in elems]
-
-
-def _bar_differentials(g: Groupoid, n_max: int):
-    """d_0..d_n_max of the normalized bar complex of the one-object groupoid
-    ``g`` as face rows, each built from the one before by :func:`_bar_rows`
-    and the only one kept: a consumer holds at most two degrees' rows."""
-    mul = _digit_table(g)
-    rows = None
-    for n in range(n_max + 1):
-        rows = _bar_rows(mul, n, rows)
-        yield rows
-
-
-def _bar_rows(mul, n: int, prev) -> list[dict[int, int]]:
-    """The face rows of d_n: C^n -> C^(n+1) of the normalized bar complex
-    of the group whose product on digits is ``mul`` (:func:`_digit_table`),
-    from ``prev``, the rows of d_(n-1) (unused at n = 0).
-
-    With k non-identity elements, the cells of C^n are the k^n n-tuples of
-    them, numbered by their base-k digits: the lexicographic order of
-    :func:`nerve`, so the cell (J, f) of C^(n+1), J in C^n, is J k + f.
-    There is one row per cell of C^(n+1), with entries at C^n, as the
-    full-nerve differential of the group reads them.  At n = 0 the one
-    object is both faces of every cell, so every row is empty.
-
-    For n >= 1 the faces of (J, f) are the faces of J other than its last,
-    J // k, each with f appended; the cell composing J's last element with
-    f, with the sign (-1)^n, unless that product is the identity; and J,
-    with the sign (-1)^(n+1).  The faces of J other than its last are its
-    row of d_(n-1) less the (-1)^n there at J // k.  No two faces of a cell
-    meet but the last and one of those appended, so that sum is the only
-    one that can cancel."""
-    k = len(mul)
-    if n == 0:
-        return [{} for _ in range(k)]
-    s = -1 if n % 2 else 1
-    # every row takes its columns from one list of ints, not from an int
-    # object of its own per entry: a third of the memory of the rows
-    cells = list(range(k ** n))
-    out = []
-    for j, row in enumerate(prev):
-        faces = dict(row)
-        _add(faces, j // k, -s)
-        shifted = [(c * k, v) for c, v in faces.items()]
-        head = j // k * k
-        for f, m in enumerate(mul[j % k]):
-            r = {cells[c + f]: v for c, v in shifted}
-            if m is not None:
-                r[cells[head + m]] = s
-            _add(r, cells[j], -s)
-            out.append(r)
-    return out
-
-
-def _add(row: dict[int, int], c: int, v: int) -> None:
-    """row[c] += v in place, deleting an entry that becomes 0."""
-    v += row.get(c, 0)
-    if v:
-        row[c] = v
-    else:
-        del row[c]
 
 
 # -- the double complex -----------------------------------------------------
@@ -619,53 +597,20 @@ def total_cohomology(spec: DoubleComplexSpec, part: str, n: int,
 # -- Aut / Opext ------------------------------------------------------------
 
 
-class AbelianInvariants:
-    """Elementary divisors of a finite abelian group (empty = trivial)."""
-
-    def __init__(self, divisors: tuple[int, ...]):
-        self.divisors = divisors
-
-    def __repr__(self):
-        return f"AbelianInvariants({self.divisors})"
-
-    def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
-
-    def __str__(self):
-        return " + ".join(f"Z/{d}" for d in self.divisors) if self.divisors else "0"
-
-
 def aut_and_opext(t: DoubleGroupoid,
                   m: int) -> tuple[AbelianInvariants, AbelianInvariants]:
-    """(H^0(Tot A, Z/m), H^1(Tot A, Z/m)) as abelian-group invariants.
-
-    For prime m this is the field computation; m = 1 is trivial; composite m
-    goes through the integral groups and universal coefficients,
-    H^n(Z/m) = H^n(Z) (x) Z/m + Tor(H^(n+1)(Z), Z/m), where each Z/d of
-    torsion gives Z/gcd(d, m) to either term.
-    """
+    """(H^0(Tot A, Z/m), H^1(Tot A, Z/m)) as abelian groups, read by
+    :func:`_cohomology` over Z/m from counts: ranks over F_q and Howell
+    forms mod q^j, for each q^v exactly dividing m and j <= v.  m = 1 gives
+    trivial groups; m < 1 is refused."""
+    from .cocycles import _require_modulus
     from .double import require_vacant
+    _require_modulus(m)
     require_vacant(t)
-    if m == 1:
-        return AbelianInvariants(()), AbelianInvariants(())
     # H^0 and H^1 of Tot A sit at internal degrees 2 and 3
-    if _is_prime(m):
-        spec = build_double_complex(t, 4)
-        h = _cohomology(*_total_complex(spec, "A", 4), ("Fp", m))
-        return (AbelianInvariants((m,) * h[2].dim),
-                AbelianInvariants((m,) * h[3].dim))
-    spec = build_double_complex(t, 5)
-    h = _cohomology(*_total_complex(spec, "A", 5), "Z")
-    out = []
-    for n in (2, 3):
-        divisors = [m] * h[n].rank + [gcd(d, m) for d in
-                                      h[n].torsion + h[n + 1].torsion]
-        out.append(AbelianInvariants(tuple(sorted(d for d in divisors
-                                                  if d > 1))))
-    return out[0], out[1]
+    spec = build_double_complex(t, 4)
+    h = _cohomology(*_total_complex(spec, "A", 4), ("Z/m", m))
+    return h[2], h[3]
 
 
 # -- the long exact sequence --------------------------------------------------

@@ -21,6 +21,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """(q, v) for each prime q of n >= 1, in increasing order, q**v exactly
+    dividing n; by trial division."""
+    out, q = [], 2
+    while n > 1:
+        q = q if q * q <= n else n      # what is left is prime
+        v = 0
+        while n % q == 0:
+            n, v = n // q, v + 1
+        out += [(q, v)] if v else []
+        q += 1
+    return out
+
+
 def smallest_root(p: int, m: int) -> int:
     """The default zeta: the smallest element of exact order m in F_p, or
     over Q (p = 0) the only one, -1 for m = 2 and 1 for m = 1."""

@@ -17,9 +17,10 @@ is 1: it serves F_p for p >= 5, and F_2 and F_3 wherever the planes would
 not fit.  :class:`_Planes` takes the same dict rows and gives the same
 answers, so the plane format stays inside it.  At a composite m
 :class:`_Echelon` keeps the Howell form, whose depth-first walk lists the
-solutions of a linear system in order; over Z it gives the diagonal of a
-Smith form, by echelon passes on the rows and on the columns in turn.  No
-routine here needs the transforms of either form.
+solutions of a linear system in order, and whose branching columns give
+generators of them; over Z it gives the diagonal of a Smith form, by
+echelon passes on the rows and on the columns in turn.  No routine here
+needs the transforms of either form.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
@@ -29,11 +30,9 @@ squarefree (:func:`squarefree_primes`): mod p the solutions number
 p**(ncols - r_p), r_p the rank over F_p, and by the Chinese remainder
 theorem mod m they number the product of those.  So at a squarefree m
 :func:`count_solutions_mod_m` takes ranks over F_p, and
-:func:`solutions_mod_m` checks its Howell count against them.  The Smith
-form runs for that check only where a square divides m, and in
-:func:`elementary_divisors`, which :mod:`dgq.cohomology` calls only for a
-group order that a square divides and for the total complex of its
-``aut_and_opext``.
+:func:`solutions_mod_m` checks its Howell count against them.  Elsewhere
+the check is the Howell form of the transpose: the kernel and the column
+span together have m**ncols elements.  No count takes a Smith form.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
-from .fields import _is_prime
+from .fields import _is_prime, prime_powers
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -141,10 +140,13 @@ class _Echelon:
     def __init__(self, m: int):
         self.m = m
         self.rows: dict[int, dict[int, int]] = {}
+        self.steps = 0      # gcd steps taken
 
     def reduce(self, row) -> dict[int, int]:
         """``row`` reduced, as a new dict: zero, or with a rightmost column
-        that no stored row has."""
+        that no stored row has.  At a composite m a gcd step replaces stored
+        rows by rows that also span ``row``, so this is no membership test:
+        a row outside the span can reduce to 0, and the span has grown."""
         rows, m = self.rows, self.m
         row = _mod(row, m) if m else dict(row)
         while row:
@@ -156,6 +158,7 @@ class _Echelon:
             # Euclid's algorithm on the two rows: each step stores the
             # remainder row and carries on with the other
             while f % piv[c]:
+                self.steps += 1
                 _eliminate(row, f // piv[c], piv, m)
                 rows[c], row = row, piv
                 piv, f = rows[c], row[c]
@@ -163,8 +166,9 @@ class _Echelon:
         return row
 
     def add(self, row, low: int = 0) -> bool:
-        """Reduce ``row`` and store what is left; False if nothing is left
-        at or above column ``low``, so that every stored pivot is.  Over Z/m
+        """Reduce ``row``, store what is left at or above column ``low``, and
+        say whether the span grew: also so where a gcd step ran, as no span
+        vector ending at that column has a non-multiple of its pivot.  Over Z/m
         the stored row is scaled by a unit to a pivot g dividing m, which is
         1 at a prime m.  For g > 1 the closure row (m/g) r, which vanishes
         at the pivot, is fed in at once, and so on for each row that this
@@ -177,10 +181,11 @@ class _Echelon:
         own: r = (g/g') r' + q e, for an integer q and the remainder row e,
         which is 0 at c and goes on to be reduced below c.  So (m/g') r' =
         (m/g) r - (m/g) q e lies in the span pivoted before c."""
+        steps = self.steps
         row = self.reduce(row)
         c = max(row, default=-1)
         if c < low:
-            return False
+            return self.steps > steps
         m = self.m
         # the closure rows form a chain, each pivoted below the one before
         while c >= low:
@@ -199,6 +204,10 @@ class _Echelon:
             row = self.reduce({k: v * (m // g) for k, v in row.items()})
             c = max(row, default=-1)
         return True
+
+    def order(self) -> int:
+        """The span's order over Z/m, m >= 1: m/g multiplied over pivots g."""
+        return prod(self.m // row[c] for c, row in self.rows.items())
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows in reduced echelon form: each entry at another
@@ -224,6 +233,14 @@ class _Echelon:
                         todo += new
                         todo.sort()
         return rows
+
+
+def _echelon(m: int, rows) -> _Echelon:
+    """``rows`` in an ``_Echelon(m)``: their Howell form, over Z at m = 0."""
+    echelon = _Echelon(m)
+    for row in rows:
+        echelon.add(row)
+    return echelon
 
 
 # -- bit-plane rows over F_2 and F_3 ------------------------------------------
@@ -326,6 +343,9 @@ class _Planes:
             return False
         self.rows[c] = (twos, ones) if twos.bit_length() > c else (ones, twos)
         return True
+
+    def order(self) -> int:
+        return self.p ** len(self.rows)
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows in reduced echelon form, as dict rows under their
@@ -435,10 +455,7 @@ class SubquotientFp:
 def _hermite(lines) -> list[dict[int, int]]:
     """The reduced echelon form of ``lines`` over Z, in the order of its
     pivots."""
-    echelon = _Echelon(0)
-    for line in lines:
-        echelon.add(line)
-    rows = echelon.reduced()
+    rows = _echelon(0, lines).reduced()
     return [rows[c] for c in sorted(rows)]
 
 
@@ -491,7 +508,7 @@ def elementary_divisors(rows, ncols: int) -> list[int]:
 
 
 def rank_z(rows, ncols: int) -> int:
-    return len(elementary_divisors(rows, ncols))
+    return len(_hermite(rows))
 
 
 # the largest prime that :func:`squarefree_primes` looks for
@@ -503,7 +520,7 @@ def squarefree_primes(n: int) -> list[int] | None:
     square above 1 divides n, and also when n has a prime factor above
     :data:`_TRIAL`: the primes are found by trial division up to there, so
     that a modulus past a machine word costs no more, and the rest is left
-    to the Smith form."""
+    to the Howell forms."""
     primes = [p for p in range(2, min(n, _TRIAL) + 1)
               if n % p == 0 and _is_prime(p)]
     return primes if prod(primes) == n else None
@@ -528,11 +545,10 @@ def _rank_count(rows, ncols: int, primes) -> int:
 def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
     """The number of solutions of A x = 0 over Z/m: at a squarefree m from
     ranks over F_p (:func:`_rank_count`), elsewhere from the Howell form of
-    :func:`solutions_mod_m`, checked against the Smith form."""
+    :func:`solutions_mod_m`, checked against that of the transpose."""
     primes = squarefree_primes(m)
-    if primes is None:
-        return solutions_mod_m(rows, ncols, m)[0]
-    return _rank_count(rows, ncols, primes)
+    return (solutions_mod_m(rows, ncols, m)[0] if primes is None
+            else _rank_count(rows, ncols, primes))
 
 
 def solutions_mod_m(rows, ncols: int, m: int):
@@ -544,9 +560,8 @@ def solutions_mod_m(rows, ncols: int, m: int):
     a row with pivot g takes the g values that solve that row, given the
     columns before it.  The count, m per free column times g per pivot
     column, must equal the one found another way: at a squarefree m the
-    product of :func:`_rank_count`, elsewhere the one that the Smith
-    diagonal d_k gives, m**(ncols - len(d)) times the product of
-    gcd(d_k, m).
+    product of :func:`_rank_count`, elsewhere m**ncols over the order of
+    the column span, from the Howell form of the transpose.
 
     The solutions keep the Howell form, and each iteration walks it afresh
     with :func:`_walk`: the columns depth first, in increasing order,
@@ -555,23 +570,40 @@ def solutions_mod_m(rows, ncols: int, m: int):
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
     """
-    echelon = _Echelon(m)
-    for row in rows:
-        echelon.add(row)
-    count = m ** (ncols - len(echelon.rows)) * prod(
-        row[c] for c, row in echelon.rows.items())
+    echelon = _echelon(m, rows)
+    count = m ** ncols // echelon.order()
     primes = squarefree_primes(m)
     if primes is None:
-        diag = smith_diagonal(rows, ncols)
-        route, other = "Smith form", m ** (ncols - len(diag)) * prod(
-            gcd(d, m) for d in diag)
+        route = "Howell form of the transpose"
+        other, rest = divmod(m ** ncols,
+                             _echelon(m, transpose(rows, ncols)).order())
     else:
-        route, other = "F_p ranks", _rank_count(rows, ncols, primes)
-    if count != other:
+        route, other, rest = "F_p ranks", _rank_count(rows, ncols, primes), 0
+    if (other, rest) != (count, 0):
         raise InternalConsistencyError(
             f"the Howell form counts {count} solutions mod {m}, the {route} "
             f"{other}")
     return count, _Solutions(echelon, ncols)
+
+
+def kernel_mod_m(rows, ncols: int, m: int):
+    """(order, generators) of {x : A x = 0} over Z/m: per branching column
+    of the Howell form of A, the solution with that column stepped once from
+    0 and the later ones at their least values.  A solution less a multiple
+    of the generator of its first nonzero branching column starts later, so
+    they span; at a prime m they are the basis of :func:`nullspace_fp`."""
+    levels = _levels(_echelon(m, rows), ncols)
+    gens = [{c: v for c, v in enumerate(_step(levels, i, [0] * ncols, m)) if v}
+            for i in range(len(levels))]
+    return prod(m // d for _, d, _, _ in levels), gens
+
+
+def span_length(rows, q: int, j: int) -> int:
+    """k with q**k the order of the span of ``rows`` over Z/q^j, q prime:
+    the rank over F_q at j = 1, else from the Howell form."""
+    if j == 1:
+        return rank_fp(rows, q)
+    return sum(v for _, v in prime_powers(_echelon(q ** j, rows).order()))
 
 
 class _Solutions:
@@ -588,15 +620,11 @@ class _Solutions:
         return _walk(self.echelon, self.ncols)
 
 
-def _walk(echelon: _Echelon, ncols: int):
-    """The solutions of the rows of a Howell form over Z/m, in increasing
-    lexicographic order; see :func:`solutions_mod_m`.
-
+def _levels(echelon: _Echelon, ncols: int) -> list:
+    """(column, step, solve, moves) per branching column of a Howell form
+    over Z/m: a free one, or one pivoting with g > 1 and stepping by m/g.
     Once reduced, a row whose pivot is 1 is 0 at every other such pivot, so
-    its column is a fixed combination of the branching columns: the free
-    ones and those pivoting with g > 1.  The walk steps the branching
-    columns alone, depth first, and moves each fixed column by the change.
-    """
+    its column is fixed: ``moves`` says how it follows each branching one."""
     m = echelon.m
     rows = echelon.reduced()
     branching = [b for b in range(ncols) if b not in rows or rows[b][b] > 1]
@@ -612,26 +640,42 @@ def _walk(echelon: _Echelon, ncols: int):
         solve = None if row is None else (
             row[b], [(j, -v) for j, v in row.items() if j != b])
         levels.append((b, m // row[b] if row else 1, solve, fixed[b]))
+    return levels
+
+
+def _step(levels, i: int, x: list, m: int) -> list:
+    """Step the i-th level of x once, then put each later level at its least
+    value given the columns before it; the fixed columns follow.  Returns x."""
+    b, d, _, moves = levels[i]
+    x[b] += d
+    for c, w in moves:
+        x[c] = (x[c] + w * d) % m
+    for b, _, solve, moves in levels[i + 1:]:
+        if solve is None:
+            least = 0
+        else:
+            g, terms = solve
+            s = sum(v * x[j] for j, v in terms) % m
+            if s % g:
+                raise InternalConsistencyError(
+                    f"column {b} has no value mod {m} for {tuple(x[:b])}")
+            least = s // g
+        d = least - x[b]
+        if d:
+            x[b] = least
+            for c, w in moves:
+                x[c] = (x[c] + w * d) % m
+    return x
+
+
+def _walk(echelon: _Echelon, ncols: int):
+    """The solutions of the rows of a Howell form over Z/m, in increasing
+    lexicographic order (see :func:`solutions_mod_m`): the branching columns
+    of :func:`_levels` are stepped alone, depth first, from 0."""
+    m = echelon.m
+    levels = _levels(echelon, ncols)
     x = [0] * ncols
-    i = 0
     while True:
-        # the levels from i on take their least values
-        for b, _, solve, moves in levels[i:]:
-            if solve is None:
-                least = 0
-            else:
-                g, terms = solve
-                s = sum(v * x[j] for j, v in terms) % m
-                if s % g:
-                    raise InternalConsistencyError(
-                        f"column {b} has no value mod {m} for "
-                        f"{tuple(x[:b])}")
-                least = s // g
-            d = least - x[b]
-            if d:
-                x[b] = least
-                for c, w in moves:
-                    x[c] = (x[c] + w * d) % m
         yield tuple(x)
         # step the last level that has a next value
         i = len(levels) - 1
@@ -639,8 +683,4 @@ def _walk(echelon: _Echelon, ncols: int):
             i -= 1
         if i < 0:
             return
-        b, d, _, moves = levels[i]
-        x[b] += d
-        for c, w in moves:
-            x[c] = (x[c] + w * d) % m
-        i += 1
+        _step(levels, i, x, m)

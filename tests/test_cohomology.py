@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from sympy import factorint
 
 from dgq import cohomology as coh
 from dgq import linalg
@@ -24,7 +25,8 @@ from dgq.cohomology import (ZGroup, _cohomology, _total_complex,
                             total_matrix)
 from dgq.cocycles import count_modulo_gauge
 from dgq.double import build_Xrs, transpose
-from dgq.errors import InternalConsistencyError, TruncationError
+from dgq.errors import (InternalConsistencyError, StructureError,
+                        TruncationError)
 from dgq.groupoids import (coarse_groupoid, connected_decomposition,
                            one_object_group)
 from dgq.linalg import is_zero_matrix, matmul, sparse_row
@@ -285,7 +287,7 @@ def test_vertex_groups_agree_with_the_full_nerve(name):
                     g, top, coefficients).groups == full, coefficients
 
 
-# -- vertex-group differentials by digits -------------------------------------
+# -- the vertex groups --------------------------------------------------------
 
 
 def _vertex_groups():
@@ -304,14 +306,6 @@ def _vertex_groups():
 VERTEX_GROUPS = _vertex_groups()
 
 
-def _rows_by_degree(g, top):
-    mul = coh._digit_table(g)
-    rows = None
-    for n in range(top + 1):
-        rows = coh._bar_rows(mul, n, rows)
-        yield n, rows
-
-
 def test_vertex_groups_cover_the_corpus():
     # the trivial group, Z/2, C_3 and two labellings of S3 from the corpus,
     # each under the first groupoid it is a vertex group of; C_2 and C_3
@@ -320,46 +314,6 @@ def test_vertex_groups_cover_the_corpus():
         "C4:4", "C5:5", "C6:6", "coarse3_group:1",
         "product_s3_x21.diagonal:6", "product_s3_x21.horiz:2",
         "product_s3_x21.vert:3", "s3_group:6"]
-
-
-@pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
-def test_digit_rows_match_the_nerve_rows(name):
-    """The face rows by digits are ``differential_matrix``, and
-    ``_bar_differentials`` yields them."""
-    g = VERTEX_GROUPS[name]
-    for (n, face), yielded in zip(_rows_by_degree(g, 4),
-                                  coh._bar_differentials(g, 4)):
-        assert face == yielded == differential_matrix(g, n), n
-        assert all(v for row in face for v in row.values())
-
-
-def test_digit_rows_cancel():
-    """The rows of ``test_one_pass_rows_cancel``: on Z/2 the degree-1 row
-    of (a, a) holds a 2 and the degree-2 row of (a, a, a) is empty."""
-    z2 = one_object_group(cyclic_table(2))
-    assert dict(_rows_by_degree(z2, 2)) == {0: [{}], 1: [{0: 2}], 2: [{}]}
-
-
-@pytest.mark.parametrize("store,p,expected", [
-    (None, 2, [True] * 5), (None, 3, [True] * 5),
-    # 1,000 bytes hold the planes of 125 columns at p = 2, of 25 at p = 3
-    (1000, 2, [True, True, True, False, False]),
-    (1000, 3, [True, True, False, False, False]),
-    (0, 2, [False] * 5), (0, 3, [False] * 5),
-    (None, 5, [False] * 5), (None, None, [False] * 5)])
-def test_bar_differentials_switch_to_face_rows_past_the_plane_store(
-        store, p, expected):
-    """The bar route serves only Z and takes face rows at every plane
-    store: the transposes of S3's d_0..d_4, whose C^(n+1) columns fit the
-    plane store over F_2 and F_3 where ``expected`` says, are not built."""
-    s3 = ROUTE_CASES["s3_group"]
-    with mock.patch.object(linalg, "_PLANE_STORE",
-                           linalg._PLANE_STORE if store is None else store):
-        fits = [p is not None and linalg._on_planes(p, 5 ** (n + 1))
-                for n in range(5)]
-        mats = list(coh._bar_differentials(s3, 4))
-    assert fits == expected
-    assert mats == [differential_matrix(s3, n) for n in range(5)]
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -378,11 +332,13 @@ def test_s3_face_rows_over_f2_and_f3_agree_with_the_full_nerve(p):
 
 @pytest.mark.parametrize("name", sorted(VERTEX_GROUPS))
 def test_resolution_agrees_with_the_digit_bar_route(name):
+    """The bar complex of the group, whose C^n has the k^n n-tuples of its
+    k non-identity elements as cells, numbered by their base-k digits."""
     g = VERTEX_GROUPS[name]
     table = tuple(map(tuple, g.compose))
     k = g.n_arrows - 1
     for p in (2, 3, 5):
-        bar = _cohomology(coh._bar_differentials(g, 4),
+        bar = _cohomology([differential_matrix(g, n) for n in range(5)],
                           [k ** n for n in range(5)], ("Fp", p))
         assert coh._resolution_cohomology(table, 4, p, coh.BUDGET) == bar, p
 
@@ -420,7 +376,8 @@ def test_resolution_checks_its_kernels(monkeypatch):
         return kernel + kernel[:1]
     for fake, match in ((off, "^d_0 d_1 is not 0 mod 2$"),
                         (repeated, "^the translates of the generators of "
-                                   "F_1 span 5 dimensions of a kernel of 6$")):
+                                   "F_1 span a group of order 32 in a "
+                                   "kernel of order 64$")):
         monkeypatch.setattr(coh, "nullspace_fp", fake)
         with pytest.raises(InternalConsistencyError, match=match):
             coh._resolution_cohomology(s3, 2, 2, coh.BUDGET)
@@ -442,7 +399,8 @@ def test_fp_ranks_on_coface_rows_count_smith_divisors(name):
     order = g.n_arrows
     primes = sorted({q for q in (2, 3, 5) if order % q == 0}
                     | {_smallest_prime_not_dividing(order)})
-    for n, face in _rows_by_degree(g, 3):
+    for n in range(4):
+        face = differential_matrix(g, n)
         ncols = len(nerve(g, n))
         coface = linalg.transpose(face, ncols)
         divisors = linalg.elementary_divisors(face, ncols)
@@ -452,7 +410,7 @@ def test_fp_ranks_on_coface_rows_count_smith_divisors(name):
             assert rank == sum(1 for d in divisors if d % q), (n, q)
 
 
-# -- integral cohomology from dimensions over F_p ----------------------------
+# -- integral cohomology from resolutions over Z/q^v ------------------------
 
 
 def _permutation_group(*gens):
@@ -462,42 +420,142 @@ def _permutation_group(*gens):
                              for x in elems])
 
 
-# order 6 and 10, squarefree, and C_4, whose order 4 keeps the Smith form
+# orders 6 and 10, squarefree, and orders that a square divides; Q_8 is
+# generated by i and j acting on +-1, +-i, +-j, +-k by left multiplication
 LOCAL_CASES = {
     "s3_group": ROUTE_CASES["s3_group"],
     "C6": _permutation_group((1, 2, 3, 4, 5, 0)),
     "D5": _permutation_group((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)),
     "C4": _permutation_group((1, 2, 3, 0)),
+    "C8": _permutation_group((1, 2, 3, 4, 5, 6, 7, 0)),
+    "C9": _permutation_group((1, 2, 3, 4, 5, 6, 7, 8, 0)),
+    "Q8": _permutation_group((1, 4, 3, 6, 5, 0, 7, 2),
+                             (2, 7, 4, 1, 6, 3, 0, 5)),
+    "D4": _permutation_group((1, 2, 3, 0), (0, 3, 2, 1)),
+    "V4": _permutation_group((1, 0, 3, 2), (2, 3, 0, 1)),
+    "C12": _permutation_group(tuple(range(1, 12)) + (0,)),
+    "A4": _permutation_group((1, 2, 0, 3), (0, 2, 3, 1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL_CASES))
 def test_local_ranks_agree_with_the_full_nerve_over_z(name, monkeypatch):
-    """Where the order is squarefree no Smith form runs: the groups come
-    from resolutions over F_q, and are those of the Smith form of the whole
-    nerve's differentials.  C_4 takes the Smith form and no resolution."""
+    """No Smith form runs: the groups come from one resolution over F_q for
+    each prime q of the order, and one over Z/q^v where q^v, v >= 2,
+    exactly divides it; they are those of the Smith form of the whole
+    nerve's differentials."""
     g = LOCAL_CASES[name]
     full = full_nerve_cohomology(g, Z_ORACLE_DEGREE, "Z")
-    calls = _count_calls(monkeypatch, ["elementary_divisors", "nullspace_fp"])
+    calls = _count_calls(monkeypatch, ["elementary_divisors",
+                                       "_resolution_cohomology"])
     assert groupoid_cohomology(g, Z_ORACLE_DEGREE, "Z").groups == full
-    squarefree = name != "C4"
-    assert bool(calls["nullspace_fp"]) == squarefree
-    assert bool(calls["elementary_divisors"]) != squarefree
-    assert g.n_arrows == {"s3_group": 6, "C6": 6, "D5": 10, "C4": 4}[name]
+    assert calls["elementary_divisors"] == []
+    assert g.n_arrows == {"s3_group": 6, "C6": 6, "D5": 10, "C4": 4, "C8": 8,
+                          "C9": 9, "Q8": 8, "D4": 8, "V4": 4, "C12": 12,
+                          "A4": 12}[name]
+    powers = factorint(g.n_arrows).items()
+    assert sorted((args[2], *args[4:])
+                  for args in calls["_resolution_cohomology"]) == sorted(
+        [(q,) for q, _ in powers] + [(q, v) for q, v in powers if v > 1])
+
+
+# the eliminations of S3's resolutions to degree 5, as the F_p-only route
+# took them: per degree one kernel and one span echelon on the columns of
+# F_n, then one rank per coboundary, on its rows
+S3_ELIMINATIONS = {2: ([6, 12, 24, 30, 24, 18], [2, 4, 5, 4, 3, 4]),
+                   3: ([6, 12, 18, 24, 24, 24], [2, 3, 4, 4, 4, 4])}
+
+
+@pytest.mark.parametrize("coefficients", ["Z", ("Fp", 2), ("Fp", 3)])
+def test_s3_routes_keep_their_fp_eliminations(coefficients, monkeypatch):
+    """S3 has order 6, so v = 1 at both primes: over Z it takes the
+    resolutions over F_2 and F_3 and nothing more, with the
+    ``nullspace_fp``, ``_echelon_fp`` and ``rank_fp`` calls of each."""
+    names = ["nullspace_fp", "_echelon_fp", "rank_fp"]
+    calls = _count_calls(monkeypatch, names + ["kernel_mod_m", "span_length"])
+    groupoid_cohomology(ROUTE_CASES["s3_group"], 5, coefficients)
+    expected = {name: [] for name in names}
+    for q in (2, 3) if coefficients == "Z" else coefficients[1:]:
+        dims, coboundary_rows = S3_ELIMINATIONS[q]
+        expected["nullspace_fp"] += [(below, dim, q) for below, dim
+                                     in zip([1] + dims, dims)]
+        expected["_echelon_fp"] += [(q, dim) for dim in dims]
+        expected["rank_fp"] += [(rows, q) for rows in coboundary_rows]
+    assert {name: [tuple(len(a) if isinstance(a, list) else a for a in args)
+                   for args in calls[name]] for name in names} == expected
+    assert calls["kernel_mod_m"] == calls["span_length"] == []
+
+
+def _z_groups(*torsion):
+    return [ZGroup(1, ())] + [ZGroup(0, t) for t in torsion]
+
+
+@pytest.mark.parametrize("name,expected", [
+    # H^4 = Z/2 + Z/12 (C. B. Thomas, Characteristic classes and the
+    # cohomology of finite groups, 1986)
+    ("S4", None),
+    # (Z/2)^(2k) + Z/4, (Z/2)^(2k), (Z/2)^(2k+2), (Z/2)^(2k+1) in degrees
+    # 4k, 4k + 1, 4k + 2, 4k + 3 (Handel, Tohoku Math. J. 45, 1993)
+    ("D4", _z_groups((), (2, 2), (2,), (2, 2, 4), (2, 2), (2,) * 4, (2,) * 3,
+                     (2,) * 4 + (4,))),
+    # periodic of period 4: Z/8 in degrees 4k, (Z/2)^2 in 4k + 2
+    ("Q8", _z_groups((), (2, 2), (), (8,), (), (2, 2), (), (8,)))])
+def test_integral_cohomology_to_degree_8(name, expected):
+    """Past the bar cells that the budget allows, through the resolutions:
+    dim H^n(G; F_p) counts the summands of H^n(G; Z) and H^(n+1)(G; Z) that
+    p divides, for n >= 1 (universal coefficients)."""
+    g = (one_object_group(symmetric_table(4)[0]) if name == "S4"
+         else LOCAL_CASES[name])
+    table = tuple(map(tuple, g.compose))
+    integral = coh._integral_cohomology(table, 8, coh.BUDGET)
+    for p in (2, 3):
+        dims = [grp.dim for grp in coh._resolution_cohomology(
+            table, 7, p, coh.BUDGET)]
+
+        def summands(grp, _p=p):
+            return sum(1 for d in grp.torsion if d % _p == 0)
+        assert dims == [1] + [summands(integral[n]) + summands(integral[n + 1])
+                              for n in range(1, 8)], p
+    if expected is None:
+        assert integral[:5] == _z_groups((), (2,), (2,), (2, 12))
+    else:
+        assert integral == expected
+
+
+def test_a_span_grown_unseen_fails_the_fp_cross_check(monkeypatch):
+    """Were ``_Echelon.add`` to miss the growth of a gcd step, the
+    resolution over Z/8 of D_4 would lose generators that no span check
+    sees, and its types would miss summands that the resolution over F_2
+    counts."""
+    real = linalg._Echelon.add
+
+    def unseen(self, row, low=0):
+        stored = len(self.rows)
+        real(self, row, low)
+        return len(self.rows) > stored
+    monkeypatch.setattr(linalg._Echelon, "add", unseen)
+    d4 = tuple(map(tuple, LOCAL_CASES["D4"].compose))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^H\^0\.\.H\^5 over Z/8 read .*, over F_2 "
+                             r"dimensions \[1, 2, 3, 4, 5, 6\]$"):
+        coh._integral_cohomology(d4, 5, coh.BUDGET)
 
 
 def test_a_wrong_rank_over_fp_raises(monkeypatch):
-    """A dimension of H^1 over F_q too large or below zero makes a t_n
-    negative: t_2 = dim H^1 and t_3 = dim H^2 - t_2."""
+    """A dimension of H^1 over F_q too large makes T_2, all of H^1, too
+    large to lie in H^2; one below zero gives H^1 no type."""
     s3 = ROUTE_CASES["s3_group"]
     real = coh._resolution_cohomology
-    for shift, t in ((1, "t_3 = -1"), (-100, "t_2 = -99")):
+    for shift, match in (
+            (1, r"^T_2 = \[2, 2\] does not lie in H\^2 over Z/2, \(2,\)$"),
+            (-100, r"^H\^0\.\.H\^2 over Z/2 read \[\(2,\), \(\), \(2,\)\], "
+                   r"over F_2 dimensions \[1, -99, 1\]$")):
         def shifted(*args, _s=shift):
             groups = real(*args)
             groups[1] = coh.FpGroup(groups[1].dim + _s)
             return groups
         monkeypatch.setattr(coh, "_resolution_cohomology", shifted)
-        with pytest.raises(InternalConsistencyError, match=f"^{t} over F_2"):
+        with pytest.raises(InternalConsistencyError, match=match):
             groupoid_cohomology(s3, 2, "Z")
 
 
@@ -508,9 +566,8 @@ def test_no_divisor_of_s3_is_divisible_by_a_square(p):
     of divisors that p divides: it would be larger if p^2 divided one."""
     s3 = ROUTE_CASES["s3_group"]
     ts = []
-    for n, face in _rows_by_degree(s3, 4):
-        if n == 0:
-            continue
+    for n in range(1, 5):
+        face = differential_matrix(s3, n)
         ncols = 5 ** n
         echelon = linalg._Echelon(p * p)
         for row in face:
@@ -709,18 +766,31 @@ def test_aut_opext_trivial_instance():
     assert aut.order() == 1 and opx.order() == 1
 
 
-# composite m goes through universal coefficients: s3 has Z/3 torsion one
-# degree up, which Z/4 does not see and Z/6 does
+# s3 has Z/3 torsion in H^2(Tot A; Z), which Z/4 does not see and Z/6 does
 @pytest.mark.parametrize("name,m", [("s3", 2), ("s3", 3), ("x22", 2), ("x22", 3),
                                     ("s3", 4), ("s3", 6), ("union", 4),
                                     ("union", 6), ("x22", 4), ("x22", 6),
-                                    ("x23", 3), ("product", 3), ("product", 6)])
-def test_opext_matches_gauge_classes(name, m):
+                                    ("x23", 3), ("product", 3), ("product", 6),
+                                    ("s3", 8), ("s3", 9), ("s3", 12),
+                                    ("union", 8), ("union", 9), ("union", 12),
+                                    ("x22", 8), ("x22", 9), ("x22", 12)])
+def test_opext_matches_gauge_classes(name, m, monkeypatch):
+    """Neither side takes a Smith form."""
     t = {"s3": s3_double, "x22": lambda: build_Xrs(2, 2),
          "x23": lambda: build_Xrs(2, 3), "union": corpus_union,
          "product": corpus_product}[name]()
+
+    def refuse(rows, ncols):
+        raise AssertionError("a Smith form ran")
+    monkeypatch.setattr(linalg, "smith_diagonal", refuse)
     _, opx = aut_and_opext(t, m)
     assert opx.order() == count_modulo_gauge(t, m)
+
+
+@pytest.mark.parametrize("m", (0, -2))
+def test_aut_opext_refuses_a_modulus_below_1(m):
+    with pytest.raises(StructureError, match="^modulus must be >= 1$"):
+        aut_and_opext(build_Xrs(2, 2), m)
 
 
 def test_x22_opext_m3_trivial():
@@ -729,8 +799,8 @@ def test_x22_opext_m3_trivial():
 
 
 def test_aut_opext_integral_path_m6(s3_T):
-    # composite modulus goes through the integral route; the Z/3 torsion of
-    # H^2(Tot A; Z) enters H^1(Tot A; Z/6) as Tor(Z/3, Z/6) = Z/3
+    # the Z/3 torsion of H^2(Tot A; Z) enters H^1(Tot A; Z/6) as
+    # Tor(Z/3, Z/6) = Z/3
     aut, opx = aut_and_opext(s3_T, 6)
     assert aut.divisors == (3,) and opx.divisors == (3,)
     assert opx.order() == count_modulo_gauge(s3_T, 6) == 3
@@ -843,17 +913,18 @@ def test_kac_report_checks_each_total_h_by_rank_arithmetic(monkeypatch,
         coh.kac_report(vacant_corpus["x23"], 2)
 
 
-def test_composite_opext_one_smith_form_per_total_differential(
-        monkeypatch, vacant_corpus):
+def test_composite_opext_takes_counts_and_no_smith_form(monkeypatch,
+                                                        vacant_corpus):
     calls = _count_calls(monkeypatch, ["elementary_divisors", "rank_z",
-                                       "total_matrix"])
+                                       "total_matrix", "span_length"])
     aut, opx = coh.aut_and_opext(vacant_corpus["x23"], 6)
     assert aut.divisors == (6, 6) and opx.divisors == ()
-    assert [n for _, _, n in calls["total_matrix"]] == [0, 1, 2, 3, 4]
-    # Tot A has no term in degree 1, so its differentials out of degrees 0
-    # and 1 have no nonzero entry and are not reduced
-    assert len(calls["elementary_divisors"]) == 3
-    assert calls["rank_z"] == []
+    # Tot A is built to degree 4, as at a prime m, and each differential
+    # out of degrees 0..3 is counted once mod 2 and once mod 3
+    assert [n for _, _, n in calls["total_matrix"]] == [0, 1, 2, 3]
+    assert [args[1:] for args in calls["span_length"]] == [(2, 1)] * 4 + [
+        (3, 1)] * 4
+    assert calls["elementary_divisors"] == calls["rank_z"] == []
 
 
 def test_literal_kac_fails_before_groupoid_cohomology(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import Matrix, factorint
 from sympy.matrices.normalforms import smith_normal_form
 
 from dgq import linalg
@@ -20,10 +20,12 @@ from dgq.cohomology import (build_double_complex, groupoid_cohomology,
 from dgq.double import build_Xrs
 from dgq.errors import InternalConsistencyError, StructureError
 from dgq.groupoids import coarse_groupoid, one_object_group
+from dgq.fields import prime_powers
 from dgq.linalg import (SubquotientFp, _Echelon, _on_planes, _Planes, _walk,
-                        count_solutions_mod_m, elementary_divisors, matmul,
-                        nullity_fp, nullspace_fp, rank_fp, smith_diagonal,
-                        solutions_mod_m, squarefree_primes, transpose)
+                        count_solutions_mod_m, elementary_divisors,
+                        kernel_mod_m, matmul, nullity_fp, nullspace_fp,
+                        rank_fp, smith_diagonal, solutions_mod_m, span_length,
+                        squarefree_primes, transpose)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
 
 from full_nerve import differential_matrix
@@ -402,13 +404,19 @@ def test_smith_rejects_a_column_outside_the_matrix():
         smith_diagonal([{0: 1, 3: 2}], 3)
 
 
+def _refuse_smith(rows, ncols):
+    raise AssertionError("a Smith form ran")
+
+
 @settings(max_examples=40, deadline=None)
 @given(dense_matrices(max_rows=4, max_cols=4),
        st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 12)))
 def test_solutions_mod_m_match_brute_force(mat, m):
-    """Every solution once, in increasing lexicographic order."""
+    """Every solution once, in increasing lexicographic order; no Smith
+    form runs."""
     mat, ncols = mat
-    count, solutions = solutions_mod_m(to_sparse(mat), ncols, m)
+    with mock.patch.object(linalg, "smith_diagonal", _refuse_smith):
+        count, solutions = solutions_mod_m(to_sparse(mat), ncols, m)
     found = list(solutions)
     brute = [x for x in itertools.product(range(m), repeat=ncols)
              if all(sum(a * v for a, v in zip(row, x)) % m == 0 for row in mat)]
@@ -430,6 +438,78 @@ def test_the_walk_needs_the_howell_closure_row():
     count, solutions = solutions_mod_m([{0: 1, 1: 2}], 2, 4)
     assert count == 4
     assert list(solutions) == [(0, 0), (0, 2), (2, 1), (2, 3)]
+
+
+def test_echelon_add_reports_a_span_grown_by_a_gcd_step():
+    """Mod 4, {0: 1} after {0: 2} reduces to 0, but the gcd step that
+    stores it takes the span from {0, 2} to Z/4."""
+    echelon = _Echelon(4)
+    assert echelon.add({0: 2}) and echelon.order() == 2
+    assert echelon.add({0: 1}) and echelon.order() == 4
+    assert not echelon.add({0: 3}) and echelon.rows == {0: {0: 1}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices(max_rows=5, max_cols=3, min_size=1,
+                      entry=st.integers(-12, 12)),
+       st.sampled_from((4, 6, 8, 9, 12)))
+def test_echelon_add_says_whether_the_span_grew(mat, m):
+    """``add`` is True exactly when the row lay outside the span, whose
+    elements are listed by brute force, and ``order`` is their number."""
+    dense, ncols = mat
+    echelon = _Echelon(m)
+    span = {(0,) * ncols}
+    for row in dense:
+        grew = tuple(v % m for v in row) not in span
+        assert echelon.add(to_sparse([row])[0]) == grew
+        while True:
+            more = {tuple((a + v) % m for a, v in zip(x, row)) for x in span}
+            if more <= span:
+                break
+            span |= more
+        assert echelon.order() == len(span)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices(max_rows=4, max_cols=3, entry=st.integers(-12, 12)),
+       st.sampled_from((2, 4, 6, 8, 9, 12)))
+def test_kernel_mod_m_generates_the_solutions(mat, m):
+    """The generators lie in the kernel and generate all of it, which
+    brute force lists; the order is its size, and at a prime m they are
+    the basis of ``nullspace_fp``."""
+    dense, ncols = mat
+    order, gens = kernel_mod_m(to_sparse(dense), ncols, m)
+    brute = {x for x in itertools.product(range(m), repeat=ncols)
+             if all(sum(a * v for a, v in zip(row, x)) % m == 0
+                    for row in dense)}
+    span = {(0,) * ncols}
+    for gen in gens:
+        x = tuple(gen.get(j, 0) for j in range(ncols))
+        assert x in brute
+        span = {tuple((a + k * b) % m for a, b in zip(y, x))
+                for y in span for k in range(m)}
+    assert span == brute and order == len(brute)
+    if m == 2:
+        assert gens == nullspace_fp(to_sparse(dense), ncols, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices(max_rows=4, max_cols=4, entry=st.integers(-12, 12)),
+       st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))))
+def test_span_length_is_the_log_of_the_span_order(mat, qj):
+    """The kernel and the span of the rows together have m**ncols elements,
+    m = q**j."""
+    (dense, ncols), (q, j) = mat, qj
+    m = q ** j
+    kernel = sum(1 for x in itertools.product(range(m), repeat=ncols)
+                 if all(sum(a * v for a, v in zip(row, x)) % m == 0
+                        for row in dense))
+    assert q ** span_length(to_sparse(dense), q, j) * kernel == m ** ncols
+
+
+def test_prime_powers_match_factorisation():
+    for n in range(1, 400):
+        assert prime_powers(n) == sorted(factorint(n).items()), n
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,3 +81,12 @@ def test_the_identities_are_compiled_once():
     map the solver, the block check, the writer and the gauge map read."""
     assert _callers("_identity_forms") == {
         ("cocycles.py", "_constraint_system")}
+
+
+def test_the_smith_form_serves_only_integral_complexes():
+    """No count and no groupoid takes a Smith form: ``elementary_divisors``
+    is called only by ``cohomology._cohomology``, for a complex over Z, and
+    ``smith_diagonal`` only by ``linalg.elementary_divisors``."""
+    assert _callers("elementary_divisors") == {
+        ("cohomology.py", "_cohomology")}
+    assert _callers("smith_diagonal") == {("linalg.py", "elementary_divisors")}
