@@ -22,10 +22,11 @@ The total differential uses the sign trick: the vertical component out of
 bidegree (r, s) carries (-1)**s.
 
 The cohomology of a groupoid is that of its vertex groups.  A group's is
-read from a free RG-resolution built greedily, R = F_p or Z/q^v: F_0 = RG
-over the augmentation, and each next F_(n+1) has one generator per kernel
-vector of d_n whose G-translates were still needed to span that kernel.
-The cochains Hom_G(F_n, R) have one cell per generator, and the coboundary
+read from a free RG-resolution built greedily over R = Z/q^v, F_p being
+Z/p: F_0 = RG over the augmentation, and each next F_(n+1) has one
+generator per kernel generator of d_n whose G-translates were still needed
+to span that kernel; ``linalg`` gives the kernels and the spans.  The
+cochains Hom_G(F_n, R) have one cell per generator, and the coboundary
 sums each generator's image coefficients over G.  Over Z the q-torsion,
 q^v exactly dividing the order, comes from H^n(G; Z/q^v), whose type the
 orders of H^n(G; Z/q^j), j <= v, give.  Only a total complex over Z, whose
@@ -44,7 +45,7 @@ from .fields import _is_prime, prime_powers
 from .groupoids import Groupoid, connected_decomposition
 # nullity_fp and rank_z are not called here, but perfbench/tracing.py binds
 # them under this module's name, so they stay importable from it
-from .linalg import (SubquotientFp, _echelon_fp, _Echelon,  # noqa: F401
+from .linalg import (SubquotientFp, _echelon,  # noqa: F401
                      elementary_divisors, invariant_factors, is_zero_matrix,
                      kernel_mod_m, matmul, nullity_fp, nullspace_fp, rank_fp,
                      rank_z, span_length, sparse_row, transpose)
@@ -178,16 +179,19 @@ class CohomologyReport:
         self.groups = groups
 
 
-def _field(coefficients):
-    """p for ('Fp', p) with p prime, None for 'Z'; anything else raises."""
+def _coefficients(coefficients) -> tuple[str, int]:
+    """(kind, modulus) of 'Z', with modulus 0, of ('Fp', p), p prime, or of
+    ('Z/m', m), m >= 1 an int; anything else raises."""
     if coefficients == "Z":
-        return None
-    kind, p = coefficients
-    if kind != "Fp":
-        raise StructureError("coefficients must be 'Z' or ('Fp', p)")
-    if not _is_prime(p):
+        return "Z", 0
+    pair = type(coefficients) is tuple and len(coefficients) == 2
+    kind, m = coefficients if pair else (None, None)
+    if kind == "Fp" and type(m) is int and not _is_prime(m):
         raise StructureError("field coefficients need a prime characteristic")
-    return p
+    if kind not in ("Fp", "Z/m") or type(m) is not int or m < 1:
+        raise StructureError("coefficients must be 'Z', ('Fp', p) with p "
+                             "prime or ('Z/m', m) with m >= 1 an int")
+    return kind, m
 
 
 def _cohomology(mats, dims, coefficients) -> list:
@@ -196,34 +200,17 @@ def _cohomology(mats, dims, coefficients) -> list:
     'Z', ('Fp', p) or ('Z/m', m), m >= 1.
 
     A differential comes as face rows, one per cell of C^(n+1) with entries
-    at C^n.  Over F_p and Z each matrix with a nonzero entry is reduced
-    once: one rank over F_p, or one Smith form over Z, whose length is the
-    rank of d_n and whose entries above 1 are the torsion of H^(n+1).  A
-    matrix with no nonzero entry has rank 0.
+    at C^n.  Over Z each matrix with a nonzero entry is reduced once, to a
+    Smith form, whose length is the rank of d_n and whose entries above 1
+    are the torsion of H^(n+1).  A matrix with no nonzero entry has rank 0.
 
     Over Z/m, for each q^v exactly dividing m and j <= v, |H^n(Z/q^j)| is
     q^(j dim C^n) over the orders of the spans of d_n and d_(n-1) mod q^j;
     that exponent grows from j - 1 to j by the number of summands of
-    H^n(Z/q^v) of order q^j or more."""
-    if coefficients != "Z" and coefficients[0] == "Z/m":
-        mats, parts = list(mats), [[] for _ in dims]
-        for q, v in prime_powers(coefficients[1]):
-            spans = [[0] * v] + [[span_length(mat, q, j)
-                                  for j in range(1, v + 1)] for mat in mats]
-            for n, (dim, here, below) in enumerate(
-                    zip(dims, spans[1:], spans)):
-                e = [0] + [j * dim - s - r for j, s, r
-                           in zip(range(1, v + 1), here, below)]
-                at_least = [y - x for x, y in zip(e, e[1:])] + [0]
-                if sorted(at_least, reverse=True) != at_least:
-                    raise InternalConsistencyError(
-                        f"H^{n} has {q}^{e} elements mod {q}^j")
-                parts[n] += [q ** sum(k >= i for k in at_least)
-                             for i in range(1, at_least[0] + 1)]
-        return [AbelianInvariants(tuple(d for d in invariant_factors(ds)
-                                        if d > 1)) for ds in parts[:len(mats)]]
-    p = _field(coefficients)
-    if p is None:
+    H^n(Z/q^v) of order q^j or more.  F_p is read as Z/p, and H^n as the
+    FpGroup of its number of summands."""
+    kind, modulus = _coefficients(coefficients)
+    if kind == "Z":
         groups, prev = [], []
         for m, dim in zip(mats, dims):
             divisors = elementary_divisors(m, dim) if any(m) else []
@@ -231,12 +218,23 @@ def _cohomology(mats, dims, coefficients) -> list:
                                  tuple(d for d in prev if d > 1)))
             prev = divisors
         return groups
-    groups, rank_prev = [], 0
-    for m, dim in zip(mats, dims):
-        rank = rank_fp(m, p) if any(m) else 0
-        groups.append(FpGroup(dim - rank - rank_prev))
-        rank_prev = rank
-    return groups
+    mats, parts = list(mats), [[] for _ in dims]
+    for q, v in prime_powers(modulus):
+        spans = [[0] * v] + [[span_length(mat, q, j)
+                              for j in range(1, v + 1)] for mat in mats]
+        for n, (dim, here, below) in enumerate(zip(dims, spans[1:], spans)):
+            e = [0] + [j * dim - s - r for j, s, r
+                       in zip(range(1, v + 1), here, below)]
+            at_least = [y - x for x, y in zip(e, e[1:])] + [0]
+            if sorted(at_least, reverse=True) != at_least:
+                raise InternalConsistencyError(
+                    f"H^{n} has {q}^{e} elements mod {q}^j")
+            parts[n] += [q ** sum(k >= i for k in at_least)
+                         for i in range(1, at_least[0] + 1)]
+    if kind == "Fp":
+        return [FpGroup(len(ds)) for ds in parts[:len(mats)]]
+    return [AbelianInvariants(tuple(d for d in invariant_factors(ds) if d > 1))
+            for ds in parts[:len(mats)]]
 
 
 def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
@@ -252,9 +250,11 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     in degree n; if any degree up to n_max + 1 of any vertex group would
     exceed the budget, a resource error names the first such degree before
     any row is built.  A vertex group goes through
-    :func:`_resolution_cohomology` over F_p, and through
+    :func:`_resolution_cohomology` over F_p, as over Z/p, and through
     :func:`_integral_cohomology` over Z; no Smith form runs."""
-    p = _field(coefficients)
+    kind, p = _coefficients(coefficients)
+    if kind == "Z/m":
+        raise StructureError("groupoid cohomology takes 'Z' or ('Fp', p)")
     if n_max < 0:
         raise StructureError("degree must be nonnegative")
     keys = [tuple(map(tuple, comp.vertex_table))
@@ -267,7 +267,7 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     for key in tables:
         tables[key] = (_resolution_cohomology(key, n_max, p, budget) if p
                        else _integral_cohomology(key, n_max, budget))
-    return CohomologyReport("Z" if p is None else f"F{p}",
+    return CohomologyReport("Z" if kind == "Z" else f"F{p}",
                             [_direct_sum(summands) for summands in
                              zip(*(tables[key] for key in keys))])
 
@@ -281,10 +281,10 @@ def _resolution_cohomology(table, n_max: int, q: int, budget: int,
 
     The cell i |G| + h of F_n is h times its i-th generator, and g moves it
     to i |G| + g h; F_0 = RG maps onto R by the augmentation.  The kernel
-    of d_n comes from :func:`nullspace_fp` at v = 1, else from
-    :func:`kernel_mod_m`.  Its vectors are walked in order: one outside the
-    span so far becomes a generator of F_(n+1), which d_(n+1) maps to it,
-    and its translates join the span until that is the kernel.  A G-map
+    of d_n comes from :func:`kernel_mod_m`, with its order.  Its generators
+    are walked in order: one outside the span so far, an echelon form over
+    Z/q^v, becomes a generator of F_(n+1), which d_(n+1) maps to it, and
+    its translates join the span until its order is the kernel's.  A G-map
     F_n -> R is its values on the r_n generators, so the coboundary is
     r_(n+1) x r_n: at a generator, its image's coefficients summed over G.
 
@@ -299,12 +299,8 @@ def _resolution_cohomology(table, n_max: int, q: int, budget: int,
         if dim > budget:
             raise ResourceBudgetError(
                 f"degree {n} of the resolution exceeds the budget {budget}")
-        cols = transpose(images, below)
-        if v == 1:
-            kernel = nullspace_fp(cols, dim, q)
-            size, span = q ** len(kernel), _echelon_fp(q, dim)
-        else:
-            (size, kernel), span = kernel_mod_m(cols, dim, m), _Echelon(m)
+        size, kernel = kernel_mod_m(transpose(images, below), dim, m)
+        span = _echelon(m, ncols=dim)
         gens = []
         for w in kernel:
             if span.order() == size:
@@ -730,7 +726,7 @@ def kac_report(t: DoubleGroupoid, p: int,
     splitting holds for n >= 2.
     """
     mp = from_vacant_double(t)
-    _field(("Fp", p))
+    _coefficients(("Fp", p))
     # The total complexes come first: a grid that fails d.d = 0 (possible
     # under the literal normalization) is refused before any groupoid
     # cohomology runs, and no total matrix is left alive while the

@@ -10,29 +10,63 @@ from __future__ import annotations
 from .errors import StructureError, UnembeddableError
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# _PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017); the first 12 bases alone fail at 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+# the largest factor that trial division looks for
+_TRIAL = 1 << 16
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by a deterministic Miller-Rabin test; an n past
+    :data:`_PRIME_BOUND` is refused."""
+    if n >= _PRIME_BOUND:
+        raise StructureError(
+            f"{n} is past {_PRIME_BOUND}, the bound of the primality test")
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    # n - 1 = d 2**s, d odd: b**d is 1, or squares to -1 within s - 1 steps
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
 def prime_powers(n: int) -> list[tuple[int, int]]:
     """(q, v) for each prime q of n >= 1, in increasing order, q**v exactly
-    dividing n; by trial division."""
-    out, q = [], 2
-    while n > 1:
-        q = q if q * q <= n else n      # what is left is prime
+    dividing n: by trial division up to :data:`_TRIAL`, which leaves 1 or a
+    cofactor with no prime factor up to there.  That cofactor must be prime,
+    and is refused otherwise."""
+    out = []
+    for q in range(2, _TRIAL + 1):
+        if q * q > n:
+            break
         v = 0
         while n % q == 0:
             n, v = n // q, v + 1
         out += [(q, v)] if v else []
-        q += 1
-    return out
+    if n > 1 and not _is_prime(n):
+        raise StructureError(
+            f"no factorisation: {n} has no prime factor up to {_TRIAL} and "
+            "is not prime")
+    return out + [(n, 1)] if n > 1 else out
 
 
 def smallest_root(p: int, m: int) -> int:

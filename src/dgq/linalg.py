@@ -5,22 +5,22 @@ A matrix is a list of rows.  A row, and likewise a vector, is a
 of columns matters it is passed alongside.  Differentials of bar complexes
 are very sparse, and every routine here takes and returns them so.
 
-Rows are eliminated with rightmost pivots.  Over F_2 and F_3 rank,
-nullity, nullspaces and subquotients run on bit-plane rows,
-:class:`_Planes`, where each step is a few word operations on Python
-ints.  A plane row is dense up to its pivot, so the planes of a matrix with
+Rows are eliminated with rightmost pivots, in echelon forms that only
+:func:`_echelon` makes, so the row store is chosen there alone.  Over
+Z/m at m = 2 and 3, that is F_2 and F_3, the rows are bit planes,
+:class:`_Planes`, where each step is a few word operations on Python ints.
+A plane row is dense up to its pivot, so the planes of a matrix with
 ``ncols`` columns can take ``planes * ncols**2 / 16`` bytes; past
-:data:`_PLANE_STORE` (64 MB) those routines take dict rows instead.
+:data:`_PLANE_STORE` (64 MB) the rows are dicts instead.
 :class:`_Echelon` is the one eliminator on dict rows: over Z/m for every
 m >= 1, and over Z at m = 0.  At a prime m that is F_m, where every pivot
-is 1: it serves F_p for p >= 5, and F_2 and F_3 wherever the planes would
-not fit.  :class:`_Planes` takes the same dict rows and gives the same
-answers, so the plane format stays inside it.  At a composite m
-:class:`_Echelon` keeps the Howell form, whose depth-first walk lists the
-solutions of a linear system in order, and whose branching columns give
-generators of them; over Z it gives the diagonal of a Smith form, by
-echelon passes on the rows and on the columns in turn.  No routine here
-needs the transforms of either form.
+is 1.  :class:`_Planes` takes the same dict rows and gives the same
+answers, so the plane format stays inside it.  Over Z/m the rows are a
+Howell form, at a prime m the echelon form over F_m, whose depth-first
+walk lists the solutions of a linear system in order, and whose branching
+columns give generators of them; over Z :class:`_Echelon` gives the
+diagonal of a Smith form, by echelon passes on the rows and on the columns
+in turn.  No routine here needs the transforms of either form.
 :func:`invariant_factors` is the one normalisation of a list of cyclic
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
-from .fields import _is_prime, prime_powers
+from .fields import _TRIAL, _is_prime
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -109,11 +109,11 @@ def _eliminate(row, f: int, piv, m: int) -> None:
 class _Echelon:
     """Dict rows over Z/m, or over Z when m is 0, in echelon form: each is
     stored under its rightmost (largest) column, its pivot, which no other
-    stored row shares.  At a prime m this is F_m.  Over F_2 and F_3 the same
-    form, behind the same interface, is kept on bit-plane rows by
-    :class:`_Planes` whenever they fit in :data:`_PLANE_STORE`, so this
-    class serves F_p for p >= 5, larger eliminations over F_2 and F_3, Z/m
-    and Z.
+    stored row shares.  At a prime m this is F_m.  Over F_2 and F_3
+    :func:`_echelon` keeps the same form, behind the same interface, on
+    bit-plane rows, :class:`_Planes`, whenever they fit in
+    :data:`_PLANE_STORE`, so this class serves F_p for p >= 5, larger
+    eliminations over F_2 and F_3, Z/m and Z.
 
     A row that enters is reduced mod m, then by the stored rows, rightmost
     column first, until that column has no stored row.  An entry that is a
@@ -235,14 +235,6 @@ class _Echelon:
         return rows
 
 
-def _echelon(m: int, rows) -> _Echelon:
-    """``rows`` in an ``_Echelon(m)``: their Howell form, over Z at m = 0."""
-    echelon = _Echelon(m)
-    for row in rows:
-        echelon.add(row)
-    return echelon
-
-
 # -- bit-plane rows over F_2 and F_3 ------------------------------------------
 
 # Bytes that the plane rows of one elimination may take.  A stored plane row
@@ -251,12 +243,12 @@ def _echelon(m: int, rows) -> _Echelon:
 _PLANE_STORE = 1 << 26
 
 
-def _on_planes(p: int, ncols: int, extra: int = 0) -> bool:
-    """Whether an elimination over F_p on ``ncols`` columns, with ``extra``
-    columns below them that never pivot, fits its plane rows in
-    :data:`_PLANE_STORE`."""
-    return p in (2, 3) and (
-        (p - 1) * ncols * (ncols + 2 * extra) <= 16 * _PLANE_STORE)
+def _on_planes(m: int, ncols: int, extra: int = 0) -> bool:
+    """Whether an elimination over Z/m on ``ncols`` columns, with ``extra``
+    columns below them that never pivot, goes on plane rows: at m = 2 or 3,
+    where they fit in :data:`_PLANE_STORE`."""
+    return m in (2, 3) and (
+        (m - 1) * ncols * (ncols + 2 * extra) <= 16 * _PLANE_STORE)
 
 
 def _to_planes(row, p: int) -> tuple[int, int]:
@@ -287,10 +279,10 @@ def _from_planes(ones: int, twos: int) -> dict[int, int]:
 
 
 class _Planes:
-    """Rows over F_2 or F_3 in the echelon form of :class:`_Echelon`, each
-    stored under its rightmost column, with a 1 there, behind the interface
-    of :class:`_Echelon`: dict rows go in and come out, and ``rows`` maps
-    each pivot to its stored row.
+    """Rows over F_2 or F_3, Z/m at m = 2 or 3, in the echelon form of
+    :class:`_Echelon`, each stored under its rightmost column, with a 1
+    there, behind the interface of :class:`_Echelon`: dict rows go in and
+    come out, and ``rows`` maps each pivot to its stored row.
 
     A stored row is a pair of ints (ones, twos): bit c of ``ones`` is set
     where column c holds 1, and of ``twos`` where it holds 2, so the pivot
@@ -303,15 +295,15 @@ class _Planes:
     the fill-in makes them (machine-word rows as in M4RI: Albrecht, Bard and
     Hart, "Algorithm 898", ACM TOMS 37, 2010)."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, m: int):
+        self.m = m
         self.rows: dict[int, tuple[int, int]] = {}
 
     def _reduce(self, ones: int, twos: int) -> tuple[int, int]:
         """The planes reduced by the stored rows, rightmost column first,
         until that column has no stored row."""
         rows = self.rows
-        if self.p == 2:
+        if self.m == 2:
             while True:
                 piv = rows.get(ones.bit_length() - 1)
                 if piv is None:
@@ -331,13 +323,13 @@ class _Planes:
 
     def reduce(self, row) -> dict[int, int]:
         """``row`` reduced, as in :meth:`_Echelon.reduce`."""
-        return _from_planes(*self._reduce(*_to_planes(row, self.p)))
+        return _from_planes(*self._reduce(*_to_planes(row, self.m)))
 
     def add(self, row, low: int = 0) -> bool:
         """Reduce ``row`` and store what is left, scaled to a pivot of 1;
         False if nothing is left at or above column ``low``, so that every
         stored pivot is."""
-        ones, twos = self._reduce(*_to_planes(row, self.p))
+        ones, twos = self._reduce(*_to_planes(row, self.m))
         c = (ones | twos).bit_length() - 1
         if c < low:
             return False
@@ -345,20 +337,20 @@ class _Planes:
         return True
 
     def order(self) -> int:
-        return self.p ** len(self.rows)
+        return self.m ** len(self.rows)
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """The stored rows in reduced echelon form, as dict rows under their
         pivots, in the order they were stored.  Rows are reduced left to
         right; a reduced row is 0 at every other pivot column, so
         subtracting it clears one column and adds no pivot column."""
-        rows, p = self.rows, self.p
+        rows, m = self.rows, self.m
         pivots = sum(1 << c for c in rows)
         for c in sorted(rows):
             ones, twos = rows[c]
             for k in _columns((ones | twos) & pivots ^ 1 << c):
                 b1, b2 = rows[k]
-                if p == 2:
+                if m == 2:
                     ones ^= b1
                     continue
                 if ones >> k & 1:
@@ -369,11 +361,14 @@ class _Planes:
         return {c: _from_planes(*row) for c, row in rows.items()}
 
 
-def _echelon_fp(p: int, ncols: int, rows=(), extra: int = 0):
-    """The echelon form of ``rows`` over F_p, on ``ncols`` columns with
+def _echelon(m: int, rows=(), ncols: int | None = None, extra: int = 0):
+    """The echelon form of ``rows`` over Z/m, or over Z at m = 0, on
+    ``ncols`` columns (by default one past the last that ``rows`` use) with
     ``extra`` below them that never pivot: on plane rows where
-    :func:`_on_planes` allows, else on dict rows."""
-    echelon = _Planes(p) if _on_planes(p, ncols, extra) else _Echelon(p)
+    :func:`_on_planes` allows, else in an ``_Echelon(m)``."""
+    if ncols is None:
+        ncols = 1 + max((max(row) for row in rows if row), default=-1)
+    echelon = _Planes(m) if _on_planes(m, ncols, extra) else _Echelon(m)
     for row in rows:
         echelon.add(row)
     return echelon
@@ -381,12 +376,11 @@ def _echelon_fp(p: int, ncols: int, rows=(), extra: int = 0):
 
 def rank_fp(rows, p: int) -> int:
     """Rank over F_p."""
-    ncols = 1 + max((max(row) for row in rows if row), default=-1)
-    return len(_echelon_fp(p, ncols, rows).rows)
+    return len(_echelon(p, rows).rows)
 
 
 def nullity_fp(rows, ncols: int, p: int) -> int:
-    return ncols - len(_echelon_fp(p, ncols, rows).rows)
+    return ncols - len(_echelon(p, rows, ncols).rows)
 
 
 def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
@@ -395,7 +389,7 @@ def nullspace_fp(rows, ncols: int, p: int) -> list[dict[int, int]]:
     column: the vector is 1 at its free column, zero at every other free
     column, and solves for the pivot columns.  (This is the reduced echelon
     basis of the matrix read with its columns in reverse order.)"""
-    echelon = _echelon_fp(p, ncols, rows)
+    echelon = _echelon(p, rows, ncols)
     basis = {f: {f: 1} for f in range(ncols) if f not in echelon.rows}
     for c, row in echelon.reduced().items():
         for f, v in row.items():
@@ -423,7 +417,7 @@ class SubquotientFp:
         # quotiented out
         z_vectors = list(z_vectors)
         self._shift = shift = len(z_vectors)
-        self._echelon = _echelon_fp(p, ambient_dim, extra=shift)
+        self._echelon = _echelon(p, ncols=ambient_dim, extra=shift)
         for v in b_vectors:
             self._echelon.add(self._moved(v), shift)
         for v in z_vectors:
@@ -511,10 +505,6 @@ def rank_z(rows, ncols: int) -> int:
     return len(_hermite(rows))
 
 
-# the largest prime that :func:`squarefree_primes` looks for
-_TRIAL = 1 << 16
-
-
 def squarefree_primes(n: int) -> list[int] | None:
     """The primes of a squarefree n >= 1, in increasing order; None when a
     square above 1 divides n, and also when n has a prime factor above
@@ -533,8 +523,8 @@ def _rank_count(rows, ncols: int, primes) -> int:
     cols = transpose(rows, ncols)
     count = 1
     for p in primes:
-        rank = len(_echelon_fp(p, ncols, rows).rows)
-        rank_t = len(_echelon_fp(p, len(rows), cols).rows)
+        rank = len(_echelon(p, rows, ncols).rows)
+        rank_t = len(_echelon(p, cols, len(rows)).rows)
         if rank != rank_t:
             raise InternalConsistencyError(
                 f"rank {rank} over F_{p} on the rows, {rank_t} on the columns")
@@ -553,7 +543,7 @@ def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
 
 def solutions_mod_m(rows, ncols: int, m: int):
     """(count, solutions) of A x = 0 over Z/m, both from the Howell form of
-    A that ``_Echelon(m)`` keeps; at a prime m every pivot is 1, no closure
+    A that :func:`_echelon` makes; at a prime m every pivot is 1, no closure
     row is stored, and the form is the echelon form over F_m.
 
     A column that pivots no row is free and takes m values; one that pivots
@@ -570,13 +560,13 @@ def solutions_mod_m(rows, ncols: int, m: int):
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
     """
-    echelon = _echelon(m, rows)
+    echelon = _echelon(m, rows, ncols)
     count = m ** ncols // echelon.order()
     primes = squarefree_primes(m)
     if primes is None:
         route = "Howell form of the transpose"
-        other, rest = divmod(m ** ncols,
-                             _echelon(m, transpose(rows, ncols)).order())
+        other, rest = divmod(m ** ncols, _echelon(
+            m, transpose(rows, ncols), len(rows)).order())
     else:
         route, other, rest = "F_p ranks", _rank_count(rows, ncols, primes), 0
     if (other, rest) != (count, 0):
@@ -592,18 +582,19 @@ def kernel_mod_m(rows, ncols: int, m: int):
     0 and the later ones at their least values.  A solution less a multiple
     of the generator of its first nonzero branching column starts later, so
     they span; at a prime m they are the basis of :func:`nullspace_fp`."""
-    levels = _levels(_echelon(m, rows), ncols)
+    levels = _levels(_echelon(m, rows, ncols), ncols)
     gens = [{c: v for c, v in enumerate(_step(levels, i, [0] * ncols, m)) if v}
             for i in range(len(levels))]
     return prod(m // d for _, d, _, _ in levels), gens
 
 
 def span_length(rows, q: int, j: int) -> int:
-    """k with q**k the order of the span of ``rows`` over Z/q^j, q prime:
-    the rank over F_q at j = 1, else from the Howell form."""
-    if j == 1:
-        return rank_fp(rows, q)
-    return sum(v for _, v in prime_powers(_echelon(q ** j, rows).order()))
+    """k with q**k the order of the span of ``rows`` over Z/q^j, q prime,
+    from its echelon form: at j = 1 the rank over F_q."""
+    order, k = _echelon(q ** j, rows).order(), 0
+    while order > 1:
+        order, k = order // q, k + 1
+    return k
 
 
 class _Solutions:
@@ -612,7 +603,7 @@ class _Solutions:
 
     __slots__ = ("echelon", "ncols")
 
-    def __init__(self, echelon: _Echelon, ncols: int):
+    def __init__(self, echelon, ncols: int):
         self.echelon = echelon
         self.ncols = ncols
 
@@ -620,7 +611,7 @@ class _Solutions:
         return _walk(self.echelon, self.ncols)
 
 
-def _levels(echelon: _Echelon, ncols: int) -> list:
+def _levels(echelon, ncols: int) -> list:
     """(column, step, solve, moves) per branching column of a Howell form
     over Z/m: a free one, or one pivoting with g > 1 and stepping by m/g.
     Once reduced, a row whose pivot is 1 is 0 at every other such pivot, so
@@ -668,7 +659,7 @@ def _step(levels, i: int, x: list, m: int) -> list:
     return x
 
 
-def _walk(echelon: _Echelon, ncols: int):
+def _walk(echelon, ncols: int):
     """The solutions of the rows of a Howell form over Z/m, in increasing
     lexicographic order (see :func:`solutions_mod_m`): the branching columns
     of :func:`_levels` are stepped alone, depth first, from 0."""

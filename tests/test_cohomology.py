@@ -186,6 +186,16 @@ def test_budget_is_checked_before_any_row_is_built(monkeypatch):
             calls["_resolution_cohomology"]] == [(2, 2, 2), (6, 2, 2)]
 
 
+@pytest.mark.parametrize("coefficients", [("Z/m", 4), ("Z/m", 2)])
+def test_groupoid_cohomology_takes_no_z_mod_m(coefficients):
+    """('Z/m', m) parses, but only a total complex is read over it; a
+    groupoid's resolutions run over F_p or over Z."""
+    with pytest.raises(StructureError, match="^groupoid cohomology takes "
+                                             r"'Z' or \('Fp', p\)$"):
+        groupoid_cohomology(one_object_group(cyclic_table(2)), 1,
+                            coefficients)
+
+
 @pytest.mark.parametrize("first", ("S3", "C11"))
 def test_budget_error_names_the_first_degree_over_all_vertex_groups(first):
     """At a budget of 99, C_11 (k = 10) is over it in degree 2 and S3
@@ -361,24 +371,24 @@ def test_s4_to_degree_10(p, expected):
 
 def test_resolution_checks_its_kernels(monkeypatch):
     """A kernel vector that d_n does not kill fails d_(n-1) d_n = 0, and a
-    kernel basis that is not independent leaves the span of the translates
-    short of its length."""
+    kernel that claims one generator more than it has, repeating one, leaves
+    the span of the translates short of its order."""
     s3 = tuple(map(tuple, symmetric_table(3)[0]))
-    real = linalg.nullspace_fp
+    real = linalg.kernel_mod_m
 
-    def off(rows, ncols, p):
-        kernel = real(rows, ncols, p)
-        return [{**kernel[0], ncols - 1: kernel[0].get(ncols - 1, 0) + 1},
-                *kernel[1:]] if kernel else kernel
+    def off(rows, ncols, m):
+        order, kernel = real(rows, ncols, m)
+        return order, [{**kernel[0], ncols - 1: kernel[0].get(ncols - 1, 0)
+                        + 1}, *kernel[1:]] if kernel else kernel
 
-    def repeated(rows, ncols, p):
-        kernel = real(rows, ncols, p)
-        return kernel + kernel[:1]
+    def repeated(rows, ncols, m):
+        order, kernel = real(rows, ncols, m)
+        return order * m, kernel + kernel[:1]
     for fake, match in ((off, "^d_0 d_1 is not 0 mod 2$"),
                         (repeated, "^the translates of the generators of "
                                    "F_1 span a group of order 32 in a "
                                    "kernel of order 64$")):
-        monkeypatch.setattr(coh, "nullspace_fp", fake)
+        monkeypatch.setattr(coh, "kernel_mod_m", fake)
         with pytest.raises(InternalConsistencyError, match=match):
             coh._resolution_cohomology(s3, 2, 2, coh.BUDGET)
 
@@ -459,9 +469,9 @@ def test_local_ranks_agree_with_the_full_nerve_over_z(name, monkeypatch):
         [(q,) for q, _ in powers] + [(q, v) for q, v in powers if v > 1])
 
 
-# the eliminations of S3's resolutions to degree 5, as the F_p-only route
-# took them: per degree one kernel and one span echelon on the columns of
-# F_n, then one rank per coboundary, on its rows
+# the eliminations of S3's resolutions to degree 5: per degree one kernel
+# and one span echelon on the columns of F_n, then one span per coboundary,
+# on its rows
 S3_ELIMINATIONS = {2: ([6, 12, 24, 30, 24, 18], [2, 4, 5, 4, 3, 4]),
                    3: ([6, 12, 18, 24, 24, 24], [2, 3, 4, 4, 4, 4])}
 
@@ -470,20 +480,21 @@ S3_ELIMINATIONS = {2: ([6, 12, 24, 30, 24, 18], [2, 4, 5, 4, 3, 4]),
 def test_s3_routes_keep_their_fp_eliminations(coefficients, monkeypatch):
     """S3 has order 6, so v = 1 at both primes: over Z it takes the
     resolutions over F_2 and F_3 and nothing more, with the
-    ``nullspace_fp``, ``_echelon_fp`` and ``rank_fp`` calls of each."""
-    names = ["nullspace_fp", "_echelon_fp", "rank_fp"]
-    calls = _count_calls(monkeypatch, names + ["kernel_mod_m", "span_length"])
+    ``kernel_mod_m``, ``_echelon`` and ``span_length`` calls of each, and
+    no ``nullspace_fp`` or ``rank_fp`` call."""
+    names = ["kernel_mod_m", "_echelon", "span_length"]
+    calls = _count_calls(monkeypatch, names + ["nullspace_fp", "rank_fp"])
     groupoid_cohomology(ROUTE_CASES["s3_group"], 5, coefficients)
     expected = {name: [] for name in names}
     for q in (2, 3) if coefficients == "Z" else coefficients[1:]:
         dims, coboundary_rows = S3_ELIMINATIONS[q]
-        expected["nullspace_fp"] += [(below, dim, q) for below, dim
+        expected["kernel_mod_m"] += [(below, dim, q) for below, dim
                                      in zip([1] + dims, dims)]
-        expected["_echelon_fp"] += [(q, dim) for dim in dims]
-        expected["rank_fp"] += [(rows, q) for rows in coboundary_rows]
+        expected["_echelon"] += [(q, dim) for dim in dims]
+        expected["span_length"] += [(rows, q, 1) for rows in coboundary_rows]
     assert {name: [tuple(len(a) if isinstance(a, list) else a for a in args)
                    for args in calls[name]] for name in names} == expected
-    assert calls["kernel_mod_m"] == calls["span_length"] == []
+    assert calls["nullspace_fp"] == calls["rank_fp"] == []
 
 
 def _z_groups(*torsion):
@@ -835,13 +846,14 @@ def test_universal_coefficients_over_fp(vacant_corpus, name):
 
 def _count_calls(monkeypatch, names):
     """Record the arguments of each call through the named bindings of
-    dgq.cohomology."""
+    dgq.cohomology, positional ones first, then the values of the keyword
+    ones."""
     calls = {name: [] for name in names}
     for name in names:
         fn = getattr(coh, name)
 
         def counted(*args, _fn=fn, _log=calls[name], **kwargs):
-            _log.append(args)
+            _log.append(args + tuple(kwargs.values()))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(coh, name, counted)
     return calls
@@ -876,7 +888,7 @@ def test_kac_report_builds_each_matrix_and_nerve_once(monkeypatch,
 def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
                                                    vacant_corpus):
     calls = _count_calls(monkeypatch, ["nullity_fp", "nullspace_fp",
-                                       "rank_fp"])
+                                       "rank_fp", "kernel_mod_m"])
     built, total_matrix = [], coh.total_matrix
 
     def recorded(*args):
@@ -886,15 +898,16 @@ def test_kac_report_reduces_each_total_matrix_once(monkeypatch,
     rep = coh.kac_report(vacant_corpus["x23"], 2)
     # one nullspace out of each degree the sequence reads: 0..3 of Tot D and
     # Tot E, internal 2..3 of Tot A; the rank arithmetic takes its nullities
-    # from them.  No total matrix is reduced twice.  The other nullspaces
-    # are the kernels of d_0..d_3 of the three resolutions of the trivial
-    # vertex group of x23's groupoids, whose coboundaries have no nonzero
-    # entry to reduce.  rank_fp serves only the 7 maps
+    # from them.  No total matrix is reduced twice, and no nullspace is
+    # taken of anything else.  The kernels of d_0..d_3 of the three
+    # resolutions of the trivial vertex group of x23's groupoids come from
+    # kernel_mod_m.  rank_fp serves only the 7 maps
     reduced = [i for rows, *_ in calls["nullspace_fp"]
                for i, m in enumerate(built) if rows is m]
     assert len(built) == 4 * 3
     assert len(reduced) == len(set(reduced)) == 4 + 4 + 2
-    assert len(calls["nullspace_fp"]) == len(reduced) + 3 * 4
+    assert len(calls["nullspace_fp"]) == len(reduced)
+    assert len(calls["kernel_mod_m"]) == 3 * 4
     assert calls["nullity_fp"] == []
     assert len(calls["rank_fp"]) == 7
     assert rep.exact
@@ -925,6 +938,20 @@ def test_composite_opext_takes_counts_and_no_smith_form(monkeypatch,
     assert [args[1:] for args in calls["span_length"]] == [(2, 1)] * 4 + [
         (3, 1)] * 4
     assert calls["elementary_divisors"] == calls["rank_z"] == []
+
+
+def test_total_cohomology_refuses_malformed_coefficients(vacant_corpus):
+    """Every coefficient form is parsed in one place, which names all
+    three; H^0 of Tot D on x22 is Z/4 mod 4 and of dimension 1 over F_2."""
+    spec = build_double_complex(vacant_corpus["x22"], 3)
+    assert str(total_cohomology(spec, "D", 0, ("Z/m", 4))) == "Z/4"
+    assert total_cohomology(spec, "D", 0, ("Fp", 2)).dim == 1
+    for coefficients in (("Z/m", 0), ("Z/m", -4), ("Z/m", 2.0), ("Z/m", True),
+                         ("Fp", 2.0), ("Q", 3), "Q", ("Z/m",), None):
+        with pytest.raises(StructureError, match=r"^coefficients must be "
+                           r"'Z', \('Fp', p\) with p prime or \('Z/m', m\) "
+                           r"with m >= 1 an int$"):
+            total_cohomology(spec, "D", 0, coefficients)
 
 
 def test_literal_kac_fails_before_groupoid_cohomology(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,7 +17,9 @@ from dgq.cli import (COMMANDS, GLOBAL_OPTIONS, Output, _note_checked, _parse,
                      make_parser, run)
 from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
                           validate_cocycle_pair)
+from dgq.cohomology import aut_and_opext
 from dgq.errors import FormatError, Report, ResourceBudgetError, StructureError
+from dgq.fields import prime_powers
 from dgq.linalg import solutions_mod_m
 from dgq.samples import s3_double, s3_matched_pair
 
@@ -388,6 +391,46 @@ def test_cli_cohomology_rejects_bad_coefficients_and_degrees(argv, message,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert message in err
+
+
+def _cli(*argv):
+    return lambda: run(["--format", "machine", *argv])
+
+
+S3_GROUP, X22 = str(CORPUS / "s3_group.json"), str(CORPUS / "x22.json")
+MERSENNE, PAST = str(2 ** 61 - 1), str(10 ** 30)
+
+# (call, result) around primes far past trial division: 10**14 + 31 and
+# 2**61 - 1 on the commands that take --p, and 10**30, past the bound of the
+# primality test, which is refused
+LARGE_PRIMES = {
+    "prime_powers": (lambda: prime_powers(10 ** 14 + 31),
+                     [(10 ** 14 + 31, 1)]),
+    "aut_and_opext": (lambda: [grp.divisors for grp in aut_and_opext(
+        dio.load_path(X22).payload, 2 ** 61 - 1)], [(2 ** 61 - 1,), ()]),
+    "cohomology-1e14": (_cli("cohomology", S3_GROUP, "--p",
+                             str(10 ** 14 + 31), "--degree", "2"), 0),
+    "cohomology-mersenne": (_cli("cohomology", S3_GROUP, "--p", MERSENNE,
+                                 "--degree", "2"), 0),
+    "kac-mersenne": (_cli("kac", X22, "--p", MERSENNE), 0),
+    "wha-mersenne": (_cli("wha", "verify", X22, "--p", MERSENNE), 0),
+    "cohomology-past": (_cli("cohomology", S3_GROUP, "--p", PAST,
+                             "--degree", "2"), 2),
+    "kac-past": (_cli("kac", X22, "--p", PAST), 2),
+    "wha-past": (_cli("wha", "verify", X22, "--p", PAST), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_PRIMES))
+def test_large_primes_are_decided_within_a_second(case, capsys):
+    """Primality is a Miller-Rabin test and factoring stops at the trial
+    bound, so none of these waits on trial division up to a square root."""
+    call, expected = LARGE_PRIMES[case]
+    start = time.perf_counter()
+    assert call() == expected
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert ("bound of the primality test" in err) == (expected == 2)
 
 
 def test_cli_convert_round_trip(tmp_path, capsys):

@@ -5,16 +5,17 @@ integer Smith form against ``sympy``, and the solutions over Z/m against a
 brute-force sweep, so the library and its oracles share no code."""
 
 import itertools
+import random
 from math import gcd, prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, factorint
+from sympy import Matrix, factorint, isprime
 from sympy.matrices.normalforms import smith_normal_form
 
-from dgq import linalg
+from dgq import fields, linalg
 from dgq.cohomology import (build_double_complex, groupoid_cohomology,
                             nerve, total_dim, total_matrix)
 from dgq.double import build_Xrs
@@ -424,6 +425,29 @@ def test_solutions_mod_m_match_brute_force(mat, m):
     assert count == len(found) == count_solutions_mod_m(to_sparse(mat), ncols, m)
 
 
+@SETTINGS
+@given(st.one_of(dense_matrices(), wide_matrices(max_cols=70)),
+       st.sampled_from((2, 3)))
+def test_the_howell_walk_agrees_on_plane_and_dict_rows(mat, m):
+    """At m = 2 and 3 ``solutions_mod_m`` and ``kernel_mod_m`` walk an
+    echelon form on plane rows; with ``_on_planes`` refusing, on dict rows.
+    The counts, the walked tuples in their order (the first 800 of them),
+    and the kernels' orders and generators agree."""
+    dense, ncols = mat
+    rows = to_sparse(dense)
+
+    def compute():
+        count, solutions = solutions_mod_m(rows, ncols, m)
+        return (count, list(itertools.islice(solutions, 800)),
+                kernel_mod_m(rows, ncols, m))
+    assert isinstance(linalg._echelon(m, rows, ncols), _Planes)
+    planes = compute()
+    with mock.patch.object(linalg, "_on_planes", lambda *args: False):
+        assert isinstance(linalg._echelon(m, rows, ncols), _Echelon)
+        dicts = compute()
+    assert planes == dicts
+
+
 def test_the_walk_needs_the_howell_closure_row():
     """x0 + 2 x1 = 0 mod 4 pivots on x1 with g = 2, which has a value only
     for even x0; the closure row 2 (1, 2) = (2, 0) says so.  ``add`` stores
@@ -510,6 +534,36 @@ def test_span_length_is_the_log_of_the_span_order(mat, qj):
 def test_prime_powers_match_factorisation():
     for n in range(1, 400):
         assert prime_powers(n) == sorted(factorint(n).items()), n
+    # a cofactor past the trial bound is tested for primality, not divided
+    for n in (10 ** 14 + 31, 2 * 3 ** 5 * (2 ** 61 - 1), 65521 * 65537):
+        assert prime_powers(n) == sorted(factorint(n).items()), n
+
+
+@pytest.mark.parametrize("n,match", [
+    (65537 * 65539, "no factorisation"),
+    (2 * (2 ** 31 - 1) ** 2, "no factorisation"),
+    ((2 ** 61 - 1) ** 2, "bound of the primality test")])
+def test_prime_powers_refuse_a_composite_cofactor(n, match):
+    """A cofactor with no prime factor up to the trial bound that is not
+    prime, or is too large to test, is refused, not left to trial division
+    for minutes."""
+    with pytest.raises(StructureError, match=match):
+        prime_powers(n)
+
+
+def test_is_prime_matches_sympy():
+    """Miller-Rabin on every n below 20,000, on strong pseudoprimes to the
+    first 7, 9 and 12 prime bases, on primes and semiprimes near the bound,
+    and on random draws below it; past the bound it refuses."""
+    cases = [*range(-3, 20000), 341550071728321, 3825123056546413051,
+             318665857834031151167461, 2 ** 61 - 1, 10 ** 14 + 31,
+             fields._PRIME_BOUND - 2]
+    rnd = random.Random(29)
+    cases += [rnd.randrange(fields._PRIME_BOUND) | 1 for _ in range(2000)]
+    for n in cases:
+        assert fields._is_prime(n) == isprime(n), n
+    with pytest.raises(StructureError, match="bound of the primality test"):
+        fields._is_prime(fields._PRIME_BOUND)
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,15 +624,15 @@ def test_count_solutions_mod_m_is_the_smith_count(mat, m):
 def _a_column_rank_off(monkeypatch):
     """Make every elimination of 2 columns, the transpose of the rows below,
     lose one stored row on the planes."""
-    real = linalg._echelon_fp
+    real = linalg._echelon
 
-    def off(p, ncols, rows=(), extra=0):
-        echelon = real(p, ncols, rows, extra)
-        assert isinstance(echelon, _Planes)
+    def off(m, rows=(), ncols=None, extra=0):
+        echelon = real(m, rows, ncols, extra)
         if ncols == 2:
+            assert isinstance(echelon, _Planes)
             echelon.rows.popitem()
         return echelon
-    monkeypatch.setattr(linalg, "_echelon_fp", off)
+    monkeypatch.setattr(linalg, "_echelon", off)
 
 
 @pytest.mark.parametrize("m", (2, 6))

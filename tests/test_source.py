@@ -90,3 +90,13 @@ def test_the_smith_form_serves_only_integral_complexes():
     assert _callers("elementary_divisors") == {
         ("cohomology.py", "_cohomology")}
     assert _callers("smith_diagonal") == {("linalg.py", "elementary_divisors")}
+
+
+def test_every_echelon_form_is_made_by_linalg_echelon():
+    """The row store of an elimination, dict rows or bit planes, is chosen
+    in one place: ``_Echelon`` and ``_Planes`` are constructed only by
+    ``linalg._echelon``, and no ``_echelon_fp`` is left beside it."""
+    assert _callers("_Echelon") == _callers("_Planes") == {
+        ("linalg.py", "_echelon")}
+    assert not any("_echelon_fp" in path.read_text()
+                   for path in SRC.glob("*.py"))
