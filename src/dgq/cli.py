@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from itertools import islice
 from types import SimpleNamespace
 
 # cocycles, cohomology and wha are imported inside the commands that run
@@ -71,7 +72,7 @@ class Output:
         """Print the text lines, or the machine object key by key in sorted
         order: the bytes of ``json.dumps(data, sort_keys=True)``.  A value
         given as an iterator of JSON texts is written as the array of those
-        texts, one text at a time, so that it is never held whole."""
+        texts, eight texts at a time, so that it is never held whole."""
         if self.fmt != "machine":
             for line in self.lines:
                 print(line)
@@ -87,8 +88,11 @@ class Output:
             value = self.data[key]
             if isinstance(value, Iterator):
                 write("[")
-                for i, text in enumerate(value):
-                    write(", " + text if i else text)
+                comma = ""
+                while batch := list(islice(value, 8)):
+                    write(comma)
+                    write(", ".join(batch))
+                    comma = ", "
                 write("]")
             else:
                 write(json.dumps(value, sort_keys=True))

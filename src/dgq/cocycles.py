@@ -17,16 +17,14 @@ counting stay integer problems.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, lt
 
 from .double import DoubleGroupoid
 from .errors import (InternalConsistencyError, Report, ResourceBudgetError,
                      StructureError, UnembeddableError)
 from .fields import FieldSpec
-from .linalg import (count_solutions_mod_m, is_zero_matrix, matmul,
-                     solutions_mod_m, sparse_row, transpose)
+from .linalg import count_solutions_mod_m, solutions_mod_m
 
 
 class CocyclePair:
@@ -149,20 +147,21 @@ def gauge_transform(t: DoubleGroupoid, cp: CocyclePair, psi) -> CocyclePair:
 # -- enumeration ---------------------------------------------------------
 
 
-def _identity_forms(t: DoubleGroupoid):
+def _identity_forms(t: DoubleGroupoid, where):
     """Each cocycle and compatibility identity of ``t.cocycle_identities()``,
-    in the table's order, as the linear form that vanishes when it holds:
-    (entry, coefficient) terms over the sigma entries followed by the tau
-    entries."""
+    in the table's order, as the linear form that vanishes when it holds,
+    over the columns that ``where`` gives the entries (the sigma entries
+    followed by the tau entries): (positive columns, negative columns), a
+    column once per term."""
     nv = len(t.pair_domains()[0])
+    s, u = where[:nv], where[nv:]
     ids = t.cocycle_identities()
     for i, j, k, l, _ in ids.sigma_cocycle:
-        yield (i, 1), (j, 1), (k, -1), (l, -1)
+        yield (s[i], s[j]), (s[k], s[l])
     for i, j, k, l, _ in ids.tau_cocycle:
-        yield (nv + i, 1), (nv + j, 1), (nv + k, -1), (nv + l, -1)
+        yield (u[i], u[j]), (u[k], u[l])
     for i, j, k, l, p, q, _ in ids.compatibility:
-        yield ((i, 1), (nv + j, 1), (nv + k, -1), (nv + l, -1), (p, -1),
-               (q, -1))
+        yield (s[i], u[j]), (u[k], u[l], s[p], s[q])
 
 
 def _constraint_system(t: DoubleGroupoid):
@@ -176,7 +175,9 @@ def _constraint_system(t: DoubleGroupoid):
     sigma entries and then the tau entries.  ``where[e]`` is the column of
     sigma entry e, tau entry j being entry ``len(vp) + j``, and ``ncols``
     where the entry is forced.  Each cocycle and compatibility identity
-    gives one row (none where every term is forced).
+    gives one row (none where every term is forced): its columns in the
+    order of their first terms, the forced one dropped, each with the sum
+    of its coefficients, and none whose terms cancel.
     """
     vp, hp, _, _ = t.pair_domains()
     ids = t.cocycle_identities()
@@ -188,8 +189,15 @@ def _constraint_system(t: DoubleGroupoid):
     for k, e in enumerate(free):
         where[e] = k
     rows = []
-    for form in _identity_forms(t):
-        row = sparse_row((where[e], c) for e, c in form if where[e] < ncols)
+    for pos, neg in _identity_forms(t, where):
+        row = {}
+        for c in pos:
+            row[c] = row.get(c, 0) + 1
+        for c in neg:
+            row[c] = row.get(c, 0) - 1
+        row.pop(ncols, None)
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         if row:
             rows.append(row)
     return rows, ncols, where
@@ -264,7 +272,7 @@ class _BlockCheck:
     column value of m or more fails as a rule does.
     """
 
-    __slots__ = ("t", "modulus", "system", "width", "pack", "rules",
+    __slots__ = ("t", "modulus", "system", "width", "rules",
                  "symmetry", "symmetry_errors", "fill", "above", "high")
 
     def __init__(self, t: DoubleGroupoid, m: int, system):
@@ -275,20 +283,20 @@ class _BlockCheck:
         def terms(row):
             """(positive columns, negative columns) of a row, each column
             repeated as often as its coefficient."""
-            return (tuple(col for col, c in row.items() if c > 0
-                          for _ in range(c)),
-                    tuple(col for col, c in row.items() if c < 0
-                          for _ in range(-c)))
+            pos, neg = [], []
+            for col, c in row.items():
+                (pos if c > 0 else neg).extend([col] * abs(c))
+            return tuple(pos), tuple(neg)
 
         rules = list(dict.fromkeys(map(terms, rows)))
         # the symmetry rows, in the validator's order and with its messages
         symmetry, errors = [], []
         for (a, i, j), (_, k, l) in zip(ids.sigma_symmetry, ids.tau_symmetry):
             for side, e, f in (("sigma", i, j), ("tau", nv + k, nv + l)):
-                row = sparse_row((where[x], c) for x, c in ((e, 1), (f, -1))
-                                 if where[x] < ncols)
-                if row:
-                    symmetry.append(terms(row))
+                e, f = where[e], where[f]
+                if e != f:
+                    symmetry.append(((e,) if e < ncols else (),
+                                     (f,) if f < ncols else ()))
                     errors.append(f"{side} symmetry broken at box {a}")
 
         def offset(neg):
@@ -301,22 +309,26 @@ class _BlockCheck:
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * _BLOCK, "little")
         spread, compiled = {}, {}
 
+        def lanes(v):
+            # v in every lane, each such int made once
+            if v not in spread:
+                spread[v] = v * ones
+            return spread[v]
+
         def packed(pos, neg):
-            # each lane value is spread into one int, and each distinct row
-            # is one tuple, shared by every row that uses it
+            # each distinct row is one tuple, shared by every row that uses
+            # it
             if (pos, neg) not in compiled:
                 base = offset(neg)
                 low = base - len(neg) * (m - 1)
                 high = base + len(pos) * (m - 1)
                 compiled[pos, neg] = (
-                    spread.setdefault(base, base * ones), pos, neg,
-                    tuple(spread.setdefault(v, v * ones) for v
-                          in range(-(-low // m) * m, high + 1, m)))
+                    lanes(base), pos, neg,
+                    tuple(map(lanes, range(-(-low // m) * m, high + 1, m))))
             return compiled[pos, neg]
 
         top = 1 << 8 * width - 1
         self.t, self.modulus, self.system, self.width = t, m, system, width
-        self.pack = bytes if width == 1 else partial(_packed, width)
         self.rules = [packed(*r) for r in rules]
         self.symmetry = [packed(*r) for r in symmetry]
         self.symmetry_errors = errors
@@ -326,50 +338,80 @@ class _BlockCheck:
 
     def walk(self, solutions) -> int:
         """Check every solution, in the order given, and return how many
-        there were; the first one that fails raises."""
-        ncols, pack, put = self.system[1], self.pack, self.put
-        block = bytearray(ncols * _BLOCK * self.width)
-        n = k = 0
-        last = None
-        for sol in solutions:
-            try:
-                packed = pack(sol)
-            except (ValueError, OverflowError):
-                # a value below 0 or too wide for a lane
-                packed = None
-            if (packed is None or len(sol) != ncols
-                    or last is not None and packed <= last):
-                self._check(block, k, n - k)
-                self._fault(sol, n, packs=packed is not None)
-            put(block, k, packed)
-            last = packed
-            n += 1
-            k += 1
-            if k == _BLOCK:
-                self._check(block, k, n - k)
-                k = 0
-        self._check(block, k, n - k)
-        return n
+        there were; the first one that fails raises.
 
-    def put(self, block, k: int, packed) -> None:
-        """Write a packed solution into lane k of each column of a block.
-        Its values are big-endian, so that packed solutions sort like the
-        solutions; each lane is little-endian, as the column ints read
-        it."""
+        The solutions come in the blocks of :func:`_blocks`.  A block is
+        checked whole for its sizes, its order and values that fit a lane;
+        only a block that fails that is walked a solution at a time, for the
+        first that does.  Its lanes join the k pending ones, which are
+        decided ``_BLOCK`` solutions at a time, solution n on."""
+        ncols = self.system[1]
+        pending, k, n, last = bytearray(), 0, 0, None
+        for block in _blocks(solutions):
+            if k + len(block) > _BLOCK:
+                self._check(pending, n)
+                pending, k, n = bytearray(), 0, n + k
+            raw = (self.lanes(block) if all(map(ncols.__eq__, map(len, block)))
+                   and (last is None or last < block[0])
+                   and all(map(lt, block, block[1:])) else None)
+            if raw is None:
+                self._fault_in(block, pending, n, k, last)
+            pending += raw
+            k += len(block)
+            last = block[-1]
+        self._check(pending, n)
+        return n + k
+
+    def _fault_in(self, block, pending, n: int, k: int, last) -> None:
+        """Raise for the first solution of a block that has the wrong size,
+        breaks the order or has a value that fits no lane, once the k
+        pending solutions and those before it in the block are decided."""
+        ncols, limit = self.system[1], 1 << 8 * self.width
+        for j, sol in enumerate(block):
+            packs = all(0 <= v < limit for v in sol)
+            if (not packs or len(sol) != ncols
+                    or last is not None and not last < sol):
+                self._check(pending + self.lanes(block[:j]), n)
+                self._fault(sol, n + k + j, packs=packs)
+            last = sol
+        raise InternalConsistencyError(
+            "a block of solutions fails its check, though none of them does")
+
+    def lanes(self, block):
+        """The values of a block of solutions, solution by solution, each
+        little-endian in a lane of ``width`` bytes; None if a value is
+        below 0 or fills its lane."""
         width = self.width
-        stride = _BLOCK * width
-        for j in range(width):
-            block[k * width + j::stride] = packed[width - 1 - j::width]
+        try:
+            values = b"".join(map(bytes, block))
+        except ValueError:
+            try:
+                return b"".join(v.to_bytes(width, "little")
+                                for sol in block for v in sol)
+            except OverflowError:
+                return None
+        if width == 1:
+            return values
+        wide = bytearray(len(values) * width)
+        wide[::width] = values
+        return wide
 
-    def _columns(self, block):
-        """The column ints of a block, and the lanes where a value is m or
-        more (as top bits, with noise below them)."""
-        size = _BLOCK * self.width
-        view = memoryview(block)
+    def _columns(self, lanes):
+        """The column ints of pending lanes, lane k of column c holding
+        solution k's value there, and the lanes where a value is m or more
+        (as top bits, with noise below them)."""
+        ncols, width = self.system[1], self.width
+        stride = ncols * width
         fill, above = self.fill, self.above
         columns, wide = [], 0
-        for start in range(0, len(block), size):
-            col = int.from_bytes(view[start:start + size], "little")
+        for c in range(0, stride, width):
+            if width == 1:
+                col = lanes[c::stride]
+            else:
+                col = bytearray(len(lanes) // ncols)
+                for j in range(width):
+                    col[j::width] = lanes[c + j::stride]
+            col = int.from_bytes(col, "little")
             columns.append(col)
             wide |= col | ((col & fill) + above)
         return columns, wide
@@ -389,10 +431,10 @@ class _BlockCheck:
                 f &= (v ^ c) + fill
             yield f
 
-    def masks(self, block):
-        """(rules, symmetry): the top bits of the lanes of a block where a
+    def masks(self, lanes):
+        """(rules, symmetry): the top bits of the pending lanes where a
         rule, or a symmetry row, fails."""
-        columns, rules = self._columns(block)
+        columns, rules = self._columns(lanes)
         for f in self._failing(columns, self.rules):
             rules |= f
         symmetry = 0
@@ -400,26 +442,25 @@ class _BlockCheck:
             symmetry |= f
         return rules & self.high, symmetry & self.high
 
-    def _check(self, block, k: int, first: int) -> None:
-        """Decide the first k solutions of a block, pair ``first`` on; the
-        earliest that fails raises."""
-        if not k:
+    def _check(self, lanes, first: int) -> None:
+        """Decide the pending lanes, pair ``first`` on; the earliest
+        solution that fails raises."""
+        if not lanes:
             return
-        rules, symmetry = self.masks(block)
+        rules, symmetry = self.masks(lanes)
         bits = 8 * self.width
-        bad = (rules | symmetry) & ((1 << k * bits) - 1)
+        bad = rules | symmetry
         if not bad:
             return
         top = bad & -bad
         lane = (top.bit_length() - 1) // bits
-        size = _BLOCK * self.width
-        sol = tuple(int.from_bytes(block[c + lane * self.width:
-                                         c + (lane + 1) * self.width],
-                                   "little")
-                    for c in range(0, len(block), size))
+        stride = self.system[1] * self.width
+        sol = tuple(int.from_bytes(lanes[c:c + self.width], "little")
+                    for c in range(lane * stride, (lane + 1) * stride,
+                                   self.width))
         if not rules & top:
             # only symmetry rows fail, though the rules imply them
-            columns, _ = self._columns(block)
+            columns, _ = self._columns(lanes)
             for f, error in zip(self._failing(columns, self.symmetry),
                                 self.symmetry_errors):
                 if f & top:
@@ -447,9 +488,20 @@ class _BlockCheck:
             f"passes")
 
 
-def _packed(width: int, sol) -> bytes:
-    """A solution as bytes, each value big-endian in ``width`` bytes."""
-    return b"".join(v.to_bytes(width, "big") for v in sol)
+# solutions per block that the check walk and the writer take at a time
+_TUPLES = 32
+
+
+def _blocks(solutions):
+    """The solutions in order, in lists of at most ``_TUPLES``: the blocks
+    of the walk where the solutions are :func:`solutions_mod_m`'s, else
+    ``_TUPLES`` at a time."""
+    if hasattr(solutions, "blocks"):
+        yield from solutions.blocks(_TUPLES)
+        return
+    solutions = iter(solutions)
+    while block := list(islice(solutions, _TUPLES)):
+        yield block
 
 
 def _pairs(t: DoubleGroupoid, m: int, system, solutions):
@@ -488,23 +540,56 @@ class CocyclePairs:
     def __iter__(self):
         return _pairs(self.t, self.modulus, self.system, self.solutions)
 
+    def blocks(self):
+        """The solutions, walked afresh, in the lists of :func:`_blocks`."""
+        return _blocks(self.solutions)
+
 
 def _gauge_matrix(t: DoubleGroupoid, where, ncols: int):
     """The gauge map G over Z, from the free boxes to the ``ncols`` columns
     of :func:`_constraint_system`, read through its ``where``: one sparse
     row per column, one column per free box, holding :func:`gauge_delta` of
-    that box's unit gauge.  A gauge that moves a normalized entry raises."""
-    cols = []
-    for a in free_boxes(t):
-        psi = [0] * t.n_boxes
-        psi[a] = 1
-        delta = list(chain(*gauge_delta(t, psi)))
-        if any(d for k, d in zip(where, delta) if k == ncols):
-            raise InternalConsistencyError(
-                f"the unit gauge on box {a} moves a normalized entry")
-        cols.append(sparse_row((k, d) for k, d in zip(where, delta)
-                               if k < ncols))
-    return transpose(cols, ncols)
+    that box's unit gauge.  A gauge that moves a normalized entry raises.
+
+    Each entry's terms are read once, from the boxes that its pair and
+    their composite name (with the signs of :func:`gauge_delta`), rather
+    than one unit gauge at a time."""
+    boxes = free_boxes(t)
+    free = {a: k for k, a in enumerate(boxes)}
+    vp, hp, _, _ = t.pair_domains()
+    vc, hc = t.vcomp, t.hcomp
+    rows = [None] * ncols
+    moved = []
+    terms = chain((((vc[a][b], 1), (a, -1), (b, -1)) for a, b in vp),
+                  (((a, 1), (hc[a][b], -1), (b, 1)) for a, b in hp))
+    for k, entry in zip(where, terms):
+        row = {}
+        for box, c in entry:
+            if box in free:
+                row[free[box]] = row.get(free[box], 0) + c
+        row = {j: row[j] for j in sorted(row) if row[j]}
+        if k < ncols:
+            rows[k] = row
+        elif row:
+            moved.append(min(row))
+    if moved:
+        raise InternalConsistencyError(
+            f"the unit gauge on box {boxes[min(moved)]} moves a normalized "
+            f"entry")
+    return rows
+
+
+def _vanishes(rows, gauge) -> bool:
+    """Whether A G = 0 over Z.  Row k of G is packed into one int, its entry
+    at box x in the lane of ``width`` bits from bit ``width * x``; a row of
+    A times G is then the sum of its terms times those ints.  No entry of
+    A G reaches half a lane in size, so the sum is 0 exactly when every
+    lane is."""
+    most = max((abs(v) for row in gauge for v in row.values()), default=0)
+    span = max((sum(map(abs, row.values())) for row in rows), default=0)
+    width = (most * span).bit_length() + 1
+    packed = [sum(v << width * x for x, v in row.items()) for row in gauge]
+    return not any(sum(v * packed[k] for k, v in row.items()) for row in rows)
 
 
 def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
@@ -523,7 +608,7 @@ def count_modulo_gauge(t: DoubleGroupoid, m: int) -> int:
     require_vacant(t)
     rows, ncols, where = _constraint_system(t)
     gauge = _gauge_matrix(t, where, ncols)
-    if not is_zero_matrix(matmul(rows, gauge)):
+    if not _vanishes(rows, gauge):
         raise InternalConsistencyError("a gauge coboundary fails the cocycle system")
     nfree = len(free_boxes(t))
     orbits, rest = divmod(count_solutions_mod_m(rows, ncols, m)

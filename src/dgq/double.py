@@ -117,13 +117,17 @@ class DoubleGroupoid:
         """All 2x2 composable arrangements (a, b, c, d):  a|b over c|d."""
         if self._squares is None:
             by_left, by_top = self._by_left_top()
+            # d is read off its left and top edges, which c and b fix
+            corner = {}
+            for d, key in enumerate(zip(self.left, self.top)):
+                corner.setdefault(key, []).append(d)
             out = []
             for a in range(self.n_boxes):
                 for b in by_left.get(self.right[a], ()):
                     for c in by_top.get(self.bottom[a], ()):
-                        for d in by_left.get(self.right[c], ()):
-                            if self.bottom[b] == self.top[d]:
-                                out.append((a, b, c, d))
+                        for d in corner.get((self.right[c], self.bottom[b]),
+                                            ()):
+                            out.append((a, b, c, d))
             self._squares = out
         return iter(self._squares)
 
@@ -147,13 +151,13 @@ class DoubleGroupoid:
 
     def pair_domains(self):
         """Sorted vertically/horizontally composable pair lists with their
-        index maps; the canonical index sets for cocycle tables."""
+        index maps (:class:`PairIndex`); the canonical index sets for
+        cocycle tables."""
         if self._pairs is None:
             vp = list(self.vertical_boxes.composable_pairs())
             hp = list(self.horizontal_boxes.composable_pairs())
-            self._pairs = (vp, hp,
-                           {pq: i for i, pq in enumerate(vp)},
-                           {pq: i for i, pq in enumerate(hp)})
+            self._pairs = (vp, hp, PairIndex(self.vertical_boxes),
+                           PairIndex(self.horizontal_boxes))
         return self._pairs
 
     def cocycle_identities(self) -> "CocycleIdentities":
@@ -209,10 +213,49 @@ class CocycleIdentities:
         self.tau_symmetry = tau_symmetry
 
 
+class PairIndex:
+    """The index of each composable pair (a, b) of a box groupoid in its
+    sorted list, read off two arrays as ``start[a] + place[b]``: the pairs
+    of a come after those of every box before it, and b is ``place[b]``-th
+    of the boxes out of its source.  A mapping from pairs to indices, with
+    ``get`` and ``[]`` as on a dict, that holds no tuple per pair."""
+
+    __slots__ = ("boxes", "start", "place")
+
+    def __init__(self, boxes: Groupoid):
+        self.boxes = boxes
+        self.start, n = [], 0
+        for out in map(boxes.leaving().__getitem__, boxes.target):
+            self.start.append(n)
+            n += len(out)
+        self.place = [0] * boxes.n_arrows
+        for out in boxes.leaving():
+            for k, b in enumerate(out):
+                self.place[b] = k
+
+    def get(self, pair, default=None):
+        a, b = pair
+        g = self.boxes
+        if 0 <= a < g.n_arrows and 0 <= b < g.n_arrows and (
+                g.target[a] == g.source[b]):
+            return self.start[a] + self.place[b]
+        return default
+
+    def __getitem__(self, pair):
+        i = self.get(pair)
+        if i is None:
+            raise KeyError(pair)
+        return i
+
+
 def _compile_identities(t: DoubleGroupoid) -> CocycleIdentities:
+    """The identities over the pair indices, each term read off the index
+    arrays of :class:`PairIndex`."""
     vp, hp, vindex, hindex = t.pair_domains()
     vc, hc = t.vcomp, t.hcomp
-    by_left, by_top = t._by_left_top()
+    vs, vk = vindex.start, vindex.place
+    hs, hk = hindex.start, hindex.place
+    below, right = t.vertical_boxes.leaving(), t.horizontal_boxes.leaving()
     inv = t.inverses
     return CocycleIdentities(
         sigma_normalization=tuple(
@@ -222,25 +265,25 @@ def _compile_identities(t: DoubleGroupoid) -> CocycleIdentities:
             (i, (a, b)) for i, (a, b) in enumerate(hp)
             if t.is_hid(a) or t.is_hid(b)),
         sigma_cocycle=tuple(
-            (i, vindex[(vc[a][b], c)], vindex[(b, c)], vindex[(a, vc[b][c])],
+            (i, vs[vc[a][b]] + vk[c], vs[b] + vk[c], vs[a] + vk[vc[b][c]],
              (a, b, c))
             for i, (a, b) in enumerate(vp)
-            for c in by_top.get(t.bottom[b], ())),
+            for c in below[t.bottom[b]]),
         tau_cocycle=tuple(
-            (i, hindex[(hc[a][b], c)], hindex[(b, c)], hindex[(a, hc[b][c])],
+            (i, hs[hc[a][b]] + hk[c], hs[b] + hk[c], hs[a] + hk[hc[b][c]],
              (a, b, c))
             for i, (a, b) in enumerate(hp)
-            for c in by_left.get(t.right[b], ())),
+            for c in right[t.right[b]]),
         compatibility=tuple(
-            (vindex[(hc[a][b], hc[c][d])], hindex[(vc[a][c], vc[b][d])],
-             hindex[(a, b)], hindex[(c, d)], vindex[(a, c)], vindex[(b, d)],
+            (vs[hc[a][b]] + vk[hc[c][d]], hs[vc[a][c]] + hk[vc[b][d]],
+             hs[a] + hk[b], hs[c] + hk[d], vs[a] + vk[c], vs[b] + vk[d],
              (a, b, c, d))
             for a, b, c, d in t.squares()),
         sigma_symmetry=tuple(
-            (a, vindex[(a, inv.v_inv[a])], vindex[(inv.v_inv[a], a)])
+            (a, vs[a] + vk[inv.v_inv[a]], vs[inv.v_inv[a]] + vk[a])
             for a in t.boxes()),
         tau_symmetry=tuple(
-            (a, hindex[(a, inv.h_inv[a])], hindex[(inv.h_inv[a], a)])
+            (a, hs[a] + hk[inv.h_inv[a]], hs[inv.h_inv[a]] + hk[a])
             for a in t.boxes()))
 
 

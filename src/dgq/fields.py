@@ -7,6 +7,8 @@ values k in Z/m embed as zeta**k.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import StructureError, UnembeddableError
 
 
@@ -69,18 +71,37 @@ def prime_powers(n: int) -> list[tuple[int, int]]:
     return out + [(n, 1)] if n > 1 else out
 
 
+def _order_test(m: int, power):
+    """A test of exact multiplicative order m, ``power(z, k)`` being z**k:
+    z**m is 1, and z**(m/q) is not, for each prime q of m."""
+    primes = [q for q, _ in prime_powers(m)]
+    return lambda z: power(z, m) == 1 and all(power(z, m // q) != 1
+                                              for q in primes)
+
+
 def smallest_root(p: int, m: int) -> int:
     """The default zeta: the smallest element of exact order m in F_p, or
-    over Q (p = 0) the only one, -1 for m = 2 and 1 for m = 1."""
+    over Q (p = 0) the only one, -1 for m = 2 and 1 for m = 1.
+
+    In F_p, with m dividing p - 1, the m-th roots of unity form a cyclic
+    group, and z**((p-1)/m) lies in it for every z.  So the first z whose
+    power there has exact order m gives a generator w, and the elements of
+    exact order m are the powers w**k with k prime to m.  Where there are
+    fewer of them than about p/m, the smallest is the least of that list;
+    elsewhere z = 1, 2, ... are tried in turn, and one of order m comes
+    within about (p - 1)/phi(m) steps."""
     if p == 0:
         if m > 2:
             raise UnembeddableError(
                 f"the rationals have no element of order {m}")
         return -1 if m == 2 else 1
-    for z in range(1, p):
-        if pow(z, m, p) == 1 and all(pow(z, d, p) != 1 for d in range(1, m)):
-            return z
-    raise UnembeddableError(f"no element of order {m} in F_{p}")
+    if (p - 1) % m:
+        raise UnembeddableError(f"no element of order {m} in F_{p}")
+    has_order = _order_test(m, lambda z, k: pow(z, k, p))
+    if m * m >= p:
+        return next(filter(has_order, range(1, p)))
+    w = next(filter(has_order, (pow(z, (p - 1) // m, p) for z in range(1, p))))
+    return min(pow(w, k, p) for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def _rational(x):
@@ -119,13 +140,13 @@ class FieldSpec:
         zeta = smallest_root(p, m) if zeta is None else zeta
         if p == 0:
             zeta = _rational(zeta)
-            if zeta ** m != 1 or any(zeta ** d == 1 for d in range(1, m)):
+            if not _order_test(m, pow)(zeta):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} in Q")
         else:
             if not isinstance(zeta, int) or not 0 <= zeta < p:
                 raise StructureError("zeta must be a residue mod p")
-            if pow(zeta, m, p) != 1 or any(pow(zeta, d, p) == 1 for d in range(1, m)):
+            if not _order_test(m, lambda z, k: pow(z, k, p))(zeta):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} mod {p}")
         self.characteristic = p

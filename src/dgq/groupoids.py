@@ -34,7 +34,7 @@ class Groupoid:
     """
 
     __slots__ = ("n_objects", "n_arrows", "source", "target", "identity",
-                 "compose", "_inverse", "_hash")
+                 "compose", "_inverse", "_hash", "_leaving", "_report")
 
     def __init__(self, n_objects, source, target, identity, compose):
         source = tuple(source)
@@ -50,16 +50,21 @@ class Groupoid:
             raise StructureError("identity table must list one arrow per object")
         if len(compose) != n_arrows or any(len(row) != n_arrows for row in compose):
             raise StructureError("compose table must be n_arrows x n_arrows")
+        # each table is read whole by min and max; only a table out of range
+        # is walked, for its first bad entry
         for name, table, bound in (("source", source, n_objects),
                                    ("target", target, n_objects),
                                    ("identity", identity, n_arrows)):
-            for i, v in enumerate(table):
-                if not 0 <= v < bound:
-                    raise StructureError(f"{name}[{i}] = {v} out of range")
-        for f, row in enumerate(compose):
-            for g, v in enumerate(row):
-                if v != UNDEF and not 0 <= v < n_arrows:
-                    raise StructureError(f"compose[{f}][{g}] = {v} out of range")
+            if table and not (0 <= min(table) and max(table) < bound):
+                i, v = next((i, v) for i, v in enumerate(table)
+                            if not 0 <= v < bound)
+                raise StructureError(f"{name}[{i}] = {v} out of range")
+        if n_arrows and not (UNDEF <= min(map(min, compose))
+                             and max(map(max, compose)) < n_arrows):
+            f, g, v = next((f, g, v) for f, row in enumerate(compose)
+                           for g, v in enumerate(row)
+                           if v != UNDEF and not 0 <= v < n_arrows)
+            raise StructureError(f"compose[{f}][{g}] = {v} out of range")
         self.n_objects = n_objects
         self.n_arrows = n_arrows
         self.source = source
@@ -68,6 +73,8 @@ class Groupoid:
         self.compose = compose
         self._inverse = None
         self._hash = None
+        self._leaving = None
+        self._report = None
 
     # -- basic queries -------------------------------------------------
 
@@ -83,15 +90,23 @@ class Groupoid:
     def arrows(self):
         return range(self.n_arrows)
 
+    def leaving(self) -> tuple[tuple[int, ...], ...]:
+        """The arrows out of each object, in increasing order; built once."""
+        if self._leaving is None:
+            out = [[] for _ in range(self.n_objects)]
+            for f, p in enumerate(self.source):
+                out[p].append(f)
+            self._leaving = tuple(map(tuple, out))
+        return self._leaving
+
     def composable_pairs(self):
-        for f in range(self.n_arrows):
-            for g in range(self.n_arrows):
-                if self.target[f] == self.source[g]:
-                    yield f, g
+        leaving = self.leaving()
+        for f, q in enumerate(self.target):
+            for g in leaving[q]:
+                yield f, g
 
     def arrows_between(self, x: int, y: int) -> list[int]:
-        return [f for f in range(self.n_arrows)
-                if self.source[f] == x and self.target[f] == y]
+        return [f for f in self.leaving()[x] if self.target[f] == y]
 
     @property
     def inverse(self) -> tuple[int, ...]:
@@ -108,12 +123,18 @@ class Groupoid:
         return self._inverse
 
     def _find_inverse(self, f: int):
+        """The least g with f g and g f the identities at f's ends; the row
+        of f is searched for each candidate by ``tuple.index``."""
         id_s = self.identity[self.source[f]]
         id_t = self.identity[self.target[f]]
-        for g in range(self.n_arrows):
-            if self.compose[f][g] == id_s and self.compose[g][f] == id_t:
-                return g
-        return None
+        row = self.compose[f]
+        try:
+            g = row.index(id_s)
+            while self.compose[g][f] != id_t:
+                g = row.index(id_s, g + 1)
+        except ValueError:
+            return None
+        return g
 
     def inv(self, f: int) -> int:
         return self.inverse[f]
@@ -163,42 +184,71 @@ def validate_groupoid(g: Groupoid) -> Report:
     """Exhaustively check the groupoid axioms, reporting every violation.
 
     Structural defects (composition defined off its domain) are reported under
-    the ``structure`` rule, distinct from axiom failures.
+    the ``structure`` rule, distinct from axiom failures.  The report is
+    computed once and kept on ``g``.
+    """
+    if g._report is None:
+        g._report = _groupoid_report(g)
+    return g._report
+
+
+def _groupoid_report(g: Groupoid) -> Report:
+    """The axioms of :func:`validate_groupoid`, each row of the composition
+    read whole against the arrows out of one object.
+
+    Row f is defined exactly on the arrows out of target(f) when it holds
+    UNDEF nowhere there and as many times as there are other arrows; its
+    composites there are checked as one list.  Only a row that fails is
+    walked pair by pair, for its failures in the order of the pairs.
     """
     rep = Report("groupoid")
+    source, target, compose = g.source, g.target, g.compose
+    leaving = g.leaving()
     for p in range(g.n_objects):
         e = g.identity[p]
-        if g.source[e] != p or g.target[e] != p:
+        if source[e] != p or target[e] != p:
             rep.add("identity-endpoints", (p, e),
                     "identity arrow must loop at its object")
-    for f in range(g.n_arrows):
-        for h in range(g.n_arrows):
-            defined = g.compose[f][h] != UNDEF
-            should = g.target[f] == g.source[h]
-            if defined != should:
+    # rest[f]: row f on the arrows out of target(f)
+    rest, whole = [], True
+    for f, row in enumerate(compose):
+        out = leaving[target[f]]
+        rest.append(list(map(row.__getitem__, out)))
+        if (UNDEF not in rest[f]
+                and row.count(UNDEF) == g.n_arrows - len(out)
+                and [(source[c], target[c]) for c in rest[f]]
+                == [(source[f], target[h]) for h in out]):
+            continue
+        whole = False
+        for h, c in enumerate(row):
+            should = target[f] == source[h]
+            if (c != UNDEF) != should:
                 rep.add("structure", (f, h),
                         "compose defined exactly when target(f) = source(g)")
-            elif defined:
-                c = g.compose[f][h]
-                if g.source[c] != g.source[f] or g.target[c] != g.target[h]:
-                    rep.add("composite-endpoints", (f, h, c))
+            elif should and (source[c] != source[f]
+                             or target[c] != target[h]):
+                rep.add("composite-endpoints", (f, h, c))
     for f in range(g.n_arrows):
-        el = g.identity[g.source[f]]
-        er = g.identity[g.target[f]]
-        if g.compose[el][f] != f:
+        el = g.identity[source[f]]
+        er = g.identity[target[f]]
+        if compose[el][f] != f:
             rep.add("left-unit", (f,))
-        if g.compose[f][er] != f:
+        if compose[f][er] != f:
             rep.add("right-unit", (f,))
-    for f, h in g.composable_pairs():
-        fh = g.compose[f][h]
-        if fh == UNDEF:
-            continue
-        for k in range(g.n_arrows):
-            if g.target[h] == g.source[k]:
-                left = g.compose[fh][k]
-                right = g.compose[f][g.compose[h][k]]
-                if left != right:
-                    rep.add("associativity", (f, h, k))
+    # (f h) k against f (h k), for the k out of target(h) at once; where
+    # every row passed, target(f h) = target(h) and rest[f h] is the left
+    for f, row_f in enumerate(compose):
+        for h, fh in zip(leaving[target[f]], rest[f]):
+            if fh == UNDEF:
+                continue
+            ks = leaving[target[h]]
+            left = (rest[fh] if whole
+                    else list(map(compose[fh].__getitem__, ks)))
+            right = list(map(row_f.__getitem__, rest[h]))
+            if left != right:
+                for k, x, y in zip(ks, left, right):
+                    if x != y:
+                        rep.add("associativity", (f, h, k))
     for f in range(g.n_arrows):
         if g._find_inverse(f) is None:
             rep.add("inverse", (f,), "no two-sided inverse")

@@ -16,6 +16,8 @@ Canonical emission sorts every index list ascending and is idempotent:
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 from .double import DoubleGroupoid
 from .errors import FormatError, InternalConsistencyError, StructureError
@@ -70,6 +72,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _all_ints(values) -> bool:
+    """Whether every value is an integer: read whole by the types present,
+    and value by value only where a type other than int is."""
+    return set(map(type, values)) <= {int} or all(map(_is_int, values))
+
+
 def _int(obj, key, context):
     val = obj[key]
     if not _is_int(val):
@@ -79,15 +87,22 @@ def _int(obj, key, context):
 
 def _int_list(obj, key, context):
     val = obj[key]
-    if not isinstance(val, list) or not all(map(_is_int, val)):
+    if not isinstance(val, list) or not _all_ints(val):
         raise FormatError(f"{context}: {key} must be a list of integers")
     return val
 
 
 def _triples(obj, key, context):
+    """The entries of a list of [a, b, v] triples, as tuples, each (a, b)
+    once.  The list is checked whole; only one that fails is walked entry
+    by entry, for the first that does."""
     val = obj[key]
     if not isinstance(val, list):
         raise FormatError(f"{context}: {key} must be a list of triples")
+    if (set(map(type, val)) <= {list} and set(map(len, val)) <= {3}
+            and _all_ints(list(chain.from_iterable(val)))
+            and len(set(map(itemgetter(0, 1), val))) == len(val)):
+        return list(map(tuple, val))
     out = []
     seen = set()
     for item in val:
@@ -106,9 +121,11 @@ def _triples(obj, key, context):
 
 def _compose_from_triples(triples, n_arrows, context):
     table = [[UNDEF] * n_arrows for _ in range(n_arrows)]
+    values = list(chain.from_iterable(triples))
+    if values and not (0 <= min(values) and max(values) < n_arrows):
+        bad = next(x for x in triples if not all(0 <= v < n_arrows for v in x))
+        raise FormatError(f"{context}: composition triple {bad} out of range")
     for f, g, c in triples:
-        if not (0 <= f < n_arrows and 0 <= g < n_arrows and 0 <= c < n_arrows):
-            raise FormatError(f"{context}: composition triple {(f, g, c)} out of range")
         table[f][g] = c
     return table
 
@@ -307,14 +324,22 @@ def cocycle_texts(t: DoubleGroupoid, pairs):
     ``json.dumps(body, sort_keys=True)`` writes for the body that
     :func:`emit` writes for its document, without ``kind`` and ``version``.
 
-    Every pair's text comes from one ``%``-template, built here once: the
-    entries of ``t.pair_domains()`` in their (sorted) order, ``[a, b, %d]``
-    where the entry takes a solution column and ``[a, b, 0]`` where
+    Every pair's text is one template, built here once: the entries of
+    ``t.pair_domains()`` in their (sorted) order, ``[a, b, v]`` with a hole
+    for v where the entry takes a solution column and ``[a, b, 0]`` where
     normalization forces it.  The constraint system's ``where`` numbers the
     free sigma entries and then the free tau entries in increasing order,
-    so the holes take the columns 0, 1, ... in turn, and a pair's text is
-    ``template % solution``.  That order is checked here, before any text
-    is written.
+    so the holes take the columns 0, 1, ... in turn.  That order is checked
+    here, before any text is written.
+
+    Where every value fits in a byte (m <= 256), the texts are written a
+    block of solutions at a time (``pairs.blocks()``), column by column,
+    into a buffer holding the template once per pair.  Each hole is as wide as m - 1 in decimal; a
+    block's values, as bytes, go through one ``bytes.translate`` table per
+    digit, and each hole takes its column's digits in one strided slice
+    assignment per digit.  A value with fewer digits leaves NUL bytes in
+    front, which one ``translate`` deletes.  Past m = 256 a pair's text is
+    ``template % solution``, with ``%d`` in each hole.
     """
     vp, hp, _, _ = t.pair_domains()
     _, ncols, where = pairs.system
@@ -322,12 +347,58 @@ def cocycle_texts(t: DoubleGroupoid, pairs):
         raise InternalConsistencyError(
             "the free cocycle entries do not take the solution columns in "
             "order")
+    # the template around its holes: pieces[c] comes before column c's
     entries = [f"[{a}, {b}, {'%d' if k < ncols else 0}]"
                for (a, b), k in zip(vp + hp, where)]
-    template = (f'{{"modulus": {pairs.modulus}, '
-                f'"sigma": [{", ".join(entries[:len(vp)])}], '
-                f'"tau": [{", ".join(entries[len(vp):])}]}}')
-    return map(template.__mod__, pairs.solutions)
+    pieces = (f'{{"modulus": {pairs.modulus}, '
+              f'"sigma": [{", ".join(entries[:len(vp)])}], '
+              f'"tau": [{", ".join(entries[len(vp):])}]}}').split("%d")
+    m = pairs.modulus
+    if m > 256:
+        return map("%d".join(pieces).__mod__, pairs.solutions)
+    return _filled_texts(pieces, m, pairs.blocks())
+
+
+def _filled_texts(pieces, m: int, blocks):
+    """The texts of the blocks of solutions, each value below m <= 256
+    written into its hole as ``width`` decimal digits, NUL-padded in front.
+    One buffer, grown to the largest block, holds a block's texts, each
+    followed by a newline; the holes are all rewritten for each block."""
+    width = len(str(m - 1))
+    record = ("\0" * width).join(pieces).encode() + b"\n"
+    size = len(record)
+    holes, start = [], 0
+    for piece in pieces[:-1]:
+        start += len(piece)
+        holes.append(start)
+        start += width
+    padded = [str(v).rjust(width, "\0").encode() for v in range(m)]
+    digits = [bytes(s[d] for s in padded).ljust(256, b"\0")
+              for d in range(width)]
+    ncols = len(holes)
+    residues = bytes(range(m))
+    buf = bytearray()
+    for block in blocks:
+        end = len(block) * size
+        if len(buf) < end:
+            buf = bytearray(record) * len(block)
+        try:
+            values = b"".join(map(bytes, block))
+        except ValueError:
+            values = None   # a value below 0 or past a byte
+        if values is None or values.translate(None, residues):
+            raise InternalConsistencyError(
+                f"a solution to write has a value outside 0..{m - 1}")
+        for d, table in enumerate(digits):
+            column = values.translate(table)
+            for c, hole in enumerate(holes):
+                buf[hole + d:end:size] = column[c::ncols]
+        texts = buf if width == 1 else buf[:end].translate(None, b"\0")
+        start = 0
+        for _ in block:
+            end = texts.index(b"\n", start)
+            yield texts[start:end].decode()
+            start = end + 1
 
 
 def _field_from_obj(obj: dict, context: str) -> FieldSpec:

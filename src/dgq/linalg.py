@@ -37,6 +37,7 @@ span together have m**ncols elements.  No count takes a Smith form.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
@@ -549,9 +550,11 @@ def solutions_mod_m(rows, ncols: int, m: int):
     A column that pivots no row is free and takes m values; one that pivots
     a row with pivot g takes the g values that solve that row, given the
     columns before it.  The count, m per free column times g per pivot
-    column, must equal the one found another way: at a squarefree m the
-    product of :func:`_rank_count`, elsewhere m**ncols over the order of
-    the column span, from the Howell form of the transpose.
+    column, must equal the one found another way: at a prime m, where the
+    form's rows are the rank over F_m, that rank must be the rank of the
+    transpose; at another squarefree m the count must be the product of
+    :func:`_rank_count`, elsewhere m**ncols over the order of the column
+    span, from the Howell form of the transpose.
 
     The solutions keep the Howell form, and each iteration walks it afresh
     with :func:`_walk`: the columns depth first, in increasing order,
@@ -563,6 +566,15 @@ def solutions_mod_m(rows, ncols: int, m: int):
     echelon = _echelon(m, rows, ncols)
     count = m ** ncols // echelon.order()
     primes = squarefree_primes(m)
+    if primes == [m]:
+        # the form's rows are the rank on the rows; the transpose checks it
+        rank = len(echelon.rows)
+        rank_t = len(_echelon(m, transpose(rows, ncols), len(rows)).rows)
+        if rank != rank_t:
+            raise InternalConsistencyError(
+                f"rank {rank} over F_{m} on the rows, {rank_t} on the "
+                f"columns")
+        return count, _Solutions(echelon, ncols)
     if primes is None:
         route = "Howell form of the transpose"
         other, rest = divmod(m ** ncols, _echelon(
@@ -609,6 +621,11 @@ class _Solutions:
 
     def __iter__(self):
         return _walk(self.echelon, self.ncols)
+
+    def blocks(self, size: int):
+        """The solutions of the walk, in its order, in lists of at most
+        ``size`` (see :func:`_blocks`)."""
+        return _blocks(self.echelon, self.ncols, size)
 
 
 def _levels(echelon, ncols: int) -> list:
@@ -663,9 +680,11 @@ def _walk(echelon, ncols: int):
     """The solutions of the rows of a Howell form over Z/m, in increasing
     lexicographic order (see :func:`solutions_mod_m`): the branching columns
     of :func:`_levels` are stepped alone, depth first, from 0."""
-    m = echelon.m
-    levels = _levels(echelon, ncols)
-    x = [0] * ncols
+    return _walk_levels(_levels(echelon, ncols), [0] * ncols, echelon.m)
+
+
+def _walk_levels(levels, x: list, m: int):
+    """The solutions from x on, stepping only the given levels."""
     while True:
         yield tuple(x)
         # step the last level that has a next value
@@ -675,3 +694,43 @@ def _walk(echelon, ncols: int):
         if i < 0:
             return
         _step(levels, i, x, m)
+
+
+def _blocks(echelon, ncols: int, size: int):
+    """The solutions of :func:`_walk`, in its order, in lists of at most
+    ``size``.
+
+    The free levels at the end of the walk, as many as give at most
+    ``size`` solutions together, form its tail.  Each step of the levels
+    before them starts a block, from the solution x with the tail at 0: the
+    tail's values enter x linearly, so the block is x plus each solution
+    of the tail walked from 0, in turn.  Those sums are made in lanes of one
+    byte, one per value, all at once: mod 2 by one XOR, and below m = 129
+    by one addition that leaves each lane below 2m, after which m is taken
+    from every lane that reaches it.  Elsewhere, and where no level is in
+    the tail, the walk is cut into lists."""
+    m = echelon.m
+    levels = _levels(echelon, ncols)
+    j, count = len(levels), 1
+    while j and levels[j - 1][2] is None and (
+            count * (m // levels[j - 1][1]) <= size):
+        j -= 1
+        count *= m // levels[j][1]
+    if count == 1 or m > 128:
+        walk = _walk_levels(levels, [0] * ncols, m)
+        while block := list(islice(walk, size)):
+            yield block
+        return
+    tail = int.from_bytes(b"".join(map(bytes, _walk_levels(
+        levels[j:], [0] * ncols, m))), "little")
+    ones = int.from_bytes(b"\1" * (count * ncols), "little")
+    above, high = (128 - m) * ones, 128 * ones
+    for x in _walk_levels(levels[:j], [0] * ncols, m):
+        lanes = int.from_bytes(bytes(x) * count, "little")
+        if m == 2:
+            lanes ^= tail
+        else:
+            lanes += tail
+            lanes -= (((lanes + above) & high) >> 7) * m
+        yield list(zip(*[iter(lanes.to_bytes(count * ncols, "little"))]
+                       * ncols))

@@ -30,15 +30,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgq import cocycles
 from dgq import io as dio
 from dgq.cocycles import (_BLOCK, CocyclePair, _BlockCheck, _constraint_system,
-                          count_modulo_gauge, enumerate_cocycle_pairs,
-                          free_boxes, gauge_transform, validate_cocycle_pair,
-                          zero_pair)
+                          _gauge_matrix, _vanishes, count_modulo_gauge,
+                          enumerate_cocycle_pairs, free_boxes, gauge_delta,
+                          gauge_transform, validate_cocycle_pair, zero_pair)
 from dgq.cohomology import aut_and_opext
 from dgq.double import CocycleIdentities, build_Xrs
 from dgq.errors import InternalConsistencyError, Report, StructureError
-from dgq.linalg import smith_diagonal, solutions_mod_m, sparse_row, transpose
+from dgq.linalg import (is_zero_matrix, matmul, smith_diagonal,
+                        solutions_mod_m, sparse_row, transpose)
 from dgq.matched import to_vacant_double
 from dgq.samples import vacant_corpus
 
@@ -314,14 +316,6 @@ def test_single_entry_corruptions_match_oracle(name, m):
     assert failing
 
 
-def _block(check, solutions):
-    """A block of the check that holds the solutions in its first lanes."""
-    block = bytearray(check.system[1] * _BLOCK * check.width)
-    for k, sol in enumerate(solutions):
-        check.put(block, k, check.pack(sol))
-    return block
-
-
 def _lane(check, k):
     """The top bit of lane k, where the check marks solution k."""
     return 1 << (k + 1) * 8 * check.width - 1
@@ -361,7 +355,7 @@ def _flag_corruptions(t, m, solutions):
     for n in (0, 1):
         top = _lane(check, n)
         for bad in _single_column_corruptions(sequence[n], m):
-            block = _block(check, sequence[:n] + (bad,) + sequence[n + 1:])
+            block = check.lanes(sequence[:n] + (bad,) + sequence[n + 1:])
             rules, symmetry = check.masks(block)
             failures = validate_cocycle_pair(t, _pair_of(t, m, bad)).failures
             # only the corrupted lane can fail, and it does exactly when
@@ -621,3 +615,105 @@ def test_gauge_kernel_is_aut_and_classes_are_opext(name, m):
     assert (_primary_parts(gcd(d, m) for d in diag)
             == _primary_parts(aut.divisors))
     assert count_modulo_gauge(t, m) == opext.order()
+
+
+# -- index arrays, the gauge map and A G = 0 --------------------------------------
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pair_index_is_the_sorted_pair_list(name):
+    """``pair_domains`` maps each composable pair to its place in the sorted
+    list, through two index arrays; any other pair, or a box out of range,
+    has no index."""
+    t = INSTANCES[name]
+    vp, hp, vindex, hindex = t.pair_domains()
+    for pairs, index in ((vp, vindex), (hp, hindex)):
+        places = {pq: i for i, pq in enumerate(pairs)}
+        for a, b in itertools.product(range(-1, t.n_boxes + 1), repeat=2):
+            assert index.get((a, b)) == places.get((a, b))
+            if (a, b) not in places:
+                with pytest.raises(KeyError):
+                    index[a, b]
+        assert [index[pq] for pq in pairs] == list(range(len(pairs)))
+
+
+def _unit_gauge_matrix(t, where, ncols):
+    """G from :func:`gauge_delta` of each free box's unit gauge, one column
+    a box, transposed; the first box whose gauge moves a forced entry
+    raises."""
+    cols = []
+    for a in free_boxes(t):
+        psi = [0] * t.n_boxes
+        psi[a] = 1
+        delta = list(itertools.chain(*gauge_delta(t, psi)))
+        if any(d for k, d in zip(where, delta) if k == ncols):
+            raise InternalConsistencyError(
+                f"the unit gauge on box {a} moves a normalized entry")
+        cols.append(sparse_row((k, d) for k, d in zip(where, delta)
+                               if k < ncols))
+    return transpose(cols, ncols)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_gauge_matrix_is_made_of_the_unit_gauges(name):
+    """G, read entry by entry, is the transpose of the unit gauges' deltas,
+    row for row and key for key; with a free entry marked forced, both
+    routes name the same box that moves it."""
+    t = INSTANCES[name]
+    rows, ncols, where = _constraint_system(t)
+    gauge = _gauge_matrix(t, where, ncols)
+    want = _unit_gauge_matrix(t, where, ncols)
+    assert [list(row.items()) for row in gauge] == [
+        list(row.items()) for row in want]
+    assert _vanishes(rows, gauge)
+    for e in range(len(where))[::7]:
+        if where[e] == ncols:
+            continue
+        forced = list(where)
+        forced[e] = ncols
+        try:
+            _unit_gauge_matrix(t, forced, ncols)
+        except InternalConsistencyError as exc:
+            with pytest.raises(InternalConsistencyError, match=str(exc)):
+                _gauge_matrix(t, forced, ncols)
+        else:
+            _gauge_matrix(t, forced, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_vanishing_is_a_zero_product(nrows, ncols, nfree, data):
+    """A G = 0 by packed lanes exactly when the sparse product is zero, on
+    drawn matrices with few nonzero entries, and on pairs made to vanish:
+    G's columns drawn in the kernel of one row repeated."""
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7))
+    a = [sparse_row(enumerate(data.draw(st.lists(entry, min_size=ncols,
+                                                 max_size=ncols))))
+         for _ in range(nrows)]
+    g = [sparse_row(enumerate(data.draw(st.lists(entry, min_size=nfree,
+                                                 max_size=nfree))))
+         for _ in range(ncols)]
+    assert _vanishes(a, g) == is_zero_matrix(matmul(a, g))
+    if ncols >= 2 and nfree:
+        # (1, -1, 0, ...) and G with equal first two rows
+        g[1] = dict(g[0])
+        row = {0: 1, 1: -1}
+        assert _vanishes([row] * nrows, g) == is_zero_matrix(
+            matmul([row] * nrows, g)) is True
+
+
+def test_a_gauge_map_off_the_cocycles_raises(monkeypatch):
+    """A gauge map with one entry moved no longer vanishes on the system,
+    and counting classes raises."""
+    t = INSTANCES["x22"]
+    real = cocycles._gauge_matrix
+
+    def moved(t, where, ncols):
+        gauge = real(t, where, ncols)
+        row = next(row for row in gauge if row)
+        row[min(row)] += 1
+        return gauge
+    monkeypatch.setattr(cocycles, "_gauge_matrix", moved)
+    with pytest.raises(InternalConsistencyError,
+                       match="a gauge coboundary fails the cocycle system"):
+        count_modulo_gauge(t, 2)

@@ -12,8 +12,12 @@ the corpus, and on x23 over F_3 (with modulus 1 and 2).  ``kac`` with the
 literal normalization (``--strict-normalization off``) is pinned on x11,
 where it passes, and on x22 and x23, where d.d != 0 and it exits 2 with no
 stdout.  ``convert`` runs both ways.  ``cocycles enumerate`` runs with
-``--m`` 2, 3, 4 and 6 on x22 and s3_matched_pair; the composite moduli pin
-the order in which non-unit pivots yield their pairs.  ``cocycles classes
+``--m`` 2, 3, 4 and 6 on x22 and s3_matched_pair, and with 12 on
+s3_matched_pair, whose values take two digits; the composite moduli pin
+the order in which non-unit pivots yield their pairs.  Two enumerations too
+long to store are pinned by the length and sha256 of their output: x23 at
+``--m 3`` and s3_matched_pair at ``--m 257``, the least modulus whose values
+do not fit a byte.  ``cocycles classes
 --m 2`` runs on every double groupoid and matched pair, and with ``--m 3``
 on x23 and product_s3_x21.  ``cohomology`` runs on each groupoid to degree
 3 over F_2, F_3 and Z, and on s3_group to degree 7 over F_2 and 6 over F_3
@@ -33,6 +37,7 @@ under: argparse's layout changes between versions, so the bytes are
 compared only under that version.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -84,6 +89,9 @@ def _commands():
             out.append((f"enumerate-m{m}-{stem}",
                         ["cocycles", "enumerate", f"corpus/{stem}.json",
                          "--m", m]))
+    out.append(("enumerate-m12-s3_matched_pair",
+                ["cocycles", "enumerate", "corpus/s3_matched_pair.json",
+                 "--m", "12"]))
     for tag, flags in (("p3", ["--p", "3"]), ("p3-m2", ["--p", "3", "--m", "2"])):
         out.append((f"wha-verify-{tag}-x23",
                     ["wha", "verify", "corpus/x23.json", *flags]))
@@ -122,6 +130,46 @@ def test_machine_output_matches_golden(name, argv):
     code, stdout = _run(argv)
     assert code == exits[name]
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+class _Digest:
+    """A stdout that keeps only the length and sha256 of what it is sent."""
+
+    def __init__(self):
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# name -> (argv, bytes, sha256) of the output, recorded before the writer
+# filled its texts a block at a time, when every text was a %-template's
+DIGESTS = {
+    "enumerate-m3-x23": (
+        ["cocycles", "enumerate", "corpus/x23.json", "--m", "3"], 134_395_611,
+        "403ead5e931d187e478fc13bea19fdbb494fa5a40b684f092d4f6a38eb6aaa9d"),
+    "enumerate-m257-s3_matched_pair": (
+        ["cocycles", "enumerate", "corpus/s3_matched_pair.json", "--m",
+         "257"], 24_929_089,
+        "fb1f830517a7865ee2fe07bc590b8f8878a30f697e842113d5cc90fffadaa679"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_long_enumerations_match_their_digests(name):
+    argv, size, sha = DIGESTS[name]
+    sink = _Digest()
+    with redirect_stdout(sink):
+        code = run(["--format", "machine"] + [
+            str(ROOT / a) if a.startswith("corpus/") else a for a in argv])
+    assert code == 0
+    assert (sink.size, sink.sha.hexdigest()) == (size, sha)
 
 
 # (name, argv) of each pinned help or usage text; a usage error stops at

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgq.errors import StructureError
 from dgq.groupoids import (UNDEF, Groupoid, WideSubgroupoidData,
@@ -257,3 +259,109 @@ def test_bad_coset_data_rejected():
         trivial_transversal(2, table))
     rep = validate_subgroupoid_data(data, table)
     assert any(f.rule == "coset-diagonal" for f in rep.failures)
+
+
+def _oracle_report(g):
+    """The groupoid axioms by the plain scan of every pair and triple: the
+    failures as (rule, witness), in the order :func:`validate_groupoid`
+    reports them."""
+    out = []
+    n = g.n_arrows
+    for p in range(g.n_objects):
+        e = g.identity[p]
+        if g.source[e] != p or g.target[e] != p:
+            out.append(("identity-endpoints", (p, e)))
+    for f in range(n):
+        for h in range(n):
+            c = g.compose[f][h]
+            defined, should = c != UNDEF, g.target[f] == g.source[h]
+            if defined != should:
+                out.append(("structure", (f, h)))
+            elif defined and (g.source[c] != g.source[f]
+                              or g.target[c] != g.target[h]):
+                out.append(("composite-endpoints", (f, h, c)))
+    for f in range(n):
+        if g.compose[g.identity[g.source[f]]][f] != f:
+            out.append(("left-unit", (f,)))
+        if g.compose[f][g.identity[g.target[f]]] != f:
+            out.append(("right-unit", (f,)))
+    for f, h, k in itertools.product(range(n), repeat=3):
+        fh = g.compose[f][h]
+        if (g.target[f] == g.source[h] and fh != UNDEF
+                and g.target[h] == g.source[k]
+                and g.compose[fh][k] != g.compose[f][g.compose[h][k]]):
+            out.append(("associativity", (f, h, k)))
+    for f in range(n):
+        if _oracle_inverse(g, f) is None:
+            out.append(("inverse", (f,)))
+    return out
+
+
+def _oracle_inverse(g, f):
+    return next((h for h in range(g.n_arrows)
+                 if g.compose[f][h] == g.identity[g.source[f]]
+                 and g.compose[h][f] == g.identity[g.target[f]]), None)
+
+
+SMALL_GROUPOIDS = (
+    coarse_groupoid(2), one_object_group(S3_TABLE),
+    disjoint_union(one_object_group(cyclic_table(2)), coarse_groupoid(2)),
+    direct_product(one_object_group(cyclic_table(2)), coarse_groupoid(2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_groupoid_reports_as_the_plain_scan(data):
+    """Row by row, validate_groupoid reports the failures of the scan over
+    every pair and triple, in the same order, on valid tables and on tables
+    with a few entries of any table moved (composites in range or UNDEF);
+    the inverse found by searching a row is the scan's least one; and the
+    report is kept, so that a second call returns it."""
+    g = data.draw(st.sampled_from(SMALL_GROUPOIDS))
+    n, k = g.n_arrows, g.n_objects
+    compose = [list(row) for row in g.compose]
+    source, target, identity = (list(g.source), list(g.target),
+                                list(g.identity))
+    for _ in range(data.draw(st.integers(0, 3))):
+        which = data.draw(st.sampled_from(("compose", "compose", "source",
+                                           "target", "identity")))
+        if which == "compose":
+            f, h = data.draw(st.integers(0, n - 1)), data.draw(
+                st.integers(0, n - 1))
+            compose[f][h] = data.draw(st.integers(UNDEF, n - 1))
+        elif which == "identity":
+            identity[data.draw(st.integers(0, k - 1))] = data.draw(
+                st.integers(0, n - 1))
+        else:
+            table = source if which == "source" else target
+            table[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.integers(0, k - 1))
+    bad = Groupoid(k, source, target, identity, compose)
+    rep = validate_groupoid(bad)
+    assert [(f.rule, f.witness) for f in rep.failures] == _oracle_report(bad)
+    assert validate_groupoid(bad) is rep
+    assert [bad._find_inverse(f) for f in bad.arrows()] == [
+        _oracle_inverse(bad, f) for f in bad.arrows()]
+    assert list(bad.composable_pairs()) == [
+        (f, h) for f in range(n) for h in range(n)
+        if bad.target[f] == bad.source[h]]
+    assert all(bad.arrows_between(x, y) == [
+        f for f in range(n) if (bad.source[f], bad.target[f]) == (x, y)]
+        for x in range(k) for y in range(k))
+
+
+@pytest.mark.parametrize("table,bad", [
+    ("source", [0, 2, 0, 1]), ("target", [0, 0, -1, 1]),
+    ("identity", [0, 4]), ("compose", [[0, 5], [1, -2]])])
+def test_construction_names_the_first_entry_out_of_range(table, bad):
+    tables = {"source": [0, 0, 1, 1], "target": [0, 1, 0, 1],
+              "identity": [0, 3], "compose": [[UNDEF] * 4] * 4}
+    tables[table] = bad
+    if table == "compose":
+        tables.update(source=[0, 0], target=[0, 0], identity=[0])
+    where = {"source": r"source\[1\] = 2", "target": r"target\[2\] = -1",
+             "identity": r"identity\[1\] = 4",
+             "compose": r"compose\[0\]\[1\] = 5"}[table]
+    with pytest.raises(StructureError, match=where):
+        Groupoid(2 if table != "compose" else 1, tables["source"],
+                 tables["target"], tables["identity"], tables["compose"])

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from dgq.cli import (COMMANDS, GLOBAL_OPTIONS, Output, _note_checked, _parse,
 from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
                           validate_cocycle_pair)
 from dgq.cohomology import aut_and_opext
-from dgq.errors import FormatError, Report, ResourceBudgetError, StructureError
+from dgq.errors import (FormatError, InternalConsistencyError, Report,
+                        ResourceBudgetError, StructureError)
 from dgq.fields import prime_powers
 from dgq.linalg import solutions_mod_m
 from dgq.samples import s3_double, s3_matched_pair
@@ -128,7 +130,7 @@ def test_cocycle_document_binding():
     assert dio.cocycle_pair_for(t, parsed.payload) == cp
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
 def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
     # oracle: the object route, the body emit writes without kind and version
     for name, t in vacant_corpus.items():
@@ -147,6 +149,21 @@ def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
                                         "version": dio.FORMAT_VERSION,
                                         **json.loads(text)}))
             assert dio.cocycle_pair_for(t, doc.payload) == cp, name
+
+
+@pytest.mark.parametrize("bad", [2, 255, 256, -1])
+def test_cocycle_texts_refuse_a_value_out_of_range(bad):
+    """The writer reads each block's values as bytes: a value of m or more,
+    or one that is no byte, stops it before that block is written."""
+    t = s3_double()
+    pairs = enumerate_cocycle_pairs(t, 2)
+    blocks = list(pairs.blocks())
+    sol = blocks[0][-1]
+    blocks[0][-1] = (bad,) + sol[1:]
+    texts = dio.cocycle_texts(t, SimpleNamespace(
+        modulus=2, system=pairs.system, blocks=lambda: iter(blocks)))
+    with pytest.raises(InternalConsistencyError, match="outside 0..1"):
+        next(texts)
 
 
 def test_cocycle_domain_mismatch_rejected():

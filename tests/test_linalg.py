@@ -644,3 +644,55 @@ def test_a_wrong_plane_rank_raises(monkeypatch, m):
         count_solutions_mod_m(rows, 3, m)
     with pytest.raises(InternalConsistencyError, match="on the columns"):
         solutions_mod_m(rows, 3, m)
+
+
+@pytest.mark.parametrize("m", (2, 3, 5, 7))
+def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
+        monkeypatch, m):
+    """At a prime m the Howell form's rows are the rank on the rows, so
+    ``solutions_mod_m`` makes one more elimination, of the transpose, whose
+    rank must agree; a row lost there raises."""
+    rows = [{0: 1, 2: 1}, {1: 1}, {0: 2, 1: 1, 2: 2}]
+    real, calls = linalg._echelon, []
+
+    def counted(m, rows=(), ncols=None, extra=0):
+        calls.append((len(rows), ncols))
+        return real(m, rows, ncols, extra)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    count, solutions = solutions_mod_m(rows, 3, m)
+    assert calls == [(3, 3), (3, 3)]
+    assert count == len(list(solutions)) == m
+
+    def off(m, matrix=(), ncols=None, extra=0):
+        # every elimination but that of the rows themselves loses a row
+        echelon = real(m, matrix, ncols, extra)
+        if matrix is not rows:
+            echelon.rows.popitem()
+        return echelon
+    monkeypatch.setattr(linalg, "_echelon", off)
+    with pytest.raises(InternalConsistencyError,
+                       match=f"rank 2 over F_{m} on the rows, 1 on the "
+                             f"columns"):
+        solutions_mod_m(rows, 3, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dense_matrices(max_rows=4, max_cols=9),
+       st.sampled_from((1, 2, 3, 4, 5, 6, 12, 128, 129, 256, 257)),
+       st.sampled_from((1, 4, 32)))
+def test_blocks_cut_the_walk_in_its_order(mat, m, size):
+    """``blocks`` gives the walk's tuples, in its order, in nonempty lists
+    of at most ``size``: made from the tail of free levels by lane sums at
+    m = 2 and up to 128, and cut from the walk elsewhere."""
+    dense, ncols = mat
+    rows = to_sparse(dense)
+    count, solutions = solutions_mod_m(rows, ncols, m)
+    walked = list(itertools.islice(solutions, 3000))
+    blocks = []
+    for block in solutions.blocks(size):
+        assert 0 < len(block) <= size
+        blocks.append(block)
+        if sum(map(len, blocks)) >= len(walked):
+            break
+    assert list(itertools.chain(*blocks))[:len(walked)] == walked
+    assert all(type(sol) is tuple for sol in walked)
