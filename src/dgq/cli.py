@@ -72,7 +72,7 @@ class Output:
         """Print the text lines, or the machine object key by key in sorted
         order: the bytes of ``json.dumps(data, sort_keys=True)``.  A value
         given as an iterator of JSON texts is written as the array of those
-        texts, eight texts at a time, so that it is never held whole."""
+        texts, four texts at a time, so that it is never held whole."""
         if self.fmt != "machine":
             for line in self.lines:
                 print(line)
@@ -89,7 +89,7 @@ class Output:
             if isinstance(value, Iterator):
                 write("[")
                 comma = ""
-                while batch := list(islice(value, 8)):
+                while batch := list(islice(value, 4)):
                     write(comma)
                     write(", ".join(batch))
                     comma = ", "

@@ -4,15 +4,17 @@ A pair (sigma, tau) assigns sigma to vertically composable box pairs and tau
 to horizontally composable ones, written additively.  Validity means: each is
 a normalized groupoid 2-cocycle on its box groupoid, and the joint square
 compatibility holds.  The valid pairs are the solutions Z of a linear system
-over Z/m, walked in order through its Howell form.  Before any is written,
-the solutions are checked a block at a time: packed as bytes, read as one
-int per solution column with one solution per lane, on which each identity
-row is a few additions, its failing lanes ORed into a mask.  The gauge
-classes are the cosets in Z of the image of the gauge map, counted without
-listing pairs or gauges: from ranks over F_p at a squarefree m, elsewhere
-from Howell forms, each checked against that of its transpose.  Field
-realization (zeta ** value) is a separate explicit step, so enumeration and
-counting stay integer problems.
+over Z/m, walked in order through its Howell form in blocks of tuples.
+Before any is written, the solutions are checked a block at a time: each
+block whole for its sizes and order, then as bytes, read as one int per
+solution column with one solution per lane, on which each identity row is
+a few additions, its failing lanes ORed into a mask.  The writer
+(:func:`dgq.io.cocycle_texts`) takes the same blocks.  The gauge classes
+are the cosets in Z of the image of the gauge map, counted without listing
+pairs or gauges: from ranks over F_p at a squarefree m, elsewhere from
+Howell forms, each checked against that of its transpose; the gauge map
+must vanish on the system first.  Field realization (zeta ** value) is a
+separate explicit step, so enumeration and counting stay integer problems.
 """
 
 from __future__ import annotations
@@ -383,7 +385,8 @@ class _BlockCheck:
         below 0 or fills its lane."""
         width = self.width
         try:
-            values = b"".join(map(bytes, block))
+            values = getattr(block, "values", None) or b"".join(
+                map(bytes, block))
         except ValueError:
             try:
                 return b"".join(v.to_bytes(width, "little")

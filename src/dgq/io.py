@@ -379,13 +379,15 @@ def _filled_texts(pieces, m: int, blocks):
     residues = bytes(range(m))
     buf = bytearray()
     for block in blocks:
-        end = len(block) * size
+        count, end = len(block), len(block) * size
         if len(buf) < end:
-            buf = bytearray(record) * len(block)
+            buf = bytearray(record) * count
         try:
-            values = b"".join(map(bytes, block))
+            values = getattr(block, "values", None) or b"".join(
+                map(bytes, block))
         except ValueError:
             values = None   # a value below 0 or past a byte
+        del block
         if values is None or values.translate(None, residues):
             raise InternalConsistencyError(
                 f"a solution to write has a value outside 0..{m - 1}")
@@ -395,7 +397,7 @@ def _filled_texts(pieces, m: int, blocks):
                 buf[hole + d:end:size] = column[c::ncols]
         texts = buf if width == 1 else buf[:end].translate(None, b"\0")
         start = 0
-        for _ in block:
+        for _ in range(count):
             end = texts.index(b"\n", start)
             yield texts[start:end].decode()
             start = end + 1

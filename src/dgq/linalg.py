@@ -609,6 +609,13 @@ def span_length(rows, q: int, j: int) -> int:
     return k
 
 
+class _Block(list):
+    """A block of solutions, as tuples, with ``values``: the bytes they were
+    read from, one a value, solution by solution."""
+
+    __slots__ = ("values",)
+
+
 class _Solutions:
     """The solutions of a Howell form over Z/m, walked afresh each time they
     are iterated."""
@@ -732,5 +739,7 @@ def _blocks(echelon, ncols: int, size: int):
         else:
             lanes += tail
             lanes -= (((lanes + above) & high) >> 7) * m
-        yield list(zip(*[iter(lanes.to_bytes(count * ncols, "little"))]
-                       * ncols))
+        values = lanes.to_bytes(count * ncols, "little")
+        block = _Block(zip(*[iter(values)] * ncols))
+        block.values = values
+        yield block

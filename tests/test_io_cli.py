@@ -157,7 +157,7 @@ def test_cocycle_texts_refuse_a_value_out_of_range(bad):
     or one that is no byte, stops it before that block is written."""
     t = s3_double()
     pairs = enumerate_cocycle_pairs(t, 2)
-    blocks = list(pairs.blocks())
+    blocks = [list(block) for block in pairs.blocks()]
     sol = blocks[0][-1]
     blocks[0][-1] = (bad,) + sol[1:]
     texts = dio.cocycle_texts(t, SimpleNamespace(

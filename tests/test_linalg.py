@@ -683,7 +683,8 @@ def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
 def test_blocks_cut_the_walk_in_its_order(mat, m, size):
     """``blocks`` gives the walk's tuples, in its order, in nonempty lists
     of at most ``size``: made from the tail of free levels by lane sums at
-    m = 2 and up to 128, and cut from the walk elsewhere."""
+    m = 2 and up to 128, with the bytes they were read from, and cut from
+    the walk elsewhere."""
     dense, ncols = mat
     rows = to_sparse(dense)
     count, solutions = solutions_mod_m(rows, ncols, m)
@@ -691,6 +692,8 @@ def test_blocks_cut_the_walk_in_its_order(mat, m, size):
     blocks = []
     for block in solutions.blocks(size):
         assert 0 < len(block) <= size
+        if hasattr(block, "values"):
+            assert block.values == b"".join(map(bytes, block))
         blocks.append(block)
         if sum(map(len, blocks)) >= len(walked):
             break
