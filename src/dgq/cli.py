@@ -21,13 +21,12 @@ from collections.abc import Iterator
 from itertools import islice
 from types import SimpleNamespace
 
-# cocycles, cohomology and wha are imported inside the commands that run
-# them, so that each command loads only its own modules.  They are bound as
+# cocycles, cohomology, wha and matched are imported inside the commands
+# that run them, so that each command loads only its own modules.  They are bound as
 # module objects, never as names copied here, so a function replaced on its
 # module (as the benchmark's tracer does) is the one called.
 from . import double as dbl
 from . import io as dio
-from . import matched as mtd
 from .errors import (FactorizationError, FormatError, InternalConsistencyError,
                      ResourceBudgetError, StructureError, TruncationError,
                      UnembeddableError, UnsupportedFeatureError, VacancyError)
@@ -49,6 +48,7 @@ def _as_double(doc: dio.Document) -> dbl.DoubleGroupoid:
     if doc.kind == "double_groupoid":
         return doc.payload
     if doc.kind == "matched_pair":
+        from . import matched as mtd
         return mtd.to_vacant_double(doc.payload)
     raise FormatError(f"need a double_groupoid or matched_pair document, "
                       f"got {doc.kind}")
@@ -130,6 +130,7 @@ def cmd_validate(args, out: Output) -> int:
     elif doc.kind == "double_groupoid":
         rep = dbl.validate_double_groupoid(doc.payload)
     elif doc.kind == "matched_pair":
+        from . import matched as mtd
         rep = mtd.validate_matched_pair(doc.payload)
     elif doc.kind == "cocycle_pair" and args.against is not None:
         from . import cocycles as ccy
@@ -149,6 +150,7 @@ def cmd_vacant(args, out: Output) -> int:
     if doc.kind == "matched_pair":
         # a matched pair that fails its axioms has no double groupoid to
         # build; its failures are reported as validate reports them
+        from . import matched as mtd
         rep = mtd.validate_matched_pair(doc.payload)
         if not rep.ok:
             _report_failures(out, rep)
@@ -170,6 +172,7 @@ def cmd_vacant(args, out: Output) -> int:
 
 
 def cmd_convert(args, out: Output) -> int:
+    from . import matched as mtd
     doc = dio.load_path(args.path)
     if args.to == "double_groupoid":
         if doc.kind != "matched_pair":

@@ -86,10 +86,10 @@ def smallest_root(p: int, m: int) -> int:
     In F_p, with m dividing p - 1, the m-th roots of unity form a cyclic
     group, and z**((p-1)/m) lies in it for every z.  So the first z whose
     power there has exact order m gives a generator w, and the elements of
-    exact order m are the powers w**k with k prime to m.  Where there are
-    fewer of them than about p/m, the smallest is the least of that list;
-    elsewhere z = 1, 2, ... are tried in turn, and one of order m comes
-    within about (p - 1)/phi(m) steps."""
+    exact order m are the powers w**k with k prime to m.  Where m*m < p
+    the smallest is the least of those powers, m steps; otherwise z = 1,
+    2, ... are tried in turn, and the first of order m comes within about
+    (p - 1)/phi(m) steps."""
     if p == 0:
         if m > 2:
             raise UnembeddableError(

@@ -23,7 +23,6 @@ from .double import DoubleGroupoid
 from .errors import FormatError, InternalConsistencyError, StructureError
 from .fields import FieldSpec
 from .groupoids import UNDEF, Groupoid
-from .matched import MatchedPair
 
 FORMAT_VERSION = "1"
 KINDS = ("groupoid", "double_groupoid", "matched_pair", "cocycle_pair",
@@ -233,6 +232,8 @@ def _double_to_obj(t: DoubleGroupoid) -> dict:
 
 
 def _matched_from_obj(obj: dict, context: str) -> MatchedPair:
+    # imported here: only a matched_pair document loads matched
+    from .matched import MatchedPair
     _expect_keys(obj, ("n_points", "vert", "horiz", "act_left", "act_right"),
                  context)
     vert = _groupoid_from_obj(obj["vert"], context + ".vert")

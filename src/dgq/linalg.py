@@ -618,7 +618,7 @@ class _Block(list):
 
 class _Solutions:
     """The solutions of a Howell form over Z/m, walked afresh each time they
-    are iterated."""
+    are iterated, one at a time or in blocks."""
 
     __slots__ = ("echelon", "ncols")
 
@@ -714,8 +714,9 @@ def _blocks(echelon, ncols: int, size: int):
     of the tail walked from 0, in turn.  Those sums are made in lanes of one
     byte, one per value, all at once: mod 2 by one XOR, and below m = 129
     by one addition that leaves each lane below 2m, after which m is taken
-    from every lane that reaches it.  Elsewhere, and where no level is in
-    the tail, the walk is cut into lists."""
+    from every lane that reaches it.  Such a block is a :class:`_Block`,
+    which keeps those bytes.  Elsewhere, and where no level is in the tail,
+    the walk is cut into lists."""
     m = echelon.m
     levels = _levels(echelon, ncols)
     j, count = len(levels), 1

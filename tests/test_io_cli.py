@@ -796,10 +796,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Each command is a fresh interpreter, and importing ``dataclasses``
     (which loads ``inspect``) and generating record methods took about a
     quarter of a ``verify`` command.  Nor does ``dgq.cli`` load a module that
-    only some commands run: those commands import it.  ``-S`` keeps
-    site-wide imports out."""
+    only some commands run, matched pairs included: those commands import
+    it.  ``-S`` keeps site-wide imports out."""
     unused = {"dataclasses", "inspect", "fractions", "decimal", "dgq.cocycles",
-              "dgq.cohomology", "dgq.wha", "dgq.linalg"} | PARSER_MODULES
+              "dgq.cohomology", "dgq.wha", "dgq.linalg",
+              "dgq.matched"} | PARSER_MODULES
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import dgq.cli, sys; "
          f"print(sorted({unused!r} & sys.modules.keys()))"],
@@ -814,9 +815,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     (["cohomology", "s3_group.json", "--p", "3"],
      {"fractions", "decimal", "dgq.cocycles", "dgq.wha"}),
     # over Q the antipode scalars invert only 1 and -1: no fractions
-    (["wha", "verify", "x22.json"], {"fractions", "decimal", "dgq.cohomology"}),
-    (["blocks", "x22.json"], {"fractions", "decimal", "dgq.cohomology"}),
-], ids=["kac", "cohomology", "wha-verify", "blocks"])
+    (["wha", "verify", "x22.json"],
+     {"fractions", "decimal", "dgq.cohomology", "dgq.matched"}),
+    (["blocks", "x22.json"],
+     {"fractions", "decimal", "dgq.cohomology", "dgq.matched"}),
+    # a double groupoid document needs no matched pair code
+    (["cocycles", "enumerate", "x22.json", "--m", "2"],
+     {"fractions", "decimal", "dgq.cohomology", "dgq.wha", "dgq.matched"}),
+], ids=["kac", "cohomology", "wha-verify", "blocks", "enumerate"])
 def test_cli_command_loads_only_its_modules(argv, unused):
     """A command run in a fresh interpreter (``-S``: no site-wide imports)
     passes and loads none of the modules it does not use; the modules left
