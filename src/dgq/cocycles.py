@@ -353,9 +353,7 @@ class _BlockCheck:
             if k + len(block) > _BLOCK:
                 self._check(pending, n)
                 pending, k, n = bytearray(), 0, n + k
-            raw = (self.lanes(block) if all(map(ncols.__eq__, map(len, block)))
-                   and (last is None or last < block[0])
-                   and all(map(lt, block, block[1:])) else None)
+            raw = self.lanes(block) if self._in_order(block, last) else None
             if raw is None:
                 self._fault_in(block, pending, n, k, last)
             pending += raw
@@ -363,6 +361,23 @@ class _BlockCheck:
             last = block[-1]
         self._check(pending, n)
         return n + k
+
+    def _in_order(self, block, last) -> bool:
+        """Whether every solution of a block has ``ncols`` values and each
+        is above the one before it, from ``last`` on.  A block that keeps
+        its values as bytes, one a value, is compared as bytes, which order
+        as the tuples do."""
+        ncols = self.system[1]
+        values = getattr(block, "values", None)
+        if values is None:
+            return (all(map(ncols.__eq__, map(len, block)))
+                    and (last is None or last < block[0])
+                    and all(map(lt, block, block[1:])))
+        if block.ncols != ncols:
+            return False
+        sols = [values[i:i + ncols] for i in range(0, len(values), ncols)]
+        return (last is None or last < block[0]) and all(map(lt, sols,
+                                                             sols[1:]))
 
     def _fault_in(self, block, pending, n: int, k: int, last) -> None:
         """Raise for the first solution of a block that has the wrong size,
@@ -421,7 +436,20 @@ class _BlockCheck:
 
     def _failing(self, columns, rows):
         """For each row in turn, an int whose lane k has its top bit set
-        exactly when the row fails on solution k."""
+        exactly when the row fails on solution k.  Mod 2 that is the XOR of
+        its terms, where every value is 0 or 1 (a larger one fails its
+        range apart), moved from the low bit of each lane to the top."""
+        if self.modulus == 2:
+            shift = 8 * self.width - 1
+            low = self.high >> shift
+            for _, pos, neg, _ in rows:
+                x = 0
+                for c in pos:
+                    x ^= columns[c]
+                for c in neg:
+                    x ^= columns[c]
+                yield (x & low) << shift
+            return
         fill = self.fill
         for offset, pos, neg, multiples in rows:
             v = offset

@@ -140,7 +140,9 @@ class FieldSpec:
         zeta = smallest_root(p, m) if zeta is None else zeta
         if p == 0:
             zeta = _rational(zeta)
-            if not _order_test(m, pow)(zeta):
+            # only 1 and -1 have a finite order in Q: no power of another
+            # zeta is taken
+            if zeta not in (1, -1) or not _order_test(m, pow)(zeta):
                 raise UnembeddableError(
                     f"zeta = {zeta} does not have exact order {m} in Q")
         else:

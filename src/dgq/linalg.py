@@ -609,11 +609,30 @@ def span_length(rows, q: int, j: int) -> int:
     return k
 
 
-class _Block(list):
-    """A block of solutions, as tuples, with ``values``: the bytes they were
-    read from, one a value, solution by solution."""
+class _Block:
+    """A block of solutions held as ``values``, their values as bytes, one
+    a value, ``ncols`` a solution: a sequence of tuples, each made only when
+    it is read."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "ncols")
+
+    def __init__(self, values: bytes, ncols: int):
+        self.values, self.ncols = values, ncols
+
+    def __len__(self):
+        return len(self.values) // self.ncols
+
+    def __iter__(self):
+        return zip(*[iter(self.values)] * self.ncols)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(i)
+        i %= n
+        return tuple(self.values[i * self.ncols:(i + 1) * self.ncols])
 
 
 class _Solutions:
@@ -740,7 +759,4 @@ def _blocks(echelon, ncols: int, size: int):
         else:
             lanes += tail
             lanes -= (((lanes + above) & high) >> 7) * m
-        values = lanes.to_bytes(count * ncols, "little")
-        block = _Block(zip(*[iter(values)] * ncols))
-        block.values = values
-        yield block
+        yield _Block(lanes.to_bytes(count * ncols, "little"), ncols)

@@ -7,7 +7,7 @@ from dgq.cocycles import (CocyclePair, count_modulo_gauge, embed_in_field,
                           enumerate_cocycle_pairs, gauge_transform,
                           identity_boxes, validate_cocycle_pair, zero_pair)
 from dgq.double import build_Xrs
-from dgq import cocycles
+from dgq import cocycles, linalg
 from dgq.errors import (InternalConsistencyError, ResourceBudgetError,
                         StructureError, UnembeddableError)
 from dgq.fields import RATIONALS, FieldSpec
@@ -265,6 +265,41 @@ def test_the_earliest_offending_pair_is_reported(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="the solver's pair 3 repeats or precedes"):
         enumerate_cocycle_pairs(t, m)
+
+
+class _ByteBlocks:
+    """Solutions handed over as the solver's byte blocks, edited first."""
+
+    def __init__(self, blocks):
+        self.list = blocks
+
+    def blocks(self, size):
+        return iter(self.list)
+
+
+@pytest.mark.parametrize("fault", ["swap", "width"])
+def test_byte_blocks_are_checked_for_order_and_size(fault):
+    # x23 = X_{2,3} mod 2 comes in 32 byte blocks of 32 solutions; two
+    # solutions swapped in block 3, or block 2 read with one more value a
+    # solution, are reported at the pair where the fault shows
+    t = build_Xrs(2, 3)
+    system = cocycles._constraint_system(t)
+    rows, ncols, _ = system
+    blocks = list(cocycles.solutions_mod_m(rows, ncols, 2)[1].blocks(32))
+    assert all(type(b) is linalg._Block for b in blocks) and len(blocks) == 32
+    if fault == "swap":
+        values = blocks[3].values
+        sols = [values[i:i + ncols] for i in range(0, len(values), ncols)]
+        sols[5], sols[6] = sols[6], sols[5]
+        blocks[3] = linalg._Block(b"".join(sols), ncols)
+        match = f"the solver's pair {3 * 32 + 6} repeats or precedes"
+    else:
+        blocks[2] = linalg._Block(blocks[2].values, ncols + 1)
+        match = (f"the solver's pair {2 * 32} has {ncols + 1} values for "
+                 f"{ncols} columns")
+    check = cocycles._BlockCheck(t, 2, system)
+    with pytest.raises(InternalConsistencyError, match=match):
+        check.walk(_ByteBlocks(blocks))
 
 
 def test_the_order_check_starts_from_no_previous_pair():

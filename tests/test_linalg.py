@@ -694,6 +694,12 @@ def test_blocks_cut_the_walk_in_its_order(mat, m, size):
         assert 0 < len(block) <= size
         if hasattr(block, "values"):
             assert block.values == b"".join(map(bytes, block))
+            tuples = list(block)
+            assert [block[i] for i in range(-len(block), len(block))] == (
+                tuples * 2)
+            assert block[1:3] == tuples[1:3]
+            with pytest.raises(IndexError):
+                block[len(block)]
         blocks.append(block)
         if sum(map(len, blocks)) >= len(walked):
             break
