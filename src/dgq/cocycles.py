@@ -285,10 +285,10 @@ class _BlockCheck:
         def terms(row):
             """(positive columns, negative columns) of a row, each column
             repeated as often as its coefficient."""
-            pos, neg = [], []
-            for col, c in row.items():
-                (pos if c > 0 else neg).extend([col] * abs(c))
-            return tuple(pos), tuple(neg)
+            return (tuple(col for col, c in row.items() if c > 0
+                          for _ in range(c)),
+                    tuple(col for col, c in row.items() if c < 0
+                          for _ in range(-c)))
 
         rules = list(dict.fromkeys(map(terms, rows)))
         # the symmetry rows, in the validator's order and with its messages
@@ -311,7 +311,7 @@ class _BlockCheck:
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * _BLOCK, "little")
         spread, compiled = {}, {}
 
-        def lanes(v):
+        def every_lane(v):
             # v in every lane, each such int made once
             if v not in spread:
                 spread[v] = v * ones
@@ -325,8 +325,9 @@ class _BlockCheck:
                 low = base - len(neg) * (m - 1)
                 high = base + len(pos) * (m - 1)
                 compiled[pos, neg] = (
-                    lanes(base), pos, neg,
-                    tuple(map(lanes, range(-(-low // m) * m, high + 1, m))))
+                    every_lane(base), pos, neg,
+                    tuple(map(every_lane,
+                              range(-(-low // m) * m, high + 1, m))))
             return compiled[pos, neg]
 
         top = 1 << 8 * width - 1

@@ -515,9 +515,10 @@ class _CountingSink:
 
 def test_cli_enumerate_streams_its_pairs():
     # the 1,024 pairs of x23 at m = 2 print 2,330,710 bytes; walked and
-    # written one pair at a time they are never held whole.  The peak is
-    # about 0.5 MB; holding the pair list read 2.0 MB, holding the texts
-    # whole 4.6 MB, and the dict-and-list route 22 MB.
+    # written a block of 32 pairs at a time they are never held whole.  The
+    # peak is about 0.3 MB (0.5 MB when the pairs were written one at a
+    # time); holding the pair list read 2.0 MB, holding the texts whole
+    # 4.6 MB, and the dict-and-list route 22 MB.
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -590,9 +591,10 @@ def test_cli_enumerate_refuses_holes_out_of_column_order(monkeypatch,
 
 def test_the_check_walk_holds_one_block_of_bytes():
     # enumerate_cocycle_pairs on x23 mod 3 checks its 59,049 pairs a block
-    # of bytes at a time: about 155 KiB at the peak, with the constraint
-    # system, its Howell form and the compiled check, against 189 KiB for
-    # the per-pair residual sweep it replaced; wider blocks, or temporaries
+    # of bytes at a time: about 127 KiB at the peak, with the constraint
+    # system, its Howell form and the compiled check (137 KiB when the
+    # solutions were packed one at a time), against 189 KiB for the
+    # per-pair residual sweep it replaced; wider blocks, or temporaries
     # held across rows, push it past 295 KiB
     t = dio.load_path(CORPUS / "x23.json").payload
     # the pair domains and the identity table are built once, on first use
