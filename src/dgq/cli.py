@@ -22,9 +22,9 @@ from itertools import islice
 from types import SimpleNamespace
 
 # cocycles, cohomology, wha and matched are imported inside the commands
-# that run them, so that each command loads only its own modules.  They are bound as
-# module objects, never as names copied here, so a function replaced on its
-# module (as the benchmark's tracer does) is the one called.
+# that run them, so that each command loads only its own modules.  They are
+# bound as module objects, never as names copied here, so a function
+# replaced on its module (as the benchmark's tracer does) is the one called.
 from . import double as dbl
 from . import io as dio
 from .errors import (FactorizationError, FormatError, InternalConsistencyError,

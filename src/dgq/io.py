@@ -335,12 +335,13 @@ def cocycle_texts(t: DoubleGroupoid, pairs):
 
     Where every value fits in a byte (m <= 256), the texts are written a
     block of solutions at a time (``pairs.blocks()``), column by column,
-    into a buffer holding the template once per pair.  Each hole is as wide as m - 1 in decimal; a
-    block's values, as bytes, go through one ``bytes.translate`` table per
-    digit, and each hole takes its column's digits in one strided slice
-    assignment per digit.  A value with fewer digits leaves NUL bytes in
-    front, which one ``translate`` deletes.  Past m = 256 a pair's text is
-    ``template % solution``, with ``%d`` in each hole.
+    into a buffer holding the template once per pair.  Each hole is as
+    wide as m - 1 in decimal; a block's values, as bytes, go through one
+    ``bytes.translate`` table per digit, and each hole takes its column's
+    digits in one strided slice assignment per digit.  A value with fewer
+    digits leaves NUL bytes in front, which one ``translate`` deletes.
+    Past m = 256 a pair's text is ``template % solution``, with ``%d`` in
+    each hole.
     """
     vp, hp, _, _ = t.pair_domains()
     _, ncols, where = pairs.system
