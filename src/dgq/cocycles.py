@@ -4,9 +4,9 @@ A pair (sigma, tau) assigns sigma to vertically composable box pairs and tau
 to horizontally composable ones, written additively.  Validity means: each is
 a normalized groupoid 2-cocycle on its box groupoid, and the joint square
 compatibility holds.  The valid pairs are the solutions Z of a linear system
-over Z/m, walked in order through its Howell form in blocks of tuples.
+over Z/m, walked in order through its Howell form in blocks of bytes.
 Before any is written, the solutions are checked a block at a time: each
-block whole for its sizes and order, then as bytes, read as one int per
+block whole for its sizes and order, then its values, read as one int per
 solution column with one solution per lane, on which each identity row is
 a few additions, its failing lanes ORed into a mask.  The writer
 (:func:`dgq.io.cocycle_texts`) takes the same blocks.  The gauge classes
@@ -19,7 +19,7 @@ separate explicit step, so enumeration and counting stay integer problems.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter, lt
 
 from .double import DoubleGroupoid
@@ -343,76 +343,55 @@ class _BlockCheck:
         """Check every solution, in the order given, and return how many
         there were; the first one that fails raises.
 
-        The solutions come in the blocks of :func:`_blocks`.  A block is
-        checked whole for its sizes, its order and values that fit a lane;
-        only a block that fails that is walked a solution at a time, for the
-        first that does.  Its lanes join the k pending ones, which are
-        decided ``_BLOCK`` solutions at a time, solution n on."""
+        The solutions come in the blocks of ``solutions.blocks``, whose
+        solutions order as their bytes do.  A block is checked whole for
+        its sizes and its order; only a block that fails that is walked a
+        solution at a time, for the first that does.  Its lanes join the k
+        pending ones, which are decided ``_BLOCK`` solutions at a time,
+        solution n on."""
         ncols = self.system[1]
         pending, k, n, last = bytearray(), 0, 0, None
-        for block in _blocks(solutions):
+        for block in solutions.blocks(_CUT):
             if k + len(block) > _BLOCK:
                 self._check(pending, n)
                 pending, k, n = bytearray(), 0, n + k
-            raw = self.lanes(block) if self._in_order(block, last) else None
-            if raw is None:
-                self._fault_in(block, pending, n, k, last)
-            pending += raw
+            if block.ncols != ncols:
+                self._check(pending, n)
+                raise InternalConsistencyError(
+                    f"the solver's pair {n + k} has {block.ncols} values for "
+                    f"{ncols} columns")
+            values, stride = block.values, ncols * block.w
+            sols = [values[i * stride:(i + 1) * stride]
+                    for i in range(len(block))]
+            if (last is not None and not last < sols[0]
+                    or not all(map(lt, sols, sols[1:]))):
+                self._order_fault(sols, block.w, pending, n, k, last)
+            pending += self.lanes(values, block.w)
             k += len(block)
-            last = block[-1]
+            last = sols[-1]
         self._check(pending, n)
         return n + k
 
-    def _in_order(self, block, last) -> bool:
-        """Whether every solution of a block has ``ncols`` values and each
-        is above the one before it, from ``last`` on.  A block that keeps
-        its values as bytes, one a value, is compared as bytes, which order
-        as the tuples do."""
-        ncols = self.system[1]
-        values = getattr(block, "values", None)
-        if values is None:
-            return (all(map(ncols.__eq__, map(len, block)))
-                    and (last is None or last < block[0])
-                    and all(map(lt, block, block[1:])))
-        if block.ncols != ncols:
-            return False
-        sols = [values[i:i + ncols] for i in range(0, len(values), ncols)]
-        return (last is None or last < block[0]) and all(map(lt, sols,
-                                                             sols[1:]))
-
-    def _fault_in(self, block, pending, n: int, k: int, last) -> None:
-        """Raise for the first solution of a block that has the wrong size,
-        breaks the order or has a value that fits no lane, once the k
-        pending solutions and those before it in the block are decided."""
-        ncols, limit = self.system[1], 1 << 8 * self.width
-        for j, sol in enumerate(block):
-            packs = all(0 <= v < limit for v in sol)
-            if (not packs or len(sol) != ncols
-                    or last is not None and not last < sol):
-                self._check(pending + self.lanes(block[:j]), n)
-                self._fault(sol, n + k + j, packs=packs)
-            last = sol
+    def _order_fault(self, sols, w: int, pending, n: int, k: int, last):
+        """Raise for the first of a block's solutions that does not follow
+        the one before it, from ``last`` on, once the k pending solutions
+        and those before it in the block are decided."""
+        j = next(j for j, (a, b) in enumerate(zip([last] + sols, sols))
+                 if a is not None and not a < b)
+        self._check(pending + self.lanes(b"".join(sols[:j]), w), n)
         raise InternalConsistencyError(
-            "a block of solutions fails its check, though none of them does")
+            f"the solver's pair {n + k + j} repeats or precedes the one "
+            f"before it")
 
-    def lanes(self, block):
-        """The values of a block of solutions, solution by solution, each
-        little-endian in a lane of ``width`` bytes; None if a value is
-        below 0 or fills its lane."""
+    def lanes(self, values, w: int):
+        """Values of ``w`` bytes, big-endian, as lanes of ``width`` bytes,
+        little-endian."""
         width = self.width
-        try:
-            values = getattr(block, "values", None) or b"".join(
-                map(bytes, block))
-        except ValueError:
-            try:
-                return b"".join(v.to_bytes(width, "little")
-                                for sol in block for v in sol)
-            except OverflowError:
-                return None
         if width == 1:
             return values
-        wide = bytearray(len(values) * width)
-        wide[::width] = values
+        wide = bytearray(len(values) // w * width)
+        for j in range(w):
+            wide[j::width] = values[w - 1 - j::w]
         return wide
 
     def _columns(self, lanes):
@@ -497,43 +476,19 @@ class _BlockCheck:
                                 self.symmetry_errors):
                 if f & top:
                     raise InternalConsistencyError(error)
-        self._fault(sol, first + lane)
-
-    def _fault(self, sol, n: int, packs: bool = False):
-        """Raise for solution n: it has the wrong size; or it packs, and so
-        breaks the order; or else it fails a rule or its range."""
-        ncols = self.system[1]
-        if len(sol) != ncols:
-            raise InternalConsistencyError(
-                f"the solver's pair {n} has {len(sol)} values for {ncols} "
-                f"columns")
-        if packs:
-            raise InternalConsistencyError(
-                f"the solver's pair {n} repeats or precedes the one before it")
+        # the pair is rebuilt and validated: it fails a rule or its range
         cp = next(_pairs(self.t, self.modulus, self.system, [sol]))
         bad = validate_cocycle_pair(self.t, cp)
         if not bad.ok:
             raise InternalConsistencyError(
                 f"solver produced an invalid pair: {bad.failures[0]}")
         raise InternalConsistencyError(
-            f"the block check fails pair {n}, which validate_cocycle_pair "
-            f"passes")
+            f"the block check fails pair {first + lane}, which "
+            f"validate_cocycle_pair passes")
 
 
-# solutions per block that the check walk and the writer take at a time
-_TUPLES = 32
-
-
-def _blocks(solutions):
-    """The solutions in order, in lists of at most ``_TUPLES``: the blocks
-    of the walk where the solutions are :func:`solutions_mod_m`'s, else
-    ``_TUPLES`` at a time."""
-    if hasattr(solutions, "blocks"):
-        yield from solutions.blocks(_TUPLES)
-        return
-    solutions = iter(solutions)
-    while block := list(islice(solutions, _TUPLES)):
-        yield block
+# solutions per block of the walk, as the check and the writer take them
+_CUT = 32
 
 
 def _pairs(t: DoubleGroupoid, m: int, system, solutions):
@@ -573,8 +528,8 @@ class CocyclePairs:
         return _pairs(self.t, self.modulus, self.system, self.solutions)
 
     def blocks(self):
-        """The solutions, walked afresh, in the lists of :func:`_blocks`."""
-        return _blocks(self.solutions)
+        """The solutions, walked afresh, in blocks of ``_CUT``."""
+        return self.solutions.blocks(_CUT)
 
 
 def _gauge_matrix(t: DoubleGroupoid, where, ncols: int):

@@ -7,7 +7,7 @@ values k in Z/m embed as zeta**k.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import StructureError, UnembeddableError
 
@@ -56,14 +56,15 @@ def prime_powers(n: int) -> list[tuple[int, int]]:
     dividing n: by trial division up to :data:`_TRIAL`, which leaves 1 or a
     cofactor with no prime factor up to there.  That cofactor must be prime,
     and is refused otherwise."""
-    out = []
-    for q in range(2, _TRIAL + 1):
-        if q * q > n:
-            break
+    out, q = [], 1
+    # each divisor found is the least left, so prime; the search for the
+    # next one stops at the square root of what is left
+    while q := next((d for d in range(q + 1, min(_TRIAL, isqrt(n)) + 1)
+                     if n % d == 0), 0):
         v = 0
         while n % q == 0:
             n, v = n // q, v + 1
-        out += [(q, v)] if v else []
+        out.append((q, v))
     if n > 1 and not _is_prime(n):
         raise StructureError(
             f"no factorisation: {n} has no prime factor up to {_TRIAL} and "

@@ -384,13 +384,9 @@ def _filled_texts(pieces, m: int, blocks):
         count, end = len(block), len(block) * size
         if len(buf) < end:
             buf = bytearray(record) * count
-        try:
-            values = getattr(block, "values", None) or b"".join(
-                map(bytes, block))
-        except ValueError:
-            values = None   # a value below 0 or past a byte
+        values = block.values
         del block
-        if values is None or values.translate(None, residues):
+        if values.translate(None, residues):
             raise InternalConsistencyError(
                 f"a solution to write has a value outside 0..{m - 1}")
         for d, table in enumerate(digits):

@@ -26,22 +26,27 @@ orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
 
 A count of solutions mod m is a product over the primes of m when m is
-squarefree (:func:`squarefree_primes`): mod p the solutions number
-p**(ncols - r_p), r_p the rank over F_p, and by the Chinese remainder
-theorem mod m they number the product of those.  So at a squarefree m
-:func:`count_solutions_mod_m` takes ranks over F_p, and
-:func:`solutions_mod_m` checks its Howell count against them.  Elsewhere
-the check is the Howell form of the transpose: the kernel and the column
-span together have m**ncols elements.  No count takes a Smith form.
+squarefree, as :func:`dgq.fields.prime_powers` finds when every exponent
+is 1: mod p the solutions number p**(ncols - r_p), r_p the rank over F_p,
+and by the Chinese remainder theorem mod m they number the product of
+those.  So at a squarefree m :func:`count_solutions_mod_m` takes ranks
+over F_p, and :func:`solutions_mod_m` checks its Howell count against
+them.  Elsewhere, and where ``prime_powers`` refuses to factor m, the check
+is the Howell form of the transpose: the kernel and the column span
+together have m**ncols elements.  No count takes a Smith form.
+
+The solutions of a walk also come in blocks of bytes, :class:`_Block`,
+the one shape that the block check of :mod:`dgq.cocycles` and the writer
+of :mod:`dgq.io` read.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
-from .fields import _TRIAL, _is_prime
+from .fields import prime_powers
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -506,15 +511,25 @@ def rank_z(rows, ncols: int) -> int:
     return len(_hermite(rows))
 
 
-def squarefree_primes(n: int) -> list[int] | None:
-    """The primes of a squarefree n >= 1, in increasing order; None when a
-    square above 1 divides n, and also when n has a prime factor above
-    :data:`_TRIAL`: the primes are found by trial division up to there, so
-    that a modulus past a machine word costs no more, and the rest is left
-    to the Howell forms."""
-    primes = [p for p in range(2, min(n, _TRIAL) + 1)
-              if n % p == 0 and _is_prime(p)]
-    return primes if prod(primes) == n else None
+def _squarefree(m: int) -> list[int] | None:
+    """The primes of m >= 1, in increasing order, where each divides m
+    once; None where a square above 1 divides m, or where
+    :func:`dgq.fields.prime_powers` refuses to factor m."""
+    try:
+        powers = prime_powers(m)
+    except StructureError:
+        return None
+    return None if any(v > 1 for _, v in powers) else [q for q, _ in powers]
+
+
+def _checked_rank(rank: int, cols, nrows: int, p: int) -> int:
+    """``rank``, the rank over F_p on the rows of a matrix with ``nrows``
+    rows, once the rank of its columns ``cols`` agrees."""
+    rank_t = len(_echelon(p, cols, nrows).rows)
+    if rank != rank_t:
+        raise InternalConsistencyError(
+            f"rank {rank} over F_{p} on the rows, {rank_t} on the columns")
+    return rank
 
 
 def _rank_count(rows, ncols: int, primes) -> int:
@@ -525,11 +540,7 @@ def _rank_count(rows, ncols: int, primes) -> int:
     count = 1
     for p in primes:
         rank = len(_echelon(p, rows, ncols).rows)
-        rank_t = len(_echelon(p, cols, len(rows)).rows)
-        if rank != rank_t:
-            raise InternalConsistencyError(
-                f"rank {rank} over F_{p} on the rows, {rank_t} on the columns")
-        count *= p ** (ncols - rank)
+        count *= p ** (ncols - _checked_rank(rank, cols, len(rows), p))
     return count
 
 
@@ -537,7 +548,7 @@ def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
     """The number of solutions of A x = 0 over Z/m: at a squarefree m from
     ranks over F_p (:func:`_rank_count`), elsewhere from the Howell form of
     :func:`solutions_mod_m`, checked against that of the transpose."""
-    primes = squarefree_primes(m)
+    primes = _squarefree(m)
     return (solutions_mod_m(rows, ncols, m)[0] if primes is None
             else _rank_count(rows, ncols, primes))
 
@@ -565,15 +576,10 @@ def solutions_mod_m(rows, ncols: int, m: int):
     """
     echelon = _echelon(m, rows, ncols)
     count = m ** ncols // echelon.order()
-    primes = squarefree_primes(m)
+    primes = _squarefree(m)
     if primes == [m]:
         # the form's rows are the rank on the rows; the transpose checks it
-        rank = len(echelon.rows)
-        rank_t = len(_echelon(m, transpose(rows, ncols), len(rows)).rows)
-        if rank != rank_t:
-            raise InternalConsistencyError(
-                f"rank {rank} over F_{m} on the rows, {rank_t} on the "
-                f"columns")
+        _checked_rank(len(echelon.rows), transpose(rows, ncols), len(rows), m)
         return count, _Solutions(echelon, ncols)
     if primes is None:
         route = "Howell form of the transpose"
@@ -610,29 +616,33 @@ def span_length(rows, q: int, j: int) -> int:
 
 
 class _Block:
-    """A block of solutions held as ``values``, their values as bytes, one
-    a value, ``ncols`` a solution: a sequence of tuples, each made only when
-    it is read."""
+    """``count`` solutions over Z/m held as ``values``: bytes, ``w`` to a
+    value, big-endian, and ``ncols`` values to a solution, so that the
+    solutions order as their bytes do.  w is the least number of bytes, at
+    least 1, that holds m - 1: 1 up to m = 256."""
 
-    __slots__ = ("values", "ncols")
+    __slots__ = ("values", "ncols", "w", "count")
 
-    def __init__(self, values: bytes, ncols: int):
-        self.values, self.ncols = values, ncols
+    def __init__(self, values: bytes, ncols: int, w: int, count: int):
+        self.values, self.ncols, self.w, self.count = values, ncols, w, count
 
     def __len__(self):
-        return len(self.values) // self.ncols
+        return self.count
 
-    def __iter__(self):
-        return zip(*[iter(self.values)] * self.ncols)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(i)
-        i %= n
-        return tuple(self.values[i * self.ncols:(i + 1) * self.ncols])
+def _pack(solutions: list, ncols: int, m: int) -> _Block:
+    """The solutions, tuples of ``ncols`` values over Z/m, as one block; a
+    value below 0 or past the block's bytes raises."""
+    w = max(1, -(-(m - 1).bit_length() // 8))
+    try:
+        values = (bytes(chain.from_iterable(solutions)) if w == 1 else
+                  b"".join(v.to_bytes(w, "big")
+                           for sol in solutions for v in sol))
+    except (ValueError, OverflowError):
+        raise InternalConsistencyError(
+            f"a solution to pack has a value outside 0..{256 ** w - 1}"
+        ) from None
+    return _Block(values, ncols, w, len(solutions))
 
 
 class _Solutions:
@@ -649,7 +659,7 @@ class _Solutions:
         return _walk(self.echelon, self.ncols)
 
     def blocks(self, size: int):
-        """The solutions of the walk, in its order, in lists of at most
+        """The solutions of the walk, in its order, in blocks of at most
         ``size`` (see :func:`_blocks`)."""
         return _blocks(self.echelon, self.ncols, size)
 
@@ -723,7 +733,7 @@ def _walk_levels(levels, x: list, m: int):
 
 
 def _blocks(echelon, ncols: int, size: int):
-    """The solutions of :func:`_walk`, in its order, in lists of at most
+    """The solutions of :func:`_walk`, in its order, in blocks of at most
     ``size``.
 
     The free levels at the end of the walk, as many as give at most
@@ -733,9 +743,8 @@ def _blocks(echelon, ncols: int, size: int):
     of the tail walked from 0, in turn.  Those sums are made in lanes of one
     byte, one per value, all at once: mod 2 by one XOR, and below m = 129
     by one addition that leaves each lane below 2m, after which m is taken
-    from every lane that reaches it.  Such a block is a :class:`_Block`,
-    which keeps those bytes.  Elsewhere, and where no level is in the tail,
-    the walk is cut into lists."""
+    from every lane that reaches it.  Elsewhere, and where no level is in
+    the tail, the walk is cut into blocks of ``size`` and packed."""
     m = echelon.m
     levels = _levels(echelon, ncols)
     j, count = len(levels), 1
@@ -746,7 +755,7 @@ def _blocks(echelon, ncols: int, size: int):
     if count == 1 or m > 128:
         walk = _walk_levels(levels, [0] * ncols, m)
         while block := list(islice(walk, size)):
-            yield block
+            yield _pack(block, ncols, m)
         return
     tail = int.from_bytes(b"".join(map(bytes, _walk_levels(
         levels[j:], [0] * ncols, m))), "little")
@@ -759,4 +768,4 @@ def _blocks(echelon, ncols: int, size: int):
         else:
             lanes += tail
             lanes -= (((lanes + above) & high) >> 7) * m
-        yield _Block(lanes.to_bytes(count * ncols, "little"), ncols)
+        yield _Block(lanes.to_bytes(count * ncols, "little"), ncols, 1, count)

@@ -12,6 +12,7 @@ from dgq.errors import (InternalConsistencyError, ResourceBudgetError,
                         StructureError, UnembeddableError)
 from dgq.fields import RATIONALS, FieldSpec
 from dgq.samples import s3_double
+from packing import Packed
 from test_cocycles_oracle import all_normalized_gauges, is_gauge_equivalent
 
 
@@ -140,13 +141,14 @@ def test_budget_guard():
 
 
 def _solver_that(change):
-    """``solutions_mod_m`` with its solutions, as a list, passed through
-    ``change``; the count it gives is the true one."""
+    """``solutions_mod_m`` with its solutions, as a list of tuples, passed
+    through ``change`` and packed into blocks; the count it gives is the
+    true one."""
     real = cocycles.solutions_mod_m
 
     def solver(rows, ncols, m):
         count, solutions = real(rows, ncols, m)
-        return count, iter(change(list(solutions)))
+        return count, Packed(change(list(solutions)), ncols, m)
     return solver
 
 
@@ -291,10 +293,10 @@ def test_byte_blocks_are_checked_for_order_and_size(fault):
         values = blocks[3].values
         sols = [values[i:i + ncols] for i in range(0, len(values), ncols)]
         sols[5], sols[6] = sols[6], sols[5]
-        blocks[3] = linalg._Block(b"".join(sols), ncols)
+        blocks[3] = linalg._Block(b"".join(sols), ncols, 1, 32)
         match = f"the solver's pair {3 * 32 + 6} repeats or precedes"
     else:
-        blocks[2] = linalg._Block(blocks[2].values, ncols + 1)
+        blocks[2] = linalg._Block(blocks[2].values, ncols + 1, 1, 32)
         match = (f"the solver's pair {2 * 32} has {ncols + 1} values for "
                  f"{ncols} columns")
     check = cocycles._BlockCheck(t, 2, system)
@@ -309,10 +311,11 @@ def test_the_order_check_starts_from_no_previous_pair():
     for m in (1, 2, 2 ** 70):
         system = cocycles._constraint_system(t)
         assert system[1] == 0
-        assert cocycles._BlockCheck(t, m, system).walk([()]) == 1
+        check = cocycles._BlockCheck(t, m, system)
+        assert check.walk(Packed([()], 0, m)) == 1
         with pytest.raises(InternalConsistencyError,
                            match="the solver's pair 1 repeats"):
-            cocycles._BlockCheck(t, m, system).walk([(), ()])
+            check.walk(Packed([(), ()], 0, m))
         assert list(enumerate_cocycle_pairs(t, m)) == [zero_pair(t, m)]
 
 

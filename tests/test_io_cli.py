@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgq import io as dio
+from dgq import linalg
 from dgq.cli import (COMMANDS, GLOBAL_OPTIONS, Output, _note_checked, _parse,
                      make_parser, run)
 from dgq.cocycles import (_constraint_system, enumerate_cocycle_pairs,
@@ -151,17 +152,17 @@ def test_cocycle_texts_are_the_emitted_bodies(vacant_corpus, m):
             assert dio.cocycle_pair_for(t, doc.payload) == cp, name
 
 
-@pytest.mark.parametrize("bad", [2, 255, 256, -1])
+@pytest.mark.parametrize("bad", [2, 255])
 def test_cocycle_texts_refuse_a_value_out_of_range(bad):
-    """The writer reads each block's values as bytes: a value of m or more,
-    or one that is no byte, stops it before that block is written."""
+    """The writer reads each block's values as bytes: a value of m or more
+    stops it before that block is written."""
     t = s3_double()
     pairs = enumerate_cocycle_pairs(t, 2)
-    blocks = [list(block) for block in pairs.blocks()]
-    sol = blocks[0][-1]
-    blocks[0][-1] = (bad,) + sol[1:]
+    sols = list(pairs.solutions)
+    sols[-1] = (bad,) + sols[-1][1:]
+    block = linalg._pack(sols, pairs.system[1], 2)
     texts = dio.cocycle_texts(t, SimpleNamespace(
-        modulus=2, system=pairs.system, blocks=lambda: iter(blocks)))
+        modulus=2, system=pairs.system, blocks=lambda: iter([block])))
     with pytest.raises(InternalConsistencyError, match="outside 0..1"):
         next(texts)
 

@@ -12,10 +12,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, factorint, isprime
+from sympy import Matrix, factorint, isprime, nextprime
 from sympy.matrices.normalforms import smith_normal_form
 
 from dgq import fields, linalg
+from dgq.cocycles import _constraint_system, count_modulo_gauge
 from dgq.cohomology import (build_double_complex, groupoid_cohomology,
                             nerve, total_dim, total_matrix)
 from dgq.double import build_Xrs
@@ -26,7 +27,7 @@ from dgq.linalg import (SubquotientFp, _Echelon, _on_planes, _Planes, _walk,
                         count_solutions_mod_m, elementary_divisors,
                         kernel_mod_m, matmul, nullity_fp, nullspace_fp,
                         rank_fp, smith_diagonal, solutions_mod_m, span_length,
-                        squarefree_primes, transpose)
+                        transpose)
 from dgq.samples import cyclic_table, s3_double, symmetric_table
 
 from full_nerve import differential_matrix
@@ -589,17 +590,29 @@ def test_howell_count_is_the_smith_count(mat, m):
 # -- counts mod a squarefree m from ranks over F_p -----------------------------
 
 
-def test_squarefree_primes_match_factorisation():
+def test_a_squarefree_modulus_takes_the_prime_route():
+    """Squarefreeness is read off ``prime_powers``: a count mod m takes
+    ranks over F_p where every exponent is 1, and the Howell route where
+    one is not or where ``prime_powers`` refuses m: 65537 * 65539 has a
+    composite cofactor past the trial bound, and 2 * nextprime(4 * 10**24)
+    a cofactor past the bound of the primality test.  At every m, x22 has
+    m**3 solutions and one gauge class."""
     for n in range(1, 400):
-        primes = [p for p in range(2, n + 1)
-                  if n % p == 0 and all(p % d for d in range(2, p))]
-        assert squarefree_primes(n) == (
-            primes if prod(primes) == n else None), n
-    # past the trial bound the Smith form is left to decide
-    assert squarefree_primes(2 * 65521) == [2, 65521]
-    assert squarefree_primes(2 ** 70) is None
-    assert squarefree_primes(65537) is None
-    assert squarefree_primes(2 ** 61 - 1) is None
+        powers = factorint(n)
+        assert linalg._squarefree(n) == (
+            sorted(powers) if set(powers.values()) <= {1} else None), n
+    t = build_Xrs(2, 2)
+    rows, ncols, _ = _constraint_system(t)
+    routes = {65537: [65537], 2 * 65521: [2, 65521], 2 ** 70: None,
+              65537 * 65539: None, 2 * nextprime(4 * 10 ** 24): None}
+    for m, primes in routes.items():
+        assert linalg._squarefree(m) == primes
+        with mock.patch.object(linalg, "_rank_count",
+                               wraps=linalg._rank_count) as ranks:
+            assert count_solutions_mod_m(rows, ncols, m) == m ** 3
+        assert ranks.called == (primes is not None), m
+        assert solutions_mod_m(rows, ncols, m)[0] == m ** 3
+        assert count_modulo_gauge(t, m) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -615,7 +628,7 @@ def test_count_solutions_mod_m_is_the_smith_count(mat, m):
     diag = smith_diagonal(rows, ncols)
     smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
     assert count_solutions_mod_m(rows, ncols, m) == smith
-    primes = squarefree_primes(m)
+    primes = linalg._squarefree(m)
     if primes is not None:
         assert smith == prod(p ** (ncols - dense_rank(dense, ncols, p))
                              for p in primes)
@@ -676,32 +689,51 @@ def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
         solutions_mod_m(rows, 3, m)
 
 
+def _value_bytes(m):
+    """The fewest bytes, at least 1, that hold m - 1."""
+    return (len(f"{m - 1:x}") + 1) // 2
+
+
+@pytest.mark.parametrize("m,bad", [(2, 256), (2, -1), (257, 65536),
+                                   (257, -1)])
+def test_the_packer_refuses_a_value_it_cannot_hold(m, bad):
+    """A value below 0, or past the bytes that hold m - 1, cannot be packed
+    into a block; one of m or more that fits is left to the checks."""
+    top = 256 ** _value_bytes(m) - 1
+    assert len(linalg._pack([(0, top), (1, m)], 2, m)) == 2
+    with pytest.raises(InternalConsistencyError,
+                       match=f"a value outside 0..{top}"):
+        linalg._pack([(0, 1), (bad, 0)], 2, m)
+
+
 @settings(max_examples=120, deadline=None)
 @given(dense_matrices(max_rows=4, max_cols=9),
-       st.sampled_from((1, 2, 3, 4, 5, 6, 12, 128, 129, 256, 257)),
+       st.sampled_from((1, 2, 3, 4, 5, 6, 12, 128, 129, 256, 257, 65537,
+                        2 ** 70)),
        st.sampled_from((1, 4, 32)))
 def test_blocks_cut_the_walk_in_its_order(mat, m, size):
-    """``blocks`` gives the walk's tuples, in its order, in nonempty lists
-    of at most ``size``: made from the tail of free levels by lane sums at
-    m = 2 and up to 128, with the bytes they were read from, and cut from
-    the walk elsewhere."""
+    """``blocks`` gives the walk's tuples, in its order, in nonempty blocks
+    of at most ``size``, each value in the fewest bytes that hold m - 1:
+    made from the tail of free levels by lane sums at m = 2 and up to 128,
+    and packed from the walk elsewhere.  The solutions' bytes increase as
+    the tuples do."""
     dense, ncols = mat
     rows = to_sparse(dense)
     count, solutions = solutions_mod_m(rows, ncols, m)
     walked = list(itertools.islice(solutions, 3000))
-    blocks = []
+    tuples, packed = [], []
     for block in solutions.blocks(size):
         assert 0 < len(block) <= size
-        if hasattr(block, "values"):
-            assert block.values == b"".join(map(bytes, block))
-            tuples = list(block)
-            assert [block[i] for i in range(-len(block), len(block))] == (
-                tuples * 2)
-            assert block[1:3] == tuples[1:3]
-            with pytest.raises(IndexError):
-                block[len(block)]
-        blocks.append(block)
-        if sum(map(len, blocks)) >= len(walked):
+        w, stride = block.w, ncols * block.w
+        assert (block.ncols, w) == (ncols, _value_bytes(m))
+        assert len(block.values) == len(block) * stride
+        for i in range(len(block)):
+            sol = block.values[i * stride:(i + 1) * stride]
+            packed.append(sol)
+            tuples.append(tuple(int.from_bytes(sol[j:j + w], "big")
+                                for j in range(0, stride, w)))
+        if len(tuples) >= len(walked):
             break
-    assert list(itertools.chain(*blocks))[:len(walked)] == walked
+    assert tuples[:len(walked)] == walked
     assert all(type(sol) is tuple for sol in walked)
+    assert all(a < b for a, b in zip(packed, packed[1:]))

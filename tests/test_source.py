@@ -100,3 +100,45 @@ def test_every_echelon_form_is_made_by_linalg_echelon():
         ("linalg.py", "_echelon")}
     assert not any("_echelon_fp" in path.read_text()
                    for path in SRC.glob("*.py"))
+
+
+def test_the_block_format_is_known_by_linalg_alone():
+    """A block of solutions has one shape, decided in ``linalg``: ``_Block``
+    is constructed only there, and ``cocycles.py`` and ``io.py``, which read
+    blocks, ask no block and no ``solutions`` what it holds."""
+    assert {path for path, _ in _callers("_Block")} == {"linalg.py"}
+    for name in ("cocycles.py", "io.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        probed = {ast.unparse(node.args[0]) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in ("getattr", "hasattr")}
+        assert not {p for p in probed
+                    if p.split(".")[-1] in ("block", "solutions")}, name
+
+
+def _trial_divisions(tree):
+    """The variables of loops and comprehensions over ``range(...)`` that
+    divide something within them."""
+    for node in ast.walk(tree):
+        loops = (node.generators if isinstance(node, (
+            ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+                 else [node] if isinstance(node, ast.For) else [])
+        for loop in loops:
+            var = ast.unparse(loop.target)
+            if "range(" in ast.unparse(loop.iter) and any(
+                    isinstance(op, ast.BinOp)
+                    and isinstance(op.op, (ast.Mod, ast.FloorDiv))
+                    and ast.unparse(op.right) == var
+                    for op in ast.walk(node)):
+                yield var
+
+
+def test_moduli_are_factored_only_in_fields():
+    """One factoriser: trial division runs only in ``fields``, whose
+    ``prime_powers`` the counts mod m read squarefreeness off, and no
+    ``squarefree_primes`` is left beside it."""
+    divided = {path.name for path in SRC.glob("*.py")
+               if any(_trial_divisions(ast.parse(path.read_text())))}
+    assert divided == {"fields.py"}
+    assert not any("squarefree_primes" in path.read_text()
+                   for path in SRC.glob("*.py"))
