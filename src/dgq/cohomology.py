@@ -51,8 +51,8 @@ from .linalg import (SubquotientFp, _echelon,  # noqa: F401
                      rank_z, span_length, sparse_row, transpose)
 from .matched import diagonal_groupoid, from_vacant_double
 
-# the largest tuple or grid basis a complex is built on; a larger one raises
-# a resource error before its differential is built
+# the largest grid basis a complex, or free module a resolution, is built on;
+# a larger one raises a resource error before its rows are built
 BUDGET = 500000
 
 
@@ -246,12 +246,10 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
     of its components.  So H^n(g) is the direct sum over the components of
     H^n of the vertex group, computed once per distinct vertex table: F_p
     dimensions and Z ranks add, and Z torsion is merged into invariant
-    factors.  A vertex group with k non-identity elements has k^n bar cells
-    in degree n; if any degree up to n_max + 1 of any vertex group would
-    exceed the budget, a resource error names the first such degree before
-    any row is built.  A vertex group goes through
-    :func:`_resolution_cohomology` over F_p, as over Z/p, and through
-    :func:`_integral_cohomology` over Z; no Smith form runs."""
+    factors.  A vertex group goes through :func:`_resolution_cohomology`
+    over F_p, as over Z/p, and through :func:`_integral_cohomology` over Z;
+    no Smith form runs.  The budget bounds what each resolution builds, and
+    a resolution past it raises a resource error naming its degree."""
     kind, p = _coefficients(coefficients)
     if kind == "Z/m":
         raise StructureError("groupoid cohomology takes 'Z' or ('Fp', p)")
@@ -259,14 +257,9 @@ def groupoid_cohomology(g: Groupoid, n_max: int, coefficients,
         raise StructureError("degree must be nonnegative")
     keys = [tuple(map(tuple, comp.vertex_table))
             for comp in connected_decomposition(g)]
-    tables = dict.fromkeys(keys)
-    for n in range(n_max + 2):
-        if any((len(key) - 1) ** n > budget for key in tables):
-            raise ResourceBudgetError(
-                f"degree {n} basis exceeds the budget {budget}")
-    for key in tables:
-        tables[key] = (_resolution_cohomology(key, n_max, p, budget) if p
-                       else _integral_cohomology(key, n_max, budget))
+    tables = {key: _resolution_cohomology(key, n_max, p, budget) if p
+              else _integral_cohomology(key, n_max, budget)
+              for key in dict.fromkeys(keys)}
     return CohomologyReport("Z" if kind == "Z" else f"F{p}",
                             [_direct_sum(summands) for summands in
                              zip(*(tables[key] for key in keys))])
@@ -288,9 +281,10 @@ def _resolution_cohomology(table, n_max: int, q: int, budget: int,
     F_n -> R is its values on the r_n generators, so the coboundary is
     r_(n+1) x r_n: at a generator, its image's coefficients summed over G.
 
-    |G| r_n is checked against the budget before each kernel is taken.
-    d_(n-1) d_n must be 0 mod q^v on every cell, so that the translates lie
-    in the kernel, and the order of their span must reach the kernel's."""
+    F_n's |G| r_n cells are held to the budget before its translates are
+    built; F_(n_max + 1) is only its generators.  d_(n-1) d_n must be 0 mod
+    q^v on the generators of F_n, so on every cell, as translates make d a
+    G-map, and the span of their translates must reach the kernel's order."""
     order, m = len(table), q ** v
     images, below = [{0: 1}] * order, 1     # the augmentation, on F_0
     ranks, coboundaries = [1], []
@@ -299,6 +293,8 @@ def _resolution_cohomology(table, n_max: int, q: int, budget: int,
         if dim > budget:
             raise ResourceBudgetError(
                 f"degree {n} of the resolution exceeds the budget {budget}")
+        if n:
+            images = [_translate(w, h, order) for w in gens for h in table]
         size, kernel = kernel_mod_m(transpose(images, below), dim, m)
         span = _echelon(m, ncols=dim)
         gens = []
@@ -315,13 +311,12 @@ def _resolution_cohomology(table, n_max: int, q: int, budget: int,
             raise InternalConsistencyError(
                 f"the translates of the generators of F_{n + 1} span a group "
                 f"of order {span.order()} in a kernel of order {size}")
-        new = [_translate(w, h, order) for w in gens for h in table]
-        if any(x % m for row in matmul(new, images) for x in row.values()):
+        if any(x % m for row in matmul(gens, images) for x in row.values()):
             raise InternalConsistencyError(f"d_{n} d_{n + 1} is not 0 mod {m}")
         coboundaries.append([sparse_row((c // order, x) for c, x in w.items())
                              for w in gens])
         ranks.append(len(gens))
-        images, below = new, dim
+        below = dim
     return _cohomology(coboundaries, ranks,
                        ("Fp", q) if v == 1 else ("Z/m", m))
 

@@ -549,7 +549,7 @@ def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
     ranks over F_p (:func:`_rank_count`), elsewhere from the Howell form of
     :func:`solutions_mod_m`, checked against that of the transpose."""
     primes = _squarefree(m)
-    return (solutions_mod_m(rows, ncols, m)[0] if primes is None
+    return (_howell_solutions(rows, ncols, m, primes)[0] if primes is None
             else _rank_count(rows, ncols, primes))
 
 
@@ -574,9 +574,13 @@ def solutions_mod_m(rows, ncols: int, m: int):
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
     """
+    return _howell_solutions(rows, ncols, m, _squarefree(m))
+
+
+def _howell_solutions(rows, ncols: int, m: int, primes):
+    """:func:`solutions_mod_m`, given ``primes``, the _squarefree(m)."""
     echelon = _echelon(m, rows, ncols)
     count = m ** ncols // echelon.order()
-    primes = _squarefree(m)
     if primes == [m]:
         # the form's rows are the rank on the rows; the transpose checks it
         _checked_rank(len(echelon.rows), transpose(rows, ncols), len(rows), m)

@@ -7,6 +7,7 @@ built and reduced once."""
 
 import gc
 import itertools
+import json
 import weakref
 from math import prod
 from pathlib import Path
@@ -156,34 +157,73 @@ def test_integral_cohomology_of_z2():
                           ZGroup(0, ())]
 
 
-def test_degree_budget_guard():
+def _log_translates_and_checks(monkeypatch):
+    """A log of the resolutions' translates, as "translate", and of their
+    d.d checks, as the number of rows checked, in the order made."""
+    log = []
+    translate, matmul_ = coh._translate, coh.matmul
+
+    def logged_translate(*args):
+        log.append("translate")
+        return translate(*args)
+
+    def logged_matmul(a, b):
+        log.append(len(a))
+        return matmul_(a, b)
+    monkeypatch.setattr(coh, "_translate", logged_translate)
+    monkeypatch.setattr(coh, "matmul", logged_matmul)
+    return log
+
+
+def test_degree_budget_guard(monkeypatch):
+    """S3's resolution over F_2 has 1, 2, 4, 5 generators, so 6, 12, 24 and
+    30 cells, in degrees 0 to 3.  At a budget of 29 degree 3 is refused
+    before any of its translates is built: the refusal has built what a
+    run to degree 2 builds, which reads only the generators of F_3 and
+    fits a budget of 24.  d.d is checked on the generators, and nothing
+    is translated after the last check."""
     from dgq.errors import ResourceBudgetError
-    g = one_object_group(symmetric_table(3)[0])
-    with pytest.raises(ResourceBudgetError):
-        groupoid_cohomology(g, 4, ("Fp", 2), budget=100)
+    s3 = ROUTE_CASES["s3_group"]
+    log = _log_translates_and_checks(monkeypatch)
+    assert [grp.dim for grp in groupoid_cohomology(
+        s3, 2, ("Fp", 2), budget=24).groups] == [1, 1, 1]
+    built = list(log)
+    assert [x for x in built if x != "translate"] == [2, 4, 5]
+    assert built[-1] == 5
+    log.clear()
+    for top in (3, 4):
+        with pytest.raises(ResourceBudgetError,
+                           match="^degree 3 of the resolution exceeds the "
+                                 "budget 29$"):
+            groupoid_cohomology(s3, top, ("Fp", 2), budget=29)
+        assert log == built, top
+        log.clear()
 
 
 def test_budget_is_checked_before_any_row_is_built(monkeypatch):
-    """k^n is known up front: Z/2 (k = 1) fits any budget, S3 (k = 5) has
-    125 cells in degree 3, so with a budget of 100 the union raises before
-    either vertex group builds a resolution.  Within the budget, each
-    distinct vertex group is resolved once."""
+    """Z/2's resolution over F_2 has 2 cells in every degree, S3's 30 in
+    degree 3: at a budget of 29 S3 refuses degree 3 before its rows are
+    built, whether 3 or 4 is asked.  Either way, and within the budget,
+    each distinct vertex group is resolved once."""
     from dgq.errors import ResourceBudgetError
     from dgq.groupoids import disjoint_union
     calls = _count_calls(monkeypatch, ["_resolution_cohomology"])
     z2 = one_object_group(cyclic_table(2))
     g = disjoint_union(disjoint_union(
         z2, one_object_group(symmetric_table(3)[0])), z2)
-    for top in (2, 4):
+    for top in (3, 4):
         with pytest.raises(ResourceBudgetError,
-                           match="^degree 3 basis exceeds the budget 100$"):
-            groupoid_cohomology(g, top, ("Fp", 2), budget=100)
-    assert calls["_resolution_cohomology"] == []
-    # at a budget of 125, degree 3 fits: each group is resolved to degree 2
+                           match="^degree 3 of the resolution exceeds the "
+                                 "budget 29$"):
+            groupoid_cohomology(g, top, ("Fp", 2), budget=29)
+    assert [(len(table), n) for table, n, *_ in
+            calls["_resolution_cohomology"]] == [(2, 3), (6, 3), (2, 4),
+                                                 (6, 4)]
+    calls["_resolution_cohomology"].clear()
     assert [grp.dim for grp in groupoid_cohomology(
-        g, 2, ("Fp", 2), budget=125).groups] == [3, 3, 3]
+        g, 4, ("Fp", 2), budget=30).groups] == [3] * 5
     assert [(len(table), n, p) for table, n, p, _ in
-            calls["_resolution_cohomology"]] == [(2, 2, 2), (6, 2, 2)]
+            calls["_resolution_cohomology"]] == [(2, 4, 2), (6, 4, 2)]
 
 
 @pytest.mark.parametrize("coefficients", [("Z/m", 4), ("Z/m", 2)])
@@ -197,45 +237,59 @@ def test_groupoid_cohomology_takes_no_z_mod_m(coefficients):
 
 
 @pytest.mark.parametrize("first", ("S3", "C11"))
-def test_budget_error_names_the_first_degree_over_all_vertex_groups(first):
-    """At a budget of 99, C_11 (k = 10) is over it in degree 2 and S3
-    (k = 5) in degree 3: degree 2 is named whichever comes first."""
+def test_budget_error_names_the_degree_of_the_group_past_it(first,
+                                                            monkeypatch):
+    """At a budget of 20, C_11's resolution over F_2 (11 cells a degree)
+    fits to any degree and S3's is over it in degree 2 (24 cells): degree
+    2 is named whichever comes first, and C_11, if first, is resolved
+    once before it."""
     from dgq.errors import ResourceBudgetError
     from dgq.groupoids import disjoint_union
+    calls = _count_calls(monkeypatch, ["_resolution_cohomology"])
     groups = {"S3": one_object_group(symmetric_table(3)[0]),
               "C11": one_object_group(cyclic_table(11))}
     second = "C11" if first == "S3" else "S3"
     g = disjoint_union(groups[first], groups[second])
     with pytest.raises(ResourceBudgetError,
-                       match="^degree 2 basis exceeds the budget 99$"):
-        groupoid_cohomology(g, 2, ("Fp", 2), budget=99)
+                       match="^degree 2 of the resolution exceeds the budget "
+                             "20$"):
+        groupoid_cohomology(g, 3, ("Fp", 2), budget=20)
+    assert [len(args[0]) for args in calls["_resolution_cohomology"]] == (
+        [6] if first == "S3" else [11, 6])
 
 
 @pytest.mark.parametrize("coefficients", (("Fp", 2), ("Fp", 3), "Z"))
 def test_resolution_checks_the_budget_before_each_kernel(monkeypatch,
                                                          coefficients):
-    """S3 to degree 0 needs 5 bar cells, within a budget of 5, but its
-    resolution starts from F_0 = F_pG, of |G| = 6 cells: the budget is
-    checked before the kernel of the augmentation is taken."""
+    """S3's resolution starts from F_0 = RG, of |G| = 6 cells: at a budget
+    of 5 it is refused before the kernel of the augmentation is taken."""
     from dgq.errors import ResourceBudgetError
-    calls = _count_calls(monkeypatch, ["nullspace_fp"])
+    calls = _count_calls(monkeypatch, ["kernel_mod_m"])
     s3 = ROUTE_CASES["s3_group"]
     with pytest.raises(ResourceBudgetError,
                        match="^degree 0 of the resolution exceeds the budget "
                              "5$"):
         groupoid_cohomology(s3, 0, coefficients, budget=5)
-    assert calls["nullspace_fp"] == []
+    assert calls["kernel_mod_m"] == []
     assert [grp.dim for grp in groupoid_cohomology(
         s3, 0, ("Fp", 2), budget=6).groups] == [1]
 
 
-def test_cli_refuses_a_degree_past_the_budget_at_once(capsys):
-    """S3 to degree 8 needs the 5^9 = 1,953,125 cells of degree 9."""
-    code = run(["--format", "machine", "cohomology",
-                str(CORPUS / "s3_group.json"), "--p", "2", "--degree", "8"])
+def test_cli_reads_s3_to_degree_8(capsys):
+    """The budget bounds the resolution's modules, of at most 30 cells for
+    S3, not the 5^9 cells of degree 9 of its bar complex."""
+    path = str(CORPUS / "s3_group.json")
+    assert run(["--format", "machine", "cohomology", path, "--p", "2",
+                "--degree", "8"]) == 0
     out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err == "error: degree 9 basis exceeds the budget 500000\n"
+    assert err == "" and json.loads(out) == {
+        **{f"H{n}": 1 for n in range(9)}, "coefficients": "F2",
+        "command": "cohomology", "ok": True}
+    assert run(["cohomology", path, "--integral", "--degree", "8"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1:10] == [
+        f"H^{n}: {grp}" for n, grp in enumerate(
+            ["Z", "0", "Z/2", "0", "Z/6", "0", "Z/2", "0", "Z/6"])]
 
 
 def test_h0_counts_components():
@@ -353,10 +407,13 @@ def test_resolution_agrees_with_the_digit_bar_route(name):
         assert coh._resolution_cohomology(table, 4, p, coh.BUDGET) == bar, p
 
 
-@pytest.mark.parametrize("p,expected", [
-    # the Poincare series (1 + t^2) / ((1 - t)(1 - t^3)) of H^*(S_4; F_2)
-    (2, [1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7]),
-    (3, [1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0])])
+# dim H^0..H^10(S_4; F_p); over F_2 the Poincare series (1 + t^2) / ((1 - t)
+# (1 - t^3))
+S4_DIMS = {2: [1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7],
+           3: [1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0]}
+
+
+@pytest.mark.parametrize("p,expected", sorted(S4_DIMS.items()))
 def test_s4_to_degree_10(p, expected):
     """S_4's bar complex has 23^10 cells in degree 10, past any budget; its
     resolution has at most 336 cells in a degree."""
@@ -469,6 +526,59 @@ def test_local_ranks_agree_with_the_full_nerve_over_z(name, monkeypatch):
         [(q,) for q, _ in powers] + [(q, v) for q, v in powers if v > 1])
 
 
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8"])
+def test_translates_are_a_group_action(name):
+    """Translating by b and then by a is translating by a b, on every cell
+    of two generators: so every d_n, whose rows are translates, commutes
+    with G, and d.d is checked on the generators alone."""
+    table = (symmetric_table(int(name[1]))[0] if name[0] == "S"
+             else LOCAL_CASES[name].compose)
+    order = len(table)
+    v = {c: c + 1 for c in range(2 * order)}
+    for a, b in itertools.product(range(order), repeat=2):
+        assert coh._translate(coh._translate(v, table[b], order), table[a],
+                              order) == coh._translate(
+            v, table[table[a][b]], order), (a, b)
+
+
+# A_5 on five points, and the normalisers of its Sylow subgroups: A_4 of the
+# Klein four-group, N(C_3) = S_3, of <(0 1 2)>, and N(C_5) = D_5
+A5_CASES = {
+    "A5": ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)),
+    "A4": ((1, 2, 0, 3, 4), (0, 2, 3, 1, 4)),
+    "S3": ((1, 2, 0, 3, 4), (1, 0, 2, 4, 3)),
+    "D5": ((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("p,normaliser,expected", [
+    (2, "A4", [1, 0, 1, 2, 1, 2, 3, 2, 3]),
+    (3, "S3", [1, 0, 0, 1, 1, 0, 0, 1, 1]),
+    (5, "D5", [1, 0, 0, 1, 1, 0, 0, 1, 1])])
+def test_a5_reads_its_sylow_normalisers(p, normaliser, expected):
+    """A_5's Sylow p-subgroups are abelian, so H^*(A_5; F_p) is that of
+    their normaliser (Swan, Illinois J. Math. 4, 1960), each built inside
+    A_5.  A_5 is resolved to degree 8 at the default budget, though its
+    bar complex would have 59^9 cells in degree 9."""
+    a5, sub = (_permutation_group(*A5_CASES[name])
+               for name in ("A5", normaliser))
+    assert (a5.n_arrows, sub.n_arrows) == (60, {"A4": 12, "S3": 6,
+                                                "D5": 10}[normaliser])
+    assert set(perm_closure(list(A5_CASES[normaliser]))) <= set(
+        perm_closure(list(A5_CASES["A5"])))
+    dims = [grp.dim for grp in groupoid_cohomology(a5, 8, ("Fp", p)).groups]
+    assert dims == [grp.dim for grp in groupoid_cohomology(
+        sub, 8, ("Fp", p)).groups] == expected
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_s4_through_groupoid_cohomology_to_degree_8(p):
+    """At the default budget, as :func:`test_s4_to_degree_10` reads it."""
+    s4 = one_object_group(symmetric_table(4)[0])
+    assert [grp.dim for grp in groupoid_cohomology(
+        s4, 8, ("Fp", p)).groups] == S4_DIMS[p][:9]
+
+
 # the eliminations of S3's resolutions to degree 5: per degree one kernel
 # and one span echelon on the columns of F_n, then one span per coboundary,
 # on its rows
@@ -512,9 +622,9 @@ def _z_groups(*torsion):
     # periodic of period 4: Z/8 in degrees 4k, (Z/2)^2 in 4k + 2
     ("Q8", _z_groups((), (2, 2), (), (8,), (), (2, 2), (), (8,)))])
 def test_integral_cohomology_to_degree_8(name, expected):
-    """Past the bar cells that the budget allows, through the resolutions:
-    dim H^n(G; F_p) counts the summands of H^n(G; Z) and H^(n+1)(G; Z) that
-    p divides, for n >= 1 (universal coefficients)."""
+    """To degree 8 through the resolutions: dim H^n(G; F_p) counts the
+    summands of H^n(G; Z) and H^(n+1)(G; Z) that p divides, for n >= 1
+    (universal coefficients)."""
     g = (one_object_group(symmetric_table(4)[0]) if name == "S4"
          else LOCAL_CASES[name])
     table = tuple(map(tuple, g.compose))

@@ -615,6 +615,15 @@ def test_a_squarefree_modulus_takes_the_prime_route():
         assert count_modulo_gauge(t, m) == 1
 
 
+def test_a_count_factors_its_modulus_once():
+    """A gauge count takes two counts mod m, and each factors m once, also
+    on the Howell route, where ``prime_powers`` refuses 65537 * 65539."""
+    with mock.patch.object(linalg, "prime_powers",
+                           wraps=fields.prime_powers) as factor:
+        assert count_modulo_gauge(build_Xrs(2, 2), 4295229443) == 1
+    assert [c.args for c in factor.call_args_list] == [(4295229443,)] * 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices(max_rows=6, max_cols=6, entry=st.integers(-12, 12)),
        st.sampled_from((1, 2, 3, 5, 6, 10, 30, 4, 12)))

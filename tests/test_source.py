@@ -142,3 +142,15 @@ def test_moduli_are_factored_only_in_fields():
     assert divided == {"fields.py"}
     assert not any("squarefree_primes" in path.read_text()
                    for path in SRC.glob("*.py"))
+
+
+def test_group_cohomology_is_bounded_by_its_resolutions():
+    """One budget for a group's cohomology, on what its resolution builds:
+    in ``cohomology.py`` only ``_resolution_cohomology``, on the cells of
+    each free module, and ``build_double_complex``, on each grid basis,
+    raise a ``ResourceBudgetError``; ``groupoid_cohomology`` raises none of
+    its own."""
+    assert {c for c in _callers("ResourceBudgetError")
+            if c[0] == "cohomology.py"} == {
+        ("cohomology.py", "_resolution_cohomology"),
+        ("cohomology.py", "build_double_complex")}
