@@ -398,6 +398,7 @@ def connected_decomposition(g: Groupoid) -> list[Component]:
     ``f -> (tau_y f tau_z^-1, (y, z))`` is checked arrow-by-arrow.
     """
     validate_groupoid(g).raise_if_failed()
+    leaving = g.leaving()
     comps = []
     for objs in g.object_components():
         base = objs[0]
@@ -407,15 +408,14 @@ def connected_decomposition(g: Groupoid) -> list[Component]:
         while frontier:
             nxt = []
             for y in frontier:
-                for f in range(g.n_arrows):
-                    if g.source[f] == y and g.target[f] not in tau:
+                for f in leaving[y]:
+                    if g.target[f] not in tau:
                         tau[g.target[f]] = g.compose[tau[y]][f]
                         nxt.append(g.target[f])
             frontier = nxt
         if sorted(tau) != objs:
             raise InternalConsistencyError("transversal missed part of a component")
-        vertex = [f for f in range(g.n_arrows)
-                  if g.source[f] == base and g.target[f] == base]
+        vertex = g.arrows_between(base, base)
         vindex = {f: i for i, f in enumerate(vertex)}
         vtable = [[vindex[g.compose[a][b]] for b in vertex] for a in vertex]
         k = len(objs)

@@ -25,15 +25,11 @@ in turn.  No routine here needs the transforms of either form.
 orders to d1 | d2 | ...; Smith forms and direct sums of torsion both end
 in it.
 
-A count of solutions mod m is a product over the primes of m when m is
-squarefree, as :func:`dgq.fields.prime_powers` finds when every exponent
-is 1: mod p the solutions number p**(ncols - r_p), r_p the rank over F_p,
-and by the Chinese remainder theorem mod m they number the product of
-those.  So at a squarefree m :func:`count_solutions_mod_m` takes ranks
-over F_p, and :func:`solutions_mod_m` checks its Howell count against
-them.  Elsewhere, and where ``prime_powers`` refuses to factor m, the check
-is the Howell form of the transpose: the kernel and the column span
-together have m**ncols elements.  No count takes a Smith form.
+A count of solutions mod m, at every m, is read off the Howell form of
+the rows, :func:`solutions_mod_m`, and checked against the Howell form of
+their transpose: the kernel and the column span together have m**ncols
+elements.  At a prime m the two orders are m to the rank on the rows and
+on the columns.  No count factors m or takes a Smith form.
 
 The solutions of a walk also come in blocks of bytes, :class:`_Block`,
 the one shape that the block check of :mod:`dgq.cocycles` and the writer
@@ -46,7 +42,6 @@ from itertools import chain, islice
 from math import gcd, prod
 
 from .errors import InternalConsistencyError, StructureError
-from .fields import prime_powers
 
 
 def sparse_row(entries) -> dict[int, int]:
@@ -511,46 +506,10 @@ def rank_z(rows, ncols: int) -> int:
     return len(_hermite(rows))
 
 
-def _squarefree(m: int) -> list[int] | None:
-    """The primes of m >= 1, in increasing order, where each divides m
-    once; None where a square above 1 divides m, or where
-    :func:`dgq.fields.prime_powers` refuses to factor m."""
-    try:
-        powers = prime_powers(m)
-    except StructureError:
-        return None
-    return None if any(v > 1 for _, v in powers) else [q for q, _ in powers]
-
-
-def _checked_rank(rank: int, cols, nrows: int, p: int) -> int:
-    """``rank``, the rank over F_p on the rows of a matrix with ``nrows``
-    rows, once the rank of its columns ``cols`` agrees."""
-    rank_t = len(_echelon(p, cols, nrows).rows)
-    if rank != rank_t:
-        raise InternalConsistencyError(
-            f"rank {rank} over F_{p} on the rows, {rank_t} on the columns")
-    return rank
-
-
-def _rank_count(rows, ncols: int, primes) -> int:
-    """The number of solutions of A x = 0 mod the product of the distinct
-    ``primes``: p**(ncols - r_p) mod each p, r_p the rank over F_p, taken on
-    the rows and again on their transpose, which must agree."""
-    cols = transpose(rows, ncols)
-    count = 1
-    for p in primes:
-        rank = len(_echelon(p, rows, ncols).rows)
-        count *= p ** (ncols - _checked_rank(rank, cols, len(rows), p))
-    return count
-
-
 def count_solutions_mod_m(rows, ncols: int, m: int) -> int:
-    """The number of solutions of A x = 0 over Z/m: at a squarefree m from
-    ranks over F_p (:func:`_rank_count`), elsewhere from the Howell form of
-    :func:`solutions_mod_m`, checked against that of the transpose."""
-    primes = _squarefree(m)
-    return (_howell_solutions(rows, ncols, m, primes)[0] if primes is None
-            else _rank_count(rows, ncols, primes))
+    """The number of solutions of A x = 0 over Z/m, as
+    :func:`solutions_mod_m` counts and checks it."""
+    return solutions_mod_m(rows, ncols, m)[0]
 
 
 def solutions_mod_m(rows, ncols: int, m: int):
@@ -561,11 +520,11 @@ def solutions_mod_m(rows, ncols: int, m: int):
     A column that pivots no row is free and takes m values; one that pivots
     a row with pivot g takes the g values that solve that row, given the
     columns before it.  The count, m per free column times g per pivot
-    column, must equal the one found another way: at a prime m, where the
-    form's rows are the rank over F_m, that rank must be the rank of the
-    transpose; at another squarefree m the count must be the product of
-    :func:`_rank_count`, elsewhere m**ncols over the order of the column
-    span, from the Howell form of the transpose.
+    column, is m**ncols over the order of the row span.  It must equal
+    m**ncols over the order of the column span, from the Howell form of the
+    transpose: the kernel and the column span together have m**ncols
+    elements.  At a prime m the two orders are m to the rank on the rows
+    and on the columns.
 
     The solutions keep the Howell form, and each iteration walks it afresh
     with :func:`_walk`: the columns depth first, in increasing order,
@@ -574,27 +533,14 @@ def solutions_mod_m(rows, ncols: int, m: int):
     current one.  The Howell form leaves no prefix without a value; a dead
     end raises all the same.
     """
-    return _howell_solutions(rows, ncols, m, _squarefree(m))
-
-
-def _howell_solutions(rows, ncols: int, m: int, primes):
-    """:func:`solutions_mod_m`, given ``primes``, the _squarefree(m)."""
     echelon = _echelon(m, rows, ncols)
     count = m ** ncols // echelon.order()
-    if primes == [m]:
-        # the form's rows are the rank on the rows; the transpose checks it
-        _checked_rank(len(echelon.rows), transpose(rows, ncols), len(rows), m)
-        return count, _Solutions(echelon, ncols)
-    if primes is None:
-        route = "Howell form of the transpose"
-        other, rest = divmod(m ** ncols, _echelon(
-            m, transpose(rows, ncols), len(rows)).order())
-    else:
-        route, other, rest = "F_p ranks", _rank_count(rows, ncols, primes), 0
+    other, rest = divmod(m ** ncols, _echelon(
+        m, transpose(rows, ncols), len(rows)).order())
     if (other, rest) != (count, 0):
         raise InternalConsistencyError(
-            f"the Howell form counts {count} solutions mod {m}, the {route} "
-            f"{other}")
+            f"the Howell form counts {count} solutions mod {m}, the Howell "
+            f"form of the transpose {other}")
     return count, _Solutions(echelon, ncols)
 
 

@@ -724,3 +724,16 @@ def test_a_gauge_map_off_the_cocycles_raises(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="a gauge coboundary fails the cocycle system"):
         count_modulo_gauge(t, 2)
+
+
+def test_counts_that_do_not_split_into_orbits_raise(monkeypatch):
+    """One solution too many in the count of the cocycle system leaves
+    |Z| |ker G| no multiple of m**|free|, and counting classes raises."""
+    real, extra = cocycles.count_solutions_mod_m, iter([1])
+
+    def one_more(rows, ncols, m):
+        return real(rows, ncols, m) + next(extra, 0)
+    monkeypatch.setattr(cocycles, "count_solutions_mod_m", one_more)
+    with pytest.raises(InternalConsistencyError,
+                       match="do not split into orbits of equal size"):
+        count_modulo_gauge(INSTANCES["x22"], 2)

@@ -18,8 +18,9 @@ the order in which non-unit pivots yield their pairs.  Two enumerations too
 long to store are pinned by the length and sha256 of their output: x23 at
 ``--m 3`` and s3_matched_pair at ``--m 257``, the least modulus whose values
 do not fit a byte.  ``cocycles classes
---m 2`` runs on every double groupoid and matched pair, and with ``--m 3``
-on x23 and product_s3_x21.  ``cohomology`` runs on each groupoid to degree
+--m 2`` runs on every double groupoid and matched pair, with ``--m 3`` on
+x23 and product_s3_x21, with the composite ``--m`` 4, 6 and 30 on x22,
+x23, union_x22_s3 and product_s3_x21, and with ``--m 4295229443`` on x22.  ``cohomology`` runs on each groupoid to degree
 3 over F_2, F_3 and Z, and on s3_group to degree 7 over F_2 and 6 over F_3
 and Z.  Left out for time: ``kac`` on product_s3_x21.
 
@@ -75,6 +76,16 @@ def _commands():
     for stem in ("x23", "product_s3_x21"):
         out.append((f"classes-m3-{stem}",
                     ["cocycles", "classes", f"corpus/{stem}.json", "--m", "3"]))
+    # composite moduli, and one past the trial bound of fields.prime_powers,
+    # 65537 * 65539, whose cofactor is composite
+    for m in ("4", "6", "30"):
+        for stem in ("x22", "x23", "union_x22_s3", "product_s3_x21"):
+            out.append((f"classes-m{m}-{stem}",
+                        ["cocycles", "classes", f"corpus/{stem}.json", "--m",
+                         m]))
+    out.append(("classes-m4295229443-x22",
+                ["cocycles", "classes", "corpus/x22.json", "--m",
+                 "4295229443"]))
     for stem in ("x11", "x22", "x23"):
         out.append((f"kac-literal-p2-{stem}",
                     ["kac", f"corpus/{stem}.json", "--p", "2",

@@ -735,9 +735,9 @@ def test_vacant_and_validate_agree_on_every_action_edit(tmp_path, capsys):
 
 
 def test_squarefree_counts_take_no_smith_form(monkeypatch, capsys):
-    """The integral cohomology of S3 (order 6) and the cocycle counts mod 2
-    come from ranks over F_p with the Smith form made to raise, and the
-    count mod 4 of x22 from Howell forms."""
+    """With the Smith form made to raise, the integral cohomology of S3
+    (order 6) still comes from its resolution, and the cocycles of x23 mod
+    2 and the counts mod 2 and mod 4 from Howell forms."""
     from dgq import linalg
 
     def refuse(rows, ncols):

@@ -6,6 +6,7 @@ brute-force sweep, so the library and its oracles share no code."""
 
 import itertools
 import random
+import sys
 from math import gcd, prod
 from unittest import mock
 
@@ -587,71 +588,70 @@ def test_howell_count_is_the_smith_count(mat, m):
         gcd(d, m) for d in divisors)
 
 
-# -- counts mod a squarefree m from ranks over F_p -----------------------------
+# -- one count of solutions mod m, checked by the transpose --------------------
 
 
-def test_a_squarefree_modulus_takes_the_prime_route():
-    """Squarefreeness is read off ``prime_powers``: a count mod m takes
-    ranks over F_p where every exponent is 1, and the Howell route where
-    one is not or where ``prime_powers`` refuses m: 65537 * 65539 has a
-    composite cofactor past the trial bound, and 2 * nextprime(4 * 10**24)
-    a cofactor past the bound of the primality test.  At every m, x22 has
-    m**3 solutions and one gauge class."""
-    for n in range(1, 400):
-        powers = factorint(n)
-        assert linalg._squarefree(n) == (
-            sorted(powers) if set(powers.values()) <= {1} else None), n
+def test_x22_counts_alike_at_large_and_composite_moduli():
+    """At every m, x22 has m**3 solutions and one gauge class: at a large
+    prime, at a squarefree product of two, at a prime power, at 65537 *
+    65539, whose cofactor past the trial bound of ``prime_powers`` is
+    composite, and at 2 * nextprime(4 * 10**24), whose cofactor is past the
+    bound of the primality test."""
     t = build_Xrs(2, 2)
     rows, ncols, _ = _constraint_system(t)
-    routes = {65537: [65537], 2 * 65521: [2, 65521], 2 ** 70: None,
-              65537 * 65539: None, 2 * nextprime(4 * 10 ** 24): None}
-    for m, primes in routes.items():
-        assert linalg._squarefree(m) == primes
-        with mock.patch.object(linalg, "_rank_count",
-                               wraps=linalg._rank_count) as ranks:
-            assert count_solutions_mod_m(rows, ncols, m) == m ** 3
-        assert ranks.called == (primes is not None), m
+    for m in (65537, 2 * 65521, 2 ** 70, 65537 * 65539,
+              2 * nextprime(4 * 10 ** 24)):
+        assert count_solutions_mod_m(rows, ncols, m) == m ** 3
         assert solutions_mod_m(rows, ncols, m)[0] == m ** 3
         assert count_modulo_gauge(t, m) == 1
 
 
-def test_a_count_factors_its_modulus_once():
-    """A gauge count takes two counts mod m, and each factors m once, also
-    on the Howell route, where ``prime_powers`` refuses 65537 * 65539."""
-    with mock.patch.object(linalg, "prime_powers",
-                           wraps=fields.prime_powers) as factor:
-        assert count_modulo_gauge(build_Xrs(2, 2), 4295229443) == 1
-    assert [c.args for c in factor.call_args_list] == [(4295229443,)] * 2
+def test_no_count_factors_its_modulus(monkeypatch):
+    """A gauge count calls ``prime_powers`` under none of the names that
+    ``dgq`` binds it to, at a prime, at a modulus that ``prime_powers``
+    refuses, and at one past the bound of the primality test."""
+    real, calls = fields.prime_powers, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dgq" and getattr(
+                module, "prime_powers", None) is real:
+            monkeypatch.setattr(module, "prime_powers", counted)
+    for m in (2, 4295229443, 2 * nextprime(4 * 10 ** 24)):
+        assert count_modulo_gauge(build_Xrs(2, 2), m) == 1
+    assert calls == []
 
 
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices(max_rows=6, max_cols=6, entry=st.integers(-12, 12)),
        st.sampled_from((1, 2, 3, 5, 6, 10, 30, 4, 12)))
 def test_count_solutions_mod_m_is_the_smith_count(mat, m):
-    """From ranks over F_p at a squarefree m, from the Howell form at 4 and
-    12, the count is m**(ncols - r) times the product of gcd(d_k, m) over
+    """The count is m**(ncols - r) times the product of gcd(d_k, m) over
     the r divisors of the Smith form; and at a squarefree m it is the
-    product over its primes of p**(ncols - rank over F_p)."""
+    product over its primes, which ``sympy`` finds, of p**(ncols - rank
+    over F_p)."""
     dense, ncols = mat
     rows = to_sparse(dense)
     diag = smith_diagonal(rows, ncols)
     smith = m ** (ncols - len(diag)) * prod(gcd(d, m) for d in diag)
     assert count_solutions_mod_m(rows, ncols, m) == smith
-    primes = linalg._squarefree(m)
-    if primes is not None:
+    primes = factorint(m)
+    if set(primes.values()) <= {1}:
         assert smith == prod(p ** (ncols - dense_rank(dense, ncols, p))
                              for p in primes)
 
 
-def _a_column_rank_off(monkeypatch):
+def _a_column_row_lost(monkeypatch, m):
     """Make every elimination of 2 columns, the transpose of the rows below,
-    lose one stored row on the planes."""
+    lose one stored row: on the planes at m = 2, on dict rows elsewhere."""
     real = linalg._echelon
 
-    def off(m, rows=(), ncols=None, extra=0):
-        echelon = real(m, rows, ncols, extra)
+    def off(modulus, rows=(), ncols=None, extra=0):
+        echelon = real(modulus, rows, ncols, extra)
         if ncols == 2:
-            assert isinstance(echelon, _Planes)
+            assert isinstance(echelon, _Planes if m == 2 else _Echelon)
             echelon.rows.popitem()
         return echelon
     monkeypatch.setattr(linalg, "_echelon", off)
@@ -661,19 +661,22 @@ def _a_column_rank_off(monkeypatch):
 def test_a_wrong_plane_rank_raises(monkeypatch, m):
     rows = [{0: 1, 2: 1}, {1: 1}]
     assert count_solutions_mod_m(rows, 3, m) == m
-    _a_column_rank_off(monkeypatch)
-    with pytest.raises(InternalConsistencyError, match="on the columns"):
+    _a_column_row_lost(monkeypatch, m)
+    lost = f"counts {m} solutions mod {m}, the Howell form of the transpose"
+    with pytest.raises(InternalConsistencyError, match=lost):
         count_solutions_mod_m(rows, 3, m)
-    with pytest.raises(InternalConsistencyError, match="on the columns"):
+    with pytest.raises(InternalConsistencyError, match=lost):
         solutions_mod_m(rows, 3, m)
 
 
-@pytest.mark.parametrize("m", (2, 3, 5, 7))
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 6, 7, 12, 30))
 def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
         monkeypatch, m):
-    """At a prime m the Howell form's rows are the rank on the rows, so
-    ``solutions_mod_m`` makes one more elimination, of the transpose, whose
-    rank must agree; a row lost there raises."""
+    """At a prime modulus as at any other, ``solutions_mod_m`` and
+    ``count_solutions_mod_m`` each make two eliminations: the rows on their
+    columns, then the transpose on as many columns as there are rows.  The
+    orders of the two spans must give the same count; a row lost from the
+    transpose raises.  The three rows span two dimensions of four columns."""
     rows = [{0: 1, 2: 1}, {1: 1}, {0: 2, 1: 1, 2: 2}]
     real, calls = linalg._echelon, []
 
@@ -681,9 +684,12 @@ def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
         calls.append((len(rows), ncols))
         return real(m, rows, ncols, extra)
     monkeypatch.setattr(linalg, "_echelon", counted)
-    count, solutions = solutions_mod_m(rows, 3, m)
-    assert calls == [(3, 3), (3, 3)]
-    assert count == len(list(solutions)) == m
+    count, solutions = solutions_mod_m(rows, 4, m)
+    assert calls == [(3, 4), (4, 3)]
+    assert count == len(list(solutions)) == m * m
+    calls.clear()
+    assert count_solutions_mod_m(rows, 4, m) == m * m
+    assert calls == [(3, 4), (4, 3)]
 
     def off(m, matrix=(), ncols=None, extra=0):
         # every elimination but that of the rows themselves loses a row
@@ -692,10 +698,11 @@ def test_a_prime_modulus_eliminates_the_rows_and_their_transpose_once(
             echelon.rows.popitem()
         return echelon
     monkeypatch.setattr(linalg, "_echelon", off)
-    with pytest.raises(InternalConsistencyError,
-                       match=f"rank 2 over F_{m} on the rows, 1 on the "
-                             f"columns"):
-        solutions_mod_m(rows, 3, m)
+    for count_of in (solutions_mod_m, count_solutions_mod_m):
+        with pytest.raises(InternalConsistencyError,
+                           match=f"counts {m * m} solutions mod {m}, the "
+                                 f"Howell form of the transpose"):
+            count_of(rows, 4, m)
 
 
 def _value_bytes(m):

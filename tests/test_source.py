@@ -134,14 +134,42 @@ def _trial_divisions(tree):
 
 
 def test_moduli_are_factored_only_in_fields():
-    """One factoriser: trial division runs only in ``fields``, whose
-    ``prime_powers`` the counts mod m read squarefreeness off, and no
-    ``squarefree_primes`` is left beside it."""
+    """One factoriser: trial division runs only in ``fields``, and no
+    ``squarefree_primes`` is left beside its ``prime_powers``."""
     divided = {path.name for path in SRC.glob("*.py")
                if any(_trial_divisions(ast.parse(path.read_text())))}
     assert divided == {"fields.py"}
     assert not any("squarefree_primes" in path.read_text()
                    for path in SRC.glob("*.py"))
+
+
+def test_one_count_of_solutions_mod_m():
+    """A count mod m takes one route, the Howell form of
+    ``solutions_mod_m`` checked by that of its transpose: ``linalg.py``
+    imports nothing from ``fields``, so it factors no modulus; no
+    ``_squarefree``, ``_rank_count``, ``_checked_rank`` or
+    ``_howell_solutions`` is left in ``src``; and ``count_solutions_mod_m``
+    calls only ``solutions_mod_m``."""
+    tree = ast.parse((SRC / "linalg.py").read_text(), filename="linalg.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2]
+                            for alias in node.names)
+    assert "fields" not in imported
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert not [name for name in ("_squarefree", "_rank_count",
+                                      "_checked_rank", "_howell_solutions")
+                    if name in text], path.name
+    count, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "count_solutions_mod_m")
+    assert {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(count) if isinstance(node, ast.Call)} == {
+        "solutions_mod_m"}
 
 
 def test_group_cohomology_is_bounded_by_its_resolutions():
